@@ -68,23 +68,32 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate and exactly symmetrize a square complex matrix.
-
-    Asymmetry beyond ``tol * (1 + max|entry|)`` is a construction error;
-    the returned array is (H + H*)/2 so later formula chains cannot drift.
-    """
-    h = np.asarray(entries, dtype=complex)
+def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    """Raise unless ``h`` is a finite square matrix with asymmetry at most
+    ``tol * (1 + max|entry|)``.  Never modifies ``h``."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     if h.shape[0] < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(h)))  # NaN or inf iff an entry is
+    if not math.isfinite(scale):
+        raise HermiticityError("matrix has non-finite entries")
     asym = float(np.max(np.abs(h - h.conj().T)))
     if asym > tol * scale:
         raise HermiticityError(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {tol * scale:.3e}"
         )
+
+
+def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Validate and exactly symmetrize a square complex matrix.
+
+    Non-finite entries or asymmetry beyond ``tol * (1 + max|entry|)`` are
+    construction errors (see :func:`check_hermitian`); the returned array is
+    (H + H*)/2 so later formula chains cannot drift.
+    """
+    h = np.asarray(entries, dtype=complex)
+    check_hermitian(h, tol)
     return 0.5 * (h + h.conj().T)
 
 

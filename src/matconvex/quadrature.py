@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +107,9 @@ def gamma_quadrature(p: float) -> float:
     """Independent 1-d quadrature of int_0^inf e^(-v) v^(p-1) dv (adaptive)."""
     if p <= 0.0:
         raise ValueError(f"integral diverges for exponent {p}")
+    # Imported here so that importing the package does not load scipy.
+    from scipy.integrate import quad as _scipy_quad
+
     value, _ = _scipy_quad(
         lambda v: np.exp(-v) * v ** (p - 1.0), 0.0, np.inf, limit=200
     )

@@ -13,7 +13,6 @@ import time
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from . import convexity as cx
 from . import entropy as ent
@@ -172,7 +171,7 @@ def check_c_constant(spec: RandomSpec) -> dict:
     target2 = gamma_quadrature(0.5) ** 2
     target3 = gamma_quadrature(1.0 / 3) ** 3
     err2 = abs(c2 - math.pi)
-    err3 = abs(c3 - float(_gamma(1.0 / 3)) ** 3)
+    err3 = abs(c3 - math.gamma(1.0 / 3) ** 3)
     oracle2 = abs(c2 - target2)
     oracle3 = abs(c3 - target3)
     margin = min(1e-6 - err2, 1e-5 - err3, 1e-6 - oracle2, 1e-5 - oracle3)

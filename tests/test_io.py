@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matconvex.entropy import bell_state
-from matconvex.errors import ValidationError
+from matconvex.errors import HermiticityError, ValidationError
 from matconvex.io import (
     density_from_dict,
     density_to_dict,
@@ -62,6 +62,14 @@ def test_density_roundtrip_and_mandatory_dims():
     assert back.dims == (2, 2)
     with pytest.raises(ValidationError, match="dims"):
         density_from_dict(matrix_to_dict(np.eye(4) / 4.0))
+
+
+def test_density_with_nan_entry_is_rejected():
+    for n in (2, 4):
+        mat = np.eye(n) / n
+        mat[0, 0] = math.nan
+        with pytest.raises(HermiticityError, match="non-finite"):
+            density_from_dict(matrix_to_dict(mat, (n,)))
 
 
 def test_tuple_roundtrip():

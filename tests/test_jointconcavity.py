@@ -10,6 +10,7 @@ from matconvex.convexity import builtin
 from matconvex.errors import (
     ConditioningError,
     DimensionMismatchError,
+    HermiticityError,
     UnsupportedArityError,
 )
 from matconvex.jointconcavity import (
@@ -30,9 +31,10 @@ from matconvex.jointconcavity import (
     wyd_skew_information,
 )
 from matconvex.linalg import SpectrumWindow, loewner_leq
-from matconvex.quadrature import QuadratureConfig, gamma_quadrature
+from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
+    haar_unitary,
     random_density,
     random_hermitian,
     random_in_window,
@@ -170,6 +172,75 @@ def test_tensor_power_integral_input_validation():
         tensor_power_integral(_tuple(4, 2, 9), (0.25, 0.25, 0.25, 0.25))
     with pytest.raises(ValueError):
         tensor_power_direct(mats, (0.9, 0.9))
+
+
+def _dense_resolvent_integral(mats, p, quad):
+    """Reference for tensor_power_integral without eigendecompositions: embed
+    each inverse as I x ... x A_j^(-1) x ... x I and invert the resolvent
+    densely at every node of the same orthant rule."""
+    eyes = [np.eye(a.shape[0]) for a in mats]
+    inv_tilde = []
+    for j, a in enumerate(mats):
+        big = np.eye(1)
+        for m in range(len(mats)):
+            big = np.kron(big, np.linalg.inv(a) if m == j else eyes[m])
+        inv_tilde.append(big)
+    points, weights = orthant_rule(list(p[1:]), quad.nodes_per_axis)
+    total = np.zeros_like(inv_tilde[0])
+    norm = 0.0
+    for us, weight in zip(points, weights):
+        stack = inv_tilde[0] + sum(u * g for u, g in zip(us, inv_tilde[1:]))
+        total = total + weight * np.linalg.inv(stack)
+        norm += weight / (1.0 + us.sum())
+    return total / norm
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tensor_power_integral_matches_dense_oracle(k, n):
+    p = (0.3, 0.7) if k == 2 else (0.2, 0.5, 0.3)
+    mats = _tuple(k, n, 80 + 10 * k + n)
+    # a factor with a repeated eigenvalue: its eigenbasis is not unique
+    u = haar_unitary(n, RandomSpec(90, n))
+    mats[1] = (u * np.array([0.7] * (n - 1) + [2.5])) @ u.conj().T
+    quad = QuadratureConfig(16)
+    oracle = _dense_resolvent_integral(mats, p, quad)
+    out = tensor_power_integral(mats, p, quad)
+    assert np.linalg.norm(out - oracle) / np.linalg.norm(oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_power_factor_order(n):
+    a, b = _tuple(2, n, 95 + n)
+    swap = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            swap[j * n + i, i * n + j] = 1.0
+    for route in (tensor_power_direct, tensor_power_integral):
+        ab = route([a, b], (0.3, 0.7))
+        ba = route([b, a], (0.7, 0.3))
+        rel = np.linalg.norm(ba - swap @ ab @ swap.T) / np.linalg.norm(ba)
+        assert rel <= 1e-12, (route.__name__, rel)
+
+
+def test_tensor_power_integral_rejects_without_repair():
+    good = np.diag([1.0, 2.0])
+    upper = np.array([[1.0, 0.5], [0.0, 2.0]])
+    with pytest.raises(HermiticityError):
+        tensor_power_integral([upper, good], (0.5, 0.5))
+    nan_entry = np.array([[1.0, np.nan], [np.nan, 2.0]])
+    with pytest.raises(HermiticityError):
+        tensor_power_integral([good, nan_entry], (0.5, 0.5))
+    # the direct route symmetrizes, but its eigenvalue floor rejects NaN
+    with pytest.raises(ConditioningError):
+        tensor_power_direct([good, nan_entry], (0.5, 0.5))
+
+
+@pytest.mark.parametrize("route", [tensor_power_direct, tensor_power_integral])
+def test_tensor_power_rejects_non_finite_powers(route):
+    mats = _tuple(2, 2, 11)
+    for p in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)]:
+        with pytest.raises(ValueError, match="finite"):
+            route(mats, p)
 
 
 def test_c_constant_against_closed_forms():

@@ -28,6 +28,9 @@ def test_hermitian_symmetrizes_roundoff():
 def test_hermitian_rejects_asymmetric():
     with pytest.raises(HermiticityError):
         hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(HermiticityError, match="non-finite"):
+            hermitian(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_window_validation():
