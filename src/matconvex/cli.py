@@ -3,7 +3,8 @@
 Subcommands: certify-function, check-entropy, certify-representation,
 check-concavity, run-suite.  Every run echoes its seed and tolerances in the
 report so results can be replayed exactly.  Exit codes: 0 all checks pass,
-1 at least one violation or failed check, 2 usage or parse error.
+1 at least one violation or failed check, 2 usage or parse error, 3 internal
+error (any other exception, reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
 from .linalg import SpectrumWindow
 from .quadrature import QuadratureConfig
-from .rand import RandomSpec, random_in_window_from, random_hermitian_from
+from .rand import STREAM_BLOCK, RandomSpec, random_in_window_from
 from .resolvent import certify_representation, pick_eval_matrix
 
 _PASSING = {"pass", "certified"}
@@ -55,28 +57,16 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _verdict_record(name: str, verdict: cx.Verdict, elapsed: float) -> dict:
-    rec = {
-        "name": name,
-        "status": verdict.status,
-        "margin": verdict.worst_margin,
-        "detail": {"trials": verdict.trials},
-        "timing": round(elapsed, 6),
-    }
-    if verdict.witness is not None:
-        rec["witness"] = mio.serialize_witness(verdict.witness)
+def _verdict_record(name: str, verdict: cx.Verdict) -> dict:
+    return mio.check_record(name, verdict.worst_margin, {"trials": verdict.trials},
+                            verdict.witness, status=verdict.status)
+
+
+def _timed(check: Callable[[], dict]) -> dict:
+    start = time.perf_counter()
+    rec = check()
+    rec["timing"] = round(time.perf_counter() - start, 6)
     return rec
-
-
-def _slack_record(name: str, slack: float, tol: float, elapsed: float,
-                  detail: dict | None = None) -> dict:
-    return {
-        "name": name,
-        "status": "pass" if slack >= -tol else "fail",
-        "margin": float(slack + tol),
-        "detail": {"slack": float(slack), "tolerance": tol, **(detail or {})},
-        "timing": round(elapsed, 6),
-    }
 
 
 def _emit(command: str, config: dict, checks: list[dict], args) -> int:
@@ -106,28 +96,30 @@ def cmd_certify_function(args) -> int:
     f = cx.builtin(args.f)
     window = _parse_window(args.window)
     spec = RandomSpec(seed)
-    checks = []
-
-    def run(name, fn):
-        start = time.perf_counter()
-        checks.append(_verdict_record(name, fn(), time.perf_counter() - start))
-
-    if args.mode in ("all", "convex"):
-        run("definition", lambda: cx.definition_test(
-            f, window, args.n, args.trials, spec.stream(0)))
-        run("jensen", lambda: cx.jensen_test(
-            f, window, args.n, 3, args.trials, spec.stream(1)))
-        run("second_derivative", lambda: cx.second_derivative_test(
-            f, window, args.n, args.trials, spec.stream(2)))
-        mid = 0.5 * (window.a + window.b)
+    n, sites, trials = args.n, max(args.n, 2), args.trials
+    convex = args.mode in ("all", "convex")
+    mid = 0.5 * (window.a + window.b)
+    # Detector k draws from its own block spec.stream(k * STREAM_BLOCK), so
+    # its block does not depend on which other detectors the mode runs.
+    detectors = (
+        ("definition", convex,
+         lambda s: cx.definition_test(f, window, n, trials, s)),
+        ("jensen", convex,
+         lambda s: cx.jensen_test(f, window, n, 3, trials, s)),
+        ("second_derivative", convex,
+         lambda s: cx.second_derivative_test(f, window, n, trials, s)),
         # the secant's value at its base point is an FD derivative
-        run("secant_monotonicity", lambda: cx.monotonicity_test(
-            cx.secant_transform(f, mid), window, max(args.n, 2),
-            args.trials, spec.stream(3),
-            tol_cert=cx.TOL_CERT_FD, tol_viol=cx.TOL_VIOL_FD))
-    if args.mode in ("all", "monotone"):
-        run("loewner_monotonicity", lambda: cx.monotonicity_test(
-            f, window, max(args.n, 2), args.trials, spec.stream(4)))
+        ("secant_monotonicity", convex,
+         lambda s: cx.monotonicity_test(
+             cx.secant_transform(f, mid), window, sites, trials, s,
+             tol_cert=cx.TOL_CERT_FD, tol_viol=cx.TOL_VIOL_FD)),
+        ("loewner_monotonicity", args.mode in ("all", "monotone"),
+         lambda s: cx.monotonicity_test(f, window, sites, trials, s)),
+    )
+    checks = [
+        _timed(lambda: _verdict_record(name, test(spec.stream(k * STREAM_BLOCK))))
+        for k, (name, wanted, test) in enumerate(detectors) if wanted
+    ]
     config = {"f": args.f, "window": [window.a, window.b], "n": args.n,
               "trials": args.trials, "seed": seed, "mode": args.mode}
     return _emit("certify-function", config, checks, args)
@@ -149,36 +141,36 @@ def cmd_check_entropy(args) -> int:
     want = args.check
 
     def battery(name, per_state, need_factors):
-        start = time.perf_counter()
-        worst = math.inf
         detail: dict = {}
+        slacks = []
         for state in states:
             if len(state.dims) < need_factors:
                 raise ValidationError(
                     f"{name} needs {need_factors} tensor factors, "
                     f"state has dims {state.dims}"
                 )
-            worst = min(worst, per_state(state, detail))
-        checks.append(_slack_record(
-            name, worst, tol, time.perf_counter() - start,
-            {"states": len(states), **detail}))
+            slacks.append(per_state(state, detail))
+        worst = float(np.min(slacks, initial=math.inf))
+        return mio.check_record(name, worst + tol, {
+            "slack": worst, "tolerance": tol, "states": len(states), **detail})
 
     if want in ("all", "subadditivity"):
-        battery("subadditivity",
-                lambda s, d: ent.subadditivity_report(s).min_slack(), 2)
+        checks.append(_timed(lambda: battery(
+            "subadditivity", lambda s, d: ent.subadditivity_report(s).min_slack(), 2)))
     if want in ("all", "decomposition"):
         def decomposition(s, d):
             rep = ent.mutual_information_decomposition(s)
             d.setdefault("last_values", rep.to_dict()["values_nats"])
-            return min(rep.values["quantum_part"], rep.values["classical_part"])
-        battery("decomposition", decomposition, 2)
+            return np.min([rep.values["quantum_part"], rep.values["classical_part"]])
+        checks.append(_timed(lambda: battery("decomposition", decomposition, 2)))
     if want in ("all", "ssa"):
-        battery("ssa", lambda s, d: ent.ssa_report(s).slacks["ssa"], 3)
+        checks.append(_timed(lambda: battery(
+            "ssa", lambda s, d: ent.ssa_report(s).slacks["ssa"], 3)))
     if want in ("all", "lieb-ruskai"):
         def lieb_ruskai(s, d):
             other = ent.random_state(s.dims, spec.stream(90001))
             return ent.lieb_ruskai_concavity_gap(s, other, 0.5)
-        battery("lieb-ruskai", lieb_ruskai, 2)
+        checks.append(_timed(lambda: battery("lieb-ruskai", lieb_ruskai, 2)))
     if not checks:
         raise ValidationError(f"unknown check {want!r}")
 
@@ -191,124 +183,101 @@ def cmd_certify_representation(args) -> int:
     seed = _default_seed(args.seed)
     rep = mio.load_representation(args.rep)
     spec = RandomSpec(seed)
-    checks = []
-    start = time.perf_counter()
-    verdict = certify_representation(rep, args.n, args.trials, spec)
-    checks.append(_verdict_record(
-        "exact_second_derivative", verdict, time.perf_counter() - start))
-    start = time.perf_counter()
-    worst = 0.0
-    for t in range(20):
-        rng = spec.stream(50_000 + t).rng()
-        a = random_in_window_from(args.n, rep.window, rng)
-        dev = float(np.linalg.norm(
-            pick_eval_matrix(rep, a, via="spectral")
-            - pick_eval_matrix(rep, a, via="atoms")
-        ))
-        worst = max(worst, dev)
-    checks.append(_slack_record(
-        "spectral_vs_atoms_routes", 1e-8 - worst, 0.0,
-        time.perf_counter() - start, {"worst_deviation": worst}))
+
+    def routes():
+        # block 1: disjoint from the certification's streams at any --trials
+        block = spec.stream(STREAM_BLOCK)
+        deviations = []
+        for t in range(20):
+            a = random_in_window_from(args.n, rep.window, block.stream(t).rng())
+            deviations.append(float(np.linalg.norm(
+                pick_eval_matrix(rep, a, via="spectral")
+                - pick_eval_matrix(rep, a, via="atoms")
+            )))
+        worst = float(np.max(deviations))
+        slack = 1e-8 - worst
+        return mio.check_record("spectral_vs_atoms_routes", slack, {
+            "slack": slack, "tolerance": 0.0, "worst_deviation": worst})
+
+    checks = [
+        _timed(lambda: _verdict_record("exact_second_derivative",
+                                       certify_representation(
+                                           rep, args.n, args.trials, spec))),
+        _timed(routes),
+    ]
     config = {"rep": args.rep, "n": args.n, "trials": args.trials, "seed": seed}
     return _emit("certify-representation", config, checks, args)
+
+
+def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
+    if args.suite == "parallel-sum":
+        fixed = mio.load_tuple(args.tuple) if args.tuple else None
+        eigs, projs = [], []
+        for t in range(args.trials):
+            rng = spec.stream(t).rng()
+            mats = fixed or [random_in_window_from(args.n, window, rng)
+                             for _ in range(args.k)]
+            dirs = jc.random_directions(len(mats), mats[0].shape[0], rng)
+            _, eig, proj = jc.parallel_sum_certificate(mats, dirs)
+            eigs.append(eig)
+            projs.append(proj)
+        worst_eig = float(np.max(eigs, initial=-math.inf))
+        worst_proj = float(np.max(projs, initial=0.0))
+        return mio.check_record("parallel_sum_hessian_nsd", -worst_eig + 1e-8, {
+            "slack": -worst_eig, "tolerance": 1e-8, "max_eigenvalue": worst_eig,
+            "worst_projection_residual": worst_proj})
+    if args.suite == "tensor-power":
+        p = tuple(float(x) for x in args.p.split(","))
+        quad = QuadratureConfig(args.nodes)
+        if args.tuple:
+            # a fixed tuple gives the same error in every trial: evaluate it once
+            tuples = [mio.load_tuple(args.tuple)]
+        else:
+            tuples = []
+            for t in range(args.trials):
+                rng = spec.stream(t).rng()
+                tuples.append([random_in_window_from(args.n, window, rng) for _ in p])
+        errors = [jc.tensor_power_errors(mats, p, [quad.nodes_per_axis])[0]
+                  for mats in tuples]
+        worst = float(np.max(errors, initial=0.0))
+        detail = {"slack": quad.tolerance - worst, "tolerance": 0.0,
+                  "worst_relative_error": worst, "nodes": args.nodes}
+        if args.error_curve and tuples:
+            detail["error_curve_16_to_128"] = jc.tensor_power_errors(
+                tuples[0], p, jc.ERROR_CURVE_NODES)
+        return mio.check_record("tensor_power_vs_direct", detail["slack"], detail)
+    if args.suite == "lieb":
+        gaps = [jc.lieb_midpoint_gap(args.n, window, spec.stream(t).rng())[0]
+                for t in range(args.trials)]
+        worst = float(np.min(gaps, initial=0.0))
+        return mio.check_record("lieb_midpoint_concavity", worst + 1e-8, {
+            "slack": worst, "tolerance": 1e-8, "worst_scaled_gap": worst})
+    if not args.rep:  # kubo-ando, the last of the parser's choices
+        raise ValidationError("kubo-ando suite needs --rep FILE")
+    rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
+    gaps = []
+    for t in range(args.trials):
+        rng = spec.stream(t).rng()
+        a0, a1, b0, b1 = (
+            random_in_window_from(args.n, window, rng) for _ in range(4)
+        )
+        mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
+        avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0)
+                     + jc.kubo_ando_eval(rep, a1, b1))
+        gaps.append(float(np.linalg.eigvalsh(mid - avg).min()))
+    worst = float(np.min(gaps, initial=0.0))
+    return mio.check_record("kubo_ando_midpoint_concavity", worst + 1e-8, {
+        "slack": worst, "tolerance": 1e-8, "worst_gap_eigenvalue": worst})
 
 
 def cmd_check_concavity(args) -> int:
     seed = _default_seed(args.seed)
     spec = RandomSpec(seed)
-    window = SpectrumWindow(0.1, 5.0)
-    checks = []
-    start = time.perf_counter()
-
-    if args.suite == "parallel-sum":
-        worst_eig, worst_proj = -math.inf, 0.0
-        for t in range(args.trials):
-            rng = spec.stream(t).rng()
-            if args.tuple:
-                mats = mio.load_tuple(args.tuple)
-            else:
-                mats = [random_in_window_from(args.n, window, rng)
-                        for _ in range(args.k)]
-            dirs = jc.normalize_directions(
-                [random_hermitian_from(mats[0].shape[0], rng)
-                 for _ in range(len(mats))]
-            )
-            hess = jc.parallel_sum_hessian(mats, dirs)
-            worst_eig = max(worst_eig, float(np.linalg.eigvalsh(hess).max()))
-            worst_proj = max(worst_proj, *jc.projection_residuals(mats))
-        checks.append(_slack_record(
-            "parallel_sum_hessian_nsd", -worst_eig, 1e-8,
-            time.perf_counter() - start,
-            {"max_eigenvalue": worst_eig, "worst_projection_residual": worst_proj}))
-    elif args.suite == "tensor-power":
-        p = tuple(float(x) for x in args.p.split(","))
-        config_q = QuadratureConfig(args.nodes)
-        worst = 0.0
-        curve = []
-        for t in range(args.trials):
-            rng = spec.stream(t).rng()
-            if args.tuple:
-                mats = mio.load_tuple(args.tuple)
-            else:
-                mats = [random_in_window_from(args.n, window, rng)
-                        for _ in range(len(p))]
-            direct = jc.tensor_power_direct(mats, p)
-            approx = jc.tensor_power_integral(mats, p, config_q)
-            err = float(np.linalg.norm(approx - direct) / np.linalg.norm(direct))
-            worst = max(worst, err)
-            if args.error_curve and t == 0:
-                curve = [
-                    float(np.linalg.norm(
-                        jc.tensor_power_integral(mats, p, QuadratureConfig(n))
-                        - direct) / np.linalg.norm(direct))
-                    for n in (16, 32, 64, 128)
-                ]
-        detail = {"worst_relative_error": worst, "nodes": args.nodes}
-        if curve:
-            detail["error_curve_16_to_128"] = curve
-        checks.append(_slack_record(
-            "tensor_power_vs_direct", config_q.tolerance - worst, 0.0,
-            time.perf_counter() - start, detail))
-    elif args.suite == "lieb":
-        worst = 0.0
-        for t in range(args.trials):
-            rng = spec.stream(t).rng()
-            pw = float(rng.uniform(0.2, 0.8))
-            r = float(rng.uniform(0.05, 1.0 - pw))
-            a0, a1, b0, b1 = (
-                random_in_window_from(args.n, window, rng) for _ in range(4)
-            )
-            k = rng.standard_normal((args.n, args.n)) \
-                + 1j * rng.standard_normal((args.n, args.n))
-            mid = jc.lieb_functional(0.5 * (a0 + a1), 0.5 * (b0 + b1), k, pw, r)
-            avg = 0.5 * (jc.lieb_functional(a0, b0, k, pw, r)
-                         + jc.lieb_functional(a1, b1, k, pw, r))
-            worst = min(worst, (mid - avg) / max(abs(mid), abs(avg), 1.0))
-        checks.append(_slack_record(
-            "lieb_midpoint_concavity", worst, 1e-8,
-            time.perf_counter() - start, {"worst_scaled_gap": worst}))
-    elif args.suite == "kubo-ando":
-        if not args.rep:
-            raise ValidationError("kubo-ando suite needs --rep FILE")
-        rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
-        worst = 0.0
-        for t in range(args.trials):
-            rng = spec.stream(t).rng()
-            a0, a1, b0, b1 = (
-                random_in_window_from(args.n, window, rng) for _ in range(4)
-            )
-            mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0)
-                         + jc.kubo_ando_eval(rep, a1, b1))
-            worst = min(worst, float(np.linalg.eigvalsh(mid - avg).min()))
-        checks.append(_slack_record(
-            "kubo_ando_midpoint_concavity", worst, 1e-8,
-            time.perf_counter() - start, {"worst_gap_eigenvalue": worst}))
-    else:
-        raise ValidationError(f"unknown suite {args.suite!r}")
-
+    checks = [_timed(lambda: _concavity_check(args, spec, SpectrumWindow(0.1, 5.0)))]
     config = {"suite": args.suite, "k": args.k, "n": args.n,
-              "trials": args.trials, "seed": seed}
+              "trials": args.trials, "seed": seed, "p": args.p,
+              "nodes": args.nodes, "tuple": args.tuple, "rep": args.rep,
+              "error_curve": args.error_curve}
     return _emit("check-concavity", config, checks, args)
 
 
@@ -397,6 +366,9 @@ def main(argv=None) -> int:
     except MatConvexError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # noqa: BLE001 - a crash must not read as a violation
+        print(f"error: internal {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ transform that turns a convexity question into a monotonicity one.
 
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``tol_cert``, reports a violation
-only if some margin dips below ``tol_viol``, and is otherwise inconclusive.
+only if some margin dips below ``tol_viol``, and is otherwise inconclusive; a
+NaN margin never certifies.  Every randomized test is a per-trial function
+run by :func:`run_trials`, the one loop that splits streams, stamps witnesses
+and reduces margins.
 A randomized run can refute but never prove; `certified` means "no violation
 found at the stated resolution".
 """
@@ -117,14 +120,37 @@ def _aggregate(
     tol_cert: float,
     tol_viol: float,
 ) -> Verdict:
-    """Deterministic reduction: worst margin, first witness in stream order."""
-    worst = min(margins)
+    """Deterministic reduction: worst margin, first witness in stream order.
+
+    The worst margin propagates NaN, so a NaN trial never certifies.
+    """
+    worst = float(np.min(margins))
     for margin, witness in zip(margins, witnesses):
         if margin < -tol_viol:
             return Verdict("violated", len(margins), worst, witness)
     if worst >= -tol_cert:
         return Verdict("certified", len(margins), worst, None)
     return Verdict("inconclusive", len(margins), worst, None)
+
+
+def run_trials(
+    trial: Callable[[np.random.Generator], tuple[float, dict]],
+    trials: int, spec: RandomSpec, tol_cert: float, tol_viol: float,
+) -> Verdict:
+    """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
+
+    The only trial loop behind a :class:`Verdict`.  ``trial(rng)`` draws its
+    inputs from ``rng`` and returns its margin and a witness (``kind`` plus
+    the data that replays it); each witness is stamped with the absolute
+    ``stream_id`` of its trial and its margin.
+    """
+    margins, witnesses = [], []
+    for t in range(trials):
+        stream = spec.stream(t)
+        margin, witness = trial(stream.rng())
+        margins.append(margin)
+        witnesses.append({**witness, "stream_id": stream.stream_id, "margin": margin})
+    return _aggregate(margins, witnesses, tol_cert, tol_viol)
 
 
 def check_mixing_weight(lam: float) -> float:
@@ -155,19 +181,14 @@ def definition_test(
     tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Randomized midpoint test of matrix convexity on n x n matrices."""
-    margins, witnesses = [], []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
+    def trial(rng):
         a0 = random_in_window_from(n, window, rng)
         a1 = random_in_window_from(n, window, rng)
         lam = float(rng.uniform(0.05, 0.95))
         margin = min_eigenvalue(convexity_gap(f, a0, a1, lam))
-        margins.append(margin)
-        witnesses.append(
-            {"kind": "definition", "A0": a0, "A1": a1, "lam": lam,
-             "stream_id": t, "margin": margin}
-        )
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+        return margin, {"kind": "definition", "A0": a0, "A1": a1, "lam": lam}
+
+    return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
 def jensen_test(
@@ -183,9 +204,8 @@ def jensen_test(
     """Jensen gap over random finitely supported probability measures."""
     if atoms < 2:
         raise ValueError("jensen_test needs at least 2 atoms")
-    margins, witnesses = [], []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
+
+    def trial(rng):
         weights = random_simplex(atoms, rng)
         mats = [random_in_window_from(n, window, rng) for _ in range(atoms)]
         mean = sum(w * m for w, m in zip(weights, mats))
@@ -194,13 +214,10 @@ def jensen_test(
             for i, (w, m) in enumerate(zip(weights, mats))
         )
         gap = lhs - apply_function(mean, f.fn, f.domain, source="barycenter")
-        margin = min_eigenvalue(gap)
-        margins.append(margin)
-        witnesses.append(
-            {"kind": "jensen", "weights": weights, "matrices": mats,
-             "stream_id": t, "margin": margin}
-        )
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+        return min_eigenvalue(gap), {"kind": "jensen", "weights": weights,
+                                     "matrices": mats}
+
+    return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
 def default_fd_step(m: np.ndarray) -> float:
@@ -250,18 +267,14 @@ def second_derivative_test(
         tol_cert = TOL_CERT if exact else TOL_CERT_FD
     if tol_viol is None:
         tol_viol = TOL_VIOL if exact else TOL_VIOL_FD
-    margins, witnesses = [], []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
+
+    def trial(rng):
         m = random_in_window_from(n, window, rng)
         q = random_direction_from(n, rng)
         margin = min_eigenvalue(line_second_derivative(f, m, q))
-        margins.append(margin)
-        witnesses.append(
-            {"kind": "second_derivative", "M": m, "Q": q,
-             "stream_id": t, "margin": margin}
-        )
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+        return margin, {"kind": "second_derivative", "M": m, "Q": q}
+
+    return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
 def kernel_K(lam: float, t: float) -> float:
@@ -336,20 +349,16 @@ def monotonicity_test(
     """Matrix monotonicity via positivity of random Loewner matrices."""
     inner = window.shrunk(0.05)
     min_sep = 1e-3 * (window.b - window.a)
-    margins, witnesses = [], []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
+
+    def trial(rng):
         k = int(rng.integers(2, max_sites + 1))
         for _ in range(100):
             xs = np.sort(rng.uniform(inner.a, inner.b, size=k))
             if np.all(np.diff(xs) >= min_sep):
                 break
-        margin = min_eigenvalue(loewner_matrix(f, xs))
-        margins.append(margin)
-        witnesses.append(
-            {"kind": "loewner", "sites": xs, "stream_id": t, "margin": margin}
-        )
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+        return min_eigenvalue(loewner_matrix(f, xs)), {"kind": "loewner", "sites": xs}
+
+    return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:

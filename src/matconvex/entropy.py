@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import min_eigenvalue, spectral_decompose, tensor
-from .rand import RandomSpec, haar_unitary_from
+from .rand import RandomSpec, haar_unitary_from, random_density_from
 
 #: Eigenvalues at or below this floor count as exact zeros for entropy and as
 #: support violations for relative entropy.
@@ -395,7 +395,7 @@ def product_state(*factors: DensityOperator) -> DensityOperator:
 
 def random_state(dims: Sequence[int], spec: RandomSpec) -> DensityOperator:
     """Hilbert-Schmidt ensemble state on the given tensor factorization."""
-    from .rand import random_density
-
     n = int(np.prod([int(d) for d in dims]))
-    return DensityOperator(random_density(n, spec), tuple(int(d) for d in dims))
+    return DensityOperator(
+        random_density_from(n, spec.rng()), tuple(int(d) for d in dims)
+    )

@@ -195,6 +195,27 @@ def serialize_witness(witness: dict | None) -> dict | None:
     return out
 
 
+def check_record(
+    name: str, margin: float, detail: dict, witness: dict | None = None,
+    status: str | None = None,
+) -> dict:
+    """One check record of a report, with ``timing`` left for the caller to set.
+
+    ``status`` defaults to "pass" when ``margin >= 0`` and "fail" otherwise,
+    so a NaN margin fails; verdict records pass the verdict's own status.
+    """
+    rec = {
+        "name": name,
+        "status": status or ("pass" if margin >= 0.0 else "fail"),
+        "margin": float(margin),
+        "detail": detail,
+        "timing": 0.0,
+    }
+    if witness is not None:
+        rec["witness"] = serialize_witness(witness)
+    return rec
+
+
 def report_to_dict(
     command: str, config: dict, checks: list[dict], overall_status: str
 ) -> dict:

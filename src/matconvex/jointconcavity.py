@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convexity import ScalarFunction, Verdict, _aggregate
+from .convexity import TOL_CERT_FD, TOL_VIOL_FD, ScalarFunction, Verdict, run_trials
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
+    SpectrumWindow,
     apply_function,
     check_hermitian,
     matrix_power_psd,
@@ -39,7 +40,7 @@ from .linalg import (
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
-from .rand import RandomSpec
+from .rand import RandomSpec, random_hermitian_from, random_in_window_from
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
@@ -48,9 +49,8 @@ POSITIVITY_FLOOR = 1e-8
 #: tensor_power_integral: 2^20 float64 values, about 8 MB at any node count.
 _RESOLVENT_CHUNK = 1 << 20
 
-#: Default verdict thresholds for finite-difference concavity margins.
-TOL_CERT_FD = 1e-5
-TOL_VIOL_FD = 1e-4
+#: Per-axis node counts of the tensor-power quadrature error curve.
+ERROR_CURVE_NODES = (16, 32, 64, 128)
 
 
 def _check_tuple(mats: Sequence[np.ndarray], floor: float = POSITIVITY_FLOOR):
@@ -80,6 +80,11 @@ def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
     if scale == 0.0:
         return [np.array(q) for q in dirs]
     return [q / scale for q in dirs]
+
+
+def random_directions(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """k Hermitian n x n directions, scaled jointly by normalize_directions."""
+    return normalize_directions([random_hermitian_from(n, rng) for _ in range(k)])
 
 
 def parallel_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -136,6 +141,16 @@ def projection_residuals(mats: Sequence[np.ndarray]) -> tuple[float, float]:
     )
 
 
+def parallel_sum_certificate(
+    mats: Sequence[np.ndarray], dirs: Sequence[np.ndarray]
+) -> tuple[np.ndarray, float, float]:
+    """(Hessian, its largest eigenvalue, the larger projection residual); for
+    every admissible tuple the eigenvalue is <= 0 and the residual 0, up to
+    roundoff."""
+    hess = parallel_sum_hessian(mats, dirs)
+    return hess, float(np.linalg.eigvalsh(hess).max()), max(projection_residuals(mats))
+
+
 def tuple_second_difference(
     map_fn: Callable[[Sequence[np.ndarray]], np.ndarray],
     mats: Sequence[np.ndarray],
@@ -170,39 +185,28 @@ def joint_concavity_test(
     functionals pass scalar=True; margins then compare real numbers instead of
     eigenvalues.
     """
-    from .rand import random_hermitian_from  # local to avoid import cycle noise
+    if mode not in ("fd", "midpoint"):
+        raise ValueError(f"unknown mode {mode!r}")
 
-    margins, witnesses = [], []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
+    def trial(rng):
         mats = sampler(k, n, rng)
         if mode == "fd":
-            dirs = normalize_directions(
-                [random_hermitian_from(n, rng) for _ in range(k)]
-            )
+            dirs = random_directions(k, n, rng)
             step = h if h is not None else (
                 (1.0 + max(op_norm(a) for a in mats)) * np.finfo(float).eps ** 0.25
             )
             d2 = tuple_second_difference(map_fn, mats, dirs, step)
             margin = -float(np.real(d2)) if scalar else -max_eigenvalue(d2)
-            witnesses.append(
-                {"kind": "joint_fd", "matrices": mats, "directions": dirs,
-                 "h": step, "stream_id": t, "margin": margin}
-            )
-        elif mode == "midpoint":
-            other = sampler(k, n, rng)
-            gap = map_fn([0.5 * (a + b) for a, b in zip(mats, other)]) - 0.5 * (
-                map_fn(list(mats)) + map_fn(list(other))
-            )
-            margin = float(np.real(gap)) if scalar else min_eigenvalue(gap)
-            witnesses.append(
-                {"kind": "joint_midpoint", "matrices": mats, "others": other,
-                 "stream_id": t, "margin": margin}
-            )
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        margins.append(margin)
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+            return margin, {"kind": "joint_fd", "matrices": mats,
+                            "directions": dirs, "h": step}
+        other = sampler(k, n, rng)
+        gap = map_fn([0.5 * (a + b) for a, b in zip(mats, other)]) - 0.5 * (
+            map_fn(list(mats)) + map_fn(list(other))
+        )
+        margin = float(np.real(gap)) if scalar else min_eigenvalue(gap)
+        return margin, {"kind": "joint_midpoint", "matrices": mats, "others": other}
+
+    return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +293,21 @@ def tensor_power_integral(
     return (basis * (diag / norm)) @ basis.conj().T
 
 
+def tensor_power_errors(
+    mats: Sequence[np.ndarray], p: Sequence[float], nodes: Sequence[int]
+) -> list[float]:
+    """Relative Frobenius error of tensor_power_integral against
+    tensor_power_direct, one entry per per-axis node count in ``nodes``
+    (pass ERROR_CURVE_NODES for the error curve)."""
+    direct = tensor_power_direct(mats, p)
+    return [
+        float(np.linalg.norm(
+            tensor_power_integral(mats, p, QuadratureConfig(m)) - direct
+        ) / np.linalg.norm(direct))
+        for m in nodes
+    ]
+
+
 def c_constant(
     p: Sequence[float], quad: QuadratureConfig = QuadratureConfig()
 ) -> float:
@@ -326,6 +345,21 @@ def lieb_functional(
     ap = matrix_power_psd(a, p)
     br = matrix_power_psd(b, r)
     return float(np.trace(ap @ k.conj().T @ br @ k).real)
+
+
+def lieb_midpoint_gap(
+    n: int, window: SpectrumWindow, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Midpoint joint-concavity trial of the Lieb functional L: draws p, r,
+    A0, A1, B0, B1 (in the window) and K from ``rng`` in that order; returns
+    (L(mid) - avg) / max(|L(mid)|, |avg|, 1), >= 0 up to roundoff, and p."""
+    p = float(rng.uniform(0.2, 0.8))
+    r = float(rng.uniform(0.05, 1.0 - p))
+    a0, a1, b0, b1 = (random_in_window_from(n, window, rng) for _ in range(4))
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mid = lieb_functional(0.5 * (a0 + a1), 0.5 * (b0 + b1), k, p, r)
+    avg = 0.5 * (lieb_functional(a0, b0, k, p, r) + lieb_functional(a1, b1, k, p, r))
+    return (mid - avg) / max(abs(mid), abs(avg), 1.0), p
 
 
 def vec_columns(k: np.ndarray) -> np.ndarray:
@@ -408,8 +442,6 @@ class KuboAndoRepresentation:
             for t, nu in self.atoms:
                 total += nu * (t * x / (1.0 + t * x)) * (1.0 + t) / t
             return total
-
-        from .linalg import SpectrumWindow
 
         return ScalarFunction("kubo_ando_scalar", f, SpectrumWindow(0.0, np.inf))
 

@@ -3,7 +3,15 @@ a window, Haar unitaries, unit directions, and random density operators.
 
 Reproducibility contract: every draw is a pure function of a
 :class:`RandomSpec`, and streams split by ``stream_id`` never share generator
-state, so parallel trial loops are bit-stable.
+state, so parallel trial loops are bit-stable.  Stream ids nest:
+``RandomSpec(seed, s).stream(i)`` is ``RandomSpec(seed, s + i)``, so a caller
+that hands ``spec.stream(k * STREAM_BLOCK)`` to the k-th part of its work
+keeps every part, and every helper that part calls with a sub-stream, inside
+its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
+absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
+
+Samplers take a ``np.random.Generator`` (``x_from(n, spec.rng())``), so one
+stream can feed several draws in a fixed order.
 """
 
 from __future__ import annotations
@@ -18,6 +26,10 @@ from .linalg import SpectrumWindow, op_norm
 #: Margin fraction kept clear of each window edge when sampling spectra.
 WINDOW_MARGIN = 0.05
 
+#: Stream ids per block; a battery that splits its work into parts hands
+#: part k the block starting at ``k * STREAM_BLOCK``.
+STREAM_BLOCK = 1_000_000
+
 
 @dataclasses.dataclass(frozen=True)
 class RandomSpec:
@@ -31,8 +43,9 @@ class RandomSpec:
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
         )
 
-    def stream(self, stream_id: int) -> "RandomSpec":
-        return RandomSpec(self.seed, stream_id)
+    def stream(self, offset: int) -> "RandomSpec":
+        """The stream ``offset`` ids past this one (ids nest, see module doc)."""
+        return RandomSpec(self.seed, self.stream_id + offset)
 
 
 def _complex_gaussian(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,23 +60,16 @@ def haar_unitary_from(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def haar_unitary(n: int, spec: RandomSpec) -> np.ndarray:
-    return haar_unitary_from(n, spec.rng())
-
-
 def random_hermitian_from(n: int, rng: np.random.Generator) -> np.ndarray:
+    """GUE-like sample (G + G*)/2 with G complex standard Gaussian."""
     g = _complex_gaussian(n, n, rng)
     return 0.5 * (g + g.conj().T)
-
-
-def random_hermitian(n: int, spec: RandomSpec) -> np.ndarray:
-    """GUE-like sample (G + G*)/2 with G complex standard Gaussian."""
-    return random_hermitian_from(n, spec.rng())
 
 
 def random_in_window_from(
     n: int, window: SpectrumWindow, rng: np.random.Generator
 ) -> np.ndarray:
+    """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar."""
     if not window.is_bounded:
         raise UnboundedWindowError(
             "random_in_window needs a bounded window; pass a compact sub-window"
@@ -74,30 +80,17 @@ def random_in_window_from(
     return (u * lam) @ u.conj().T
 
 
-def random_in_window(n: int, window: SpectrumWindow, spec: RandomSpec) -> np.ndarray:
-    """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar."""
-    return random_in_window_from(n, window, spec.rng())
-
-
 def random_direction_from(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian matrix normalized to unit operator norm."""
     q = random_hermitian_from(n, rng)
     return q / op_norm(q)
 
 
-def random_direction(n: int, spec: RandomSpec) -> np.ndarray:
-    """Random Hermitian matrix normalized to unit operator norm."""
-    return random_direction_from(n, spec.rng())
-
-
 def random_density_from(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Hilbert-Schmidt ensemble: G G* / Tr(G G*), G complex Gaussian."""
     g = _complex_gaussian(n, n, rng)
     w = g @ g.conj().T
     return w / np.trace(w).real
-
-
-def random_density(n: int, spec: RandomSpec) -> np.ndarray:
-    """Hilbert-Schmidt ensemble: G G* / Tr(G G*), G complex Gaussian."""
-    return random_density_from(n, spec.rng())
 
 
 def random_pure_density(n: int, spec: RandomSpec) -> np.ndarray:

@@ -10,14 +10,14 @@ import time
 import pytest
 
 from matconvex.cli import main
-from matconvex.suite import CHECKS, _STREAM_BLOCK, _BlockSpec
+from matconvex.rand import STREAM_BLOCK, RandomSpec
+from matconvex.suite import CHECKS
 
 SEED = 1
 
 
 def _block_spec(name):
-    base = _STREAM_BLOCK * (1 + list(CHECKS).index(name))
-    return _BlockSpec(SEED, base)
+    return RandomSpec(SEED, STREAM_BLOCK * (1 + list(CHECKS).index(name)))
 
 
 @pytest.fixture()

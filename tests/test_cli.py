@@ -5,6 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from matconvex import convexity as cx
+from matconvex import io as mio
+from matconvex import jointconcavity as jc
+from matconvex import suite
 from matconvex.cli import main
 from matconvex.entropy import bell_state, product_state, DensityOperator
 from matconvex.io import (
@@ -13,9 +17,11 @@ from matconvex.io import (
     pick_to_dict,
     report_from_dict,
     save_json,
+    tuple_to_list,
 )
 from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
+from matconvex.rand import random_in_window_from
 from matconvex.resolvent import PickRepresentation
 
 
@@ -54,6 +60,22 @@ def test_certify_function_x4_violated_with_witness(tmp_path, capsys):
     violated = [c for c in report["checks"] if c["status"] == "violated"]
     assert violated and "witness" in violated[0]
     assert violated[0]["witness"]["A0"]["dim"] == 2
+
+
+def test_certify_function_detectors_draw_from_disjoint_blocks(monkeypatch, capsys):
+    specs = {}
+    for name in ("definition_test", "second_derivative_test"):
+        def spy(*args, _real=getattr(cx, name), _name=name):
+            specs[_name] = args[-1]
+            return _real(*args)
+        monkeypatch.setattr(cx, name, spy)
+    main(["certify-function", "--f", "x2", "--window", "0.1,2",
+          "--n", "2", "--trials", "5", "--seed", "7"])
+    window = SpectrumWindow(0.1, 2.0)
+    first = {name: random_in_window_from(2, window, spec.stream(0).rng())
+             for name, spec in specs.items()}
+    assert not np.array_equal(first["definition_test"],
+                              first["second_derivative_test"])
 
 
 def test_certify_function_sqrt_monotone(capsys):
@@ -135,6 +157,58 @@ def test_check_concavity_tensor_power(capsys):
     report = json.loads(capsys.readouterr().out)
     curve = report["checks"][0]["detail"]["error_curve_16_to_128"]
     assert all(a > b for a, b in zip(curve, curve[1:]))
+
+
+def test_check_concavity_config_replays(capsys):
+    code = main(["check-concavity", "--suite", "tensor-power", "--p", "0.3,0.7",
+                 "--nodes", "32", "--trials", "3", "--seed", "3",
+                 "--error-curve", "--format", "json"])
+    assert code == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"suite": "tensor-power", "k": 2, "n": 3, "trials": 3,
+                      "seed": 3, "p": "0.3,0.7", "nodes": 32, "tuple": None,
+                      "rep": None, "error_curve": True}
+
+
+def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tuple.json"
+    save_json(str(path), tuple_to_list([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]))
+    reads, integrals = [], []
+    real_load, real_integral = mio.load_tuple, jc.tensor_power_integral
+    monkeypatch.setattr(mio, "load_tuple",
+                        lambda p: reads.append(p) or real_load(p))
+    monkeypatch.setattr(jc, "tensor_power_integral",
+                        lambda *a: integrals.append(a) or real_integral(*a))
+    for name in ("parallel-sum", "tensor-power"):
+        assert main(["check-concavity", "--suite", name, "--tuple", str(path),
+                     "--trials", "5", "--seed", "3"]) == 0
+    assert len(reads) == 2
+    # no randomness in a fixed tuple: every trial would repeat one integral
+    assert len(integrals) == 1
+
+
+def test_check_concavity_nan_trial_fails(monkeypatch, capsys):
+    real = jc.lieb_functional
+    calls = []
+
+    def nan_once(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(jc, "lieb_functional", nan_once)
+    code = main(["check-concavity", "--suite", "lieb", "--trials", "5",
+                 "--seed", "3"])
+    assert code == 1
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(spec):
+        raise RuntimeError("failed to span a degenerate eigenspace")
+
+    monkeypatch.setitem(suite.CHECKS, "kernel_identity", broken)
+    assert main(["run-suite", "--only", "kernel"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_concavity_kubo_ando(tmp_path, capsys):

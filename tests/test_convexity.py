@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from matconvex.convexity import (
+    TOL_CERT,
+    TOL_VIOL,
     TRUTH_ON_POSITIVES,
+    _aggregate,
     builtin,
     convexity_gap,
     definition_test,
@@ -22,7 +25,7 @@ from matconvex.convexity import (
 )
 from matconvex.errors import DomainViolationError
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import RandomSpec
+from matconvex.rand import RandomSpec, random_in_window_from
 
 WINDOW = SpectrumWindow(0.1, 5.0)
 NARROW = SpectrumWindow(0.1, 2.0)
@@ -32,6 +35,24 @@ CONVEX = [name for name, (cvx, _) in TRUTH_ON_POSITIVES.items() if cvx]
 NONCONVEX = [name for name, (cvx, _) in TRUTH_ON_POSITIVES.items() if not cvx]
 MONOTONE = [name for name, (_, mono) in TRUTH_ON_POSITIVES.items() if mono]
 NONMONOTONE = [name for name, (_, mono) in TRUTH_ON_POSITIVES.items() if not mono]
+
+
+@pytest.mark.parametrize("margins", [[0.0, math.nan], [math.nan, 0.0]])
+def test_aggregate_never_certifies_a_nan_margin(margins):
+    v = _aggregate(margins, [{}, {}], TOL_CERT, TOL_VIOL)
+    assert v.status == "inconclusive"
+    assert math.isnan(v.worst_margin)
+
+
+def test_witness_stream_id_is_absolute():
+    # the witness names the stream its draw came from, offset included
+    spec = RandomSpec(2024, 5000)
+    v = definition_test(builtin("x4"), NARROW, 2, 200, spec)
+    assert v.status == "violated" and v.witness["stream_id"] >= 5000
+    redrawn = random_in_window_from(
+        2, NARROW, RandomSpec(2024, v.witness["stream_id"]).rng()
+    )
+    np.testing.assert_array_equal(redrawn, v.witness["A0"])
 
 
 @pytest.mark.parametrize("name", CONVEX)

@@ -34,22 +34,21 @@ from matconvex.linalg import SpectrumWindow, loewner_leq
 from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
-    haar_unitary,
-    random_density,
-    random_hermitian,
-    random_in_window,
+    haar_unitary_from,
+    random_density_from,
+    random_hermitian_from,
+    random_in_window_from,
 )
 
 WINDOW = SpectrumWindow(0.1, 5.0)
 
 
 def _tuple(k, n, seed):
-    return [random_in_window(n, WINDOW, RandomSpec(seed, j)) for j in range(k)]
+    return [random_in_window_from(n, WINDOW, RandomSpec(seed, j).rng())
+            for j in range(k)]
 
 
 def _window_sampler(k, n, rng):
-    from matconvex.rand import random_in_window_from
-
     return [random_in_window_from(n, WINDOW, rng) for _ in range(k)]
 
 
@@ -89,7 +88,7 @@ def test_hessian_scalar_oracle():
 def test_hessian_negative_semidefinite_and_matches_fd(k, n):
     mats = _tuple(k, n, 100 * k + n)
     dirs = normalize_directions(
-        [random_hermitian(n, RandomSpec(7, 50 + j)) for j in range(k)]
+        [random_hermitian_from(n, RandomSpec(7, 50 + j).rng()) for j in range(k)]
     )
     hess = parallel_sum_hessian(mats, dirs)
     assert np.linalg.eigvalsh(hess).max() <= 1e-10
@@ -200,7 +199,7 @@ def test_tensor_power_integral_matches_dense_oracle(k, n):
     p = (0.3, 0.7) if k == 2 else (0.2, 0.5, 0.3)
     mats = _tuple(k, n, 80 + 10 * k + n)
     # a factor with a repeated eigenvalue: its eigenbasis is not unique
-    u = haar_unitary(n, RandomSpec(90, n))
+    u = haar_unitary_from(n, RandomSpec(90, n).rng())
     mats[1] = (u * np.array([0.7] * (n - 1) + [2.5])) @ u.conj().T
     quad = QuadratureConfig(16)
     oracle = _dense_resolvent_integral(mats, p, quad)
@@ -298,10 +297,10 @@ def test_wyd_hand_value():
 
 def test_wyd_zero_iff_commuting_and_nonpositive():
     for t in range(20):
-        rho = random_density(3, RandomSpec(60, t))
-        k = random_hermitian(3, RandomSpec(61, t))
+        rho = random_density_from(3, RandomSpec(60, t).rng())
+        k = random_hermitian_from(3, RandomSpec(61, t).rng())
         assert wyd_skew_information(rho, k, 0.3) <= 1e-12
-    w, u = np.linalg.eigh(random_density(3, RandomSpec(62)))
+    w, u = np.linalg.eigh(random_density_from(3, RandomSpec(62).rng()))
     k_comm = (u * np.array([1.0, -2.0, 0.5])) @ u.conj().T
     rho = (u * w) @ u.conj().T
     assert abs(wyd_skew_information(rho, k_comm, 0.7)) < 1e-12

@@ -5,42 +5,44 @@ from matconvex.errors import UnboundedWindowError
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
-    haar_unitary,
-    random_density,
-    random_direction,
-    random_hermitian,
-    random_in_window,
+    haar_unitary_from,
+    random_density_from,
+    random_direction_from,
+    random_hermitian_from,
+    random_in_window_from,
     random_pure_density,
     random_simplex,
 )
 
 
 def test_same_spec_same_draw():
-    a = random_hermitian(5, RandomSpec(42, 3))
-    b = random_hermitian(5, RandomSpec(42, 3))
+    a = random_hermitian_from(5, RandomSpec(42, 3).rng())
+    b = random_hermitian_from(5, RandomSpec(42, 3).rng())
     np.testing.assert_array_equal(a, b)
 
 
 def test_different_streams_differ():
-    a = random_hermitian(5, RandomSpec(42, 0))
-    b = random_hermitian(5, RandomSpec(42, 1))
+    a = random_hermitian_from(5, RandomSpec(42, 0).rng())
+    b = random_hermitian_from(5, RandomSpec(42, 1).rng())
     assert np.linalg.norm(a - b) > 1e-3
 
 
 def test_stream_helper():
     spec = RandomSpec(7)
     assert spec.stream(9) == RandomSpec(7, 9)
+    # stream ids nest: an offset stream of an offset stream adds up
+    assert RandomSpec(7, 5).stream(3) == RandomSpec(7, 8)
 
 
 def test_haar_unitary_is_unitary():
-    u = haar_unitary(6, RandomSpec(0))
+    u = haar_unitary_from(6, RandomSpec(0).rng())
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
 
 def test_random_in_window_spectrum_confined():
     window = SpectrumWindow(1.0, 3.0)
     for t in range(20):
-        m = random_in_window(4, window, RandomSpec(1, t))
+        m = random_in_window_from(4, window, RandomSpec(1, t).rng())
         eigs = np.linalg.eigvalsh(m)
         assert eigs.min() > 1.0 and eigs.max() < 3.0
         # the 5% sampling margin keeps spectra clear of the edges
@@ -49,16 +51,16 @@ def test_random_in_window_spectrum_confined():
 
 def test_random_in_window_rejects_unbounded():
     with pytest.raises(UnboundedWindowError):
-        random_in_window(3, SpectrumWindow(0.0, np.inf), RandomSpec(0))
+        random_in_window_from(3, SpectrumWindow(0.0, np.inf), RandomSpec(0).rng())
 
 
 def test_random_direction_unit_norm():
-    q = random_direction(4, RandomSpec(3))
+    q = random_direction_from(4, RandomSpec(3).rng())
     assert np.max(np.abs(np.linalg.eigvalsh(q))) == pytest.approx(1.0)
 
 
 def test_random_density_valid():
-    rho = random_density(5, RandomSpec(9))
+    rho = random_density_from(5, RandomSpec(9).rng())
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho).min() >= 0.0
 

@@ -13,8 +13,8 @@ from matconvex.errors import ConditioningError, DomainViolationError
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
-    random_direction,
-    random_in_window,
+    random_direction_from,
+    random_in_window_from,
 )
 from matconvex.resolvent import (
     PickRepresentation,
@@ -68,9 +68,8 @@ def test_resolvent_spectrum_check():
 @pytest.mark.parametrize("u", [-1.0, 7.0])
 def test_second_derivative_psd_both_branches(u):
     for t in range(20):
-        spec = RandomSpec(10, t)
-        a = random_in_window(3, WINDOW, spec)
-        q = random_direction(3, spec.stream(1000 + t))
+        a = random_in_window_from(3, WINDOW, RandomSpec(10, t).rng())
+        q = random_direction_from(3, RandomSpec(10, 1000 + t).rng())
         d2 = resolvent_second_derivative(a, q, ResolventPoint(u, WINDOW))
         assert np.linalg.eigvalsh(d2).min() >= -1e-10
 
@@ -78,8 +77,8 @@ def test_second_derivative_psd_both_branches(u):
 @pytest.mark.parametrize("u", [-1.0, 7.0])
 def test_second_derivative_matches_fd(u):
     spec = RandomSpec(11)
-    a = random_in_window(3, WINDOW, spec)
-    q = random_direction(3, spec.stream(1))
+    a = random_in_window_from(3, WINDOW, spec.rng())
+    q = random_direction_from(3, spec.stream(1).rng())
     point = ResolventPoint(u, WINDOW)
     exact = resolvent_second_derivative(a, q, point)
     f = ScalarFunction("f_u", point.scalar, WINDOW)
@@ -90,8 +89,8 @@ def test_second_derivative_matches_fd(u):
 
 def test_resolvent_identity_exact():
     spec = RandomSpec(12)
-    a = random_in_window(4, WINDOW, spec) + 6.0 * np.eye(4)
-    delta = 0.01 * random_direction(4, spec.stream(1))
+    a = random_in_window_from(4, WINDOW, spec.rng()) + 6.0 * np.eye(4)
+    delta = 0.01 * random_direction_from(4, spec.stream(1).rng())
     assert resolvent_identity_residual(a, delta) < 1e-12
 
 
@@ -134,7 +133,7 @@ def test_scalar_eval_at_pole_free_point():
 
 def test_matrix_routes_agree():
     for t in range(10):
-        a = random_in_window(4, WINDOW, RandomSpec(14, t))
+        a = random_in_window_from(4, WINDOW, RandomSpec(14, t).rng())
         via_spectral = pick_eval_matrix(REP, a, via="spectral")
         via_atoms = pick_eval_matrix(REP, a, via="atoms")
         np.testing.assert_allclose(via_spectral, via_atoms, atol=1e-10)
@@ -151,8 +150,8 @@ def test_matrix_route_commuting_case_matches_scalar():
 
 def test_exact_second_derivative_psd_and_matches_fd():
     spec = RandomSpec(15)
-    m = random_in_window(3, WINDOW, spec)
-    q = random_direction(3, spec.stream(1))
+    m = random_in_window_from(3, WINDOW, spec.rng())
+    q = random_direction_from(3, spec.stream(1).rng())
     exact = pick_second_derivative(REP, m, q)
     assert np.linalg.eigvalsh(exact).min() >= -1e-10
     f = pick_scalar_function(REP)
