@@ -127,52 +127,48 @@ def cmd_certify_function(args) -> int:
 
 def cmd_check_entropy(args) -> int:
     seed = _default_seed(args.seed)
-    spec = RandomSpec(seed)
-    tol = args.tol
+    spec, tol = RandomSpec(seed), args.tol
     if args.state:
-        states = [mio.load_state(args.state)]
+        states = mio.load_state(args.state)
     elif args.random:
-        dims = _parse_dims(args.random)
-        states = [ent.random_state(dims, spec.stream(t)) for t in range(args.trials)]
+        states = ent.random_states(_parse_dims(args.random), spec, args.trials)
     else:
         raise ValidationError("need either --state FILE or --random DIMS")
-
-    checks = []
     want = args.check
 
-    def battery(name, per_state, need_factors):
-        detail: dict = {}
-        slacks = []
-        for state in states:
-            if len(state.dims) < need_factors:
-                raise ValidationError(
-                    f"{name} needs {need_factors} tensor factors, "
-                    f"state has dims {state.dims}"
-                )
-            slacks.append(per_state(state, detail))
-        worst = float(np.min(slacks, initial=math.inf))
-        return mio.check_record(name, worst + tol, {
-            "slack": worst, "tolerance": tol, "states": len(states), **detail})
+    def decomposition():
+        rep = ent.mutual_information_decomposition(states)
+        first = {k: float(np.reshape(v, -1)[0]) for k, v in rep.values.items()}
+        return rep.min_slack(), {"last_values": first}  # slacks: the two parts
 
-    if want in ("all", "subadditivity"):
-        checks.append(_timed(lambda: battery(
-            "subadditivity", lambda s, d: ent.subadditivity_report(s).min_slack(), 2)))
-    if want in ("all", "decomposition"):
-        def decomposition(s, d):
-            rep = ent.mutual_information_decomposition(s)
-            d.setdefault("last_values", rep.to_dict()["values_nats"])
-            return np.min([rep.values["quantum_part"], rep.values["classical_part"]])
-        checks.append(_timed(lambda: battery("decomposition", decomposition, 2)))
-    if want in ("all", "ssa"):
-        checks.append(_timed(lambda: battery(
-            "ssa", lambda s, d: ent.ssa_report(s).slacks["ssa"], 3)))
-    if want in ("all", "lieb-ruskai"):
-        def lieb_ruskai(s, d):
-            other = ent.random_state(s.dims, spec.stream(90001))
-            return ent.lieb_ruskai_concavity_gap(s, other, 0.5)
-        checks.append(_timed(lambda: battery("lieb-ruskai", lieb_ruskai, 2)))
+    # name -> (fewest factors, most factors, slacks of every state and detail)
+    batteries = {
+        "subadditivity": (2, 2, lambda: (
+            ent.subadditivity_report(states).min_slack(), {})),
+        "decomposition": (2, 2, decomposition),
+        "ssa": (3, 3, lambda: (ent.ssa_report(states).slacks["ssa"], {})),
+        "lieb-ruskai": (2, math.inf, lambda: (ent.lieb_ruskai_concavity_gap(
+            states, ent.random_state(states.dims, spec.stream(90001)), 0.5), {})),
+    }
+
+    def battery(name, slacks):
+        values, detail = slacks()
+        worst = float(np.min(values))
+        return mio.check_record(name, worst + tol, {
+            "slack": worst, "tolerance": tol,
+            "states": states.matrix.size // states.dim**2, **detail})
+
+    checks = []  # "all" runs only the checks that fit the states' factor count
+    for name, (fewest, most, slacks) in batteries.items():
+        fits = fewest <= len(states.dims) <= most
+        if want == name and not fits:
+            raise ValidationError(
+                f"{name} needs {fewest}{'+' if most > fewest else ''} tensor factors, "
+                f"state has dims {states.dims}")
+        if want in ("all", name) and fits:
+            checks.append(_timed(lambda: battery(name, slacks)))
     if not checks:
-        raise ValidationError(f"unknown check {want!r}")
+        raise ValidationError(f"no entropy check applies to dims {states.dims}")
 
     config = {"seed": seed, "trials": args.trials, "check": want, "tol": tol,
               "state": args.state, "random": args.random}

@@ -13,6 +13,14 @@ marginal has degenerate eigenvalues.  The deterministic rule used here:
 within each degenerate eigenspace, orthonormalize the projections of the
 computational basis vectors in index order.  This prefers computational-basis
 vectors whenever they are admissible and makes the pinch idempotent.
+Without degenerate eigenvalues the rule reduces to phase-fixing each
+eigenvector by its first entry of modulus above 1e-8.
+
+A :class:`DensityOperator` may hold a ``(T, N, N)`` stack on one factorization;
+every state function then runs on all rows at once and reports hold ``(T,)``
+arrays.  Each DensityOperator, marginals and pinched states too, is checked row
+by row when built: finite and Hermitian (never repaired), then trace and PSD
+from one ``eigvalsh``, kept as ``spectrum`` for its entropy.  A bad row is named.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import min_eigenvalue, spectral_decompose, tensor
-from .rand import RandomSpec, haar_unitary_from, random_density_from
+from .linalg import check_hermitian, spectral_decompose, tensor
+from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
+from .rand import RandomSpec, haar_unitaries, random_densities, random_density_from
 
 #: Eigenvalues at or below this floor count as exact zeros for entropy and as
 #: support violations for relative entropy.
@@ -33,68 +42,85 @@ EIGENVALUE_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+#: Largest |(S(tilde_123) - S(tilde_23)) - (S12 - S2)| the SSA cross-check allows.
+SSA_CHAIN_TOL = 1e-8
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 @dataclasses.dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace matrix with a declared tensor factorization."""
+    """Positive unit-trace matrix, or a ``(T, N, N)`` stack of them, with a
+    declared tensor factorization.  ``spectrum`` holds each row's ascending
+    eigenvalues from the eigensolve that checked it (see module docstring)."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        mat = 0.5 * (mat + mat.conj().T)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValidationError(f"invalid factor dimensions {self.dims}")
-        n = int(np.prod(self.dims))
-        if mat.shape != (n, n):
+        dims = tuple(int(d) for d in self.dims)
+        if not dims or any(d < 1 for d in dims):
+            raise ValidationError(f"invalid factor dimensions {dims}")
+        n = math.prod(dims)
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (n, n) or not mat.size:
             raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match factorization {self.dims}"
+                f"matrix shape {mat.shape} does not match factorization {dims}"
             )
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lo = min_eigenvalue(mat)
-        if lo < -PSD_TOL:
-            raise ValidationError(f"matrix has negative eigenvalue {lo:.3e}")
+        check_hermitian(mat)
+        mat = mat + _dagger(mat)
+        mat *= 0.5
+        w = np.linalg.eigvalsh(mat)
+        # the trace test reads the eigenvalues too
+        tr, lo = w.sum(axis=-1).reshape(-1), w[..., 0].reshape(-1)
+        bad = (abs(tr - 1.0) > TRACE_TOL) | (lo < -PSD_TOL)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError((f"row {k}: " if mat.ndim == 3 else "") + (
+                f"trace {tr[k]} deviates from 1 beyond {TRACE_TOL}"
+                if abs(tr[k] - 1.0) > TRACE_TOL
+                else f"matrix has negative eigenvalue {lo[k]:.3e}"))
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", w)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def marginal(self, keep: Sequence[int]) -> "DensityOperator":
         return partial_trace(self, keep)
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Restriction of a multipartite state to the kept tensor factors."""
+    """Restriction of a multipartite state (or of every row of a stack) to the
+    kept tensor factors: one ``einsum`` that traces the other factors."""
     keep = sorted(set(int(i) for i in keep))
     nfac = len(rho.dims)
     if not keep or any(i < 0 or i >= nfac for i in keep):
         raise ValidationError(
-            f"keep set {keep} invalid for a state with {nfac} factors"
-        )
-    t = rho.matrix.reshape(*rho.dims, *rho.dims)
-    removed = 0
-    for i in range(nfac):
-        if i in keep:
-            continue
-        ax = i - removed
-        t = np.trace(t, axis1=ax, axis2=ax + (nfac - removed))
-        removed += 1
+            f"keep set {keep} invalid for a state with {nfac} factors")
+    # factor i has row label i and column label i (traced) or nfac + i (kept)
+    cols = [nfac + i if i in keep else i for i in range(nfac)]
+    stack = rho.matrix.shape[:-2]
+    t = np.einsum(rho.matrix.reshape(*stack, *rho.dims, *rho.dims),
+                  [Ellipsis, *range(nfac), *cols],
+                  [Ellipsis, *keep, *(nfac + i for i in keep)])
     kept_dims = tuple(rho.dims[i] for i in keep)
-    d = int(np.prod(kept_dims))
-    return DensityOperator(t.reshape(d, d), kept_dims)
+    d = math.prod(kept_dims)
+    return DensityOperator(t.reshape(*stack, d, d), kept_dims)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -Tr(rho log rho), with the 0 log 0 = 0 convention."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > EIGENVALUE_FLOOR]
-    return float(-np.sum(w * np.log(w)))
+def von_neumann_entropy(rho: DensityOperator):
+    """S(rho) = -Tr(rho log rho), with the 0 log 0 = 0 convention, from the
+    spectrum computed when ``rho`` was checked; a ``(T,)`` array for a stack."""
+    w = rho.spectrum
+    pos = w > EIGENVALUE_FLOOR
+    s = -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def conditional_entropy(
@@ -117,16 +143,15 @@ def haar_average_residual(
     rho12: DensityOperator, samples: int, spec: RandomSpec
 ) -> float:
     """Frobenius distance of the Monte Carlo Haar average of (1 x U)* rho (1 x U)
-    from rho_1 x 1/d_2; decays like 1/sqrt(samples)."""
+    from rho_1 x 1/d_2; decays like 1/sqrt(samples).  Sample s draws U from
+    ``spec.stream(s)``; one stacked QR and one contraction serve all samples."""
     d1, d2 = _two_factors(rho12)
     target = tensor(rho12.marginal([0]).matrix, np.eye(d2) / d2)
-    eye1 = np.eye(d1)
-    acc = np.zeros_like(rho12.matrix)
-    for s in range(samples):
-        u = haar_unitary_from(d2, spec.stream(s).rng())
-        big = tensor(eye1, u)
-        acc += big.conj().T @ rho12.matrix @ big
-    return float(np.linalg.norm(acc / samples - target))
+    u = haar_unitaries(d2, (spec.stream(s).rng() for s in range(samples)))
+    # rho indexed (i, c, j, e); U_s acts on the second factor's c and e
+    acc = np.einsum("sca,icje,seb->iajb", u.conj(),
+                    rho12.matrix.reshape(d1, d2, d1, d2), u, optimize=True)
+    return float(np.linalg.norm(acc.reshape(d1 * d2, d1 * d2) / samples - target))
 
 
 def _two_factors(rho: DensityOperator) -> tuple[int, int]:
@@ -135,38 +160,36 @@ def _two_factors(rho: DensityOperator) -> tuple[int, int]:
     return rho.dims
 
 
-def _degenerate_blocks(w: np.ndarray, tol: float = 1e-10) -> list[slice]:
-    blocks, start = [], 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol * (1.0 + abs(w[i])):
-            blocks.append(slice(start, i))
-            start = i
-    return blocks
+def _span_block(vb: np.ndarray) -> np.ndarray:
+    """Orthonormalized projections of e_0, e_1, ... onto the columns' span."""
+    proj = vb @ vb.conj().T
+    cols: list[np.ndarray] = []
+    for e_idx in range(len(proj)):
+        cand = proj[:, e_idx].copy()
+        for c in cols:
+            cand -= c * (c.conj() @ cand)
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-8:
+            cols.append(cand / nrm)
+        if len(cols) == vb.shape[1]:
+            return np.column_stack(cols)
+    raise RuntimeError("failed to span a degenerate eigenspace")
 
 
 def pinching_basis(marginal: np.ndarray) -> np.ndarray:
-    """Deterministic eigenbasis of a marginal, computational-basis-preferring
-    within degenerate eigenspaces (see module docstring)."""
-    w, v = np.linalg.eigh(marginal)
-    d = marginal.shape[0]
-    basis = np.zeros((d, d), dtype=complex)
-    for block in _degenerate_blocks(w):
-        size = block.stop - block.start
-        proj = v[:, block] @ v[:, block].conj().T
-        cols: list[np.ndarray] = []
-        for e_idx in range(d):
-            cand = proj[:, e_idx].copy()
-            for c in cols:
-                cand -= c * (c.conj() @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                cols.append(cand / nrm)
-            if len(cols) == size:
-                break
-        if len(cols) != size:
-            raise RuntimeError("failed to span a degenerate eigenspace")
-        basis[:, block] = np.column_stack(cols)
-    return basis
+    """Deterministic eigenbasis of a marginal (or of each row of a stack),
+    computational-basis-preferring in degenerate eigenspaces (module docstring)."""
+    d = marginal.shape[-1]
+    w, v = np.linalg.eigh(marginal.reshape(-1, d, d))
+    first = np.argmax(np.abs(v) > 1e-8, axis=1)[:, None, :]  # first entry above 1e-8
+    lead = np.take_along_axis(v, first, axis=1)
+    basis = v * (lead.conj() / np.abs(lead))
+    split = np.diff(w, axis=1) > 1e-10 * (1.0 + np.abs(w[:, 1:]))
+    for k in np.flatnonzero(~np.all(split, axis=1)):
+        edges = [0, *(np.flatnonzero(split[k]) + 1), d]
+        for lo, hi in zip(edges, edges[1:]):
+            basis[k, :, lo:hi] = _span_block(v[k, :, lo:hi])
+    return basis.reshape(marginal.shape)
 
 
 def pinch_product_basis(rho12: DensityOperator) -> np.ndarray:
@@ -181,26 +204,24 @@ def pinch(rho12: DensityOperator) -> DensityOperator:
     Preserves both marginals and never lowers the entropy.
     """
     basis = pinch_product_basis(rho12)
-    diag = np.diagonal(basis.conj().T @ rho12.matrix @ basis).real
-    pinched = (basis * diag) @ basis.conj().T
-    return DensityOperator(pinched, rho12.dims)
+    diag = np.diagonal(_dagger(basis) @ rho12.matrix @ basis, axis1=-2, axis2=-1).real
+    return DensityOperator((basis * diag[..., None, :]) @ _dagger(basis), rho12.dims)
 
 
 def pinch_monte_carlo(
     rho12: DensityOperator, samples: int, spec: RandomSpec
 ) -> DensityOperator:
     """Approximate the pinch by averaging over random-phase unitaries that are
-    diagonal in the pinching basis."""
+    diagonal in the pinching basis.  Sample s draws its phases p from
+    ``spec.stream(s)``; with the p as rows of P, the mean of diag(p)* M diag(p)
+    is M o (P* P) / samples."""
     basis = pinch_product_basis(rho12)
-    in_basis = basis.conj().T @ rho12.matrix @ basis
-    d = rho12.dim
-    acc = np.zeros_like(in_basis)
-    for s in range(samples):
-        rng = spec.stream(s).rng()
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
-        acc += (phases.conj()[:, None] * in_basis) * phases[None, :]
-    avg = basis @ (acc / samples) @ basis.conj().T
-    return DensityOperator(avg, rho12.dims)
+    in_basis = _dagger(basis) @ rho12.matrix @ basis
+    phases = np.exp(1j * np.fromiter((
+        spec.stream(s).rng().uniform(0.0, 2.0 * np.pi, size=rho12.dim)
+        for s in range(samples)), (float, (rho12.dim,))))
+    avg = in_basis * (phases.conj().T @ phases) / samples
+    return DensityOperator(basis @ avg @ _dagger(basis), rho12.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +298,15 @@ LOG2 = math.log(2.0)
 
 @dataclasses.dataclass(frozen=True)
 class EntropyReport:
-    """Named entropy values (nats) and one-sided inequality slacks."""
+    """Named entropy values (nats) and one-sided inequality slacks: floats for
+    one state, ``(T,)`` arrays for a stack."""
 
     values: dict[str, float]
     slacks: dict[str, float]
 
-    def min_slack(self) -> float:
-        return min(self.slacks.values()) if self.slacks else math.inf
+    def min_slack(self):
+        """Smallest slack (NaN-propagating), per row for a stack."""
+        return np.min(list(self.slacks.values()), axis=0) if self.slacks else math.inf
 
     def to_dict(self) -> dict:
         return {
@@ -339,7 +362,8 @@ def uhlmann_tilde(rho123: DensityOperator) -> DensityOperator:
 
 def ssa_report(rho123: DensityOperator) -> EntropyReport:
     """Strong subadditivity: [S12 - S2] - [S123 - S23] >= 0, with the
-    decoupled-state cross-check S(tilde_123) - S(tilde_23) = S12 - S2."""
+    decoupled-state cross-check S(tilde_123) - S(tilde_23) = S12 - S2, whose
+    slack ``SSA_CHAIN_TOL - |mismatch|`` goes negative when it fails."""
     if len(rho123.dims) != 3:
         raise ValidationError(f"expected three factors, got dims {rho123.dims}")
     s123 = von_neumann_entropy(rho123)
@@ -356,7 +380,8 @@ def ssa_report(rho123: DensityOperator) -> EntropyReport:
         },
         slacks={
             "ssa": (s12 - s2) - (s123 - s23),
-            "uhlmann_chain_matches": abs((s_tilde - s_tilde_23) - (s12 - s2)),
+            "uhlmann_chain_matches":
+                SSA_CHAIN_TOL - np.abs((s_tilde - s_tilde_23) - (s12 - s2)),
         },
     )
 
@@ -395,7 +420,10 @@ def product_state(*factors: DensityOperator) -> DensityOperator:
 
 def random_state(dims: Sequence[int], spec: RandomSpec) -> DensityOperator:
     """Hilbert-Schmidt ensemble state on the given tensor factorization."""
-    n = int(np.prod([int(d) for d in dims]))
-    return DensityOperator(
-        random_density_from(n, spec.rng()), tuple(int(d) for d in dims)
-    )
+    return DensityOperator(random_density_from(math.prod(dims), spec.rng()), dims)
+
+
+def random_states(dims: Sequence[int], spec: RandomSpec, count: int) -> DensityOperator:
+    """Stack of ``count`` states; row t is ``random_state(dims, spec.stream(t))``."""
+    rngs = (spec.stream(t).rng() for t in range(count))
+    return DensityOperator(random_densities(math.prod(dims), rngs), dims)

@@ -70,19 +70,26 @@ class SpectralDecomposition(NamedTuple):
 
 def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     """Raise unless ``h`` is a finite square matrix with asymmetry at most
-    ``tol * (1 + max|entry|)``.  Never modifies ``h``."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    ``tol * (1 + max|entry|)``.  A ``(T, n, n)`` stack is checked row by row
+    and the first failing row is named.  Never modifies ``h``."""
+    if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    if h.shape[0] < 1:
+    if h.shape[-1] < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    scale = 1.0 + float(np.max(np.abs(h)))  # NaN or inf iff an entry is
-    if not math.isfinite(scale):
-        raise HermiticityError("matrix has non-finite entries")
-    asym = float(np.max(np.abs(h - h.conj().T)))
-    if asym > tol * scale:
-        raise HermiticityError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {tol * scale:.3e}"
-        )
+    rows = h.reshape(-1, *h.shape[-2:])
+    t = rows.swapaxes(1, 2)  # |h - h*| entrywise, without a complex temporary
+    with np.errstate(invalid="ignore"):  # inf - inf: any non-finite entry gives NaN or inf
+        asym = np.hypot(rows.real - t.real, rows.imag + t.imag)
+    if asym.max() <= tol:  # finite, and within tol * scale since scale >= 1
+        return
+    scale = 1.0 + np.max(np.abs(rows), axis=(1, 2))  # NaN or inf iff an entry is
+    asym = np.max(asym, axis=(1, 2))
+    bad = ~np.isfinite(scale) | (asym > tol * scale)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise HermiticityError((f"row {k}: " if h.ndim == 3 else "") + (
+            "matrix has non-finite entries" if not np.isfinite(scale[k]) else
+            f"matrix asymmetry {asym[k]:.3e} exceeds tolerance {tol * scale[k]:.3e}"))
 
 
 def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -168,5 +175,6 @@ def op_norm(h: np.ndarray) -> float:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(a, b)
+    """Kronecker product, row by row over a leading stack axis (2-D: ``np.kron``)."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], *np.multiply(a.shape[-2:], b.shape[-2:]))

@@ -12,11 +12,16 @@ absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
 Samplers take a ``np.random.Generator`` (``x_from(n, spec.rng())``), so one
 stream can feed several draws in a fixed order.
+
+Stacked samplers (``haar_unitaries``, ``random_densities``) draw row t from the
+t-th generator as the ``_from`` form would, then run one QR or product for the
+stack; the ``_from`` form is the unstacked case, equal to a row bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable
 
 import numpy as np
 
@@ -52,12 +57,26 @@ def _complex_gaussian(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    # one growing buffer, not a list of T small arrays
+    return np.fromiter((_complex_gaussian(n, n, rng) for rng in rngs), (complex, (n, n)))
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """QR of complex Gaussian matrices with the phase-of-diagonal correction."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitaries(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Haar unitaries, row t from the t-th generator."""
+    return _haar(_stacked_draws(n, rngs))
+
+
 def haar_unitary_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian matrix with the
-    phase-of-diagonal correction."""
-    q, r = np.linalg.qr(_complex_gaussian(n, n, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-distributed unitary (the unstacked :func:`haar_unitaries`)."""
+    return _haar(_complex_gaussian(n, n, rng))
 
 
 def random_hermitian_from(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,11 +105,21 @@ def random_direction_from(n: int, rng: np.random.Generator) -> np.ndarray:
     return q / op_norm(q)
 
 
+def _hilbert_schmidt(g: np.ndarray) -> np.ndarray:
+    """G G* / Tr(G G*) for complex Gaussian G, row by row over a stack."""
+    w = g @ g.conj().swapaxes(-1, -2)
+    w /= np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+    return w
+
+
+def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Hilbert-Schmidt ensemble, row t from the t-th generator."""
+    return _hilbert_schmidt(_stacked_draws(n, rngs))
+
+
 def random_density_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hilbert-Schmidt ensemble: G G* / Tr(G G*), G complex Gaussian."""
-    g = _complex_gaussian(n, n, rng)
-    w = g @ g.conj().T
-    return w / np.trace(w).real
+    """One Hilbert-Schmidt density matrix (the unstacked :func:`random_densities`)."""
+    return _hilbert_schmidt(_complex_gaussian(n, n, rng))
 
 
 def random_pure_density(n: int, spec: RandomSpec) -> np.ndarray:

@@ -40,11 +40,10 @@ _WINDOW_NARROW = SpectrumWindow(0.1, 2.0)
 
 def check_ssa_battery(spec: RandomSpec) -> dict:
     """SSA slack over random tripartite ensembles; tolerance 1e-8."""
-    slacks = []
-    for dims in ((2, 2, 2), (2, 3, 2)):
-        for _ in range(500):
-            state = ent.random_state(dims, spec.stream(len(slacks)))
-            slacks.append(ent.ssa_report(state).slacks["ssa"])
+    slacks = np.concatenate([
+        ent.ssa_report(ent.random_states(dims, spec.stream(500 * k), 500)).slacks["ssa"]
+        for k, dims in enumerate(((2, 2, 2), (2, 3, 2)))
+    ])
     worst = float(np.min(slacks))
     return check_record("ssa_battery", worst + 1e-8,
                         {"worst_slack": worst, "trials": len(slacks),
@@ -53,16 +52,11 @@ def check_ssa_battery(spec: RandomSpec) -> dict:
 
 def check_subadditivity_chain(spec: RandomSpec) -> dict:
     """Both subadditivity slacks >= -1e-9 and pinch preserves marginals to 1e-10."""
-    slacks, devs = [], []
-    for t in range(500):
-        state = ent.random_state((2, 3), spec.stream(t))
-        slacks.append(ent.subadditivity_report(state).min_slack())
-        pinched = ent.pinch(state)
-        for keep in ([0], [1]):
-            devs.append(float(np.linalg.norm(
-                pinched.marginal(keep).matrix - state.marginal(keep).matrix
-            )))
-    worst_slack = float(np.min(slacks))
+    states = ent.random_states((2, 3), spec, 500)
+    pinched = ent.pinch(states)
+    devs = [np.linalg.norm(pinched.marginal(keep).matrix - states.marginal(keep).matrix,
+                           axis=(-2, -1)) for keep in ([0], [1])]
+    worst_slack = float(np.min(ent.subadditivity_report(states).min_slack()))
     worst_marg = float(np.max(devs))
     margin = np.min([worst_slack + 1e-9, 1e-10 - worst_marg])
     return check_record("subadditivity_chain", margin,
@@ -74,15 +68,10 @@ def check_subadditivity_chain(spec: RandomSpec) -> dict:
 def check_mutual_information(spec: RandomSpec) -> dict:
     """Decomposition into nonnegative parts that sum to the mutual information;
     Bell state gives (log 2, log 2)."""
-    parts, sums = [], []
-    for t in range(500):
-        state = ent.random_state((2, 3), spec.stream(t))
-        rep = ent.mutual_information_decomposition(state)
-        q, c = rep.values["quantum_part"], rep.values["classical_part"]
-        parts += [q, c]
-        sums.append(abs(q + c - rep.values["mutual_information"]))
-    worst_part = float(np.min(parts))
-    worst_sum = float(np.max(sums))
+    rep = ent.mutual_information_decomposition(ent.random_states((2, 3), spec, 500))
+    q, c = rep.values["quantum_part"], rep.values["classical_part"]
+    worst_part = float(np.min([q, c]))
+    worst_sum = float(np.max(np.abs(q + c - rep.values["mutual_information"])))
     bell = ent.mutual_information_decomposition(ent.bell_state())
     bell_err = float(np.max([
         abs(bell.values["quantum_part"] - math.log(2.0)),
@@ -327,16 +316,15 @@ def check_determinism(spec: RandomSpec) -> dict:
     """A representative battery rerun from the same seed reproduces its
     margins bit-for-bit."""
     def battery() -> list[float]:
+        states = ent.random_states((2, 3), spec, 20)
         out = []
-        for t in range(20):
-            state = ent.random_state((2, 3), spec.stream(t))
-            out.append(ent.subadditivity_report(state).min_slack())
+        for t, slack in enumerate(ent.subadditivity_report(states).min_slack()):
             rng = spec.stream(100 + t).rng()
             a = random_in_window_from(3, _WINDOW_WIDE, rng)
             q = random_direction_from(3, rng)
-            out.append(float(np.linalg.eigvalsh(
+            out += [float(slack), float(np.linalg.eigvalsh(
                 jc.parallel_sum_hessian([a, a], [q, q])
-            ).max()))
+            ).max())]
         return out
 
     first, second = battery(), battery()

@@ -105,6 +105,34 @@ def test_check_entropy_random_ssa(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("dims, expected", [
+    ("2x2x2", ["ssa", "lieb-ruskai"]),
+    ("2x3", ["subadditivity", "decomposition", "lieb-ruskai"]),
+])
+def test_check_entropy_all_runs_the_checks_that_fit(dims, expected, capsys):
+    code = main(["check-entropy", "--random", dims, "--trials", "50", "--seed", "11",
+                 "--format", "json"])
+    assert code == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == expected
+    assert all(c["status"] == "pass" and c["detail"]["states"] == 50 for c in checks)
+
+
+@pytest.mark.parametrize("dims, check", [
+    ("2x3", "ssa"), ("2x2x2", "subadditivity"), ("2x2x2", "decomposition"),
+    ("4", "lieb-ruskai"),
+])
+def test_check_entropy_named_check_on_wrong_factor_count(dims, check, capsys):
+    assert main(["check-entropy", "--random", dims, "--check", check]) == 2
+    assert "tensor factors" in capsys.readouterr().err
+
+
+def test_check_entropy_zero_trials_is_a_usage_error(capsys):
+    # zero states certify nothing: an empty stack is rejected, not passed
+    assert main(["check-entropy", "--random", "2x3", "--trials", "0"]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_check_entropy_product_state_ssa(tmp_path):
     factor = DensityOperator(np.diag([0.6, 0.4]), (2,))
     path = tmp_path / "product.json"

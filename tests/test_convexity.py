@@ -198,3 +198,11 @@ def test_witness_replay_loewner():
 def test_unknown_builtin():
     with pytest.raises(KeyError, match="unknown function"):
         builtin("cosh")
+
+
+def test_monotonicity_with_unspaceable_sites_is_inconclusive():
+    # up to 3000 sites cannot keep the 1e-3 * width spacing: those trials
+    # have NaN margins, and a NaN never certifies
+    v = monotonicity_test(builtin("sqrt"), WINDOW, 3000, 5, SPEC)
+    assert v.status == "inconclusive"
+    assert math.isnan(v.worst_margin)

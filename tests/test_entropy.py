@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matconvex.entropy import (
+    SSA_CHAIN_TOL,
     DensityOperator,
     bell_state,
     classically_correlated_pair,
@@ -20,13 +21,14 @@ from matconvex.entropy import (
     pinch_monte_carlo,
     product_state,
     random_state,
+    random_states,
     relative_entropy,
     ssa_report,
     subadditivity_report,
     uhlmann_tilde,
     von_neumann_entropy,
 )
-from matconvex.errors import DimensionMismatchError, ValidationError
+from matconvex.errors import DimensionMismatchError, HermiticityError, ValidationError
 from matconvex.rand import RandomSpec
 
 LOG2 = math.log(2.0)
@@ -255,7 +257,8 @@ def test_ssa_report_ghz_and_product():
     rep = ssa_report(ghz_state())
     assert rep.values["S123"] == pytest.approx(0.0, abs=1e-12)
     assert rep.slacks["ssa"] == pytest.approx(LOG2)
-    assert rep.slacks["uhlmann_chain_matches"] < 1e-9
+    # slack = SSA_CHAIN_TOL - |mismatch|, so |mismatch| < 1e-9 reads as:
+    assert rep.slacks["uhlmann_chain_matches"] > SSA_CHAIN_TOL - 1e-9
     factors = [DensityOperator(np.diag([0.6, 0.4]), (2,)) for _ in range(3)]
     prod_rep = ssa_report(product_state(*factors))
     assert abs(prod_rep.slacks["ssa"]) < 1e-10
@@ -275,3 +278,177 @@ def test_ssa_slack_consistent_with_concavity_path():
         assert ssa_report(rho).slacks["ssa"] >= -1e-8
         other = random_state((2, 2, 2), SPEC.stream(1200 + t))
         assert lieb_ruskai_concavity_gap(rho, other, 0.5) >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# Stacks: a (T, N, N) DensityOperator runs every row through the same kernels.
+
+
+def _loop_partial_trace(mat, dims, keep):
+    """Independent oracle: trace out one factor at a time with np.trace."""
+    t = mat.reshape(*dims, *dims)
+    nfac, removed = len(dims), 0
+    for i in range(nfac):
+        if i not in keep:
+            ax = i - removed
+            t = np.trace(t, axis1=ax, axis2=ax + nfac - removed)
+            removed += 1
+    d = int(np.prod([dims[i] for i in keep]))
+    return t.reshape(d, d)
+
+
+def test_random_states_rows_equal_random_state():
+    stack = random_states((2, 3, 2), SPEC.stream(1300), 7)
+    assert stack.matrix.shape == (7, 12, 12)
+    for t in range(7):
+        single = random_state((2, 3, 2), SPEC.stream(1300 + t))
+        np.testing.assert_array_equal(stack.matrix[t], single.matrix)
+        np.testing.assert_array_equal(stack.spectrum[t], single.spectrum)
+
+
+@pytest.mark.parametrize("keep", [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
+def test_stacked_partial_trace_matches_loop_oracle(keep):
+    dims = (2, 3, 2)
+    stack = random_states(dims, SPEC.stream(1400), 5)
+    traced = partial_trace(stack, keep)
+    for t in range(5):
+        np.testing.assert_allclose(
+            traced.matrix[t], _loop_partial_trace(stack.matrix[t], dims, keep),
+            atol=1e-15,
+        )
+
+
+def _with_degenerate_rows(dims, named, spec):
+    """A stack of random states with the named states as its first rows."""
+    rows = [s.matrix for s in named] + list(random_states(dims, spec, 6).matrix)
+    return DensityOperator(np.stack(rows), dims)
+
+
+STACK_CASES = [
+    ((2, 2, 2), lambda: [ghz_state()]),
+    ((2, 3, 2), lambda: []),
+    ((2, 3), lambda: []),
+    ((2, 2), lambda: [bell_state(), classically_correlated_pair()]),
+]
+
+
+@pytest.mark.parametrize("dims, named", STACK_CASES)
+def test_stacked_reports_match_per_state(dims, named):
+    stack = _with_degenerate_rows(dims, named(), SPEC.stream(1500))
+    reports = ([ssa_report] if len(dims) == 3
+               else [subadditivity_report, mutual_information_decomposition])
+    for report in reports:
+        stacked = report(stack)
+        for t, row in enumerate(stack.matrix):
+            single = report(DensityOperator(row, dims))
+            for key, value in single.values.items():
+                assert abs(stacked.values[key][t] - value) <= 1e-14, (key, t)
+            for key, value in single.slacks.items():
+                assert abs(stacked.slacks[key][t] - value) <= 1e-14, (key, t)
+            assert abs(stacked.min_slack()[t] - single.min_slack()) <= 1e-14
+
+
+def test_stacked_pinch_runs_the_degenerate_fallback_per_row():
+    stack = _with_degenerate_rows(
+        (2, 2), [bell_state(), classically_correlated_pair()], SPEC.stream(1600))
+    pinched = pinch(stack)
+    np.testing.assert_allclose(
+        pinched.matrix[0], np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-12)
+    np.testing.assert_allclose(
+        pinched.matrix[1], classically_correlated_pair().matrix, atol=1e-12)
+    for t, row in enumerate(stack.matrix):
+        np.testing.assert_allclose(
+            pinched.matrix[t], pinch(DensityOperator(row, (2, 2))).matrix, atol=1e-14)
+
+
+def test_closed_form_pinching_basis_matches_the_block_rule():
+    from matconvex.entropy import _span_block, pinching_basis
+
+    marginals = random_states((2, 3), SPEC.stream(1700), 20).marginal([1]).matrix
+    bases = pinching_basis(marginals)
+    for t, m in enumerate(marginals):
+        _, v = np.linalg.eigh(m)
+        by_rule = np.column_stack([_span_block(v[:, [j]]) for j in range(3)])
+        np.testing.assert_allclose(bases[t], by_rule, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+    (np.eye(4) / 2.0, "trace"),
+])
+@pytest.mark.parametrize("k", [0, 3])
+def test_stack_names_its_first_bad_row(bad, message, k):
+    rows = random_states((2, 2), SPEC.stream(1800), 5).matrix.copy()
+    rows[k] = bad
+    with pytest.raises(ValidationError, match=f"row {k}: .*{message}"):
+        DensityOperator(rows, (2, 2))
+
+
+def test_non_hermitian_input_is_rejected_not_repaired():
+    with pytest.raises(HermiticityError):
+        DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
+    with pytest.raises(HermiticityError, match="non-finite"):
+        DensityOperator(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,))
+    rows = random_states((2,), SPEC.stream(1900), 4).matrix.copy()
+    rows[2] = [[0.5, 1.0], [0.0, 0.5]]
+    with pytest.raises(HermiticityError, match="row 2: .*asymmetry"):
+        DensityOperator(rows, (2,))
+    rows[2, 0, 1] = np.inf
+    with pytest.raises(HermiticityError, match="row 2: .*non-finite"):
+        DensityOperator(rows, (2,))
+
+
+def test_haar_average_residual_makes_one_qr_call(monkeypatch):
+    real_qr = np.linalg.qr
+    calls = []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    haar_average_residual(bell_state(), 10_000, SPEC.stream(2000))
+    assert calls == [(10_000, 2, 2)]
+
+
+def test_failed_uhlmann_cross_check_fails_the_report(monkeypatch):
+    import matconvex.entropy as ent
+
+    ghz = ghz_state()
+    tilde = uhlmann_tilde(ghz).matrix
+    real = ent.von_neumann_entropy
+
+    def wrong_on_tilde(rho):
+        shift = 1e-6 if rho.matrix.shape == tilde.shape and np.array_equal(
+            rho.matrix, tilde) else 0.0
+        return real(rho) + shift
+
+    monkeypatch.setattr(ent, "von_neumann_entropy", wrong_on_tilde)
+    rep = ssa_report(ghz)
+    assert rep.slacks["ssa"] == pytest.approx(LOG2)
+    assert rep.slacks["uhlmann_chain_matches"] < 0
+    assert rep.min_slack() < 0
+
+
+def test_monte_carlo_averages_match_their_sample_loops():
+    from matconvex.entropy import pinch_product_basis
+    from matconvex.rand import haar_unitary_from
+
+    rho = random_state((2, 3), SPEC.stream(2100))
+    spec = SPEC.stream(2200)
+    acc = np.zeros((6, 6), dtype=complex)
+    for s in range(300):
+        big = np.kron(np.eye(2), haar_unitary_from(3, spec.stream(s).rng()))
+        acc += big.conj().T @ rho.matrix @ big
+    target = np.kron(rho.marginal([0]).matrix, np.eye(3) / 3.0)
+    assert haar_average_residual(rho, 300, spec) == pytest.approx(
+        np.linalg.norm(acc / 300 - target), abs=1e-14)
+
+    basis = pinch_product_basis(rho)
+    in_basis = basis.conj().T @ rho.matrix @ basis
+    acc = np.zeros((6, 6), dtype=complex)
+    for s in range(300):
+        p = np.exp(1j * spec.stream(s).rng().uniform(0.0, 2.0 * np.pi, size=6))
+        acc += (p.conj()[:, None] * in_basis) * p[None, :]
+    np.testing.assert_allclose(pinch_monte_carlo(rho, 300, spec).matrix,
+                               basis @ (acc / 300) @ basis.conj().T, atol=1e-14)

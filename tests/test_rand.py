@@ -5,7 +5,9 @@ from matconvex.errors import UnboundedWindowError
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
+    haar_unitaries,
     haar_unitary_from,
+    random_densities,
     random_density_from,
     random_direction_from,
     random_hermitian_from,
@@ -75,3 +77,26 @@ def test_random_simplex_sums_to_one():
     w = random_simplex(5, RandomSpec(4).rng())
     assert w.sum() == pytest.approx(1.0)
     assert np.all(w > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_stacked_haar_rows_bit_identical_to_per_stream_draws(n):
+    spec = RandomSpec(5, 40)
+    stack = haar_unitaries(n, (spec.stream(t).rng() for t in range(30)))
+    assert stack.shape == (30, n, n)
+    for t in range(30):
+        alone = haar_unitary_from(n, spec.stream(t).rng())
+        np.testing.assert_array_equal(stack[t], alone)
+        # the 2-D formula a loop over streams would run
+        rng = spec.stream(t).rng()
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        phase = np.diagonal(r) / np.abs(np.diagonal(r))
+        np.testing.assert_array_equal(stack[t], q * phase)
+
+
+def test_stacked_density_rows_bit_identical_to_per_stream_draws():
+    spec = RandomSpec(6, 70)
+    stack = random_densities(4, (spec.stream(t).rng() for t in range(20)))
+    for t in range(20):
+        alone = random_density_from(4, spec.stream(t).rng())
+        np.testing.assert_array_equal(stack[t], alone)

@@ -1,6 +1,11 @@
 """run-suite checks: stream blocks, witnesses that regenerate, NaN trials."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,3 +45,32 @@ def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
     (record,) = run_suite(1, only=check)
     assert record["status"] == "fail"
     assert math.isnan(record["margin"])
+
+
+#: The checks that run the stacked entropy kernels and the stacked Haar QR.
+BATCHED_CHECKS = ("ssa_battery", "subadditivity_chain", "mutual_information",
+                  "monte_carlo_physics", "determinism")
+
+
+def _batched_checks_in_child(blas_threads: str) -> str:
+    """Margins and details of the batched checks, run in a fresh interpreter."""
+    code = (
+        "import json\n"
+        "from matconvex.suite import run_suite\n"
+        f"names = {BATCHED_CHECKS!r}\n"
+        "recs = [r for n in names for r in run_suite(1, only=n)]\n"
+        "print(json.dumps([[r['name'], r['status'], r['margin'], r['detail']]"
+        " for r in recs]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    return done.stdout
+
+
+def test_batched_checks_repeat_across_processes_and_blas_threads():
+    one, two = _batched_checks_in_child("1"), _batched_checks_in_child("2")
+    assert [r[0] for r in json.loads(one)] == list(BATCHED_CHECKS)
+    assert one == two
