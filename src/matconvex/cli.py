@@ -356,10 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except MatConvexError as err:
+    except (KeyError, ValueError, MatConvexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - a crash must not read as a violation

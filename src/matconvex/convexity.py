@@ -191,6 +191,15 @@ def definition_test(
     return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
 
+def jensen_gap(f: ScalarFunction, weights, mats) -> np.ndarray:
+    """sum_i w_i f(M_i) - f(sum_i w_i M_i); PSD at every measure iff f is
+    matrix convex on the window."""
+    mean = sum(w * m for w, m in zip(weights, mats))
+    lhs = sum(w * apply_function(m, f.fn, f.domain, source=f"M_{i}")
+              for i, (w, m) in enumerate(zip(weights, mats)))
+    return lhs - apply_function(mean, f.fn, f.domain, source="barycenter")
+
+
 def jensen_test(
     f: ScalarFunction,
     window: SpectrumWindow,
@@ -208,14 +217,8 @@ def jensen_test(
     def trial(rng):
         weights = random_simplex(atoms, rng)
         mats = [random_in_window_from(n, window, rng) for _ in range(atoms)]
-        mean = sum(w * m for w, m in zip(weights, mats))
-        lhs = sum(
-            w * apply_function(m, f.fn, f.domain, source=f"M_{i}")
-            for i, (w, m) in enumerate(zip(weights, mats))
-        )
-        gap = lhs - apply_function(mean, f.fn, f.domain, source="barycenter")
-        return min_eigenvalue(gap), {"kind": "jensen", "weights": weights,
-                                     "matrices": mats}
+        return min_eigenvalue(jensen_gap(f, weights, mats)), {
+            "kind": "jensen", "weights": weights, "matrices": mats}
 
     return run_trials(trial, trials, spec, tol_cert, tol_viol)
 
@@ -391,10 +394,7 @@ def replay_witness(f: ScalarFunction, witness: dict) -> float:
         gap = convexity_gap(f, witness["A0"], witness["A1"], witness["lam"])
         return min_eigenvalue(gap)
     if kind == "jensen":
-        weights, mats = witness["weights"], witness["matrices"]
-        mean = sum(w * m for w, m in zip(weights, mats))
-        lhs = sum(w * apply_function(m, f.fn, f.domain) for w, m in zip(weights, mats))
-        return min_eigenvalue(lhs - apply_function(mean, f.fn, f.domain))
+        return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"]))
     if kind == "second_derivative":
         return min_eigenvalue(line_second_derivative(f, witness["M"], witness["Q"]))
     if kind == "loewner":

@@ -193,9 +193,11 @@ def pinching_basis(marginal: np.ndarray) -> np.ndarray:
 
 
 def pinch_product_basis(rho12: DensityOperator) -> np.ndarray:
-    b1 = pinching_basis(rho12.marginal([0]).matrix)
-    b2 = pinching_basis(rho12.marginal([1]).matrix)
-    return tensor(b1, b2)
+    return _product_basis(rho12.marginal([0]), rho12.marginal([1]))
+
+
+def _product_basis(rho1: DensityOperator, rho2: DensityOperator) -> np.ndarray:
+    return tensor(pinching_basis(rho1.matrix), pinching_basis(rho2.matrix))
 
 
 def pinch(rho12: DensityOperator) -> DensityOperator:
@@ -203,7 +205,10 @@ def pinch(rho12: DensityOperator) -> DensityOperator:
 
     Preserves both marginals and never lowers the entropy.
     """
-    basis = pinch_product_basis(rho12)
+    return _pinch_in(rho12, pinch_product_basis(rho12))
+
+
+def _pinch_in(rho12: DensityOperator, basis: np.ndarray) -> DensityOperator:
     diag = np.diagonal(_dagger(basis) @ rho12.matrix @ basis, axis1=-2, axis2=-1).real
     return DensityOperator((basis * diag[..., None, :]) @ _dagger(basis), rho12.dims)
 
@@ -268,22 +273,22 @@ def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     return abs(quotient - relative_entropy(a, b))
 
 
-def lieb_ruskai_concavity_gap(
-    rho_a: DensityOperator, rho_b: DensityOperator, lam: float
-) -> float:
-    """Concavity gap of rho -> S(first factor | rest) at a lam-mixture; >= 0."""
+def lieb_ruskai_concavity_gap(rho_a: DensityOperator, rho_b: DensityOperator, lam):
+    """Concavity gap of rho -> S(first factor | rest) at a lam-mixture; >= 0.
+    A ``(T,)`` array of weights mixes row t with weight lam[t] (states or stacks
+    broadcast against it) and gives a ``(T,)`` array of gaps."""
     if rho_a.dims != rho_b.dims:
         raise DimensionMismatchError(
             f"factorizations differ: {rho_a.dims} vs {rho_b.dims}"
         )
     if len(rho_a.dims) < 2:
         raise ValidationError("need at least two factors")
-    if not 0.0 < lam < 1.0:
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((0.0 < lam) & (lam < 1.0)):  # NaN fails too
         raise ValueError(f"mixing weight must lie in (0, 1), got {lam}")
     rest = list(range(1, len(rho_a.dims)))
-    mix = DensityOperator(
-        (1.0 - lam) * rho_a.matrix + lam * rho_b.matrix, rho_a.dims
-    )
+    w = lam[..., None, None]
+    mix = DensityOperator((1.0 - w) * rho_a.matrix + w * rho_b.matrix, rho_a.dims)
     s_mix = conditional_entropy(mix, [0], rest)
     s_a = conditional_entropy(rho_a, [0], rest)
     s_b = conditional_entropy(rho_b, [0], rest)
@@ -319,10 +324,10 @@ class EntropyReport:
 def subadditivity_report(rho12: DensityOperator) -> EntropyReport:
     """The chain S(rho_12) <= S(pinched) <= S_1 + S_2 with both slacks."""
     _two_factors(rho12)
+    rho1, rho2 = rho12.marginal([0]), rho12.marginal([1])
     s12 = von_neumann_entropy(rho12)
-    s_pinched = von_neumann_entropy(pinch(rho12))
-    s1 = von_neumann_entropy(rho12.marginal([0]))
-    s2 = von_neumann_entropy(rho12.marginal([1]))
+    s_pinched = von_neumann_entropy(_pinch_in(rho12, _product_basis(rho1, rho2)))
+    s1, s2 = von_neumann_entropy(rho1), von_neumann_entropy(rho2)
     return EntropyReport(
         values={"S12": s12, "S_pinched": s_pinched, "S1": s1, "S2": s2},
         slacks={

@@ -1,8 +1,13 @@
 """Joint concavity machinery for several matrix variables.
 
-Parallel sums come with an exact Hessian certificate: the second derivative
-along any tuple of directions factors through a block projection, so negative
-semidefiniteness is structural, not numerical luck.  Tensor products of
+Every tuple operand passes one gate: its shape, then finite and Hermitian
+(never repaired), then one ``eigh`` whose smallest eigenvalue must clear
+POSITIVITY_FLOOR.  Its inverse, inverse root and powers all come from that one
+factorization.  Parallel sums come with an exact Hessian certificate: along
+A_j + t Q_j the second derivative is -2 Y*(I - T) Y, with T the block
+projection A_j^(-1/2) R^(-1) A_m^(-1/2), R = sum_j A_j^(-1), and Y the stacked
+A_j^(-1/2) Q_j A_j^(-1) R^(-1), so negative semidefiniteness is structural;
+one T gives the Hessian and both projection residuals.  Tensor products of
 fractional powers are handled twice, by direct spectral calculus and by an
 integral of parallel-sum-type resolvents over the positive orthant.  The
 embedded inverses I x ... x A_j^(-1) x ... x I act on different tensor
@@ -20,19 +25,18 @@ operator perspectives with their discrete Loewner-representation evaluator.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .convexity import TOL_CERT_FD, TOL_VIOL_FD, ScalarFunction, Verdict, run_trials
+from .convexity import (TOL_CERT_FD, TOL_VIOL_FD, ScalarFunction, Verdict,
+                         default_fd_step, run_trials)
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
     SpectrumWindow,
     apply_function,
     check_hermitian,
-    matrix_power_psd,
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
@@ -53,25 +57,31 @@ _RESOLVENT_CHUNK = 1 << 20
 ERROR_CURVE_NODES = (16, 32, 64, 128)
 
 
-def _check_tuple(mats: Sequence[np.ndarray], floor: float = POSITIVITY_FLOOR):
-    if not mats:
+def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tuple gate (module docstring): one (w, U) per entry, from the one
+    ``eigh`` that also checks it; the floor test is NaN-safe."""
+    if not len(mats):
         raise ValueError("empty matrix tuple")
-    n = mats[0].shape[0]
+    n = np.shape(mats[0])[0]
+    factors = []
     for j, a in enumerate(mats):
+        a = np.asarray(a)
         if a.shape != (n, n):
-            raise DimensionMismatchError(
-                f"tuple entry {j} has shape {a.shape}, expected ({n}, {n})"
-            )
-        lo = min_eigenvalue(a)
-        if not lo >= floor:
-            raise ConditioningError(
-                f"tuple entry {j} has min eigenvalue {lo:.3e} below floor {floor:.0e}"
-            )
+            raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
+                                         f"expected ({n}, {n})")
+        check_hermitian(a)
+        w, u = spectral_decompose(a)
+        if not w[0] >= POSITIVITY_FLOOR:
+            raise ConditioningError(f"tuple entry {j} has min eigenvalue {w[0]:.3e} "
+                                    f"below floor {POSITIVITY_FLOOR:.0e}")
+        factors.append((w, u))
+    return factors
 
 
-def _inv_sqrt(a: np.ndarray) -> np.ndarray:
-    w, u = spectral_decompose(a)
-    return (u * (1.0 / np.sqrt(w.real))) @ u.conj().T
+def _power(factor: tuple[np.ndarray, np.ndarray], p: float) -> np.ndarray:
+    """A^p from the (w, U) that _factor returned for A."""
+    w, u = factor
+    return (u * w**p) @ u.conj().T
 
 
 def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -89,9 +99,28 @@ def random_directions(k: int, n: int, rng: np.random.Generator) -> list[np.ndarr
 
 def parallel_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
     """(sum_j A_j^(-1))^(-1); dominated by every A_j in the Loewner order."""
-    _check_tuple(mats)
-    r = sum(np.linalg.inv(a) for a in mats)
-    return np.linalg.inv(r)
+    return np.linalg.inv(sum(_power(f, -1.0) for f in _factor(mats)))
+
+
+def _block_projection(mats: Sequence[np.ndarray]):
+    """(A_j^(-1) list, A_j^(-1/2) list, R^(-1), T) from one factorization per
+    entry, with R = sum_j A_j^(-1) and T = S R^(-1) S* for S the A_j^(-1/2)
+    stacked kn x n, so the blocks of T are A_j^(-1/2) R^(-1) A_m^(-1/2)."""
+    factors = _factor(mats)
+    invs = [_power(f, -1.0) for f in factors]
+    roots = [_power(f, -0.5) for f in factors]
+    r_inv = np.linalg.inv(sum(invs))
+    s = np.concatenate(roots)
+    return invs, roots, r_inv, s @ r_inv @ s.conj().T
+
+
+def _hessian(projection, dirs: Sequence[np.ndarray]) -> np.ndarray:
+    invs, roots, r_inv, t = projection
+    if len(dirs) != len(invs):
+        raise DimensionMismatchError("direction tuple length must match matrix tuple")
+    y = np.concatenate([s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)])
+    h = -2.0 * (y.conj().T @ (y - t @ y))
+    return 0.5 * (h + h.conj().T)
 
 
 def parallel_sum_hessian(
@@ -99,56 +128,36 @@ def parallel_sum_hessian(
 ) -> np.ndarray:
     """Exact d^2/dt^2 of the parallel sum along A_j + t Q_j.
 
-    Equals -2 sum_jm Y_j* (delta_jm - T_jm) Y_m with
-    Y_j = A_j^(-1/2) Q_j A_j^(-1) R^(-1) and T_jm = A_j^(-1/2) R^(-1) A_m^(-1/2),
-    R = sum_j A_j^(-1).  Negative semidefinite because T is a projection.
+    Equals -2 Y* (I - T) Y with Y the blocks Y_j = A_j^(-1/2) Q_j A_j^(-1) R^(-1)
+    stacked kn x n and T the block projection (projection_block_matrix).
+    Negative semidefinite because T is an orthogonal projection.
     """
-    _check_tuple(mats)
-    if len(dirs) != len(mats):
-        raise DimensionMismatchError("direction tuple length must match matrix tuple")
-    invs = [np.linalg.inv(a) for a in mats]
-    r_inv = np.linalg.inv(sum(invs))
-    roots = [_inv_sqrt(a) for a in mats]
-    ys = [roots[j] @ dirs[j] @ invs[j] @ r_inv for j in range(len(mats))]
-    total = np.zeros_like(mats[0])
-    for j, m in itertools.product(range(len(mats)), repeat=2):
-        t_jm = roots[j] @ r_inv @ roots[m]
-        delta = np.eye(mats[0].shape[0]) if j == m else 0.0
-        total = total + ys[j].conj().T @ (delta - t_jm) @ ys[m]
-    h = -2.0 * total
-    return 0.5 * (h + h.conj().T)
+    return _hessian(_block_projection(mats), dirs)
 
 
 def projection_block_matrix(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The kn x kn block matrix T with blocks A_j^(-1/2) R^(-1) A_m^(-1/2)."""
-    _check_tuple(mats)
-    invs = [np.linalg.inv(a) for a in mats]
-    r_inv = np.linalg.inv(sum(invs))
-    roots = [_inv_sqrt(a) for a in mats]
-    k, n = len(mats), mats[0].shape[0]
-    big = np.zeros((k * n, k * n), dtype=complex)
-    for j, m in itertools.product(range(k), repeat=2):
-        big[j * n:(j + 1) * n, m * n:(m + 1) * n] = roots[j] @ r_inv @ roots[m]
-    return big
+    return _block_projection(mats)[3]
+
+
+def _residuals(t: np.ndarray) -> tuple[float, float]:
+    return float(np.linalg.norm(t - t.conj().T)), float(np.linalg.norm(t @ t - t))
 
 
 def projection_residuals(mats: Sequence[np.ndarray]) -> tuple[float, float]:
     """Frobenius norms (||T - T*||, ||T^2 - T||) of the block projection."""
-    t = projection_block_matrix(mats)
-    return (
-        float(np.linalg.norm(t - t.conj().T)),
-        float(np.linalg.norm(t @ t - t)),
-    )
+    return _residuals(projection_block_matrix(mats))
 
 
 def parallel_sum_certificate(
     mats: Sequence[np.ndarray], dirs: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float, float]:
-    """(Hessian, its largest eigenvalue, the larger projection residual); for
-    every admissible tuple the eigenvalue is <= 0 and the residual 0, up to
-    roundoff."""
-    hess = parallel_sum_hessian(mats, dirs)
-    return hess, float(np.linalg.eigvalsh(hess).max()), max(projection_residuals(mats))
+    """(Hessian, its largest eigenvalue, the larger projection residual), all
+    read from one block projection; for every admissible tuple the eigenvalue
+    is <= 0 and the residual 0, up to roundoff."""
+    projection = _block_projection(mats)
+    hess = _hessian(projection, dirs)
+    return hess, float(np.linalg.eigvalsh(hess).max()), max(_residuals(projection[3]))
 
 
 def tuple_second_difference(
@@ -192,9 +201,7 @@ def joint_concavity_test(
         mats = sampler(k, n, rng)
         if mode == "fd":
             dirs = random_directions(k, n, rng)
-            step = h if h is not None else (
-                (1.0 + max(op_norm(a) for a in mats)) * np.finfo(float).eps ** 0.25
-            )
+            step = h if h is not None else max(default_fd_step(a) for a in mats)
             d2 = tuple_second_difference(map_fn, mats, dirs, step)
             margin = -float(np.real(d2)) if scalar else -max_eigenvalue(d2)
             return margin, {"kind": "joint_fd", "matrices": mats,
@@ -227,10 +234,9 @@ def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.nd
     ps = check_power_vector(p)
     if len(ps) != len(mats):
         raise DimensionMismatchError("power vector length must match tuple length")
-    _check_tuple(mats)
     out = np.eye(1)
-    for a, pj in zip(mats, ps):
-        out = tensor(out, matrix_power_psd(a, pj))
+    for f, pj in zip(_factor(mats), ps):
+        out = tensor(out, _power(f, pj))
     return out
 
 
@@ -252,10 +258,8 @@ def tensor_power_integral(
     resolvent is the diagonal 1 / ((1, u) . g), with g the (k, n^k) array of
     joint reciprocal eigenvalues in Kronecker order.  The weighted sum of
     these diagonals is accumulated in fixed-size chunks of grid points and
-    the result is V diag(d / norm) V*.  Every entry must pass
-    :func:`~matconvex.linalg.check_hermitian` (finite, Hermitian within the
-    :func:`~matconvex.linalg.hermitian` tolerance); other input is rejected,
-    never symmetrized, because the eigensolver reads only one triangle.
+    the result is V diag(d / norm) V*.  The tuple gate rejects input that is
+    not finite and Hermitian, never symmetrizing it: eigh reads one triangle.
     """
     ps = check_power_vector(p)
     k = len(mats)
@@ -268,10 +272,7 @@ def tensor_power_integral(
             f"integral route supports k in {{2, 3}}, got k={k}; "
             "use tensor_power_direct for other arities"
         )
-    for a in mats:
-        check_hermitian(np.asarray(a))
-    _check_tuple(mats)
-    decomps = [spectral_decompose(a) for a in mats]
+    decomps = _factor(mats)
     g = np.stack([
         axis.ravel()
         for axis in np.meshgrid(*(1.0 / w for w, _ in decomps), indexing="ij")
@@ -340,11 +341,8 @@ def lieb_functional(
 ) -> float:
     """Tr[A^p K* B^r K]; real for this sandwiched form, jointly concave in (A, B)."""
     _check_exponents(p, r)
-    _check_tuple([a])
-    _check_tuple([b])
-    ap = matrix_power_psd(a, p)
-    br = matrix_power_psd(b, r)
-    return float(np.trace(ap @ k.conj().T @ br @ k).real)
+    (fa,), (fb,) = _factor([a]), _factor([b])
+    return float(np.trace(_power(fa, p) @ k.conj().T @ _power(fb, r) @ k).real)
 
 
 def lieb_midpoint_gap(
@@ -377,10 +375,9 @@ def vectorization_residual(
     expansion of both sides.
     """
     trace_form = lieb_functional(a, b, k, p, r)
-    ap = matrix_power_psd(a, p)
-    br = matrix_power_psd(b, r)
+    (fa,), (fb,) = _factor([a]), _factor([b])
     v = vec_columns(k)
-    bilinear = float((v.conj() @ tensor(ap.T, br) @ v).real)
+    bilinear = float((v.conj() @ tensor(_power(fa, p).T, _power(fb, r)) @ v).real)
     return abs(trace_form - bilinear)
 
 
@@ -407,13 +404,14 @@ def wyd_skew_information(
 
 
 def perspective(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """B^(1/2) f(B^(-1/2) A B^(-1/2)) B^(1/2); degree-one homogeneous in (A, B)."""
-    _check_tuple([b])
-    w, u = spectral_decompose(b)
-    b_half = (u * np.sqrt(w.real)) @ u.conj().T
-    b_inv_half = (u * (1.0 / np.sqrt(w.real))) @ u.conj().T
+    """B^(1/2) f(B^(-1/2) A B^(-1/2)) B^(1/2); degree-one homogeneous in (A, B).
+
+    A must be finite and Hermitian and B pass the tuple gate; neither is repaired.
+    """
+    check_hermitian(np.asarray(a))
+    (fb,) = _factor([b])
+    b_half, b_inv_half = _power(fb, 0.5), _power(fb, -0.5)
     core = b_inv_half @ a @ b_inv_half
-    core = 0.5 * (core + core.conj().T)
     val = b_half @ apply_function(core, f.fn, f.domain, source="B^-1/2 A B^-1/2") @ b_half
     return 0.5 * (val + val.conj().T)
 
@@ -449,10 +447,11 @@ class KuboAndoRepresentation:
 def kubo_ando_eval(
     rep: KuboAndoRepresentation, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """a A + b B + sum_j nu_j ((t_j A)^(-1) + B^(-1))^(-1) (1 + t_j)/t_j."""
-    _check_tuple([a])
-    _check_tuple([b])
+    """a A + b B + sum_j nu_j ((t_j A)^(-1) + B^(-1))^(-1) (1 + t_j)/t_j, with
+    A^(-1) and B^(-1) from one factorization of each, shared by every atom."""
+    fa, fb = _factor([a, b])
+    a_inv, b_inv = _power(fa, -1.0), _power(fb, -1.0)
     total = rep.a * a + rep.b * b
     for t, nu in rep.atoms:
-        total = total + nu * parallel_sum([t * a, b]) * (1.0 + t) / t
+        total = total + nu * np.linalg.inv(a_inv / t + b_inv) * (1.0 + t) / t
     return 0.5 * (total + total.conj().T)

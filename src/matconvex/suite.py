@@ -190,13 +190,11 @@ def check_relative_entropy(spec: RandomSpec) -> dict:
                 ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1)
             )
         )
-    lr_gaps = []
-    for t in range(200):
-        rng = spec.stream(2000 + t).rng()
-        sa = ent.random_state((2, 2), spec.stream(3000 + t))
-        sb = ent.random_state((2, 2), spec.stream(4000 + t))
-        lam = float(rng.uniform(0.1, 0.9))
-        lr_gaps.append(ent.lieb_ruskai_concavity_gap(sa, sb, lam))
+    # trial t: states from streams 3000 + t and 4000 + t, weight from 2000 + t
+    lams = [spec.stream(2000 + t).rng().uniform(0.1, 0.9) for t in range(200)]
+    lr_gaps = ent.lieb_ruskai_concavity_gap(
+        ent.random_states((2, 2), spec.stream(3000), 200),
+        ent.random_states((2, 2), spec.stream(4000), 200), np.array(lams))
     worst_eps = float(np.max(eps_residuals))
     worst_joint = float(np.min(joint_gaps, initial=0.0))
     worst_lr = float(np.min(lr_gaps, initial=0.0))

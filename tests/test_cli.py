@@ -10,6 +10,7 @@ from matconvex import io as mio
 from matconvex import jointconcavity as jc
 from matconvex import suite
 from matconvex.cli import main
+from matconvex.errors import MatConvexError
 from matconvex.entropy import bell_state, product_state, DensityOperator
 from matconvex.io import (
     density_to_dict,
@@ -227,6 +228,18 @@ def test_check_concavity_nan_trial_fails(monkeypatch, capsys):
     code = main(["check-concavity", "--suite", "lieb", "--trials", "5",
                  "--seed", "3"])
     assert code == 1
+
+
+@pytest.mark.parametrize("error", [MatConvexError("bad"), KeyError("bad"),
+                                   ValueError("bad")])
+def test_library_and_usage_errors_exit_2(monkeypatch, capsys, error):
+    def broken(spec):
+        raise error
+
+    monkeypatch.setitem(suite.CHECKS, "kernel_identity", broken)
+    assert main(["run-suite", "--only", "kernel"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

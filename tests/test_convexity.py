@@ -187,6 +187,12 @@ def test_witness_replay_reproduces_margin(name):
     )
 
 
+def test_jensen_replay_equals_its_trial():
+    v = jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)
+    assert v.status == "violated"
+    assert replay_witness(builtin("x4"), v.witness) == v.witness["margin"]
+
+
 def test_witness_replay_loewner():
     v = monotonicity_test(builtin("x3"), WINDOW, 4, 100, SPEC)
     assert v.status == "violated"

@@ -193,6 +193,42 @@ def test_epsilon_limit():
         epsilon_limit_residual(a3, b3, 1.5)
 
 
+def test_lieb_ruskai_gap_takes_one_weight_per_row():
+    sa = random_states((2, 2), SPEC.stream(810), 6)
+    sb = random_states((2, 2), SPEC.stream(820), 6)
+    lams = np.linspace(0.1, 0.9, 6)
+    gaps = lieb_ruskai_concavity_gap(sa, sb, lams)
+    rows = [lieb_ruskai_concavity_gap(random_state((2, 2), SPEC.stream(810 + t)),
+                                      random_state((2, 2), SPEC.stream(820 + t)), lam)
+            for t, lam in enumerate(lams)]
+    assert gaps.shape == (6,)
+    np.testing.assert_allclose(gaps, rows, rtol=0.0, atol=1e-15)
+    # one pair of states against a stack of weights
+    first = lieb_ruskai_concavity_gap(random_state((2, 2), SPEC.stream(810)),
+                                      random_state((2, 2), SPEC.stream(820)), lams)
+    assert first[0] == pytest.approx(rows[0], abs=1e-15)
+    for bad in (np.array([0.5, math.nan]), np.array([0.5, 1.0]), math.nan, 0.0):
+        with pytest.raises(ValueError, match="mixing weight"):
+            lieb_ruskai_concavity_gap(sa, sb, bad)
+
+
+def test_subadditivity_report_builds_each_marginal_once(monkeypatch):
+    from matconvex import entropy as ent
+
+    states = random_states((2, 3), SPEC.stream(830), 4)
+    pinched_entropy = von_neumann_entropy(pinch(states))
+    real, kept = ent.partial_trace, []
+
+    def counted(rho, keep):
+        kept.append(list(keep))
+        return real(rho, keep)
+
+    monkeypatch.setattr(ent, "partial_trace", counted)
+    rep = subadditivity_report(states)
+    assert sorted(kept) == [[0], [1]]
+    np.testing.assert_array_equal(rep.values["S_pinched"], pinched_entropy)
+
+
 def test_lieb_ruskai_gap():
     sa = random_state((2, 2), SPEC.stream(800))
     sb = random_state((2, 2), SPEC.stream(801))

@@ -1,9 +1,12 @@
 """Parallel sums, tensor powers by two routes, trace functionals, means."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import sqrtm
 from scipy.special import gamma
 
 from matconvex.convexity import builtin
@@ -21,8 +24,10 @@ from matconvex.jointconcavity import (
     lieb_functional,
     normalize_directions,
     parallel_sum,
+    parallel_sum_certificate,
     parallel_sum_hessian,
     perspective,
+    projection_block_matrix,
     projection_residuals,
     tensor_power_direct,
     tensor_power_integral,
@@ -30,7 +35,7 @@ from matconvex.jointconcavity import (
     vectorization_residual,
     wyd_skew_information,
 )
-from matconvex.linalg import SpectrumWindow, loewner_leq
+from matconvex.linalg import SpectrumWindow, loewner_leq, op_norm
 from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
@@ -109,6 +114,57 @@ def test_block_projection_residuals(k, n):
     assert r_idem < 1e-10
 
 
+def _hessian_block_sum(mats, dirs):
+    """-2 sum_jm Y_j* (delta_jm - T_jm) Y_m over all k^2 blocks, with every
+    inverse from np.linalg.inv and A^(-1/2) = inv(sqrtm(A)): no eigh."""
+    invs = [np.linalg.inv(a) for a in mats]
+    r_inv = np.linalg.inv(sum(invs))
+    roots = [np.linalg.inv(sqrtm(a)) for a in mats]
+    ys = [s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)]
+    n, total = len(mats[0]), 0.0
+    for j in range(len(mats)):
+        for m in range(len(mats)):
+            delta = np.eye(n) if j == m else 0.0
+            total = total + ys[j].conj().T @ (delta - roots[j] @ r_inv @ roots[m]) @ ys[m]
+    return -(total + total.conj().T)
+
+
+@pytest.mark.parametrize("k,n,seed", [(2, 2, 1), (2, 5, 2), (3, 3, 3), (3, 4, 4)])
+def test_hessian_matches_the_block_sum_oracle(k, n, seed):
+    mats = _tuple(k, n, 200 + seed)
+    dirs = normalize_directions(
+        [random_hermitian_from(n, RandomSpec(8, 10 * seed + j).rng()) for j in range(k)]
+    )
+    hess, oracle = parallel_sum_hessian(mats, dirs), _hessian_block_sum(mats, dirs)
+    assert np.linalg.norm(hess - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    # the projection's blocks are A_j^(-1/2) R^(-1) A_m^(-1/2)
+    r_inv = np.linalg.inv(sum(np.linalg.inv(a) for a in mats))
+    s = np.concatenate([np.linalg.inv(sqrtm(a)) for a in mats])
+    np.testing.assert_allclose(projection_block_matrix(mats), s @ r_inv @ s.conj().T,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_certificate_factors_each_entry_once(monkeypatch, k):
+    mats = _tuple(k, 3, 40 + k)
+    dirs = normalize_directions(
+        [random_hermitian_from(3, RandomSpec(9, j).rng()) for j in range(k)]
+    )
+    expected = parallel_sum_certificate(mats, dirs)
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "inv"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    hess, eig, residual = parallel_sum_certificate(mats, dirs)
+    assert calls == {"eigh": k, "eigvalsh": 1, "inv": 1}
+    np.testing.assert_array_equal(hess, expected[0])
+    assert (eig, residual) == expected[1:]
+    assert eig <= 1e-10 and residual <= 1e-12
+
+
 def test_joint_concavity_test_certifies_parallel_sum():
     v = joint_concavity_test(
         parallel_sum, _window_sampler, 2, 3, 50, RandomSpec(42), mode="fd"
@@ -128,6 +184,19 @@ def test_joint_concavity_test_refutes_a_convex_map():
         square_sum, _window_sampler, 2, 2, 100, RandomSpec(44), mode="fd"
     )
     assert v.status == "violated"
+
+
+def test_joint_fd_default_step_follows_the_largest_entry():
+    def square_sum(mats):
+        return sum(a @ a for a in mats)
+
+    v = joint_concavity_test(
+        square_sum, _window_sampler, 2, 2, 100, RandomSpec(44), mode="fd"
+    )
+    w = v.witness
+    assert w["h"] == (
+        (1.0 + max(op_norm(a) for a in w["matrices"])) * np.finfo(float).eps ** 0.25
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +298,8 @@ def test_tensor_power_integral_rejects_without_repair():
     nan_entry = np.array([[1.0, np.nan], [np.nan, 2.0]])
     with pytest.raises(HermiticityError):
         tensor_power_integral([good, nan_entry], (0.5, 0.5))
-    # the direct route symmetrizes, but its eigenvalue floor rejects NaN
-    with pytest.raises(ConditioningError):
+    # the direct route goes through the same gate
+    with pytest.raises(HermiticityError):
         tensor_power_direct([good, nan_entry], (0.5, 0.5))
 
 
@@ -359,3 +428,51 @@ def test_kubo_ando_midpoint_concavity():
             kubo_ando_eval(rep, a0, b0) + kubo_ando_eval(rep, a1, b1)
         )
         assert np.linalg.eigvalsh(gap).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# The tuple gate: every entry point rejects non-finite or non-Hermitian input.
+
+_KUBO = KuboAndoRepresentation(0.1, 0.2, atoms=((1.0, 0.5),))
+
+#: name -> call with one bad operand (and good ones elsewhere)
+GATED = {
+    "parallel_sum": lambda bad, good: parallel_sum([good, bad]),
+    "parallel_sum_hessian": lambda bad, good: parallel_sum_hessian(
+        [bad, good], [good, good]),
+    "projection_residuals": lambda bad, good: projection_residuals([good, bad]),
+    "parallel_sum_certificate": lambda bad, good: parallel_sum_certificate(
+        [good, bad], [good, good]),
+    "tensor_power_direct": lambda bad, good: tensor_power_direct([good, bad], (0.3, 0.7)),
+    "tensor_power_integral": lambda bad, good: tensor_power_integral(
+        [bad, good], (0.3, 0.7), QuadratureConfig(8)),
+    "lieb_functional_a": lambda bad, good: lieb_functional(bad, good, good, 0.4, 0.5),
+    "lieb_functional_b": lambda bad, good: lieb_functional(good, bad, good, 0.4, 0.5),
+    "perspective_a": lambda bad, good: perspective(builtin("xlogx"), bad, good),
+    "perspective_b": lambda bad, good: perspective(builtin("xlogx"), good, bad),
+    "kubo_ando_eval_a": lambda bad, good: kubo_ando_eval(_KUBO, bad, good),
+    "kubo_ando_eval_b": lambda bad, good: kubo_ando_eval(_KUBO, good, bad),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GATED)),
+    n=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+    i=st.integers(min_value=0, max_value=3),
+    j=st.integers(min_value=0, max_value=3),
+    defect=st.one_of(st.just(math.nan), st.floats(min_value=1e-9, max_value=10.0)),
+)
+def test_gated_entry_points_reject_without_repair(name, n, seed, i, j, defect):
+    rng = RandomSpec(seed).rng()
+    good = random_in_window_from(n, WINDOW, rng)
+    bad = good.copy()
+    i, j = i % n, j % n
+    if math.isnan(defect):
+        bad[i, j] = math.nan  # one triangle only: eigvalsh alone would not see it
+    else:
+        bad[i, j] += defect * (1.0 + 1.0j)  # asymmetric on and off the diagonal
+    with pytest.raises(HermiticityError):
+        GATED[name](bad, good)
+    GATED[name](good, good)  # the same call passes on good input
