@@ -8,9 +8,11 @@ transform that turns a convexity question into a monotonicity one.
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``tol_cert``, reports a violation
 only if some margin dips below ``tol_viol``, and is otherwise inconclusive; a
-NaN margin never certifies.  Every randomized test is a per-trial function
-run by :func:`run_trials`, the one loop that splits streams, stamps witnesses
-and reduces margins.
+NaN margin never certifies.  Every randomized test is a stacked trial run by
+:func:`run_trials`, the one loop that splits streams, stamps witnesses and
+reduces margins: trial t still draws from its own stream ``spec.stream(t)``,
+in the order a single trial would, but a chunk of trials is evaluated as one
+``(T, n, n)`` stack, so one eigensolve serves every row of it.
 A randomized run can refute but never prove; `certified` means "no violation
 found at the stated resolution".
 """
@@ -27,13 +29,14 @@ from .errors import DomainViolationError
 from .linalg import (
     SpectrumWindow,
     apply_function,
+    entrywise,
     min_eigenvalue,
     op_norm,
 )
 from .rand import (
     RandomSpec,
-    random_direction_from,
-    random_in_window_from,
+    random_direction_rows,
+    random_in_window_rows,
     random_simplex,
 )
 
@@ -48,6 +51,11 @@ TOL_VIOL_FD = 1e-4
 _D1_STEP = 1e-6
 #: h = (1 + ||M||) eps^(1/4) balances truncation against roundoff.
 _FD_EXPONENT = 0.25
+#: Matrix entries per chunk of stacked trials, where each trial's generator
+#: (about 2 kB, alive for the whole chunk) counts as 128 entries: one trial at
+#: n = 128, 124 at n = 2, so a chunk never holds more than one large-n trial.
+_TRIAL_CHUNK = 1 << 14
+_GENERATOR_ENTRIES = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,6 +65,8 @@ class ScalarFunction:
     ``deriv`` (optional) supplies an exact first derivative for Loewner
     diagonals; ``second_derivative`` (optional) supplies an exact
     d^2/dt^2 f(M + tQ)|_0 callback used instead of finite differences.
+    ``vectorized`` declares ``fn`` a numpy form that maps arrays entrywise, so
+    :func:`linalg.entrywise` evaluates a stack of spectra in one call.
     """
 
     name: str
@@ -64,12 +74,14 @@ class ScalarFunction:
     domain: SpectrumWindow
     deriv: Callable[[float], float] | None = None
     second_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
-        for x in _probe_points(self.domain):
-            y = self.fn(x)
-            if not math.isfinite(y):
-                raise ValueError(f"{self.name} is not finite at probe point {x}")
+        xs = _probe_points(self.domain)
+        ys = entrywise(self, xs)
+        if not np.all(np.isfinite(ys)):
+            x = xs[np.argmax(~np.isfinite(ys))]
+            raise ValueError(f"{self.name} is not finite at probe point {x}")
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -109,65 +121,82 @@ class Verdict:
     worst_margin: float
     witness: dict | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "certified"
-
 
 def _aggregate(
     margins: Sequence[float],
-    witnesses: Sequence[dict],
+    witness: Callable[[int], dict],
     tol_cert: float,
     tol_viol: float,
 ) -> Verdict:
-    """Deterministic reduction: worst margin, first witness in stream order.
+    """Deterministic reduction: worst margin, and ``witness(t)`` of the first
+    violating trial t in stream order (the only witness ever built).
 
     The worst margin propagates NaN, so a NaN trial never certifies.
     """
     worst = float(np.min(margins))
-    for margin, witness in zip(margins, witnesses):
-        if margin < -tol_viol:
-            return Verdict("violated", len(margins), worst, witness)
+    violating = np.flatnonzero(np.asarray(margins) < -tol_viol)
+    if violating.size:
+        return Verdict("violated", len(margins), worst, witness(int(violating[0])))
     if worst >= -tol_cert:
         return Verdict("certified", len(margins), worst, None)
     return Verdict("inconclusive", len(margins), worst, None)
 
 
+def _chunk_rows(n: int) -> int:
+    """Trials per chunk for rows of n x n matrices (see ``_TRIAL_CHUNK``)."""
+    return max(1, _TRIAL_CHUNK // (n * n + _GENERATOR_ENTRIES))
+
+
 def run_trials(
-    trial: Callable[[np.random.Generator], tuple[float, dict]],
-    trials: int, spec: RandomSpec, tol_cert: float, tol_viol: float,
+    trial: Callable[[list[np.random.Generator]], tuple[np.ndarray, Callable[[int], dict]]],
+    trials: int, spec: RandomSpec, n: int, tol_cert: float, tol_viol: float,
 ) -> Verdict:
     """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
 
-    The only trial loop behind a :class:`Verdict`.  ``trial(rng)`` draws its
-    inputs from ``rng`` and returns its margin and a witness (``kind`` plus
-    the data that replays it); each witness is stamped with the absolute
-    ``stream_id`` of its trial and its margin.
+    The only trial loop behind a :class:`Verdict`.  ``trial(rngs)`` draws row
+    t of its stack from ``rngs[t]`` and returns the ``(T,)`` margins and
+    ``witness(t)``, the witness (``kind`` plus the data that replays it) of
+    row t.  Rows of n x n matrices run in chunks of :func:`_chunk_rows`.  The
+    witness of the first violating trial is stamped with that trial's
+    absolute ``stream_id`` and its margin.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    rows = _chunk_rows(n)
     margins, witnesses = [], []
-    for t in range(trials):
-        stream = spec.stream(t)
-        margin, witness = trial(stream.rng())
-        margins.append(margin)
-        witnesses.append({**witness, "stream_id": stream.stream_id, "margin": margin})
-    return _aggregate(margins, witnesses, tol_cert, tol_viol)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        m, witness = trial([spec.stream(t).rng() for t in range(start, stop)])
+        margins.append(np.asarray(m, dtype=float))
+        # only a chunk with a violating row can supply the witness; drop the rest
+        witnesses.append(witness if np.any(margins[-1] < -tol_viol) else None)
+    margins = np.concatenate(margins)
+
+    def stamped(t: int) -> dict:
+        return {**witnesses[t // rows](t % rows),
+                "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
+
+    return _aggregate(margins, stamped, tol_cert, tol_viol)
 
 
-def check_mixing_weight(lam: float) -> float:
-    if not 0.0 < lam < 1.0:
+def check_mixing_weight(lam):
+    """A weight in (0, 1), or a ``(T,)`` array of them; NaN fails."""
+    arr = np.asarray(lam, dtype=float)
+    if not np.all((0.0 < arr) & (arr < 1.0)):
         raise ValueError(f"mixing weight must lie in (0, 1), got {lam}")
-    return float(lam)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def convexity_gap(
     f: ScalarFunction, a0: np.ndarray, a1: np.ndarray, lam: float
 ) -> np.ndarray:
-    """(1-lam) f(A0) + lam f(A1) - f(A_lam); PSD iff the midpoint test passes here."""
-    lam = check_mixing_weight(lam)
+    """(1-lam) f(A0) + lam f(A1) - f(A_lam); PSD iff the midpoint test passes
+    here.  Stacks of A0 and A1 take a ``(T,)`` array of weights."""
+    lam = np.asarray(check_mixing_weight(lam))[..., None, None]
     a_mid = (1.0 - lam) * a0 + lam * a1
-    f0 = apply_function(a0, f.fn, f.domain, source="A0")
-    f1 = apply_function(a1, f.fn, f.domain, source="A1")
-    fm = apply_function(a_mid, f.fn, f.domain, source="A_lambda")
+    f0 = apply_function(a0, f, f.domain, source="A0")
+    f1 = apply_function(a1, f, f.domain, source="A1")
+    fm = apply_function(a_mid, f, f.domain, source="A_lambda")
     return (1.0 - lam) * f0 + lam * f1 - fm
 
 
@@ -181,23 +210,28 @@ def definition_test(
     tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Randomized midpoint test of matrix convexity on n x n matrices."""
-    def trial(rng):
-        a0 = random_in_window_from(n, window, rng)
-        a1 = random_in_window_from(n, window, rng)
-        lam = float(rng.uniform(0.05, 0.95))
-        margin = min_eigenvalue(convexity_gap(f, a0, a1, lam))
-        return margin, {"kind": "definition", "A0": a0, "A1": a1, "lam": lam}
+    def trial(rngs):
+        a0 = random_in_window_rows(n, window, rngs)
+        a1 = random_in_window_rows(n, window, rngs)
+        lam = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
+        margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam))[:, 0]
+        return margins, lambda t: {"kind": "definition", "A0": a0[t], "A1": a1[t],
+                                   "lam": float(lam[t])}
 
-    return run_trials(trial, trials, spec, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
 
 
 def jensen_gap(f: ScalarFunction, weights, mats) -> np.ndarray:
     """sum_i w_i f(M_i) - f(sum_i w_i M_i); PSD at every measure iff f is
-    matrix convex on the window."""
-    mean = sum(w * m for w, m in zip(weights, mats))
-    lhs = sum(w * apply_function(m, f.fn, f.domain, source=f"M_{i}")
-              for i, (w, m) in enumerate(zip(weights, mats)))
-    return lhs - apply_function(mean, f.fn, f.domain, source="barycenter")
+    matrix convex on the window.  ``weights`` (..., atoms) and ``mats``
+    (..., atoms, n, n) may carry a leading stack axis."""
+    weights, mats = np.asarray(weights), np.asarray(mats)
+    atoms = [(weights[..., i, None, None], mats[..., i, :, :])
+             for i in range(weights.shape[-1])]
+    mean = sum(w * m for w, m in atoms)
+    lhs = sum(w * apply_function(m, f, f.domain, source=f"M_{i}")
+              for i, (w, m) in enumerate(atoms))
+    return lhs - apply_function(mean, f, f.domain, source="barycenter")
 
 
 def jensen_test(
@@ -214,27 +248,31 @@ def jensen_test(
     if atoms < 2:
         raise ValueError("jensen_test needs at least 2 atoms")
 
-    def trial(rng):
-        weights = random_simplex(atoms, rng)
-        mats = [random_in_window_from(n, window, rng) for _ in range(atoms)]
-        return min_eigenvalue(jensen_gap(f, weights, mats)), {
-            "kind": "jensen", "weights": weights, "matrices": mats}
+    def trial(rngs):
+        weights = np.array([random_simplex(atoms, rng) for rng in rngs])
+        mats = np.stack([random_in_window_rows(n, window, rngs) for _ in range(atoms)], 1)
+        margins = np.linalg.eigvalsh(jensen_gap(f, weights, mats))[:, 0]
+        return margins, lambda t: {"kind": "jensen", "weights": weights[t],
+                                   "matrices": list(mats[t])}
 
-    return run_trials(trial, trials, spec, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
 
 
-def default_fd_step(m: np.ndarray) -> float:
+def default_fd_step(m: np.ndarray):
+    """(1 + ||M||) eps^(1/4); a ``(T,)`` array of steps for a stack."""
     return (1.0 + op_norm(m)) * np.finfo(float).eps ** _FD_EXPONENT
 
 
 def second_derivative_fd(
-    f: ScalarFunction, m: np.ndarray, q: np.ndarray, h: float
+    f: ScalarFunction, m: np.ndarray, q: np.ndarray, h
 ) -> np.ndarray:
-    """Central second difference (f(M+hQ) - 2 f(M) + f(M-hQ)) / h^2."""
+    """Central second difference (f(M+hQ) - 2 f(M) + f(M-hQ)) / h^2; a stack
+    takes one step per row."""
+    h = np.asarray(h)[..., None, None]
     try:
-        fp = apply_function(m + h * q, f.fn, f.domain, source="M+hQ")
-        f0 = apply_function(m, f.fn, f.domain, source="M")
-        fm = apply_function(m - h * q, f.fn, f.domain, source="M-hQ")
+        fp = apply_function(m + h * q, f, f.domain, source="M+hQ")
+        f0 = apply_function(m, f, f.domain, source="M")
+        fm = apply_function(m - h * q, f, f.domain, source="M-hQ")
     except DomainViolationError as err:
         raise DomainViolationError(
             f"{err}; try a smaller step h",
@@ -247,9 +285,12 @@ def second_derivative_fd(
 def line_second_derivative(
     f: ScalarFunction, m: np.ndarray, q: np.ndarray, h: float | None = None
 ) -> np.ndarray:
-    """Exact callback when registered, finite differences otherwise."""
+    """Exact callback when registered (called row by row on a stack), finite
+    differences otherwise."""
     if f.second_derivative is not None:
-        return f.second_derivative(m, q)
+        if m.ndim == 2:
+            return f.second_derivative(m, q)
+        return np.stack([f.second_derivative(a, b) for a, b in zip(m, q)])
     if h is None:
         h = default_fd_step(m)
     return second_derivative_fd(f, m, q, h)
@@ -271,13 +312,13 @@ def second_derivative_test(
     if tol_viol is None:
         tol_viol = TOL_VIOL if exact else TOL_VIOL_FD
 
-    def trial(rng):
-        m = random_in_window_from(n, window, rng)
-        q = random_direction_from(n, rng)
-        margin = min_eigenvalue(line_second_derivative(f, m, q))
-        return margin, {"kind": "second_derivative", "M": m, "Q": q}
+    def trial(rngs):
+        m = random_in_window_rows(n, window, rngs)
+        q = random_direction_rows(n, rngs)
+        margins = np.linalg.eigvalsh(line_second_derivative(f, m, q))[:, 0]
+        return margins, lambda t: {"kind": "second_derivative", "M": m[t], "Q": q[t]}
 
-    return run_trials(trial, trials, spec, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
 
 
 def kernel_K(lam: float, t: float) -> float:
@@ -320,23 +361,20 @@ def kernel_identity_residual(
 
 
 def loewner_matrix(f: ScalarFunction, sites: Sequence[float]) -> np.ndarray:
-    """Divided-difference matrix at strictly increasing sites; diagonal f'."""
-    xs = [float(x) for x in sites]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    """Divided-difference matrix at strictly increasing sites; diagonal f'.
+    A ``(T, k)`` array of site rows gives a ``(T, k, k)`` stack."""
+    xs = np.asarray(sites, dtype=float)
+    if np.any(np.diff(xs, axis=-1) <= 0.0):
         raise ValueError("sites must be strictly increasing with no duplicates")
-    for x in xs:
-        if not f.domain.contains(x):
-            raise DomainViolationError(
-                f"site {x} outside domain of {f.name}", eigenvalue=x
-            )
-    k = len(xs)
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                out[i, j] = f.derivative(xs[i])
-            else:
-                out[i, j] = (f.fn(xs[i]) - f.fn(xs[j])) / (xs[i] - xs[j])
+    outside = ~((xs > f.domain.a) & (xs < f.domain.b))
+    if outside.any():
+        x = float(xs.ravel()[np.argmax(outside.ravel())])
+        raise DomainViolationError(f"site {x} outside domain of {f.name}", eigenvalue=x)
+    fx = entrywise(f, xs)
+    diag = np.eye(xs.shape[-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal is replaced
+        out = (fx[..., :, None] - fx[..., None, :]) / (xs[..., :, None] - xs[..., None, :])
+    out[..., diag] = entrywise(f.derivative, xs)
     return out
 
 
@@ -350,21 +388,30 @@ def monotonicity_test(
     tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Matrix monotonicity via positivity of random Loewner matrices.  A trial
-    whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin."""
+    whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
+    the others run as one Loewner stack and one ``eigvalsh`` per site count."""
     inner = window.shrunk(0.05)
     min_sep = 1e-3 * (window.b - window.a)
 
-    def trial(rng):
+    def draw(rng):
         k = int(rng.integers(2, max_sites + 1))
         for _ in range(100):
             xs = np.sort(rng.uniform(inner.a, inner.b, size=k))
             if np.all(np.diff(xs) >= min_sep):
-                break
-        else:
-            return math.nan, {"kind": "loewner", "sites": xs}
-        return min_eigenvalue(loewner_matrix(f, xs)), {"kind": "loewner", "sites": xs}
+                return xs, True
+        return xs, False
 
-    return run_trials(trial, trials, spec, tol_cert, tol_viol)
+    def trial(rngs):
+        sites, spaced = zip(*map(draw, rngs))
+        margins = np.full(len(sites), math.nan)
+        for k in set(map(len, sites)):
+            rows = [t for t, xs in enumerate(sites) if spaced[t] and len(xs) == k]
+            if rows:
+                loewner = loewner_matrix(f, [sites[t] for t in rows])
+                margins[rows] = np.linalg.eigvalsh(loewner)[:, 0]
+        return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
+
+    return run_trials(trial, trials, spec, max_sites, tol_cert, tol_viol)
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
@@ -410,26 +457,25 @@ _POS = SpectrumWindow(0.0, math.inf)
 _REALS = SpectrumWindow(-math.inf, math.inf)
 
 
-def _x2_second_derivative(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 2.0 * (q @ q)
-
-
-BUILTINS: dict[str, ScalarFunction] = {
-    "affine": ScalarFunction("affine", lambda x: 3.0 * x + 1.0, _REALS,
-                             deriv=lambda x: 3.0,
-                             second_derivative=lambda m, q: np.zeros_like(q)),
-    "x2": ScalarFunction("x2", lambda x: x * x, _REALS, deriv=lambda x: 2.0 * x,
-                         second_derivative=_x2_second_derivative),
-    "x3": ScalarFunction("x3", lambda x: x**3, _REALS, deriv=lambda x: 3.0 * x * x),
-    "x4": ScalarFunction("x4", lambda x: x**4, _REALS, deriv=lambda x: 4.0 * x**3),
-    "inv": ScalarFunction("inv", lambda x: 1.0 / x, _POS, deriv=lambda x: -1.0 / x**2),
-    "sqrt": ScalarFunction("sqrt", math.sqrt, _POS, deriv=lambda x: 0.5 / math.sqrt(x)),
-    "neglog": ScalarFunction("neglog", lambda x: -math.log(x), _POS,
-                             deriv=lambda x: -1.0 / x),
-    "xlogx": ScalarFunction("xlogx", lambda x: x * math.log(x), _POS,
-                            deriv=lambda x: math.log(x) + 1.0),
-    "exp": ScalarFunction("exp", math.exp, _REALS, deriv=math.exp),
-}
+BUILTINS: dict[str, ScalarFunction] = {f.name: f for f in (
+    ScalarFunction("affine", lambda x: 3.0 * x + 1.0, _REALS, deriv=lambda x: 3.0,
+                   second_derivative=lambda m, q: np.zeros_like(q), vectorized=True),
+    ScalarFunction("x2", lambda x: x * x, _REALS, deriv=lambda x: 2.0 * x,
+                   second_derivative=lambda m, q: 2.0 * (q @ q), vectorized=True),
+    ScalarFunction("x3", lambda x: x**3, _REALS, deriv=lambda x: 3.0 * x * x,
+                   vectorized=True),
+    ScalarFunction("x4", lambda x: x**4, _REALS, deriv=lambda x: 4.0 * x**3,
+                   vectorized=True),
+    ScalarFunction("inv", lambda x: 1.0 / x, _POS, deriv=lambda x: -1.0 / x**2,
+                   vectorized=True),
+    ScalarFunction("sqrt", np.sqrt, _POS, deriv=lambda x: 0.5 / np.sqrt(x),
+                   vectorized=True),
+    ScalarFunction("neglog", lambda x: -np.log(x), _POS, deriv=lambda x: -1.0 / x,
+                   vectorized=True),
+    ScalarFunction("xlogx", lambda x: x * np.log(x), _POS,
+                   deriv=lambda x: np.log(x) + 1.0, vectorized=True),
+    ScalarFunction("exp", np.exp, _REALS, deriv=np.exp, vectorized=True),
+)}
 
 #: Ground truth on (0, inf): (matrix convex, matrix monotone increasing).
 TRUTH_ON_POSITIVES: dict[str, tuple[bool, bool]] = {

@@ -21,6 +21,8 @@ every state function then runs on all rows at once and reports hold ``(T,)``
 arrays.  Each DensityOperator, marginals and pinched states too, is checked row
 by row when built: finite and Hermitian (never repaired), then trace and PSD
 from one ``eigvalsh``, kept as ``spectrum`` for its entropy.  A bad row is named.
+The Monte Carlo averages have no per-sample witness, so each owns one stream:
+all samples come from ``spec.rng()``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import check_hermitian, spectral_decompose, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
-from .rand import RandomSpec, haar_unitaries, random_densities, random_density_from
+from .rand import RandomSpec, haar_unitaries_from, random_densities, random_density_from
 
 #: Eigenvalues at or below this floor count as exact zeros for entropy and as
 #: support violations for relative entropy.
@@ -143,11 +145,11 @@ def haar_average_residual(
     rho12: DensityOperator, samples: int, spec: RandomSpec
 ) -> float:
     """Frobenius distance of the Monte Carlo Haar average of (1 x U)* rho (1 x U)
-    from rho_1 x 1/d_2; decays like 1/sqrt(samples).  Sample s draws U from
-    ``spec.stream(s)``; one stacked QR and one contraction serve all samples."""
+    from rho_1 x 1/d_2; decays like 1/sqrt(samples).  Every U is drawn from
+    ``spec.rng()``; one stacked QR and one contraction serve all samples."""
     d1, d2 = _two_factors(rho12)
     target = tensor(rho12.marginal([0]).matrix, np.eye(d2) / d2)
-    u = haar_unitaries(d2, (spec.stream(s).rng() for s in range(samples)))
+    u = haar_unitaries_from(d2, samples, spec.rng())
     # rho indexed (i, c, j, e); U_s acts on the second factor's c and e
     acc = np.einsum("sca,icje,seb->iajb", u.conj(),
                     rho12.matrix.reshape(d1, d2, d1, d2), u, optimize=True)
@@ -217,14 +219,12 @@ def pinch_monte_carlo(
     rho12: DensityOperator, samples: int, spec: RandomSpec
 ) -> DensityOperator:
     """Approximate the pinch by averaging over random-phase unitaries that are
-    diagonal in the pinching basis.  Sample s draws its phases p from
-    ``spec.stream(s)``; with the p as rows of P, the mean of diag(p)* M diag(p)
-    is M o (P* P) / samples."""
+    diagonal in the pinching basis.  Sample s reads the s-th row of phases p
+    drawn from ``spec.rng()``; with the p as rows of P, the mean of
+    diag(p)* M diag(p) is M o (P* P) / samples."""
     basis = pinch_product_basis(rho12)
     in_basis = _dagger(basis) @ rho12.matrix @ basis
-    phases = np.exp(1j * np.fromiter((
-        spec.stream(s).rng().uniform(0.0, 2.0 * np.pi, size=rho12.dim)
-        for s in range(samples)), (float, (rho12.dim,))))
+    phases = np.exp(1j * spec.rng().uniform(0.0, 2.0 * np.pi, size=(samples, rho12.dim)))
     avg = in_basis * (phases.conj().T @ phases) / samples
     return DensityOperator(basis @ avg @ _dagger(basis), rho12.dims)
 
@@ -233,14 +233,26 @@ def pinch_monte_carlo(
 # Relative entropy and the concavity machinery behind strong subadditivity.
 
 
+def _checked_factors(*mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, U) of each matrix, from one ``eigh`` after ``check_hermitian``."""
+    for m in mats:
+        check_hermitian(np.asarray(m))
+    return [spectral_decompose(m) for m in mats]
+
+
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     """S(A|B) = -Tr[A (log A - log B)]; nonpositive for unit-trace arguments.
 
     Returns -inf when the support of A escapes the support of B (the
-    infinite-divergence signal, not an exception).
+    infinite-divergence signal, not an exception).  Both arguments must be
+    finite and Hermitian (never repaired).
     """
-    wa, ua = spectral_decompose(a)
-    wb, ub = spectral_decompose(b)
+    return _relative_entropy(a, *_checked_factors(a, b))
+
+
+def _relative_entropy(a: np.ndarray, fa, fb) -> float:
+    """S(A|B) from the factorizations (w, U) of A and B."""
+    (wa, _), (wb, ub) = fa, fb
     if min(wa[0], wb[0]) < -PSD_TOL:
         raise ValidationError("relative entropy needs positive semidefinite inputs")
     scale = 1.0 + float(np.max(np.abs(wa)))
@@ -263,14 +275,14 @@ def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     """|Tr[A^(1-eps) B^eps - A]/eps - S(A|B)|; O(eps) as eps -> 0."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    wa, ua = spectral_decompose(a)
-    wb, ub = spectral_decompose(b)
+    fa, fb = _checked_factors(a, b)
+    (wa, ua), (wb, ub) = fa, fb
     if min(wa[0], wb[0]) <= 0.0:
         raise ValidationError("epsilon limit needs strictly positive matrices")
     a_pow = (ua * wa.real ** (1.0 - eps)) @ ua.conj().T
     b_pow = (ub * wb.real**eps) @ ub.conj().T
     quotient = float((np.trace(a_pow @ b_pow) - np.trace(a)).real) / eps
-    return abs(quotient - relative_entropy(a, b))
+    return abs(quotient - _relative_entropy(a, fa, fb))
 
 
 def lieb_ruskai_concavity_gap(rho_a: DensityOperator, rho_b: DensityOperator, lam):
@@ -323,10 +335,17 @@ class EntropyReport:
 
 def subadditivity_report(rho12: DensityOperator) -> EntropyReport:
     """The chain S(rho_12) <= S(pinched) <= S_1 + S_2 with both slacks."""
+    return subadditivity_chain(rho12)[0]
+
+
+def subadditivity_chain(rho12: DensityOperator) -> tuple:
+    """(subadditivity report, (rho_1, rho_2), pinched rho_12): each marginal is
+    built once and serves the pinching basis, its entropy and the caller."""
     _two_factors(rho12)
     rho1, rho2 = rho12.marginal([0]), rho12.marginal([1])
+    pinched = _pinch_in(rho12, _product_basis(rho1, rho2))
     s12 = von_neumann_entropy(rho12)
-    s_pinched = von_neumann_entropy(_pinch_in(rho12, _product_basis(rho1, rho2)))
+    s_pinched = von_neumann_entropy(pinched)
     s1, s2 = von_neumann_entropy(rho1), von_neumann_entropy(rho2)
     return EntropyReport(
         values={"S12": s12, "S_pinched": s_pinched, "S1": s1, "S2": s2},
@@ -334,7 +353,7 @@ def subadditivity_report(rho12: DensityOperator) -> EntropyReport:
             "pinching_raises_entropy": s_pinched - s12,
             "classical_subadditivity": s1 + s2 - s_pinched,
         },
-    )
+    ), (rho1, rho2), pinched
 
 
 def mutual_information_decomposition(rho12: DensityOperator) -> EntropyReport:

@@ -192,12 +192,12 @@ def joint_concavity_test(
     (semi)definite.  mode "midpoint": the definitional gap
     F((A+B)/2) - (F(A) + F(B))/2 must be positive semidefinite.  For trace
     functionals pass scalar=True; margins then compare real numbers instead of
-    eigenvalues.
+    eigenvalues.  The map is not stack-aware, so a trial runs its rows in turn.
     """
     if mode not in ("fd", "midpoint"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    def trial(rng):
+    def row(rng):
         mats = sampler(k, n, rng)
         if mode == "fd":
             dirs = random_directions(k, n, rng)
@@ -213,7 +213,11 @@ def joint_concavity_test(
         margin = float(np.real(gap)) if scalar else min_eigenvalue(gap)
         return margin, {"kind": "joint_midpoint", "matrices": mats, "others": other}
 
-    return run_trials(trial, trials, spec, tol_cert, tol_viol)
+    def trial(rngs):
+        margins, witnesses = zip(*map(row, rngs))
+        return np.array(margins), witnesses.__getitem__
+
+    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +392,12 @@ def wyd_skew_information(
 
     The conventionally normalized skew information is the negation of this
     value.  Eigenvalues of rho below ``floor`` are lifted to ``floor`` with
-    trace renormalization before the fractional powers are taken.
+    trace renormalization before the fractional powers are taken; rho must be
+    finite and Hermitian (never repaired).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
+    check_hermitian(np.asarray(rho))
     w, u = spectral_decompose(rho)
     w = np.clip(w.real, floor, None)
     w = w / w.sum()
@@ -412,7 +418,7 @@ def perspective(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (fb,) = _factor([b])
     b_half, b_inv_half = _power(fb, 0.5), _power(fb, -0.5)
     core = b_inv_half @ a @ b_inv_half
-    val = b_half @ apply_function(core, f.fn, f.domain, source="B^-1/2 A B^-1/2") @ b_half
+    val = b_half @ apply_function(core, f, f.domain, source="B^-1/2 A B^-1/2") @ b_half
     return 0.5 * (val + val.conj().T)
 
 

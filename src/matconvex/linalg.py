@@ -4,7 +4,8 @@ All matrices are finite-dimensional, complex, and self-adjoint.  The working
 currency throughout the library is a plain ``numpy.ndarray`` that has passed
 through :func:`hermitian`, which validates and exactly symmetrizes its input.
 Matrix functions always go through a full spectral decomposition, so degenerate
-eigenvalues need no special handling.
+eigenvalues need no special handling; they take a ``(T, n, n)`` stack as well
+as one matrix, and an error on a stack names the row it came from.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ class SpectrumWindow:
         return self.a < x < self.b
 
     def check_spectrum(self, eigenvalues: np.ndarray, source: str = "matrix") -> None:
-        """Raise DomainViolationError if any eigenvalue escapes the window."""
-        for lam in np.atleast_1d(eigenvalues):
-            if not self.contains(float(lam)):
-                raise DomainViolationError(
-                    f"eigenvalue {lam} of {source} outside window ({self.a}, {self.b})",
-                    eigenvalue=float(lam),
-                    source=source,
-                )
+        """Raise DomainViolationError naming the first eigenvalue (in row order
+        over a stack of spectra) that escapes the window; NaN escapes too."""
+        w = np.asarray(eigenvalues, dtype=float)
+        _raise_first(~((w > self.a) & (w < self.b)), w, source,
+                     f"outside window ({self.a}, {self.b})")
 
     def shrunk(self, fraction: float = 0.05) -> "SpectrumWindow":
         """Compact sub-window with a margin of ``fraction * (b - a)`` per side."""
@@ -59,6 +57,16 @@ class SpectrumWindow:
             raise ValueError("cannot shrink an unbounded window")
         delta = fraction * (self.b - self.a)
         return SpectrumWindow(self.a + delta, self.b - delta)
+
+
+def _raise_first(bad: np.ndarray, w: np.ndarray, source: str, what: str) -> None:
+    """DomainViolationError for the first flagged eigenvalue of ``w``, if any."""
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        lam = float(w.ravel()[k])
+        row = f" row {k // w.shape[-1]}" if w.ndim > 1 else ""
+        raise DomainViolationError(f"eigenvalue {lam} of {source}{row} {what}",
+                                   eigenvalue=lam, source=source)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -114,29 +122,35 @@ def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, u)
 
 
+def entrywise(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``f`` at every entry of the float array ``x``: one array call when ``f``
+    declares itself ``vectorized`` (a ScalarFunction with a numpy form), one
+    scalar call per entry otherwise."""
+    x = np.asarray(x, dtype=float)
+    if getattr(f, "vectorized", False):
+        return np.asarray(f(x), dtype=float)
+    return np.array([f(float(v)) for v in x.ravel()], dtype=float).reshape(x.shape)
+
+
 def apply_function(
     h: np.ndarray,
     f: Callable[[float], float],
     domain: SpectrumWindow | None = None,
     source: str = "matrix",
 ) -> np.ndarray:
-    """Evaluate the matrix function U diag(f(lambda_i)) U*.
+    """Evaluate the matrix function U diag(f(lambda_i)) U*, row by row over a
+    ``(T, n, n)`` stack, with ``f`` evaluated through :func:`entrywise`.
 
-    When ``domain`` is given, every eigenvalue must lie inside it; an escape
-    raises :class:`DomainViolationError` carrying the offending eigenvalue.
+    When ``domain`` is given, every eigenvalue must lie inside it; an escape,
+    or a non-finite value of f, raises :class:`DomainViolationError` carrying
+    the offending eigenvalue and the source (and row) it came from.
     """
     w, u = spectral_decompose(h)
     if domain is not None:
         domain.check_spectrum(w, source=source)
-    fw = np.array([f(float(lam)) for lam in w], dtype=float)
-    if not np.all(np.isfinite(fw)):
-        bad = float(w[np.argmax(~np.isfinite(fw))])
-        raise DomainViolationError(
-            f"function value not finite at eigenvalue {bad} of {source}",
-            eigenvalue=bad,
-            source=source,
-        )
-    return (u * fw) @ u.conj().T
+    fw = entrywise(f, w)
+    _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
+    return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def matrix_power_psd(h: np.ndarray, p: float) -> np.ndarray:
@@ -169,9 +183,10 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
     return is_psd(b - a, tol)
 
 
-def op_norm(h: np.ndarray) -> float:
-    """Operator (spectral) norm of a Hermitian matrix."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+def op_norm(h: np.ndarray):
+    """Operator (spectral) norm of a Hermitian matrix; a ``(T,)`` array for a stack."""
+    r = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return float(r) if r.ndim == 0 else r
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

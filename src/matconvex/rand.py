@@ -13,15 +13,18 @@ absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 Samplers take a ``np.random.Generator`` (``x_from(n, spec.rng())``), so one
 stream can feed several draws in a fixed order.
 
-Stacked samplers (``haar_unitaries``, ``random_densities``) draw row t from the
-t-th generator as the ``_from`` form would, then run one QR or product for the
-stack; the ``_from`` form is the unstacked case, equal to a row bit for bit.
+Stacked samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) draw
+row t from the t-th generator as the ``_from`` form would, then run one QR or
+product for the stack; the ``_from`` form is the unstacked case, equal to a row
+bit for bit.  Generators are independent, so a trial stack that draws A, then Q
+makes one pass over its generators per input.  A Monte Carlo average has no
+per-sample witness and owns one stream (``haar_unitaries_from``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,13 +56,14 @@ class RandomSpec:
         return RandomSpec(self.seed, self.stream_id + offset)
 
 
-def _complex_gaussian(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    # one growing buffer, not a list of T small arrays
-    return np.fromiter((_complex_gaussian(n, n, rng) for rng in rngs), (complex, (n, n)))
+    # a list, not np.fromiter: filling a (n, n) subarray dtype item by item
+    # costs about 1 ms per row at n = 128, where a chunk is one row
+    return np.array([_complex_gaussian((n, n), rng) for rng in rngs]).reshape(-1, n, n)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -76,33 +80,53 @@ def haar_unitaries(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
 
 def haar_unitary_from(n: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary (the unstacked :func:`haar_unitaries`)."""
-    return _haar(_complex_gaussian(n, n, rng))
+    return _haar(_complex_gaussian((n, n), rng))
+
+
+def haar_unitaries_from(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries from one generator: the real parts of every
+    sample, then the imaginary parts, then one QR."""
+    return _haar(_complex_gaussian((count, n, n), rng))
 
 
 def random_hermitian_from(n: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-like sample (G + G*)/2 with G complex standard Gaussian."""
-    g = _complex_gaussian(n, n, rng)
+    g = _complex_gaussian((n, n), rng)
     return 0.5 * (g + g.conj().T)
+
+
+def random_in_window_rows(
+    n: int, window: SpectrumWindow, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Row t is ``random_in_window_from(n, window, rngs[t])``: each generator
+    draws its spectrum, then its unitary; one QR and one product for the stack."""
+    if not window.is_bounded:
+        raise UnboundedWindowError(
+            "random_in_window needs a bounded window; pass a compact sub-window"
+        )
+    inner = window.shrunk(WINDOW_MARGIN)
+    lam = np.array([rng.uniform(inner.a, inner.b, size=n) for rng in rngs])
+    u = haar_unitaries(n, rngs)
+    return (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def random_in_window_from(
     n: int, window: SpectrumWindow, rng: np.random.Generator
 ) -> np.ndarray:
     """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar."""
-    if not window.is_bounded:
-        raise UnboundedWindowError(
-            "random_in_window needs a bounded window; pass a compact sub-window"
-        )
-    inner = window.shrunk(WINDOW_MARGIN)
-    lam = rng.uniform(inner.a, inner.b, size=n)
-    u = haar_unitary_from(n, rng)
-    return (u * lam) @ u.conj().T
+    return random_in_window_rows(n, window, (rng,))[0]
+
+
+def random_direction_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row t is ``random_direction_from(n, rngs[t])``."""
+    g = _stacked_draws(n, rngs)
+    q = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    return q / op_norm(q)[:, None, None]
 
 
 def random_direction_from(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix normalized to unit operator norm."""
-    q = random_hermitian_from(n, rng)
-    return q / op_norm(q)
+    return random_direction_rows(n, (rng,))[0]
 
 
 def _hilbert_schmidt(g: np.ndarray) -> np.ndarray:
@@ -119,13 +143,13 @@ def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
 
 def random_density_from(n: int, rng: np.random.Generator) -> np.ndarray:
     """One Hilbert-Schmidt density matrix (the unstacked :func:`random_densities`)."""
-    return _hilbert_schmidt(_complex_gaussian(n, n, rng))
+    return _hilbert_schmidt(_complex_gaussian((n, n), rng))
 
 
 def random_pure_density(n: int, spec: RandomSpec) -> np.ndarray:
     """Rank-one projector onto a Haar-random unit vector."""
     rng = spec.rng()
-    v = _complex_gaussian(n, 1, rng)[:, 0]
+    v = _complex_gaussian((n, 1), rng)[:, 0]
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
 

@@ -2,12 +2,13 @@
 
 Check i (in ``CHECKS`` order) receives ``RandomSpec(seed, (i + 1) *
 STREAM_BLOCK)`` and draws only from sub-streams of it.  Stream ids nest, so the
-helpers it hands a sub-stream (``pinch_monte_carlo``, ``haar_average_residual``)
-stay inside the check's block too, and no two checks share a draw.  Each check
-measures a worst-case quantity over a fixed ensemble, and reports pass/fail
-against a documented tolerance.  Margins are oriented so that positive means
-healthy: distance to the failure threshold.  Worst cases are NaN-propagating
-``np.min`` / ``np.max`` reductions, so a NaN trial fails its check.
+helpers it hands a sub-stream (``pinch_monte_carlo``, ``haar_average_residual``,
+which each draw all their samples from that one stream) stay inside the check's
+block too, and no two checks share a draw.  Each check measures a worst-case
+quantity over a fixed ensemble, and reports pass/fail against a documented
+tolerance.  Margins are oriented so that positive means healthy: distance to
+the failure threshold.  Worst cases are NaN-propagating ``np.min`` /
+``np.max`` reductions, so a NaN trial fails its check.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ def check_ssa_battery(spec: RandomSpec) -> dict:
 
 def check_subadditivity_chain(spec: RandomSpec) -> dict:
     """Both subadditivity slacks >= -1e-9 and pinch preserves marginals to 1e-10."""
-    states = ent.random_states((2, 3), spec, 500)
-    pinched = ent.pinch(states)
-    devs = [np.linalg.norm(pinched.marginal(keep).matrix - states.marginal(keep).matrix,
-                           axis=(-2, -1)) for keep in ([0], [1])]
-    worst_slack = float(np.min(ent.subadditivity_report(states).min_slack()))
+    report, marginals, pinched = ent.subadditivity_chain(ent.random_states((2, 3), spec, 500))
+    devs = [np.linalg.norm(pinched.marginal([k]).matrix - rho.matrix, axis=(-2, -1))
+            for k, rho in enumerate(marginals)]
+    worst_slack = float(np.min(report.min_slack()))
     worst_marg = float(np.max(devs))
     margin = np.min([worst_slack + 1e-9, 1e-10 - worst_marg])
     return check_record("subadditivity_chain", margin,

@@ -447,6 +447,25 @@ def test_haar_average_residual_makes_one_qr_call(monkeypatch):
     assert calls == [(10_000, 2, 2)]
 
 
+def test_monte_carlo_averages_build_one_generator_each(monkeypatch):
+    # an average has no per-sample witness, so it owns one stream
+    state = random_state((2, 2), SPEC.stream(2300))
+    real, calls = RandomSpec.rng, []
+
+    def counted(spec):
+        calls.append(spec.stream_id)
+        return real(spec)
+
+    monkeypatch.setattr(RandomSpec, "rng", counted)
+    haar_average_residual(bell_state(), 1000, SPEC.stream(2400))
+    assert calls == [SPEC.stream(2400).stream_id]
+    small = pinch_monte_carlo(state, 100, SPEC.stream(2500))
+    large = pinch_monte_carlo(state, 1000, SPEC.stream(2500))
+    assert calls[1:] == [SPEC.stream(2500).stream_id] * 2
+    assert np.linalg.norm(large.matrix - pinch(state).matrix) < np.linalg.norm(
+        small.matrix - pinch(state).matrix)
+
+
 def test_failed_uhlmann_cross_check_fails_the_report(monkeypatch):
     import matconvex.entropy as ent
 
@@ -467,14 +486,17 @@ def test_failed_uhlmann_cross_check_fails_the_report(monkeypatch):
 
 
 def test_monte_carlo_averages_match_their_sample_loops():
+    # each average owns one stream: every sample comes from spec.rng()
     from matconvex.entropy import pinch_product_basis
-    from matconvex.rand import haar_unitary_from
 
     rho = random_state((2, 3), SPEC.stream(2100))
     spec = SPEC.stream(2200)
+    rng = spec.rng()
+    re, im = rng.standard_normal((300, 3, 3)), rng.standard_normal((300, 3, 3))
     acc = np.zeros((6, 6), dtype=complex)
     for s in range(300):
-        big = np.kron(np.eye(2), haar_unitary_from(3, spec.stream(s).rng()))
+        q, r = np.linalg.qr(re[s] + 1j * im[s])
+        big = np.kron(np.eye(2), q * (np.diagonal(r) / np.abs(np.diagonal(r))))
         acc += big.conj().T @ rho.matrix @ big
     target = np.kron(rho.marginal([0]).matrix, np.eye(3) / 3.0)
     assert haar_average_residual(rho, 300, spec) == pytest.approx(
@@ -483,8 +505,9 @@ def test_monte_carlo_averages_match_their_sample_loops():
     basis = pinch_product_basis(rho)
     in_basis = basis.conj().T @ rho.matrix @ basis
     acc = np.zeros((6, 6), dtype=complex)
+    rng = spec.rng()
     for s in range(300):
-        p = np.exp(1j * spec.stream(s).rng().uniform(0.0, 2.0 * np.pi, size=6))
+        p = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=6))
         acc += (p.conj()[:, None] * in_basis) * p[None, :]
     np.testing.assert_allclose(pinch_monte_carlo(rho, 300, spec).matrix,
                                basis @ (acc / 300) @ basis.conj().T, atol=1e-14)

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 from scipy.special import gamma
 
-from matconvex.convexity import builtin
+from matconvex import convexity as cx
+from matconvex.convexity import builtin, default_fd_step
+from matconvex.entropy import epsilon_limit_residual, relative_entropy
 from matconvex.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -29,13 +31,14 @@ from matconvex.jointconcavity import (
     perspective,
     projection_block_matrix,
     projection_residuals,
+    random_directions,
     tensor_power_direct,
     tensor_power_integral,
     tuple_second_difference,
     vectorization_residual,
     wyd_skew_information,
 )
-from matconvex.linalg import SpectrumWindow, loewner_leq, op_norm
+from matconvex.linalg import SpectrumWindow, loewner_leq, max_eigenvalue, min_eigenvalue, op_norm
 from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
@@ -184,6 +187,40 @@ def test_joint_concavity_test_refutes_a_convex_map():
         square_sum, _window_sampler, 2, 2, 100, RandomSpec(44), mode="fd"
     )
     assert v.status == "violated"
+
+
+def _square_sum(mats):
+    return sum(a @ a for a in mats)
+
+
+@pytest.mark.parametrize("map_fn, mode, seed", [
+    (parallel_sum, "fd", 42), (parallel_sum, "midpoint", 43), (_square_sum, "fd", 44)])
+def test_joint_concavity_rows_match_the_per_trial_loop(monkeypatch, map_fn, mode, seed):
+    # the reference loop: trial t alone, on stream t
+    spec, trials = RandomSpec(seed, 300), 60
+    expected = []
+    for t in range(trials):
+        rng = spec.stream(t).rng()
+        mats = _window_sampler(2, 3, rng)
+        if mode == "fd":
+            dirs = random_directions(2, 3, rng)
+            step = max(default_fd_step(a) for a in mats)
+            expected.append(-max_eigenvalue(tuple_second_difference(map_fn, mats, dirs, step)))
+        else:
+            other = _window_sampler(2, 3, rng)
+            expected.append(min_eigenvalue(
+                map_fn([0.5 * (a + b) for a, b in zip(mats, other)])
+                - 0.5 * (map_fn(mats) + map_fn(other))))
+    expected = np.array(expected)
+    seen = []
+    real = cx._aggregate
+    monkeypatch.setattr(cx, "_aggregate", lambda m, *rest: seen.append(m) or real(m, *rest))
+    v = joint_concavity_test(map_fn, _window_sampler, 2, 3, trials, spec, mode=mode)
+    np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-12)
+    bad = np.flatnonzero(expected < -cx.TOL_VIOL_FD)
+    assert v.status == ("violated" if bad.size else "certified")
+    if bad.size:
+        assert v.witness["stream_id"] == spec.stream_id + bad[0]
 
 
 def test_joint_fd_default_step_follows_the_largest_entry():
@@ -431,7 +468,8 @@ def test_kubo_ando_midpoint_concavity():
 
 
 # ---------------------------------------------------------------------------
-# The tuple gate: every entry point rejects non-finite or non-Hermitian input.
+# The tuple gate, and the relative-entropy and skew-information entry points:
+# every one rejects non-finite or non-Hermitian input.
 
 _KUBO = KuboAndoRepresentation(0.1, 0.2, atoms=((1.0, 0.5),))
 
@@ -452,6 +490,11 @@ GATED = {
     "perspective_b": lambda bad, good: perspective(builtin("xlogx"), good, bad),
     "kubo_ando_eval_a": lambda bad, good: kubo_ando_eval(_KUBO, bad, good),
     "kubo_ando_eval_b": lambda bad, good: kubo_ando_eval(_KUBO, good, bad),
+    "relative_entropy_a": lambda bad, good: relative_entropy(bad, good),
+    "relative_entropy_b": lambda bad, good: relative_entropy(good, bad),
+    "epsilon_limit_residual_a": lambda bad, good: epsilon_limit_residual(bad, good, 1e-5),
+    "epsilon_limit_residual_b": lambda bad, good: epsilon_limit_residual(good, bad, 1e-5),
+    "wyd_skew_information": lambda bad, good: wyd_skew_information(bad, good, 0.4),
 }
 
 

@@ -6,12 +6,15 @@ from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
     haar_unitaries,
+    haar_unitaries_from,
     haar_unitary_from,
     random_densities,
     random_density_from,
     random_direction_from,
+    random_direction_rows,
     random_hermitian_from,
     random_in_window_from,
+    random_in_window_rows,
     random_pure_density,
     random_simplex,
 )
@@ -100,3 +103,33 @@ def test_stacked_density_rows_bit_identical_to_per_stream_draws():
     for t in range(20):
         alone = random_density_from(4, spec.stream(t).rng())
         np.testing.assert_array_equal(stack[t], alone)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_stacked_window_and_direction_rows_bit_identical_to_per_stream_draws(n):
+    # one pass per input over the same generators keeps each one's draw order
+    spec, window = RandomSpec(8, 90), SpectrumWindow(0.1, 5.0)
+    rngs = [spec.stream(t).rng() for t in range(25)]
+    a, q = random_in_window_rows(n, window, rngs), random_direction_rows(n, rngs)
+    assert a.shape == q.shape == (25, n, n)
+    for t in range(25):
+        rng = spec.stream(t).rng()
+        np.testing.assert_array_equal(a[t], random_in_window_from(n, window, rng))
+        np.testing.assert_array_equal(q[t], random_direction_from(n, rng))
+        # the 2-D formulas a loop over streams would run: spectrum, then unitary
+        rng = spec.stream(t).rng()
+        inner = window.shrunk(0.05)
+        lam = rng.uniform(inner.a, inner.b, size=n)
+        u = haar_unitary_from(n, rng)
+        np.testing.assert_array_equal(a[t], (u * lam) @ u.conj().T)
+
+
+def test_haar_unitaries_from_one_generator():
+    u = haar_unitaries_from(3, 50, RandomSpec(9).rng())
+    rng = RandomSpec(9).rng()
+    g = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    for s in (0, 49):
+        q, r = np.linalg.qr(g[s])
+        np.testing.assert_array_equal(u[s], q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    np.testing.assert_allclose(u @ u.conj().swapaxes(1, 2), np.broadcast_to(np.eye(3), u.shape),
+                               atol=1e-12)

@@ -25,6 +25,23 @@ def test_x4_witness_regenerates_from_its_stream_id():
         2, SpectrumWindow(0.1, 2.0), RandomSpec(1, witness["stream_id"]).rng()
     )
     np.testing.assert_array_equal(redrawn, a0)
+    assert witness["stream_id"] == 9_000_002
+
+
+def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
+    from matconvex import entropy as ent
+
+    real, kept = ent.partial_trace, []
+
+    def counted(rho, keep):
+        kept.append((len(rho.matrix), list(keep)))
+        return real(rho, keep)
+
+    monkeypatch.setattr(ent, "partial_trace", counted)
+    (record,) = run_suite(1, only="subadditivity_chain")
+    # the states' two marginals, then the pinched states' two
+    assert kept == [(500, [0]), (500, [1])] * 2
+    assert record["status"] == "pass"
 
 
 @pytest.mark.parametrize("check, target, nan_value", [
@@ -51,11 +68,11 @@ def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
     assert math.isnan(record["margin"])
 
 
-#: The checks that run the stacked entropy kernels, the stacked Haar QR and
-#: the parallel-sum block projection.
+#: The checks that run the stacked entropy kernels, the stacked Haar QR, the
+#: parallel-sum block projection and the stacked trial engine.
 BATCHED_CHECKS = ("ssa_battery", "subadditivity_chain", "mutual_information",
                   "parallel_sum_certificate", "relative_entropy_machinery",
-                  "monte_carlo_physics", "determinism")
+                  "convexity_detectors", "monte_carlo_physics", "determinism")
 
 
 def _batched_checks_in_child(blas_threads: str) -> str:
