@@ -108,11 +108,8 @@ def cmd_certify_function(args) -> int:
          lambda s: cx.jensen_test(f, window, n, 3, trials, s)),
         ("second_derivative", convex,
          lambda s: cx.second_derivative_test(f, window, n, trials, s)),
-        # the secant's value at its base point is an FD derivative
         ("secant_monotonicity", convex,
-         lambda s: cx.monotonicity_test(
-             cx.secant_transform(f, mid), window, sites, trials, s,
-             tol_cert=cx.TOL_CERT_FD, tol_viol=cx.TOL_VIOL_FD)),
+         lambda s: cx.secant_test(f, mid, window, sites, trials, s)),
         ("loewner_monotonicity", args.mode in ("all", "monotone"),
          lambda s: cx.monotonicity_test(f, window, sites, trials, s)),
     )

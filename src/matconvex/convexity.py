@@ -1,9 +1,11 @@
 """Matrix-convexity and matrix-monotonicity tests.
 
 Covers the definitional midpoint gap, Jensen sampling over finitely supported
-measures, the finite-difference second-derivative criterion, the kernel
+measures, the exact (Daleckii-Krein) second-derivative criterion, the kernel
 identity linking the two, Loewner divided-difference matrices, and the secant
-transform that turns a convexity question into a monotonicity one.
+transform that turns a convexity question into a monotonicity one.  All their
+derivatives are divided differences of closed-form f, f' and f'' from one
+kernel; finite differences remain only as an independent oracle.
 
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``tol_cert``, reports a violation
@@ -32,6 +34,7 @@ from .linalg import (
     entrywise,
     min_eigenvalue,
     op_norm,
+    spectral_decompose,
 )
 from .rand import (
     RandomSpec,
@@ -43,12 +46,10 @@ from .rand import (
 #: Default certification / violation thresholds on eigenvalue margins.
 TOL_CERT = 1e-8
 TOL_VIOL = 1e-6
-#: Finite-difference verdicts run at a coarser resolution.
-TOL_CERT_FD = 1e-5
-TOL_VIOL_FD = 1e-4
 
-#: Step for first-derivative central differences at site x.
-_D1_STEP = 1e-6
+#: Points closer than this times (1 + max|x|) take confluent divided
+#: differences: eps^(1/3) balances their O(h^2) error against eps/h roundoff.
+_CONFLUENT = np.finfo(float).eps ** (1.0 / 3.0)
 #: h = (1 + ||M||) eps^(1/4) balances truncation against roundoff.
 _FD_EXPONENT = 0.25
 #: Matrix entries per chunk of stacked trials, where each trial's generator
@@ -62,18 +63,17 @@ _GENERATOR_ENTRIES = 128
 class ScalarFunction:
     """A named real function with its admissible spectrum window.
 
-    ``deriv`` (optional) supplies an exact first derivative for Loewner
-    diagonals; ``second_derivative`` (optional) supplies an exact
-    d^2/dt^2 f(M + tQ)|_0 callback used instead of finite differences.
-    ``vectorized`` declares ``fn`` a numpy form that maps arrays entrywise, so
-    :func:`linalg.entrywise` evaluates a stack of spectra in one call.
+    ``deriv`` and ``deriv2`` are closed forms of f' and f'': Loewner matrices
+    need ``deriv``, line second derivatives both, and raise ``ValueError``
+    without them.  ``vectorized`` declares ``fn`` and both derivatives numpy
+    forms that map arrays entrywise, so a stack of spectra takes one call.
     """
 
     name: str
     fn: Callable[[float], float]
     domain: SpectrumWindow
     deriv: Callable[[float], float] | None = None
-    second_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    deriv2: Callable[[float], float] | None = None
     vectorized: bool = False
 
     def __post_init__(self):
@@ -85,12 +85,6 @@ class ScalarFunction:
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
-
-    def derivative(self, x: float) -> float:
-        if self.deriv is not None:
-            return self.deriv(x)
-        h = _D1_STEP * (1.0 + abs(x))
-        return (self.fn(x + h) - self.fn(x - h)) / (2.0 * h)
 
 
 def _probe_points(domain: SpectrumWindow, count: int = 32) -> np.ndarray:
@@ -267,7 +261,7 @@ def second_derivative_fd(
     f: ScalarFunction, m: np.ndarray, q: np.ndarray, h
 ) -> np.ndarray:
     """Central second difference (f(M+hQ) - 2 f(M) + f(M-hQ)) / h^2; a stack
-    takes one step per row."""
+    takes one step per row.  An independent oracle for the exact derivative."""
     h = np.asarray(h)[..., None, None]
     try:
         fp = apply_function(m + h * q, f, f.domain, source="M+hQ")
@@ -282,18 +276,55 @@ def second_derivative_fd(
     return (fp - 2.0 * f0 + fm) / (h * h)
 
 
-def line_second_derivative(
-    f: ScalarFunction, m: np.ndarray, q: np.ndarray, h: float | None = None
-) -> np.ndarray:
-    """Exact callback when registered (called row by row on a stack), finite
-    differences otherwise."""
-    if f.second_derivative is not None:
-        if m.ndim == 2:
-            return f.second_derivative(m, q)
-        return np.stack([f.second_derivative(a, b) for a, b in zip(m, q)])
-    if h is None:
-        h = default_fd_step(m)
-    return second_derivative_fd(f, m, q, h)
+def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True):
+    """``(L, G, near)`` over the last axis of ``x``: L = [f[x_i, x_j]], G =
+    [f[x_i, x_i, x_j]] (None unless ``second``) and the confluent pairs, from
+    f, f' and f'' at the points of x only.  A pair closer than ``_CONFLUENT *
+    (1 + max|x|)``, the diagonal included, takes (f'_i + f'_j)/2 - (x_i - x_j)
+    (f''_i - f''_j)/12 (the corrected trapezoid rule) and (2 f''_i + f''_j)/6."""
+    if f.deriv is None or (second and f.deriv2 is None):
+        raise ValueError(f"{f.name} has no closed-form "
+                         f"{'deriv and deriv2' if second else 'deriv'}")
+    x = np.asarray(x, dtype=float)
+
+    def at(g):  # one array call when f is vectorized, one scalar call per entry otherwise
+        return np.broadcast_to(g(x), x.shape) if f.vectorized else entrywise(g, x)
+
+    fx, d1 = at(f.fn), at(f.deriv)
+    d2 = at(f.deriv2) if second else np.zeros(x.shape)
+    dx = x[..., :, None] - x[..., None, :]
+    near = np.abs(dx) <= _CONFLUENT * (1.0 + np.max(np.abs(x), axis=-1))[..., None, None]
+    apart = np.where(near, 1.0, dx)  # a confluent pair never divides
+    lo = np.where(near, 0.5 * (d1[..., :, None] + d1[..., None, :])
+                  - dx * (d2[..., :, None] - d2[..., None, :]) / 12.0,
+                  (fx[..., :, None] - fx[..., None, :]) / apart)
+    if not second:
+        return lo, None, near
+    g = np.where(near, (2.0 * d2[..., :, None] + d2[..., None, :]) / 6.0,
+                 (d1[..., :, None] - lo) / apart)
+    return lo, g, near
+
+
+def line_second_derivative(f: ScalarFunction, m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact d^2/dt^2 f(M + tQ)|_0 by the Daleckii-Krein formula, row by row
+    over a stack, from one eigendecomposition M = U diag(lam) U*.
+
+    With Q~ = U* Q U, entry (i, k) of U* D U is 2 sum_j f[lam_i, lam_j, lam_k]
+    Q~_ij Q~_jk.  A distant pair reads it from the commutator
+    ((L o Q~) Q~ - Q~ (L o Q~))_ik / (lam_i - lam_k); a confluent pair, the
+    diagonal included, from sum_j (G_ij + G_kj)/2 Q~_ij Q~_jk.
+    """
+    w, u = spectral_decompose(m)
+    f.domain.check_spectrum(w, source="M")
+    lo, g, near = _divided_differences(f, w)
+    uh = u.conj().swapaxes(-1, -2)
+    qt = uh @ q @ u
+    lq = (lo * qt) @ qt  # Q~ (L o Q~) is its adjoint
+    gq = (g * qt) @ qt   # and Q~ (G^T o Q~) is this one's
+    dw = np.where(near, 1.0, w[..., :, None] - w[..., None, :])
+    s = np.where(near, 0.5 * (gq + gq.conj().swapaxes(-1, -2)),
+                 (lq - lq.conj().swapaxes(-1, -2)) / dw)
+    return 2.0 * (u @ s @ uh)
 
 
 def second_derivative_test(
@@ -302,16 +333,10 @@ def second_derivative_test(
     n: int,
     trials: int,
     spec: RandomSpec,
-    tol_cert: float | None = None,
-    tol_viol: float | None = None,
+    tol_cert: float = TOL_CERT,
+    tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Local convexity criterion: d^2/dt^2 f(M + tQ)|_0 >= 0 along random lines."""
-    exact = f.second_derivative is not None
-    if tol_cert is None:
-        tol_cert = TOL_CERT if exact else TOL_CERT_FD
-    if tol_viol is None:
-        tol_viol = TOL_VIOL if exact else TOL_VIOL_FD
-
     def trial(rngs):
         m = random_in_window_rows(n, window, rngs)
         q = random_direction_rows(n, rngs)
@@ -341,22 +366,18 @@ def kernel_identity_residual(
     """Frobenius residual of gap == integral of K_lam(t) d^2/dt^2 f(A_t) dt.
 
     The quadrature is composite Gauss-Legendre split at t = lam (the kernel
-    has a kink there); the integrand uses the finite-difference second
-    derivative along Q = A1 - A0.
+    has a kink there); the integrand is the exact line second derivative
+    along Q = A1 - A0, at every node in one stack.
     """
     lam = check_mixing_weight(lam)
     gap = convexity_gap(f, a0, a1, lam)
     q = a1 - a0
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    integral = np.zeros_like(gap)
-    for lo, hi in ((0.0, lam), (lam, 1.0)):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            a_t = a0 + t * q
-            integrand = second_derivative_fd(f, a_t, q, default_fd_step(a_t))
-            integral += (half * w * kernel_K(lam, t)) * integrand
+    half = 0.5 * np.array([[lam], [1.0 - lam]])  # the pieces [0, lam] and [lam, 1]
+    ts = (half * (1.0 + nodes) + [[0.0], [lam]]).ravel()
+    ws = (half * weights).ravel() * [kernel_K(lam, t) for t in ts]
+    integrand = line_second_derivative(f, a0 + ts[:, None, None] * q, q)
+    integral = np.tensordot(ws, integrand, axes=1)
     return float(np.linalg.norm(gap - integral))
 
 
@@ -370,12 +391,7 @@ def loewner_matrix(f: ScalarFunction, sites: Sequence[float]) -> np.ndarray:
     if outside.any():
         x = float(xs.ravel()[np.argmax(outside.ravel())])
         raise DomainViolationError(f"site {x} outside domain of {f.name}", eigenvalue=x)
-    fx = entrywise(f, xs)
-    diag = np.eye(xs.shape[-1], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal is replaced
-        out = (fx[..., :, None] - fx[..., None, :]) / (xs[..., :, None] - xs[..., None, :])
-    out[..., diag] = entrywise(f.derivative, xs)
-    return out
+    return _divided_differences(f, xs, second=False)[0]
 
 
 def monotonicity_test(
@@ -415,23 +431,31 @@ def monotonicity_test(
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
-    """g(x) = (f(x) - f(y)) / (x - y), with g(y) := f'(y).
+    """g(x) = f[x, y], with g'(x) = f[x, x, y], both exact divided differences.
 
-    Matrix monotonicity of g is equivalent to matrix convexity of f
-    (Kraus-Bendat-Sherman criterion), so monotonicity_test(g) doubles as a
-    convexity test for f.
+    g is matrix monotone iff f is matrix convex (Kraus criterion): the Loewner
+    matrix of g at sites x_i is [f[x_i, x_j, y]].
     """
     if not f.domain.contains(y):
         raise DomainViolationError(f"secant point {y} outside domain of {f.name}")
-    fy = f.fn(y)
-    near = 1e-8 * (1.0 + abs(y))
 
-    def g(x: float) -> float:
-        if abs(x - y) <= near:
-            return f.derivative(y)
-        return (f.fn(x) - fy) / (x - y)
+    def pairs(x):  # L and G of the pairs (x, y), one pair per entry of x
+        x = np.asarray(x, dtype=float)
+        return _divided_differences(f, np.stack([x, np.full_like(x, y)], axis=-1))
 
-    return ScalarFunction(name=f"secant[{f.name};y={y:g}]", fn=g, domain=f.domain)
+    return ScalarFunction(name=f"secant[{f.name};y={y:g}]", domain=f.domain,
+                          fn=lambda x: pairs(x)[0][..., 0, 1],
+                          deriv=lambda x: pairs(x)[1][..., 0, 1], vectorized=True)
+
+
+def secant_test(f: ScalarFunction, y: float, window: SpectrumWindow, max_sites: int,
+                trials: int, spec: RandomSpec) -> Verdict:
+    """Matrix convexity of f as the monotonicity of its secant at base point
+    y; the witness (kind ``secant``) records y, so it replays on f."""
+    v = monotonicity_test(secant_transform(f, y), window, max_sites, trials, spec)
+    if v.witness is None:
+        return v
+    return dataclasses.replace(v, witness={**v.witness, "kind": "secant", "y": y})
 
 
 def replay_witness(f: ScalarFunction, witness: dict) -> float:
@@ -446,6 +470,8 @@ def replay_witness(f: ScalarFunction, witness: dict) -> float:
         return min_eigenvalue(line_second_derivative(f, witness["M"], witness["Q"]))
     if kind == "loewner":
         return min_eigenvalue(loewner_matrix(f, witness["sites"]))
+    if kind == "secant":
+        return min_eigenvalue(loewner_matrix(secant_transform(f, witness["y"]), witness["sites"]))
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -459,22 +485,23 @@ _REALS = SpectrumWindow(-math.inf, math.inf)
 
 BUILTINS: dict[str, ScalarFunction] = {f.name: f for f in (
     ScalarFunction("affine", lambda x: 3.0 * x + 1.0, _REALS, deriv=lambda x: 3.0,
-                   second_derivative=lambda m, q: np.zeros_like(q), vectorized=True),
+                   deriv2=lambda x: 0.0, vectorized=True),
     ScalarFunction("x2", lambda x: x * x, _REALS, deriv=lambda x: 2.0 * x,
-                   second_derivative=lambda m, q: 2.0 * (q @ q), vectorized=True),
+                   deriv2=lambda x: 2.0, vectorized=True),
     ScalarFunction("x3", lambda x: x**3, _REALS, deriv=lambda x: 3.0 * x * x,
-                   vectorized=True),
+                   deriv2=lambda x: 6.0 * x, vectorized=True),
     ScalarFunction("x4", lambda x: x**4, _REALS, deriv=lambda x: 4.0 * x**3,
-                   vectorized=True),
+                   deriv2=lambda x: 12.0 * x * x, vectorized=True),
     ScalarFunction("inv", lambda x: 1.0 / x, _POS, deriv=lambda x: -1.0 / x**2,
-                   vectorized=True),
+                   deriv2=lambda x: 2.0 / x**3, vectorized=True),
     ScalarFunction("sqrt", np.sqrt, _POS, deriv=lambda x: 0.5 / np.sqrt(x),
-                   vectorized=True),
+                   deriv2=lambda x: -0.25 / (x * np.sqrt(x)), vectorized=True),
     ScalarFunction("neglog", lambda x: -np.log(x), _POS, deriv=lambda x: -1.0 / x,
-                   vectorized=True),
+                   deriv2=lambda x: 1.0 / x**2, vectorized=True),
     ScalarFunction("xlogx", lambda x: x * np.log(x), _POS,
-                   deriv=lambda x: np.log(x) + 1.0, vectorized=True),
-    ScalarFunction("exp", np.exp, _REALS, deriv=np.exp, vectorized=True),
+                   deriv=lambda x: np.log(x) + 1.0, deriv2=lambda x: 1.0 / x,
+                   vectorized=True),
+    ScalarFunction("exp", np.exp, _REALS, deriv=np.exp, deriv2=np.exp, vectorized=True),
 )}
 
 #: Ground truth on (0, inf): (matrix convex, matrix monotone increasing).

@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convexity import (TOL_CERT_FD, TOL_VIOL_FD, ScalarFunction, Verdict,
-                         default_fd_step, run_trials)
+from .convexity import ScalarFunction, Verdict, default_fd_step, run_trials
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
     SpectrumWindow,
@@ -48,6 +47,9 @@ from .rand import RandomSpec, random_hermitian_from, random_in_window_from
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
+#: The tuple second difference has no exact form: its FD verdicts run coarser.
+TOL_CERT_FD = 1e-5
+TOL_VIOL_FD = 1e-4
 
 #: Entries per chunk of the (nodes, n^k) resolvent-diagonal temporary in
 #: tensor_power_integral: 2^20 float64 values, about 8 MB at any node count.

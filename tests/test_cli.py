@@ -79,6 +79,38 @@ def test_certify_function_detectors_draw_from_disjoint_blocks(monkeypatch, capsy
                               first["second_derivative_test"])
 
 
+@pytest.mark.parametrize("name", sorted(cx.TRUTH_ON_POSITIVES))
+def test_certify_function_exact_detectors_match_the_truth_table(name, capsys):
+    code = main(["certify-function", "--f", name, "--window", "0.1,2", "--mode", "all",
+                 "--seed", "1", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    convex, monotone = cx.TRUTH_ON_POSITIVES[name]
+    assert code == (0 if convex and monotone else 1)
+    for detector in ("second_derivative", "secant_monotonicity"):
+        assert checks[detector]["status"] == ("certified" if convex else "violated")
+    if name in ("affine", "x2"):  # [f[x_i, x_j, y]] is 0 and all ones: margin 0
+        assert abs(checks["secant_monotonicity"]["margin"]) <= 1e-10
+
+
+def test_certify_function_secant_witness_replays(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    main(["certify-function", "--f", "x4", "--window", "0.1,2", "--n", "2",
+          "--seed", "1", "--out", str(out)])
+    report = report_from_dict(json.load(open(out)))
+    check = next(c for c in report["checks"] if c["name"] == "secant_monotonicity")
+    assert check["status"] == "violated" and check["witness"]["y"] == 1.05
+    replayed = cx.replay_witness(cx.builtin("x4"), check["witness"])
+    assert replayed == pytest.approx(check["witness"]["margin"], abs=1e-12)
+
+
+def test_certify_function_without_closed_forms_is_a_usage_error(monkeypatch, capsys):
+    x4 = cx.builtin("x4")
+    monkeypatch.setitem(cx.BUILTINS, "x4", cx.ScalarFunction("x4", x4.fn, x4.domain))
+    code = main(["certify-function", "--f", "x4", "--window", "0.1,2", "--mode", "convex"])
+    assert code == 2
+    assert "x4 has no closed-form deriv and deriv2" in capsys.readouterr().err
+
+
 def test_certify_function_sqrt_monotone(capsys):
     code = main(["certify-function", "--f", "sqrt", "--window", "0.1,10",
                  "--mode", "monotone", "--seed", "7"])

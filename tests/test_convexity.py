@@ -7,13 +7,16 @@ import pytest
 
 from matconvex import convexity as cx
 from matconvex.convexity import (
+    BUILTINS,
     TOL_CERT,
     TOL_VIOL,
     TRUTH_ON_POSITIVES,
     ScalarFunction,
     _aggregate,
+    _probe_points,
     builtin,
     convexity_gap,
+    default_fd_step,
     definition_test,
     jensen_gap,
     jensen_test,
@@ -24,13 +27,16 @@ from matconvex.convexity import (
     monotonicity_test,
     replay_witness,
     run_trials,
+    secant_test,
     secant_transform,
+    second_derivative_fd,
     second_derivative_test,
 )
 from matconvex.errors import DomainViolationError
 from matconvex.linalg import SpectrumWindow, apply_function, min_eigenvalue
 from matconvex.rand import (
     RandomSpec,
+    haar_unitary_from,
     random_direction_from,
     random_in_window_from,
     random_simplex,
@@ -137,20 +143,87 @@ def test_convexity_gap_scalar_case():
     assert gap[0, 0] == pytest.approx(1.0)
 
 
+#: d^2/dt^2 f(M + tQ) at t = 0, written out.
+CLOSED_FORMS = {
+    "x2": lambda m, q: 2.0 * (q @ q),
+    "inv": lambda m, q: (lambda r: 2.0 * (r @ q @ r @ q @ r))(np.linalg.inv(m)),
+    "x4": lambda m, q: 2.0 * (q @ q @ m @ m + q @ m @ q @ m + q @ m @ m @ q
+                              + m @ q @ q @ m + m @ q @ m @ q + m @ m @ q @ q),
+}
+
+
+def _relative_error(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
 def test_exact_and_fd_second_derivative_agree():
-    rng = RandomSpec(5).rng()
-    m = np.diag([1.0, 2.0, 3.0]) + 0.0j
-    q = rng.normal(size=(3, 3))
-    q = 0.5 * (q + q.T) + 0.0j
-    f = builtin("x2")
-    exact = line_second_derivative(f, m, q)
-    fd_only = builtin("x3")  # reuse machinery: FD route via a fn with no callback
-    np.testing.assert_allclose(exact, 2.0 * (q @ q), atol=1e-12)
-    fd = line_second_derivative(
-        type(f)(name="x2fd", fn=f.fn, domain=f.domain), m, q
-    )
+    # Daleckii-Krein against the closed forms on 50 random 4x4 lines, and
+    # against the finite-difference oracle at its own resolution
+    worst = dict.fromkeys(CLOSED_FORMS, 0.0)
+    for t in range(50):
+        rng = RandomSpec(5, t).rng()
+        m = random_in_window_from(4, NARROW, rng)
+        q = random_direction_from(4, rng)
+        for name, closed in CLOSED_FORMS.items():
+            exact = line_second_derivative(builtin(name), m, q)
+            worst[name] = max(worst[name], _relative_error(exact, closed(m, q)))
+    assert max(worst.values()) <= 1e-10, worst
+    fd = second_derivative_fd(builtin("x4"), m, q, default_fd_step(m))
     np.testing.assert_allclose(fd, exact, atol=1e-4)
-    assert fd_only.second_derivative is None
+
+
+def test_daleckii_krein_on_a_clustered_spectrum():
+    # pairs 1e-9 apart take the confluent forms; 1e-5 is near the threshold
+    rng = RandomSpec(5).rng()
+    u = haar_unitary_from(5, rng)
+    m = (u * np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-5, 2.0])) @ u.conj().T
+    q = random_direction_from(5, rng)
+    exact = line_second_derivative(builtin("x4"), m, q)
+    assert _relative_error(exact, CLOSED_FORMS["x4"](m, q)) <= 1e-10
+    stacked = line_second_derivative(builtin("x4"), np.stack([m, m + 0.5 * np.eye(5)]), q)
+    np.testing.assert_array_equal(stacked[0], exact)
+    # a triple 2e-5 apart mixes confluent and distant pairs: the corrected
+    # trapezoid form keeps it near 2e-8 (the plain average gives 1.5e-6)
+    for t in range(6):
+        rng = RandomSpec(6, t).rng()
+        u = haar_unitary_from(5, rng)
+        m = (u * np.array([0.5, 1.0, 1.0 + 2e-5, 3.0, 1.0 + 4.6e-5])) @ u.conj().T
+        q = random_direction_from(5, rng)
+        for name in ("x4", "inv"):
+            exact = line_second_derivative(builtin(name), m, q)
+            assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-7, (name, t)
+
+
+def _five_point(fn, x):
+    """Five-point central differences (f'(x), f''(x)), step 1e-3 (1 + |x|)."""
+    h = 1e-3 * (1.0 + abs(x))
+    fm2, fm1, f0, fp1, fp2 = (fn(x + k * h) for k in (-2, -1, 0, 1, 2))
+    return ((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h),
+            (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_closed_form_derivatives_match_central_differences(name):
+    f = builtin(name)
+    xs = _probe_points(f.domain)
+    d1, d2 = zip(*(_five_point(f.fn, float(x)) for x in xs))
+    np.testing.assert_allclose(np.broadcast_to(f.deriv(xs), xs.shape), d1,
+                               rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(np.broadcast_to(f.deriv2(xs), xs.shape), d2,
+                               rtol=1e-6, atol=1e-8)
+
+
+def test_missing_closed_forms_fail_closed():
+    x4 = builtin("x4")
+    m = random_in_window_from(2, NARROW, SPEC.rng())
+    for bare in (ScalarFunction("bare_x4", x4.fn, x4.domain, vectorized=True),
+                 ScalarFunction("no_deriv2_x4", x4.fn, x4.domain, deriv=x4.deriv)):
+        with pytest.raises(ValueError, match=f"{bare.name} has no closed-form deriv and deriv2"):
+            line_second_derivative(bare, m, m)
+        with pytest.raises(ValueError, match=bare.name):
+            second_derivative_test(bare, NARROW, 2, 10, SPEC)
+    with pytest.raises(ValueError, match="bare_x4 has no closed-form deriv$"):
+        loewner_matrix(ScalarFunction("bare_x4", x4.fn, x4.domain), [0.5, 1.0])
 
 
 def test_kernel_is_nonnegative_with_kink():
@@ -173,18 +246,28 @@ def test_kernel_identity_residual_small(name):
 def test_secant_transform_of_x2_is_affine():
     g = secant_transform(builtin("x2"), 1.0)
     assert g(3.0) == pytest.approx(4.0)   # (9 - 1)/(3 - 1)
-    assert g(1.0) == pytest.approx(2.0)   # derivative at the base point
+    assert g(1.0) == 2.0                  # f'(1): the base point is confluent
+    assert g.deriv(1.0 + 1e-9) == 1.0     # f[x, x, y] = 1 for x^2
+    np.testing.assert_array_equal(g(np.array([[3.0, 1.0]])), [[4.0, 2.0]])
 
 
 def test_secant_monotonicity_matches_convexity():
     # Kraus criterion: f matrix convex iff its secant is matrix monotone
     g_convex = secant_transform(builtin("inv"), 1.0)
-    v = monotonicity_test(g_convex, WINDOW, 3, 100, SPEC,
-                          tol_cert=1e-5, tol_viol=1e-4)
+    v = monotonicity_test(g_convex, WINDOW, 3, 100, SPEC)
     assert v.status == "certified"
     g_bad = secant_transform(builtin("x4"), 1.0)
     v = monotonicity_test(g_bad, NARROW, 3, 300, SPEC)
     assert v.status == "violated"
+
+
+def test_secant_witness_replays_on_f():
+    # the witness records its base point, so replay rebuilds [f[x_i, x_j, y]]
+    v = secant_test(builtin("x4"), 1.05, NARROW, 2, 200, RandomSpec(1))
+    assert v.status == "violated"
+    assert (v.witness["kind"], v.witness["y"]) == ("secant", 1.05)
+    assert replay_witness(builtin("x4"), v.witness) == pytest.approx(
+        v.witness["margin"], abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["x3", "x4"])
@@ -286,7 +369,7 @@ def _monotonicity_trial(f, window, max_sites):
                 break
         else:
             return math.nan
-        loewner = [[f.derivative(x) if i == j else (f.fn(x) - f.fn(y)) / (x - y)
+        loewner = [[f.deriv(x) if i == j else (f.fn(x) - f.fn(y)) / (x - y)
                     for j, y in enumerate(xs)] for i, x in enumerate(xs)]
         return min_eigenvalue(np.array(loewner))
     return trial
@@ -309,12 +392,12 @@ ORACLE_CASES = {
     "second_derivative_exact": (
         lambda s: second_derivative_test(builtin("x2"), WINDOW, 3, 100, s),
         _second_derivative_trial(builtin("x2"), WINDOW, 3), 100, None),
-    "second_derivative_fd": (
+    "second_derivative_x3": (
         lambda s: second_derivative_test(builtin("x3"), NARROW, 2, 300, s),
-        _second_derivative_trial(builtin("x3"), NARROW, 2), 300, (1e-5, 1e-4)),
-    "second_derivative_fd_neglog": (
+        _second_derivative_trial(builtin("x3"), NARROW, 2), 300, None),
+    "second_derivative_neglog": (
         lambda s: second_derivative_test(builtin("neglog"), WINDOW, 3, 60, s),
-        _second_derivative_trial(builtin("neglog"), WINDOW, 3), 60, (1e-5, 1e-4)),
+        _second_derivative_trial(builtin("neglog"), WINDOW, 3), 60, None),
     "monotonicity_sqrt": (lambda s: monotonicity_test(builtin("sqrt"), WINDOW, 4, 200, s),
                           _monotonicity_trial(builtin("sqrt"), WINDOW, 4), 200, None),
     "monotonicity_x3": (lambda s: monotonicity_test(builtin("x3"), WINDOW, 4, 100, s),
@@ -431,3 +514,35 @@ def test_definition_makes_one_eigensolve_per_kernel_per_chunk(monkeypatch):
     assert chunks == 9
     assert sorted(calls) == sorted(["eigh"] * 3 * chunks + ["eigvalsh"] * chunks
                                    + ["qr"] * 2 * chunks)
+
+
+def _count_kernels(monkeypatch):
+    """Record every eigh / eigvalsh / qr call as (name, shape of its argument)."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *r, _real=real, _name=name, **k:
+                            calls.append((_name, np.shape(a))) or _real(a, *r, **k))
+    return calls
+
+
+def test_second_derivative_makes_one_eigensolve_per_chunk(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    v = second_derivative_test(builtin("neglog"), NARROW, 2, 500, SPEC)
+    chunks = -(-500 // cx._chunk_rows(2))
+    assert v.status == "certified" and chunks == 5
+    # the derivative: one eigh of M and one eigvalsh of D^2; sampling: one QR
+    # for M and one eigvalsh normalizing Q
+    assert sorted(name for name, _ in calls) == sorted(
+        ["eigh"] * chunks + ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
+
+
+def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):
+    rng = SPEC.rng()
+    a0, a1 = (random_in_window_from(2, NARROW, rng) for _ in range(2))
+    calls = _count_kernels(monkeypatch)
+    res = kernel_identity_residual(builtin("x4"), a0, a1, 0.42)
+    assert res <= 1e-12
+    # the gap: A0, A1 and A_lambda; the integrand: all 2 x 32 nodes at once
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (2, 2))] * 3 + [("eigh", (64, 2, 2))]

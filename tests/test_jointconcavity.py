@@ -19,6 +19,7 @@ from matconvex.errors import (
     UnsupportedArityError,
 )
 from matconvex.jointconcavity import (
+    TOL_VIOL_FD,
     KuboAndoRepresentation,
     c_constant,
     joint_concavity_test,
@@ -217,7 +218,7 @@ def test_joint_concavity_rows_match_the_per_trial_loop(monkeypatch, map_fn, mode
     monkeypatch.setattr(cx, "_aggregate", lambda m, *rest: seen.append(m) or real(m, *rest))
     v = joint_concavity_test(map_fn, _window_sampler, 2, 3, trials, spec, mode=mode)
     np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-12)
-    bad = np.flatnonzero(expected < -cx.TOL_VIOL_FD)
+    bad = np.flatnonzero(expected < -TOL_VIOL_FD)
     assert v.status == ("violated" if bad.size else "certified")
     if bad.size:
         assert v.witness["stream_id"] == spec.stream_id + bad[0]

@@ -6,7 +6,9 @@ import pytest
 
 from matconvex.convexity import (
     ScalarFunction,
+    _probe_points,
     default_fd_step,
+    line_second_derivative,
     second_derivative_fd,
 )
 from matconvex.errors import ConditioningError, DomainViolationError
@@ -157,6 +159,29 @@ def test_exact_second_derivative_psd_and_matches_fd():
     f = pick_scalar_function(REP)
     fd = second_derivative_fd(f, m, q, default_fd_step(m))
     assert np.linalg.norm(exact - fd) / np.linalg.norm(exact) < 1e-4
+
+
+def test_pick_closed_forms_match_central_differences():
+    f = pick_scalar_function(REP)
+    for x in _probe_points(REP.window):
+        h = 1e-3 * (1.0 + abs(x))
+        fm2, fm1, f0, fp1, fp2 = (pick_eval_scalar(REP, x + k * h) for k in (-2, -1, 0, 1, 2))
+        d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+        d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+        assert f.deriv(x) == pytest.approx(d1, rel=1e-6)
+        assert f.deriv2(x) == pytest.approx(d2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, lines, tol", [(4, 50, 1e-10), (128, 3, 1e-8)])
+def test_daleckii_krein_matches_the_resolvent_sum(n, lines, tol):
+    f = pick_scalar_function(REP)
+    for t in range(lines):
+        rng = RandomSpec(17, t).rng()
+        m = random_in_window_from(n, WINDOW, rng)
+        q = random_direction_from(n, rng)
+        exact = pick_second_derivative(REP, m, q)
+        dk = line_second_derivative(f, m, q)
+        assert np.linalg.norm(dk - exact) / np.linalg.norm(exact) <= tol
 
 
 def test_certify_representation():

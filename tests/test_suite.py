@@ -69,10 +69,12 @@ def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
 
 
 #: The checks that run the stacked entropy kernels, the stacked Haar QR, the
-#: parallel-sum block projection and the stacked trial engine.
+#: parallel-sum block projection, the stacked trial engine and the stacked
+#: Daleckii-Krein quadrature.
 BATCHED_CHECKS = ("ssa_battery", "subadditivity_chain", "mutual_information",
                   "parallel_sum_certificate", "relative_entropy_machinery",
-                  "convexity_detectors", "monte_carlo_physics", "determinism")
+                  "convexity_detectors", "kernel_identity", "monte_carlo_physics",
+                  "determinism")
 
 
 def _batched_checks_in_child(blas_threads: str) -> str:
