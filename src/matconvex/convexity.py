@@ -3,9 +3,7 @@
 Covers the definitional midpoint gap, Jensen sampling over finitely supported
 measures, the exact (Daleckii-Krein) second-derivative criterion, the kernel
 identity linking the two, Loewner divided-difference matrices, and the secant
-transform that turns a convexity question into a monotonicity one.  All their
-derivatives are divided differences of closed-form f, f' and f'' from one
-kernel; finite differences remain only as an independent oracle.
+transform that turns a convexity question into a monotonicity one.
 
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``tol_cert``, reports a violation
@@ -32,6 +30,7 @@ from .linalg import (
     SpectrumWindow,
     apply_function,
     entrywise,
+    _raise_first,
     min_eigenvalue,
     op_norm,
     spectral_decompose,
@@ -50,6 +49,9 @@ TOL_VIOL = 1e-6
 #: Points closer than this times (1 + max|x|) take confluent divided
 #: differences: eps^(1/3) balances their O(h^2) error against eps/h roundoff.
 _CONFLUENT = np.finfo(float).eps ** (1.0 / 3.0)
+#: Relative rounding allowed in f_i - f_j before a divided difference
+#: trusts the quotient over the trapezoid.
+_ROUNDING = 4.0 * np.finfo(float).eps
 #: h = (1 + ||M||) eps^(1/4) balances truncation against roundoff.
 _FD_EXPONENT = 0.25
 #: Matrix entries per chunk of stacked trials, where each trial's generator
@@ -276,12 +278,20 @@ def second_derivative_fd(
     return (fp - 2.0 * f0 + fm) / (h * h)
 
 
-def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True):
+def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
+                         source: str = "M"):
     """``(L, G, near)`` over the last axis of ``x``: L = [f[x_i, x_j]], G =
     [f[x_i, x_i, x_j]] (None unless ``second``) and the confluent pairs, from
-    f, f' and f'' at the points of x only.  A pair closer than ``_CONFLUENT *
-    (1 + max|x|)``, the diagonal included, takes (f'_i + f'_j)/2 - (x_i - x_j)
-    (f''_i - f''_j)/12 (the corrected trapezoid rule) and (2 f''_i + f''_j)/6."""
+    f, f' and f'' at the points of x only; a non-finite value raises
+    DomainViolationError naming its point.
+
+    L is the corrected trapezoid (f'_i + f'_j)/2 - (x_i - x_j)(f''_i - f''_j)/12
+    wherever it matches the quotient (f_i - f_j)/(x_i - x_j) to the rounding
+    of f, and the quotient elsewhere: the quotient loses eps |f| / |x_i - x_j|,
+    which G = (f'_i - L)/(x_i - x_j) and the Daleckii-Krein commutator would
+    divide by the gap again.  A pair closer than ``_CONFLUENT * (1 + max|x|)``,
+    the diagonal included, always takes the trapezoid and G = (2 f''_i + f''_j)/6.
+    """
     if f.deriv is None or (second and f.deriv2 is None):
         raise ValueError(f"{f.name} has no closed-form "
                          f"{'deriv and deriv2' if second else 'deriv'}")
@@ -292,12 +302,16 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True):
 
     fx, d1 = at(f.fn), at(f.deriv)
     d2 = at(f.deriv2) if second else np.zeros(x.shape)
+    finite = np.isfinite(fx) & np.isfinite(d1) & np.isfinite(d2)
+    _raise_first(~finite, x, source, "gives a non-finite function value")
     dx = x[..., :, None] - x[..., None, :]
+    df = fx[..., :, None] - fx[..., None, :]
     near = np.abs(dx) <= _CONFLUENT * (1.0 + np.max(np.abs(x), axis=-1))[..., None, None]
-    apart = np.where(near, 1.0, dx)  # a confluent pair never divides
-    lo = np.where(near, 0.5 * (d1[..., :, None] + d1[..., None, :])
-                  - dx * (d2[..., :, None] - d2[..., None, :]) / 12.0,
-                  (fx[..., :, None] - fx[..., None, :]) / apart)
+    trapezoid = (0.5 * (d1[..., :, None] + d1[..., None, :])
+                 - dx * (d2[..., :, None] - d2[..., None, :]) / 12.0)
+    rounding = _ROUNDING * (np.abs(fx[..., :, None]) + np.abs(fx[..., None, :]))
+    apart = np.where(near, 1.0, dx)
+    lo = np.where(~near & (np.abs(df - dx * trapezoid) > rounding), df / apart, trapezoid)
     if not second:
         return lo, None, near
     g = np.where(near, (2.0 * d2[..., :, None] + d2[..., None, :]) / 6.0,
@@ -391,7 +405,7 @@ def loewner_matrix(f: ScalarFunction, sites: Sequence[float]) -> np.ndarray:
     if outside.any():
         x = float(xs.ravel()[np.argmax(outside.ravel())])
         raise DomainViolationError(f"site {x} outside domain of {f.name}", eigenvalue=x)
-    return _divided_differences(f, xs, second=False)[0]
+    return _divided_differences(f, xs, second=False, source="sites")[0]
 
 
 def monotonicity_test(
@@ -439,13 +453,12 @@ def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
     if not f.domain.contains(y):
         raise DomainViolationError(f"secant point {y} outside domain of {f.name}")
 
-    def pairs(x):  # L and G of the pairs (x, y), one pair per entry of x
+    def pair(x, k):  # f[x, y] (k = 0) or f[x, x, y] (k = 1) at every entry of x
         x = np.asarray(x, dtype=float)
-        return _divided_differences(f, np.stack([x, np.full_like(x, y)], axis=-1))
+        return _divided_differences(f, np.stack([x, np.full_like(x, y)], -1))[k][..., 0, 1]
 
-    return ScalarFunction(name=f"secant[{f.name};y={y:g}]", domain=f.domain,
-                          fn=lambda x: pairs(x)[0][..., 0, 1],
-                          deriv=lambda x: pairs(x)[1][..., 0, 1], vectorized=True)
+    return ScalarFunction(f"secant[{f.name};y={y:g}]", lambda x: pair(x, 0), f.domain,
+                          deriv=lambda x: pair(x, 1), vectorized=True)
 
 
 def secant_test(f: ScalarFunction, y: float, window: SpectrumWindow, max_sites: int,

@@ -6,9 +6,7 @@ derivative along any matrix line has the closed form sgn(u) * 2 R Q R Q R with
 R = (u I - A)^(-1), manifestly positive semidefinite on both branches.  A
 Pick-style representation (affine + quadratic + positive combination of signed
 resolvents) therefore certifies convexity with exact derivatives, no finite
-differences involved: :func:`pick_scalar_function` carries closed forms of f'
-and f'', so the second-derivative test runs the Daleckii-Krein formula, and
-the resolvent sum :func:`pick_second_derivative` stays its independent oracle.
+differences involved; :func:`pick_second_derivative` is their resolvent-sum oracle.
 """
 
 from __future__ import annotations
@@ -124,10 +122,7 @@ def pick_eval_scalar(rep: PickRepresentation, z: float) -> float:
         )
     total = rep.alpha + rep.beta * z + rep.gamma * z * z
     for u, w in rep.atoms:
-        if u <= rep.window.a:
-            total += w * (z - rep.c) * (1.0 + u * z) / (u - z)
-        else:
-            total += w * (rep.c - z) * (1.0 + u * z) / (z - u)
+        total += w * (z - rep.c) * (1.0 + u * z) / (u - z)
     return total
 
 
@@ -220,7 +215,7 @@ def certify_representation(
 ) -> Verdict:
     """Second-derivative certification of the represented function.
 
-    Uses the exact derivative assembled from gamma and the atoms; anything
+    Runs the Daleckii-Krein derivative from the closed-form f' and f''; anything
     but `certified` indicates an implementation bug, not a property of f.
     """
     if not rep.window.is_bounded:

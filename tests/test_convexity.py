@@ -182,8 +182,8 @@ def test_daleckii_krein_on_a_clustered_spectrum():
     assert _relative_error(exact, CLOSED_FORMS["x4"](m, q)) <= 1e-10
     stacked = line_second_derivative(builtin("x4"), np.stack([m, m + 0.5 * np.eye(5)]), q)
     np.testing.assert_array_equal(stacked[0], exact)
-    # a triple 2e-5 apart mixes confluent and distant pairs: the corrected
-    # trapezoid form keeps it near 2e-8 (the plain average gives 1.5e-6)
+    # a triple 2e-5 apart mixes confluent and distant pairs (the plain
+    # average gave 1.5e-6, the quotient just beyond the threshold 2e-8)
     for t in range(6):
         rng = RandomSpec(6, t).rng()
         u = haar_unitary_from(5, rng)
@@ -191,7 +191,28 @@ def test_daleckii_krein_on_a_clustered_spectrum():
         q = random_direction_from(5, rng)
         for name in ("x4", "inv"):
             exact = line_second_derivative(builtin(name), m, q)
-            assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-7, (name, t)
+            assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-9, (name, t)
+
+
+@pytest.mark.parametrize("ratio", [1.2, 2.0, 5.0])
+def test_a_pair_just_beyond_the_confluent_band_stays_exact(ratio):
+    # the quotient f[lam_i, lam_k] of such a pair loses eps |f| / h, which G
+    # and the commutator would divide by h again; affine and x^2 have an exact
+    # trapezoid, so D must be exact to rounding
+    h = ratio * cx._CONFLUENT * 2.9  # 2.9 = 1 + max|lam|
+    for t in range(10):
+        rng = RandomSpec(7, t).rng()
+        for lam in ([1.0, 1.0 + h, 1.9], [0.4, 1.2, 1.2 + h, 1.9],
+                    [1.0, 1.0 + h, 1.0 + 2.3 * h, 1.9]):
+            u = haar_unitary_from(len(lam), rng)
+            m = (u * np.array(lam)) @ u.conj().T
+            q = random_direction_from(len(lam), rng)
+            assert abs(min_eigenvalue(line_second_derivative(builtin("affine"), m, q))) <= 1e-10
+            x2 = line_second_derivative(builtin("x2"), m, q)
+            assert _relative_error(x2, CLOSED_FORMS["x2"](m, q)) <= 1e-10
+            for name in ("x4", "inv"):
+                exact = line_second_derivative(builtin(name), m, q)
+                assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-9, (name, t)
 
 
 def _five_point(fn, x):
@@ -259,6 +280,20 @@ def test_secant_monotonicity_matches_convexity():
     g_bad = secant_transform(builtin("x4"), 1.0)
     v = monotonicity_test(g_bad, NARROW, 3, 300, SPEC)
     assert v.status == "violated"
+
+
+@pytest.mark.parametrize("name", ["affine", "x2"])
+def test_a_secant_site_just_beyond_the_confluent_band_is_exact(name):
+    # f[x, y] and f[x, x, y] are constants (affine) or x + y and 1 (x^2), so
+    # every Loewner matrix of the secant has least eigenvalue 0
+    y = 1.05
+    x = y + 2.0 * cx._CONFLUENT * (1.0 + y)
+    g = secant_transform(builtin(name), y)
+    for sites in ([0.5, x, 1.6], [x - 2e-3, x], [y - 1e-3, y, x]):
+        assert abs(min_eigenvalue(loewner_matrix(g, sites))) <= 1e-10, sites
+    for seed in range(1, 9):
+        v = secant_test(builtin(name), y, NARROW, 4, 200, RandomSpec(seed))
+        assert v.status == "certified" and abs(v.worst_margin) <= 1e-10, seed
 
 
 def test_secant_witness_replays_on_f():
@@ -459,6 +494,11 @@ def test_a_non_finite_value_in_one_row_names_it():
     stack = np.stack([np.diag([3.0, 4.0]), np.diag([2.0, 3.0])])
     with pytest.raises(DomainViolationError, match="eigenvalue 2.0 of M row 1 gives"):
         apply_function(stack, f, None, source="M")
+    # the divided-difference kernel checks f, f' and f'' alike
+    g = ScalarFunction("nan_deriv2_at_1", lambda x: 3.0 * x + 1.0, SpectrumWindow(0.0, 5.0),
+                       deriv=lambda x: 3.0, deriv2=lambda x: math.nan if x == 1.0 else 0.0)
+    with pytest.raises(DomainViolationError, match="eigenvalue 1.0 of M row 1 gives"):
+        line_second_derivative(g, stack - np.eye(2), stack)
 
 
 def test_zero_trials_is_an_error():
