@@ -6,8 +6,8 @@ identity linking the two, Loewner divided-difference matrices, and the secant
 transform that turns a convexity question into a monotonicity one.
 
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
-run certifies only if every margin clears ``tol_cert``, reports a violation
-only if some margin dips below ``tol_viol``, and is otherwise inconclusive; a
+run certifies only if every margin clears ``-TOL_CERT``, reports a violation
+only if some margin dips below ``-TOL_VIOL``, and is otherwise inconclusive; a
 NaN margin never certifies.  Every randomized test is a stacked trial run by
 :func:`run_trials`, the one loop that splits streams, stamps witnesses and
 reduces margins: trial t still draws from its own stream ``spec.stream(t)``,
@@ -33,7 +33,6 @@ from .linalg import (
     _raise_first,
     min_eigenvalue,
     op_norm,
-    spectral_decompose,
 )
 from .rand import (
     RandomSpec,
@@ -42,11 +41,11 @@ from .rand import (
     random_simplex,
 )
 
-#: Default certification / violation thresholds on eigenvalue margins.
+#: Certification / violation thresholds on eigenvalue margins.
 TOL_CERT = 1e-8
 TOL_VIOL = 1e-6
 
-#: Points closer than this times (1 + max|x|) take confluent divided
+#: Points closer than this times (1 + max(|x_i|, |x_j|)) take confluent divided
 #: differences: eps^(1/3) balances their O(h^2) error against eps/h roundoff.
 _CONFLUENT = np.finfo(float).eps ** (1.0 / 3.0)
 #: Relative rounding allowed in f_i - f_j before a divided difference
@@ -202,8 +201,6 @@ def definition_test(
     n: int,
     trials: int,
     spec: RandomSpec,
-    tol_cert: float = TOL_CERT,
-    tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Randomized midpoint test of matrix convexity on n x n matrices."""
     def trial(rngs):
@@ -214,7 +211,7 @@ def definition_test(
         return margins, lambda t: {"kind": "definition", "A0": a0[t], "A1": a1[t],
                                    "lam": float(lam[t])}
 
-    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
 
 def jensen_gap(f: ScalarFunction, weights, mats) -> np.ndarray:
@@ -237,8 +234,6 @@ def jensen_test(
     atoms: int,
     trials: int,
     spec: RandomSpec,
-    tol_cert: float = TOL_CERT,
-    tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Jensen gap over random finitely supported probability measures."""
     if atoms < 2:
@@ -251,7 +246,7 @@ def jensen_test(
         return margins, lambda t: {"kind": "jensen", "weights": weights[t],
                                    "matrices": list(mats[t])}
 
-    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
 
 def default_fd_step(m: np.ndarray):
@@ -289,8 +284,9 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
     wherever it matches the quotient (f_i - f_j)/(x_i - x_j) to the rounding
     of f, and the quotient elsewhere: the quotient loses eps |f| / |x_i - x_j|,
     which G = (f'_i - L)/(x_i - x_j) and the Daleckii-Krein commutator would
-    divide by the gap again.  A pair closer than ``_CONFLUENT * (1 + max|x|)``,
-    the diagonal included, always takes the trapezoid and G = (2 f''_i + f''_j)/6.
+    divide by the gap again.  A pair closer than
+    ``_CONFLUENT * (1 + max(|x_i|, |x_j|))``, the diagonal included, always
+    takes the trapezoid and G = (2 f''_i + f''_j)/6.
     """
     if f.deriv is None or (second and f.deriv2 is None):
         raise ValueError(f"{f.name} has no closed-form "
@@ -306,7 +302,8 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
     _raise_first(~finite, x, source, "gives a non-finite function value")
     dx = x[..., :, None] - x[..., None, :]
     df = fx[..., :, None] - fx[..., None, :]
-    near = np.abs(dx) <= _CONFLUENT * (1.0 + np.max(np.abs(x), axis=-1))[..., None, None]
+    ax = np.abs(x)
+    near = np.abs(dx) <= _CONFLUENT * (1.0 + np.maximum(ax[..., :, None], ax[..., None, :]))
     trapezoid = (0.5 * (d1[..., :, None] + d1[..., None, :])
                  - dx * (d2[..., :, None] - d2[..., None, :]) / 12.0)
     rounding = _ROUNDING * (np.abs(fx[..., :, None]) + np.abs(fx[..., None, :]))
@@ -328,7 +325,7 @@ def line_second_derivative(f: ScalarFunction, m: np.ndarray, q: np.ndarray) -> n
     ((L o Q~) Q~ - Q~ (L o Q~))_ik / (lam_i - lam_k); a confluent pair, the
     diagonal included, from sum_j (G_ij + G_kj)/2 Q~_ij Q~_jk.
     """
-    w, u = spectral_decompose(m)
+    w, u = np.linalg.eigh(m)
     f.domain.check_spectrum(w, source="M")
     lo, g, near = _divided_differences(f, w)
     uh = u.conj().swapaxes(-1, -2)
@@ -347,8 +344,6 @@ def second_derivative_test(
     n: int,
     trials: int,
     spec: RandomSpec,
-    tol_cert: float = TOL_CERT,
-    tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Local convexity criterion: d^2/dt^2 f(M + tQ)|_0 >= 0 along random lines."""
     def trial(rngs):
@@ -357,7 +352,7 @@ def second_derivative_test(
         margins = np.linalg.eigvalsh(line_second_derivative(f, m, q))[:, 0]
         return margins, lambda t: {"kind": "second_derivative", "M": m[t], "Q": q[t]}
 
-    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
 
 def kernel_K(lam: float, t: float) -> float:
@@ -375,18 +370,17 @@ def kernel_identity_residual(
     a0: np.ndarray,
     a1: np.ndarray,
     lam: float,
-    quad_nodes: int = 32,
 ) -> float:
     """Frobenius residual of gap == integral of K_lam(t) d^2/dt^2 f(A_t) dt.
 
-    The quadrature is composite Gauss-Legendre split at t = lam (the kernel
-    has a kink there); the integrand is the exact line second derivative
-    along Q = A1 - A0, at every node in one stack.
+    The quadrature is composite Gauss-Legendre, 32 nodes on each side of
+    t = lam (the kernel has a kink there); the integrand is the exact line
+    second derivative along Q = A1 - A0, at every node in one stack.
     """
     lam = check_mixing_weight(lam)
     gap = convexity_gap(f, a0, a1, lam)
     q = a1 - a0
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     half = 0.5 * np.array([[lam], [1.0 - lam]])  # the pieces [0, lam] and [lam, 1]
     ts = (half * (1.0 + nodes) + [[0.0], [lam]]).ravel()
     ws = (half * weights).ravel() * [kernel_K(lam, t) for t in ts]
@@ -414,8 +408,6 @@ def monotonicity_test(
     max_sites: int,
     trials: int,
     spec: RandomSpec,
-    tol_cert: float = TOL_CERT,
-    tol_viol: float = TOL_VIOL,
 ) -> Verdict:
     """Matrix monotonicity via positivity of random Loewner matrices.  A trial
     whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
@@ -441,7 +433,7 @@ def monotonicity_test(
                 margins[rows] = np.linalg.eigvalsh(loewner)[:, 0]
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
-    return run_trials(trial, trials, spec, max_sites, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, max_sites, TOL_CERT, TOL_VIOL)
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:

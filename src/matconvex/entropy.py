@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import check_hermitian, spectral_decompose, tensor
+from .linalg import check_hermitian, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities, random_density_from
 
@@ -237,7 +237,7 @@ def _checked_factors(*mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w, U) of each matrix, from one ``eigh`` after ``check_hermitian``."""
     for m in mats:
         check_hermitian(np.asarray(m))
-    return [spectral_decompose(m) for m in mats]
+    return [np.linalg.eigh(m) for m in mats]
 
 
 def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:

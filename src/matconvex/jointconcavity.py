@@ -39,7 +39,6 @@ from .linalg import (
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
-    spectral_decompose,
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
@@ -72,7 +71,7 @@ def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
             raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
                                          f"expected ({n}, {n})")
         check_hermitian(a)
-        w, u = spectral_decompose(a)
+        w, u = np.linalg.eigh(a)
         if not w[0] >= POSITIVITY_FLOOR:
             raise ConditioningError(f"tuple entry {j} has min eigenvalue {w[0]:.3e} "
                                     f"below floor {POSITIVITY_FLOOR:.0e}")
@@ -182,19 +181,16 @@ def joint_concavity_test(
     n: int,
     trials: int,
     spec: RandomSpec,
-    h: float | None = None,
     mode: str = "fd",
-    scalar: bool = False,
-    tol_cert: float = TOL_CERT_FD,
-    tol_viol: float = TOL_VIOL_FD,
 ) -> Verdict:
-    """Randomized joint-concavity test of a tuple map.
+    """Randomized joint-concavity test of a tuple map, judged at
+    ``TOL_CERT_FD``/``TOL_VIOL_FD``.
 
-    mode "fd": the second difference along random directions must be negative
-    (semi)definite.  mode "midpoint": the definitional gap
-    F((A+B)/2) - (F(A) + F(B))/2 must be positive semidefinite.  For trace
-    functionals pass scalar=True; margins then compare real numbers instead of
-    eigenvalues.  The map is not stack-aware, so a trial runs its rows in turn.
+    mode "fd": the second difference along random directions, with the step
+    ``default_fd_step`` of the largest entry, must be negative (semi)definite.
+    mode "midpoint": the definitional gap F((A+B)/2) - (F(A) + F(B))/2 must be
+    positive semidefinite.  The map is not stack-aware, so a trial runs its
+    rows in turn.
     """
     if mode not in ("fd", "midpoint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,23 +199,22 @@ def joint_concavity_test(
         mats = sampler(k, n, rng)
         if mode == "fd":
             dirs = random_directions(k, n, rng)
-            step = h if h is not None else max(default_fd_step(a) for a in mats)
+            step = max(default_fd_step(a) for a in mats)
             d2 = tuple_second_difference(map_fn, mats, dirs, step)
-            margin = -float(np.real(d2)) if scalar else -max_eigenvalue(d2)
-            return margin, {"kind": "joint_fd", "matrices": mats,
-                            "directions": dirs, "h": step}
+            return -max_eigenvalue(d2), {"kind": "joint_fd", "matrices": mats,
+                                         "directions": dirs, "h": step}
         other = sampler(k, n, rng)
         gap = map_fn([0.5 * (a + b) for a, b in zip(mats, other)]) - 0.5 * (
             map_fn(list(mats)) + map_fn(list(other))
         )
-        margin = float(np.real(gap)) if scalar else min_eigenvalue(gap)
-        return margin, {"kind": "joint_midpoint", "matrices": mats, "others": other}
+        return min_eigenvalue(gap), {"kind": "joint_midpoint", "matrices": mats,
+                                     "others": other}
 
     def trial(rngs):
         margins, witnesses = zip(*map(row, rngs))
         return np.array(margins), witnesses.__getitem__
 
-    return run_trials(trial, trials, spec, n, tol_cert, tol_viol)
+    return run_trials(trial, trials, spec, n, TOL_CERT_FD, TOL_VIOL_FD)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +382,19 @@ def vectorization_residual(
     return abs(trace_form - bilinear)
 
 
-def wyd_skew_information(
-    rho: np.ndarray, k: np.ndarray, p: float, floor: float = 1e-12
-) -> float:
+def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p: float) -> float:
     """Tr[K rho^p K rho^(1-p)] - Tr[K rho K]; zero iff [rho, K] = 0, else < 0.
 
     The conventionally normalized skew information is the negation of this
-    value.  Eigenvalues of rho below ``floor`` are lifted to ``floor`` with
-    trace renormalization before the fractional powers are taken; rho must be
-    finite and Hermitian (never repaired).
+    value.  Eigenvalues of rho below 1e-12 are lifted to 1e-12 with trace
+    renormalization before the fractional powers are taken; rho must be finite
+    and Hermitian (never repaired).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
     check_hermitian(np.asarray(rho))
-    w, u = spectral_decompose(rho)
-    w = np.clip(w.real, floor, None)
+    w, u = np.linalg.eigh(rho)
+    w = np.clip(w.real, 1e-12, None)
     w = w / w.sum()
     rho_p = (u * w**p) @ u.conj().T
     rho_q = (u * w ** (1.0 - p)) @ u.conj().T

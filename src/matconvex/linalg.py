@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -69,17 +69,10 @@ def _raise_first(bad: np.ndarray, w: np.ndarray, source: str, what: str) -> None
                                    eigenvalue=lam, source=source)
 
 
-class SpectralDecomposition(NamedTuple):
-    """Ascending eigenvalues and the matching unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def check_hermitian(h: np.ndarray) -> None:
     """Raise unless ``h`` is a finite square matrix with asymmetry at most
-    ``tol * (1 + max|entry|)``.  A ``(T, n, n)`` stack is checked row by row
-    and the first failing row is named.  Never modifies ``h``."""
+    ``HERMITICITY_TOL * (1 + max|entry|)``.  A ``(T, n, n)`` stack is checked
+    row by row and the first failing row is named.  Never modifies ``h``."""
     if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     if h.shape[-1] < 1:
@@ -88,38 +81,29 @@ def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     t = rows.swapaxes(1, 2)  # |h - h*| entrywise, without a complex temporary
     with np.errstate(invalid="ignore"):  # inf - inf: any non-finite entry gives NaN or inf
         asym = np.hypot(rows.real - t.real, rows.imag + t.imag)
-    if asym.max() <= tol:  # finite, and within tol * scale since scale >= 1
+    if asym.max() <= HERMITICITY_TOL:  # finite, and within the bound since scale >= 1
         return
     scale = 1.0 + np.max(np.abs(rows), axis=(1, 2))  # NaN or inf iff an entry is
     asym = np.max(asym, axis=(1, 2))
-    bad = ~np.isfinite(scale) | (asym > tol * scale)
+    bad = ~np.isfinite(scale) | (asym > HERMITICITY_TOL * scale)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise HermiticityError((f"row {k}: " if h.ndim == 3 else "") + (
             "matrix has non-finite entries" if not np.isfinite(scale[k]) else
-            f"matrix asymmetry {asym[k]:.3e} exceeds tolerance {tol * scale[k]:.3e}"))
+            f"matrix asymmetry {asym[k]:.3e} exceeds tolerance "
+            f"{HERMITICITY_TOL * scale[k]:.3e}"))
 
 
-def hermitian(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian(entries) -> np.ndarray:
     """Validate and exactly symmetrize a square complex matrix.
 
-    Non-finite entries or asymmetry beyond ``tol * (1 + max|entry|)`` are
-    construction errors (see :func:`check_hermitian`); the returned array is
-    (H + H*)/2 so later formula chains cannot drift.
+    Non-finite entries or asymmetry beyond ``HERMITICITY_TOL * (1 + max|entry|)``
+    are construction errors (see :func:`check_hermitian`); the returned array
+    is (H + H*)/2 so later formula chains cannot drift.
     """
     h = np.asarray(entries, dtype=complex)
-    check_hermitian(h, tol)
+    check_hermitian(h)
     return 0.5 * (h + h.conj().T)
-
-
-def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Backed by LAPACK's Hermitian solver; non-convergence surfaces as
-    ``numpy.linalg.LinAlgError`` (ill-formed input or a bug, never truncated).
-    """
-    w, u = np.linalg.eigh(h)
-    return SpectralDecomposition(w, u)
 
 
 def entrywise(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -145,23 +129,12 @@ def apply_function(
     or a non-finite value of f, raises :class:`DomainViolationError` carrying
     the offending eigenvalue and the source (and row) it came from.
     """
-    w, u = spectral_decompose(h)
+    w, u = np.linalg.eigh(h)
     if domain is not None:
         domain.check_spectrum(w, source=source)
     fw = entrywise(f, w)
     _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
     return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
-def matrix_power_psd(h: np.ndarray, p: float) -> np.ndarray:
-    """Fractional power of a positive semidefinite matrix, with 0**0 = 1."""
-    w, u = spectral_decompose(h)
-    w = np.clip(w.real, 0.0, None)
-    if p == 0.0:
-        fw = np.ones_like(w)
-    else:
-        fw = w**p
-    return (u * fw) @ u.conj().T
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
@@ -170,17 +143,6 @@ def min_eigenvalue(h: np.ndarray) -> float:
 
 def max_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[-1])
-
-
-def is_psd(h: np.ndarray, tol: float = 0.0) -> bool:
-    return min_eigenvalue(h) >= -tol
-
-
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
-    """A <= B in the Loewner order, i.e. B - A is PSD within tol."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return is_psd(b - a, tol)
 
 
 def op_norm(h: np.ndarray):

@@ -192,17 +192,27 @@ def test_daleckii_krein_on_a_clustered_spectrum():
         for name in ("x4", "inv"):
             exact = line_second_derivative(builtin(name), m, q)
             assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-9, (name, t)
+    # a pair 1e-5 apart at 0.2 is confluent; its band scales with the pair, not
+    # with the top of the spectrum (1/x: 2e-9 with the spectrum's scale)
+    for t in range(20):
+        rng = RandomSpec(8, t).rng()
+        u = haar_unitary_from(4, rng)
+        m = (u * np.array([0.2, 0.2 + 1e-5, 1.1, 1.9])) @ u.conj().T
+        q = random_direction_from(4, rng)
+        exact = line_second_derivative(builtin("inv"), m, q)
+        assert _relative_error(exact, CLOSED_FORMS["inv"](m, q)) <= 1e-10, t
 
 
 @pytest.mark.parametrize("ratio", [1.2, 2.0, 5.0])
 def test_a_pair_just_beyond_the_confluent_band_stays_exact(ratio):
     # the quotient f[lam_i, lam_k] of such a pair loses eps |f| / h, which G
     # and the commutator would divide by h again; affine and x^2 have an exact
-    # trapezoid, so D must be exact to rounding
-    h = ratio * cx._CONFLUENT * 2.9  # 2.9 = 1 + max|lam|
+    # trapezoid, so D must be exact to rounding; h is ratio times the band
+    # C (1 + max(|lam_i|, |lam_k|)) of the closest pair, at 1.0 or 1.2
+    h, h2 = (ratio * cx._CONFLUENT * (1.0 + x) for x in (1.0, 1.2))
     for t in range(10):
         rng = RandomSpec(7, t).rng()
-        for lam in ([1.0, 1.0 + h, 1.9], [0.4, 1.2, 1.2 + h, 1.9],
+        for lam in ([1.0, 1.0 + h, 1.9], [0.4, 1.2, 1.2 + h2, 1.9],
                     [1.0, 1.0 + h, 1.0 + 2.3 * h, 1.9]):
             u = haar_unitary_from(len(lam), rng)
             m = (u * np.array(lam)) @ u.conj().T
@@ -260,7 +270,7 @@ def test_kernel_identity_residual_small(name):
     rng = RandomSpec(77).rng()
     a0 = np.diag(rng.uniform(0.2, 1.8, size=2)) + 0.0j
     a1 = a0 + 0.2 * np.eye(2)
-    res = kernel_identity_residual(builtin(name), a0, a1, 0.4, quad_nodes=32)
+    res = kernel_identity_residual(builtin(name), a0, a1, 0.4)
     assert res < 1e-6, (name, res)
 
 

@@ -39,7 +39,7 @@ from matconvex.jointconcavity import (
     vectorization_residual,
     wyd_skew_information,
 )
-from matconvex.linalg import SpectrumWindow, loewner_leq, max_eigenvalue, min_eigenvalue, op_norm
+from matconvex.linalg import SpectrumWindow, max_eigenvalue, min_eigenvalue, op_norm
 from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
@@ -75,7 +75,7 @@ def test_parallel_sum_dominated_by_each_entry():
     mats = _tuple(3, 4, 21)
     ps = parallel_sum(mats)
     for a in mats:
-        assert loewner_leq(ps, a, tol=1e-10)
+        assert min_eigenvalue(a - ps) >= -1e-10
 
 
 def test_parallel_sum_rejects_nonpositive():

@@ -78,11 +78,12 @@ def test_orthant_rule_rejects_three_axes():
         orthant_rule([0.3, 0.3, 0.4], 16)
 
 
-@pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 0.9])
+@pytest.mark.parametrize("p", [0.05, 0.2, 1.0 / 3.0, 0.5, 0.9, 1.0, 2.5])
 def test_gamma_quadrature_oracle(p):
-    assert gamma_quadrature(p) == pytest.approx(float(gamma(p)), rel=1e-10)
+    assert gamma_quadrature(p) == pytest.approx(float(gamma(p)), rel=1e-14)
 
 
 def test_gamma_quadrature_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_quadrature(0.0)
+    for p in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="0 < p < inf"):
+            gamma_quadrature(p)
