@@ -26,7 +26,7 @@ from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
 from .linalg import SpectrumWindow
 from .quadrature import QuadratureConfig
-from .rand import STREAM_BLOCK, RandomSpec, random_in_window_from
+from .rand import STREAM_BLOCK, RandomSpec, random_in_window_from, random_in_window_rows
 from .resolvent import certify_representation, pick_eval_matrix
 
 _PASSING = {"pass", "certified"}
@@ -204,18 +204,16 @@ def cmd_certify_representation(args) -> int:
 
 def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
     if args.suite == "parallel-sum":
+        # a fixed tuple is factored once per chunk, against a stack of directions
         fixed = mio.load_tuple(args.tuple) if args.tuple else None
-        eigs, projs = [], []
-        for t in range(args.trials):
-            rng = spec.stream(t).rng()
-            mats = fixed or [random_in_window_from(args.n, window, rng)
-                             for _ in range(args.k)]
-            dirs = jc.random_directions(len(mats), mats[0].shape[0], rng)
+        n = fixed[0].shape[0] if fixed else args.n
+        worst_eig, worst_proj = -math.inf, 0.0
+        for rngs in cx.trial_chunks(spec, args.trials, n):
+            mats = fixed or [random_in_window_rows(n, window, rngs) for _ in range(args.k)]
+            dirs = jc.random_directions(len(mats), n, rngs)
             _, eig, proj = jc.parallel_sum_certificate(mats, dirs)
-            eigs.append(eig)
-            projs.append(proj)
-        worst_eig = float(np.max(eigs, initial=-math.inf))
-        worst_proj = float(np.max(projs, initial=0.0))
+            worst_eig = float(np.max(eig, initial=worst_eig))
+            worst_proj = float(np.max(proj, initial=worst_proj))
         return mio.check_record("parallel_sum_hessian_nsd", -worst_eig + 1e-8, {
             "slack": -worst_eig, "tolerance": 1e-8, "max_eigenvalue": worst_eig,
             "worst_projection_residual": worst_proj})
@@ -240,25 +238,21 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
                 tuples[0], p, jc.ERROR_CURVE_NODES)
         return mio.check_record("tensor_power_vs_direct", detail["slack"], detail)
     if args.suite == "lieb":
-        gaps = [jc.lieb_midpoint_gap(args.n, window, spec.stream(t).rng())[0]
-                for t in range(args.trials)]
-        worst = float(np.min(gaps, initial=0.0))
+        worst = 0.0
+        for rngs in cx.trial_chunks(spec, args.trials, args.n):
+            worst = float(np.min(jc.lieb_midpoint_gap(args.n, window, rngs)[0],
+                                 initial=worst))
         return mio.check_record("lieb_midpoint_concavity", worst + 1e-8, {
             "slack": worst, "tolerance": 1e-8, "worst_scaled_gap": worst})
     if not args.rep:  # kubo-ando, the last of the parser's choices
         raise ValidationError("kubo-ando suite needs --rep FILE")
     rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
-    gaps = []
-    for t in range(args.trials):
-        rng = spec.stream(t).rng()
-        a0, a1, b0, b1 = (
-            random_in_window_from(args.n, window, rng) for _ in range(4)
-        )
+    worst = 0.0
+    for rngs in cx.trial_chunks(spec, args.trials, args.n):
+        a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
         mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
-        avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0)
-                     + jc.kubo_ando_eval(rep, a1, b1))
-        gaps.append(float(np.linalg.eigvalsh(mid - avg).min()))
-    worst = float(np.min(gaps, initial=0.0))
+        avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0) + jc.kubo_ando_eval(rep, a1, b1))
+        worst = float(np.min(np.linalg.eigvalsh(mid - avg), initial=worst))
     return mio.check_record("kubo_ando_midpoint_concavity", worst + 1e-8, {
         "slack": worst, "tolerance": 1e-8, "worst_gap_eigenvalue": worst})
 

@@ -34,6 +34,7 @@ from .linalg import (
     min_eigenvalue,
     op_norm,
 )
+from .quadrature import gauss_legendre_01
 from .rand import (
     RandomSpec,
     random_direction_rows,
@@ -142,6 +143,14 @@ def _chunk_rows(n: int) -> int:
     return max(1, _TRIAL_CHUNK // (n * n + _GENERATOR_ENTRIES))
 
 
+def trial_chunks(spec: RandomSpec, trials: int, n: int):
+    """The generators of streams ``spec.stream(0 .. trials-1)``, yielded in
+    chunks of :func:`_chunk_rows` trials for rows of n x n matrices."""
+    rows = _chunk_rows(n)
+    for start in range(0, trials, rows):
+        yield [spec.stream(t).rng() for t in range(start, min(start + rows, trials))]
+
+
 def run_trials(
     trial: Callable[[list[np.random.Generator]], tuple[np.ndarray, Callable[[int], dict]]],
     trials: int, spec: RandomSpec, n: int, tol_cert: float, tol_viol: float,
@@ -159,9 +168,8 @@ def run_trials(
         raise ValueError(f"need at least one trial, got {trials}")
     rows = _chunk_rows(n)
     margins, witnesses = [], []
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        m, witness = trial([spec.stream(t).rng() for t in range(start, stop)])
+    for rngs in trial_chunks(spec, trials, n):
+        m, witness = trial(rngs)
         margins.append(np.asarray(m, dtype=float))
         # only a chunk with a violating row can supply the witness; drop the rest
         witnesses.append(witness if np.any(margins[-1] < -tol_viol) else None)
@@ -380,10 +388,10 @@ def kernel_identity_residual(
     lam = check_mixing_weight(lam)
     gap = convexity_gap(f, a0, a1, lam)
     q = a1 - a0
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    half = 0.5 * np.array([[lam], [1.0 - lam]])  # the pieces [0, lam] and [lam, 1]
-    ts = (half * (1.0 + nodes) + [[0.0], [lam]]).ravel()
-    ws = (half * weights).ravel() * [kernel_K(lam, t) for t in ts]
+    nodes, weights = gauss_legendre_01(32)
+    width = np.array([[lam], [1.0 - lam]])  # the pieces [0, lam] and [lam, 1]
+    ts = (width * nodes + [[0.0], [lam]]).ravel()
+    ws = (width * weights).ravel() * [kernel_K(lam, t) for t in ts]
     integrand = line_second_derivative(f, a0 + ts[:, None, None] * q, q)
     integral = np.tensordot(ws, integrand, axes=1)
     return float(np.linalg.norm(gap - integral))
@@ -395,7 +403,7 @@ def loewner_matrix(f: ScalarFunction, sites: Sequence[float]) -> np.ndarray:
     xs = np.asarray(sites, dtype=float)
     if np.any(np.diff(xs, axis=-1) <= 0.0):
         raise ValueError("sites must be strictly increasing with no duplicates")
-    outside = ~((xs > f.domain.a) & (xs < f.domain.b))
+    outside = ~f.domain.contains(xs)
     if outside.any():
         x = float(xs.ravel()[np.argmax(outside.ravel())])
         raise DomainViolationError(f"site {x} outside domain of {f.name}", eigenvalue=x)

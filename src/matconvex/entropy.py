@@ -21,6 +21,7 @@ every state function then runs on all rows at once and reports hold ``(T,)``
 arrays.  Each DensityOperator, marginals and pinched states too, is checked row
 by row when built: finite and Hermitian (never repaired), then trace and PSD
 from one ``eigvalsh``, kept as ``spectrum`` for its entropy.  A bad row is named.
+The relative-entropy kernels take ``(T, n, n)`` stacks of matrices the same way.
 The Monte Carlo averages have no per-sample witness, so each owns one stream:
 all samples come from ``spec.rng()``.
 """
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import check_hermitian, tensor
+from .linalg import _dagger, _float_or_rows, _trace, check_hermitian, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities, random_density_from
 
@@ -46,10 +47,6 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 #: Largest |(S(tilde_123) - S(tilde_23)) - (S12 - S2)| the SSA cross-check allows.
 SSA_CHAIN_TOL = 1e-8
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,55 +231,62 @@ def pinch_monte_carlo(
 
 
 def _checked_factors(*mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, U) of each matrix, from one ``eigh`` after ``check_hermitian``."""
+    """(w, U) of each matrix (or stack), from one ``eigh`` after ``check_hermitian``."""
     for m in mats:
         check_hermitian(np.asarray(m))
     return [np.linalg.eigh(m) for m in mats]
 
 
-def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
+def _check_rows(bad: np.ndarray, message: str) -> None:
+    """ValidationError naming the first flagged row (of a stack) if any is."""
+    if np.any(bad):
+        row = f"row {int(np.argmax(bad.ravel()))}: " if bad.ndim else ""
+        raise ValidationError(row + message)
+
+
+def relative_entropy(a: np.ndarray, b: np.ndarray):
     """S(A|B) = -Tr[A (log A - log B)]; nonpositive for unit-trace arguments.
 
     Returns -inf when the support of A escapes the support of B (the
     infinite-divergence signal, not an exception).  Both arguments must be
-    finite and Hermitian (never repaired).
+    finite and Hermitian (never repaired).  Stacks give a ``(T,)`` array.
     """
     return _relative_entropy(a, *_checked_factors(a, b))
 
 
-def _relative_entropy(a: np.ndarray, fa, fb) -> float:
-    """S(A|B) from the factorizations (w, U) of A and B."""
+def _relative_entropy(a: np.ndarray, fa, fb):
+    """S(A|B) from the factorizations (w, U) of A and B, row by row over stacks.
+    A row where B has a kernel takes -inf if A leaks into it, and otherwise
+    restricts log B to the support of B."""
     (wa, _), (wb, ub) = fa, fb
-    if min(wa[0], wb[0]) < -PSD_TOL:
-        raise ValidationError("relative entropy needs positive semidefinite inputs")
-    scale = 1.0 + float(np.max(np.abs(wa)))
-    support_b = wb > SUPPORT_TOL
-    if not np.all(support_b):
-        perp = ub[:, ~support_b]
-        leak = float(np.linalg.norm(perp.conj().T @ a @ perp))
-        if leak > SUPPORT_TOL * scale:
-            return -math.inf
-    wa_pos = np.clip(wa.real, 0.0, None)
-    tr_a_log_a = float(
-        np.sum(wa_pos[wa_pos > EIGENVALUE_FLOOR] * np.log(wa_pos[wa_pos > EIGENVALUE_FLOOR]))
-    )
-    log_b = (ub[:, support_b] * np.log(wb[support_b].real)) @ ub[:, support_b].conj().T
-    tr_a_log_b = float(np.trace(a @ log_b).real)
-    return -(tr_a_log_a - tr_a_log_b)
+    _check_rows(np.minimum(wa[..., 0], wb[..., 0]) < -PSD_TOL,
+                "relative entropy needs positive semidefinite inputs")
+    pos, support = wa > EIGENVALUE_FLOOR, wb > SUPPORT_TOL
+    tr_a_log_a = np.sum(np.where(pos, wa * np.log(np.where(pos, wa, 1.0)), 0.0), axis=-1)
+    log_wb = np.where(support, np.log(np.where(support, wb, 1.0)), 0.0)
+    log_b = (ub * log_wb[..., None, :]) @ _dagger(ub)
+    out = np.array(-(tr_a_log_a - _trace(a @ log_b).real))
+    scale = 1.0 + np.max(np.abs(wa), axis=-1)
+    for t in map(tuple, np.argwhere(~np.all(support, axis=-1))):  # B has a kernel
+        perp = ub[t][:, ~support[t]]
+        if np.linalg.norm(_dagger(perp) @ np.asarray(a)[t] @ perp) > SUPPORT_TOL * scale[t]:
+            out[t] = -math.inf
+    return _float_or_rows(out)
 
 
-def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float) -> float:
-    """|Tr[A^(1-eps) B^eps - A]/eps - S(A|B)|; O(eps) as eps -> 0."""
+def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float):
+    """|Tr[A^(1-eps) B^eps - A]/eps - S(A|B)|; O(eps) as eps -> 0.  Stacks
+    give a ``(T,)`` array."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     fa, fb = _checked_factors(a, b)
     (wa, ua), (wb, ub) = fa, fb
-    if min(wa[0], wb[0]) <= 0.0:
-        raise ValidationError("epsilon limit needs strictly positive matrices")
-    a_pow = (ua * wa.real ** (1.0 - eps)) @ ua.conj().T
-    b_pow = (ub * wb.real**eps) @ ub.conj().T
-    quotient = float((np.trace(a_pow @ b_pow) - np.trace(a)).real) / eps
-    return abs(quotient - _relative_entropy(a, fa, fb))
+    _check_rows(np.minimum(wa[..., 0], wb[..., 0]) <= 0.0,
+                "epsilon limit needs strictly positive matrices")
+    a_pow = (ua * (wa ** (1.0 - eps))[..., None, :]) @ _dagger(ua)
+    b_pow = (ub * (wb**eps)[..., None, :]) @ _dagger(ub)
+    quotient = (_trace(a_pow @ b_pow) - _trace(a)).real / eps
+    return _float_or_rows(np.abs(quotient - _relative_entropy(a, fa, fb)))
 
 
 def lieb_ruskai_concavity_gap(rho_a: DensityOperator, rho_b: DensityOperator, lam):

@@ -20,6 +20,14 @@ so they still cross-check each other.  The tests keep a dense per-node
 inversion of the resolvents as an oracle that uses no eigendecomposition.  On
 top of these sit the Lieb trace functional, the skew-information form, and
 operator perspectives with their discrete Loewner-representation evaluator.
+
+The parallel-sum, tensor-power, Lieb and skew-information kernels are
+stack-aware: tuple entries may be ``(T, n, n)`` stacks of one shape, gated
+row by row (one ``eigh`` per entry for the whole stack), with ``(T,)``
+exponents where a row has its own; row t of a stacked call equals the 2-D
+call on row t bit for bit, and the 2-D call is the unstacked case of the
+same code.  Frobenius norms are taken per row for that reason
+(:func:`linalg.frobenius`).
 """
 
 from __future__ import annotations
@@ -34,15 +42,19 @@ from .convexity import ScalarFunction, Verdict, default_fd_step, run_trials
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
     SpectrumWindow,
+    _dagger,
+    _float_or_rows,
+    _trace,
     apply_function,
     check_hermitian,
+    frobenius,
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
-from .rand import RandomSpec, random_hermitian_from, random_in_window_from
+from .rand import RandomSpec, random_hermitian_rows, random_in_window_rows
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
@@ -60,46 +72,60 @@ ERROR_CURVE_NODES = (16, 32, 64, 128)
 
 def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The tuple gate (module docstring): one (w, U) per entry, from the one
-    ``eigh`` that also checks it; the floor test is NaN-safe."""
+    ``eigh`` that also checks it.  Entries may be ``(T, n, n)`` stacks of one
+    shape; the floor test is NaN-safe and names the first bad row."""
     if not len(mats):
         raise ValueError("empty matrix tuple")
-    n = np.shape(mats[0])[0]
+    shape = np.shape(mats[0])
+    shape = (*shape[:-2], shape[-1], shape[-1])
     factors = []
     for j, a in enumerate(mats):
         a = np.asarray(a)
-        if a.shape != (n, n):
+        if a.shape != shape:
             raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
-                                         f"expected ({n}, {n})")
+                                         f"expected {shape}")
         check_hermitian(a)
         w, u = np.linalg.eigh(a)
-        if not w[0] >= POSITIVITY_FLOOR:
-            raise ConditioningError(f"tuple entry {j} has min eigenvalue {w[0]:.3e} "
-                                    f"below floor {POSITIVITY_FLOOR:.0e}")
+        low = ~(w[..., 0] >= POSITIVITY_FLOOR)
+        if low.any():
+            row = int(np.argmax(low.ravel()))
+            raise ConditioningError(
+                f"tuple entry {j}{f' row {row}' if low.ndim else ''} has min eigenvalue "
+                f"{w[..., 0].ravel()[row]:.3e} below floor {POSITIVITY_FLOOR:.0e}")
         factors.append((w, u))
     return factors
 
 
-def _power(factor: tuple[np.ndarray, np.ndarray], p: float) -> np.ndarray:
-    """A^p from the (w, U) that _factor returned for A."""
+def _power(factor: tuple[np.ndarray, np.ndarray], p) -> np.ndarray:
+    """A^p from the (w, U) that _factor returned for A; a ``(T,)`` array of
+    exponents raises row t of a stack to p[t]."""
     w, u = factor
-    return (u * w**p) @ u.conj().T
+    if np.ndim(p):  # a scalar p stays one: w**p keeps numpy's sqrt and reciprocal paths
+        p = np.asarray(p)[:, None]
+    return (u * (w**p)[..., None, :]) @ _dagger(u)
 
 
 def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Scale a direction tuple so the largest operator norm equals one."""
-    scale = max(op_norm(q) for q in dirs)
-    if scale == 0.0:
-        return [np.array(q) for q in dirs]
+    """Scale a direction tuple (or each row of a tuple of stacks) so the
+    largest operator norm equals one."""
+    scale = np.max([op_norm(q) for q in dirs], axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)[..., None, None]
     return [q / scale for q in dirs]
 
 
-def random_directions(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """k Hermitian n x n directions, scaled jointly by normalize_directions."""
-    return normalize_directions([random_hermitian_from(n, rng) for _ in range(k)])
+def random_directions(k: int, n: int, rng) -> list[np.ndarray]:
+    """k Hermitian n x n directions drawn in turn from ``rng`` and scaled
+    jointly by normalize_directions; a sequence of T generators gives k
+    ``(T, n, n)`` stacks, row t drawn from the t-th."""
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    dirs = normalize_directions([random_hermitian_rows(n, rngs) for _ in range(k)])
+    return [q[0] for q in dirs] if single else dirs
 
 
 def parallel_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(sum_j A_j^(-1))^(-1); dominated by every A_j in the Loewner order."""
+    """(sum_j A_j^(-1))^(-1), row by row over stacks; dominated by every A_j
+    in the Loewner order."""
     return np.linalg.inv(sum(_power(f, -1.0) for f in _factor(mats)))
 
 
@@ -111,17 +137,18 @@ def _block_projection(mats: Sequence[np.ndarray]):
     invs = [_power(f, -1.0) for f in factors]
     roots = [_power(f, -0.5) for f in factors]
     r_inv = np.linalg.inv(sum(invs))
-    s = np.concatenate(roots)
-    return invs, roots, r_inv, s @ r_inv @ s.conj().T
+    s = np.concatenate(roots, axis=-2)
+    return invs, roots, r_inv, s @ r_inv @ _dagger(s)
 
 
 def _hessian(projection, dirs: Sequence[np.ndarray]) -> np.ndarray:
     invs, roots, r_inv, t = projection
     if len(dirs) != len(invs):
         raise DimensionMismatchError("direction tuple length must match matrix tuple")
-    y = np.concatenate([s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)])
-    h = -2.0 * (y.conj().T @ (y - t @ y))
-    return 0.5 * (h + h.conj().T)
+    y = np.concatenate([s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)],
+                       axis=-2)
+    h = -2.0 * (_dagger(y) @ (y - t @ y))
+    return 0.5 * (h + _dagger(h))
 
 
 def parallel_sum_hessian(
@@ -141,12 +168,13 @@ def projection_block_matrix(mats: Sequence[np.ndarray]) -> np.ndarray:
     return _block_projection(mats)[3]
 
 
-def _residuals(t: np.ndarray) -> tuple[float, float]:
-    return float(np.linalg.norm(t - t.conj().T)), float(np.linalg.norm(t @ t - t))
+def _residuals(t: np.ndarray):
+    return frobenius(t - _dagger(t)), frobenius(t @ t - t)
 
 
 def projection_residuals(mats: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Frobenius norms (||T - T*||, ||T^2 - T||) of the block projection."""
+    """Frobenius norms (||T - T*||, ||T^2 - T||) of the block projection;
+    ``(T,)`` arrays for a tuple of stacks."""
     return _residuals(projection_block_matrix(mats))
 
 
@@ -155,10 +183,13 @@ def parallel_sum_certificate(
 ) -> tuple[np.ndarray, float, float]:
     """(Hessian, its largest eigenvalue, the larger projection residual), all
     read from one block projection; for every admissible tuple the eigenvalue
-    is <= 0 and the residual 0, up to roundoff."""
+    is <= 0 and the residual 0, up to roundoff.  Stacks give a Hessian per
+    row and ``(T,)`` arrays; a fixed tuple (2-D entries) with stacked
+    directions is factored once."""
     projection = _block_projection(mats)
     hess = _hessian(projection, dirs)
-    return hess, float(np.linalg.eigvalsh(hess).max()), max(_residuals(projection[3]))
+    top = _float_or_rows(np.linalg.eigvalsh(hess).max(axis=-1))
+    return hess, top, _float_or_rows(np.maximum(*_residuals(projection[3])))
 
 
 def tuple_second_difference(
@@ -189,8 +220,8 @@ def joint_concavity_test(
     mode "fd": the second difference along random directions, with the step
     ``default_fd_step`` of the largest entry, must be negative (semi)definite.
     mode "midpoint": the definitional gap F((A+B)/2) - (F(A) + F(B))/2 must be
-    positive semidefinite.  The map is not stack-aware, so a trial runs its
-    rows in turn.
+    positive semidefinite.  ``map_fn`` and ``sampler`` may be any callables on
+    one tuple, so a trial runs its rows in turn.
     """
     if mode not in ("fd", "midpoint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -231,7 +262,8 @@ def check_power_vector(p: Sequence[float]) -> list[float]:
 
 
 def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
-    """Kronecker product of spectral fractional powers A_j^(p_j) (A^0 = I)."""
+    """Kronecker product of spectral fractional powers A_j^(p_j) (A^0 = I),
+    row by row over stacks."""
     ps = check_power_vector(p)
     if len(ps) != len(mats):
         raise DimensionMismatchError("power vector length must match tuple length")
@@ -261,6 +293,8 @@ def tensor_power_integral(
     these diagonals is accumulated in fixed-size chunks of grid points and
     the result is V diag(d / norm) V*.  The tuple gate rejects input that is
     not finite and Hermitian, never symmetrizing it: eigh reads one triangle.
+    A tuple of ``(T, n, n)`` stacks runs every row through each chunk, whose
+    grid points then number ``_RESOLVENT_CHUNK / (T n^k)``.
     """
     ps = check_power_vector(p)
     k = len(mats)
@@ -274,15 +308,18 @@ def tensor_power_integral(
             "use tensor_power_direct for other arities"
         )
     decomps = _factor(mats)
+    stack, n = decomps[0][0].shape[:-1], decomps[0][0].shape[-1]
+    # g[..., j, :] is 1/lambda_j on axis j of the Kronecker index (n, ..., n)
     g = np.stack([
-        axis.ravel()
-        for axis in np.meshgrid(*(1.0 / w for w, _ in decomps), indexing="ij")
-    ])
+        np.broadcast_to((1.0 / w).reshape(*stack, *(n if i == j else 1 for i in range(k))),
+                        (*stack, *(n,) * k)).reshape(*stack, n**k)
+        for j, (w, _) in enumerate(decomps)
+    ], axis=-2)
     points, weights = orthant_rule(ps[1:], quad.nodes_per_axis)
     coeffs = np.column_stack([np.ones(len(weights)), points])
 
-    diag = np.zeros(g.shape[1])
-    chunk = max(1, _RESOLVENT_CHUNK // g.shape[1])
+    diag = np.zeros((*stack, n**k))
+    chunk = max(1, _RESOLVENT_CHUNK // diag.size)
     for start in range(0, len(weights), chunk):
         resolvents = coeffs[start:start + chunk] @ g
         np.reciprocal(resolvents, out=resolvents)
@@ -292,7 +329,7 @@ def tensor_power_integral(
     basis = np.eye(1)
     for _, u in decomps:
         basis = tensor(basis, u)
-    return (basis * (diag / norm)) @ basis.conj().T
+    return (basis * (diag / norm)[..., None, :]) @ _dagger(basis)
 
 
 def tensor_power_errors(
@@ -300,14 +337,12 @@ def tensor_power_errors(
 ) -> list[float]:
     """Relative Frobenius error of tensor_power_integral against
     tensor_power_direct, one entry per per-axis node count in ``nodes``
-    (pass ERROR_CURVE_NODES for the error curve)."""
+    (pass ERROR_CURVE_NODES for the error curve); each entry a ``(T,)``
+    array for a tuple of stacks."""
     direct = tensor_power_direct(mats, p)
-    return [
-        float(np.linalg.norm(
-            tensor_power_integral(mats, p, QuadratureConfig(m)) - direct
-        ) / np.linalg.norm(direct))
-        for m in nodes
-    ]
+    scale = frobenius(direct)
+    return [frobenius(tensor_power_integral(mats, p, QuadratureConfig(m)) - direct) / scale
+            for m in nodes]
 
 
 def c_constant(
@@ -332,33 +367,38 @@ def c_constant(
 # Lieb functional, skew information, perspectives.
 
 
-def _check_exponents(p: float, r: float):
-    if p < 0.0 or r < 0.0 or p + r > 1.0 + 1e-12:
+def _check_exponents(p, r):
+    """p, r >= 0 with p + r <= 1, entrywise; NaN fails (1^NaN = 1 would hide it)."""
+    if not np.all(np.greater_equal(p, 0.0) & np.greater_equal(r, 0.0)
+                  & (np.add(p, r) <= 1.0 + 1e-12)):
         raise ValueError(f"need p, r >= 0 with p + r <= 1, got p={p}, r={r}")
 
 
-def lieb_functional(
-    a: np.ndarray, b: np.ndarray, k: np.ndarray, p: float, r: float
-) -> float:
-    """Tr[A^p K* B^r K]; real for this sandwiched form, jointly concave in (A, B)."""
+def lieb_functional(a: np.ndarray, b: np.ndarray, k: np.ndarray, p, r):
+    """Tr[A^p K* B^r K]; real for this sandwiched form, jointly concave in (A, B).
+    Stacks of A, B and K take ``(T,)`` arrays (or scalars) p, r and give a
+    ``(T,)`` array."""
     _check_exponents(p, r)
     (fa,), (fb,) = _factor([a]), _factor([b])
-    return float(np.trace(_power(fa, p) @ k.conj().T @ _power(fb, r) @ k).real)
+    product = _power(fa, p) @ _dagger(k) @ _power(fb, r) @ k
+    return _float_or_rows(_trace(product).real)
 
 
 def lieb_midpoint_gap(
-    n: int, window: SpectrumWindow, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Midpoint joint-concavity trial of the Lieb functional L: draws p, r,
-    A0, A1, B0, B1 (in the window) and K from ``rng`` in that order; returns
-    (L(mid) - avg) / max(|L(mid)|, |avg|, 1), >= 0 up to roundoff, and p."""
-    p = float(rng.uniform(0.2, 0.8))
-    r = float(rng.uniform(0.05, 1.0 - p))
-    a0, a1, b0, b1 = (random_in_window_from(n, window, rng) for _ in range(4))
-    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    n: int, window: SpectrumWindow, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint joint-concavity trials of the Lieb functional L, row t drawing
+    p, r, A0, A1, B0, B1 (in the window) and K from ``rngs[t]`` in that order;
+    returns the ``(T,)`` arrays of (L(mid) - avg) / max(|L(mid)|, |avg|, 1),
+    >= 0 up to roundoff, and of p."""
+    p = np.array([rng.uniform(0.2, 0.8) for rng in rngs])
+    r = np.array([rng.uniform(0.05, 1.0 - pt) for rng, pt in zip(rngs, p)])
+    a0, a1, b0, b1 = (random_in_window_rows(n, window, rngs) for _ in range(4))
+    k = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for rng in rngs])
     mid = lieb_functional(0.5 * (a0 + a1), 0.5 * (b0 + b1), k, p, r)
     avg = 0.5 * (lieb_functional(a0, b0, k, p, r) + lieb_functional(a1, b1, k, p, r))
-    return (mid - avg) / max(abs(mid), abs(avg), 1.0), p
+    return (mid - avg) / np.maximum(np.maximum(np.abs(mid), np.abs(avg)), 1.0), p
 
 
 def vec_columns(k: np.ndarray) -> np.ndarray:
@@ -382,26 +422,25 @@ def vectorization_residual(
     return abs(trace_form - bilinear)
 
 
-def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p: float) -> float:
+def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     """Tr[K rho^p K rho^(1-p)] - Tr[K rho K]; zero iff [rho, K] = 0, else < 0.
 
     The conventionally normalized skew information is the negation of this
     value.  Eigenvalues of rho below 1e-12 are lifted to 1e-12 with trace
     renormalization before the fractional powers are taken; rho must be finite
-    and Hermitian (never repaired).
+    and Hermitian (never repaired).  Stacks of rho and K take a ``(T,)`` array
+    (or a scalar) p and give a ``(T,)`` array.
     """
-    if not 0.0 < p < 1.0:
+    if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
     check_hermitian(np.asarray(rho))
     w, u = np.linalg.eigh(rho)
     w = np.clip(w.real, 1e-12, None)
-    w = w / w.sum()
-    rho_p = (u * w**p) @ u.conj().T
-    rho_q = (u * w ** (1.0 - p)) @ u.conj().T
-    rho_r = (u * w) @ u.conj().T
-    cross = np.trace(k @ rho_p @ k @ rho_q).real
-    plain = np.trace(k @ rho_r @ k).real
-    return float(cross - plain)
+    factor = (w / w.sum(axis=-1, keepdims=True), u)
+    rho_p, rho_q, rho_r = (_power(factor, x) for x in (p, 1.0 - p, 1.0))
+    cross = _trace(k @ rho_p @ k @ rho_q).real
+    plain = _trace(k @ rho_r @ k).real
+    return _float_or_rows(cross - plain)
 
 
 def perspective(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,10 +488,11 @@ def kubo_ando_eval(
     rep: KuboAndoRepresentation, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """a A + b B + sum_j nu_j ((t_j A)^(-1) + B^(-1))^(-1) (1 + t_j)/t_j, with
-    A^(-1) and B^(-1) from one factorization of each, shared by every atom."""
+    A^(-1) and B^(-1) from one factorization of each, shared by every atom;
+    row by row over stacks."""
     fa, fb = _factor([a, b])
     a_inv, b_inv = _power(fa, -1.0), _power(fb, -1.0)
     total = rep.a * a + rep.b * b
     for t, nu in rep.atoms:
         total = total + nu * np.linalg.inv(a_inv / t + b_inv) * (1.0 + t) / t
-    return 0.5 * (total + total.conj().T)
+    return 0.5 * (total + _dagger(total))

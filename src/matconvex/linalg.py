@@ -41,14 +41,15 @@ class SpectrumWindow:
     def is_bounded(self) -> bool:
         return math.isfinite(self.a) and math.isfinite(self.b)
 
-    def contains(self, x: float) -> bool:
-        return self.a < x < self.b
+    def contains(self, x):
+        """a < x < b; entrywise for an array (NaN is never contained)."""
+        return (self.a < x) & (x < self.b)
 
     def check_spectrum(self, eigenvalues: np.ndarray, source: str = "matrix") -> None:
         """Raise DomainViolationError naming the first eigenvalue (in row order
         over a stack of spectra) that escapes the window; NaN escapes too."""
         w = np.asarray(eigenvalues, dtype=float)
-        _raise_first(~((w > self.a) & (w < self.b)), w, source,
+        _raise_first(~self.contains(w), w, source,
                      f"outside window ({self.a}, {self.b})")
 
     def shrunk(self, fraction: float = 0.05) -> "SpectrumWindow":
@@ -67,6 +68,21 @@ def _raise_first(bad: np.ndarray, w: np.ndarray, source: str, what: str) -> None
         row = f" row {k // w.shape[-1]}" if w.ndim > 1 else ""
         raise DomainViolationError(f"eigenvalue {lam} of {source}{row} {what}",
                                    eigenvalue=lam, source=source)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose, row by row over a leading stack axis."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Trace of a matrix, or of each matrix of a stack."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _float_or_rows(x):
+    """A 0-d result as a float; a stack's ``(T,)`` array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def check_hermitian(h: np.ndarray) -> None:
@@ -134,7 +150,16 @@ def apply_function(
         domain.check_spectrum(w, source=source)
     fw = entrywise(f, w)
     _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
-    return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (u * fw[..., None, :]) @ _dagger(u)
+
+
+def frobenius(x: np.ndarray):
+    """Frobenius norm of a matrix; a ``(T,)`` array for a stack.  Each row is
+    one 2-D ``np.linalg.norm`` call: the stacked reduction sums in another
+    order and can differ in the last bit."""
+    if x.ndim == 2:
+        return float(np.linalg.norm(x))
+    return np.array([np.linalg.norm(row) for row in x])
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
@@ -147,8 +172,7 @@ def max_eigenvalue(h: np.ndarray) -> float:
 
 def op_norm(h: np.ndarray):
     """Operator (spectral) norm of a Hermitian matrix; a ``(T,)`` array for a stack."""
-    r = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    return float(r) if r.ndim == 0 else r
+    return _float_or_rows(np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -89,10 +89,15 @@ def haar_unitaries_from(n: int, count: int, rng: np.random.Generator) -> np.ndar
     return _haar(_complex_gaussian((count, n, n), rng))
 
 
+def random_hermitian_rows(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Row t is ``random_hermitian_from(n, rngs[t])``."""
+    g = _stacked_draws(n, rngs)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
 def random_hermitian_from(n: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-like sample (G + G*)/2 with G complex standard Gaussian."""
-    g = _complex_gaussian((n, n), rng)
-    return 0.5 * (g + g.conj().T)
+    return random_hermitian_rows(n, (rng,))[0]
 
 
 def random_in_window_rows(
@@ -119,8 +124,7 @@ def random_in_window_from(
 
 def random_direction_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Row t is ``random_direction_from(n, rngs[t])``."""
-    g = _stacked_draws(n, rngs)
-    q = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    q = random_hermitian_rows(n, rngs)
     return q / op_norm(q)[:, None, None]
 
 

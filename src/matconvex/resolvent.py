@@ -17,7 +17,7 @@ import numpy as np
 
 from .convexity import ScalarFunction, Verdict, second_derivative_test
 from .errors import ConditioningError, DomainViolationError
-from .linalg import SpectrumWindow, apply_function
+from .linalg import SpectrumWindow, _float_or_rows, apply_function, frobenius
 from .rand import RandomSpec
 
 #: Resolvents are refused closer to the spectrum than this.
@@ -49,16 +49,19 @@ class ResolventPoint:
 
 
 def _resolvent_core(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
-    """R = (u I - A)^(-1) with spectrum and conditioning checks."""
+    """R = (u I - A)^(-1), row by row over a stack, with spectrum and
+    conditioning checks that name the first bad row."""
     eigs = np.linalg.eigvalsh(a)
     p.window.check_spectrum(eigs, source="A")
-    gap = float(np.min(np.abs(p.u - eigs)))
-    if gap < NEAR_SINGULAR_TOL:
+    gap = np.min(np.abs(p.u - eigs), axis=-1)
+    near = gap < NEAR_SINGULAR_TOL
+    if near.any():
+        row = int(np.argmax(near.ravel()))
         raise ConditioningError(
-            f"u={p.u} within {gap:.3e} of an eigenvalue of A; resolvent ill-conditioned"
+            f"u={p.u} within {gap.ravel()[row]:.3e} of an eigenvalue of A"
+            f"{f' row {row}' if near.ndim else ''}; resolvent ill-conditioned"
         )
-    n = a.shape[0]
-    return np.linalg.inv(p.u * np.eye(n) - a)
+    return np.linalg.inv(p.u * np.eye(a.shape[-1]) - a)
 
 
 def resolvent_value(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
@@ -69,18 +72,18 @@ def resolvent_value(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
 def resolvent_second_derivative(
     a: np.ndarray, q: np.ndarray, p: ResolventPoint
 ) -> np.ndarray:
-    """Exact d^2/dt^2 f_u(A + tQ)|_0 = sgn(u) * 2 R Q R Q R; always PSD."""
+    """Exact d^2/dt^2 f_u(A + tQ)|_0 = sgn(u) * 2 R Q R Q R; always PSD.
+    Stacks of A and Q give one derivative per row."""
     r = _resolvent_core(a, p)
     return p.sign * 2.0 * (r @ q @ r @ q @ r)
 
 
-def resolvent_identity_residual(
-    a: np.ndarray, delta: np.ndarray
-) -> float:
-    """|| (A+D)^(-1) - A^(-1) + A^(-1) D (A+D)^(-1) ||_F (should vanish)."""
+def resolvent_identity_residual(a: np.ndarray, delta: np.ndarray):
+    """|| (A+D)^(-1) - A^(-1) + A^(-1) D (A+D)^(-1) ||_F (should vanish); a
+    ``(T,)`` array for stacks."""
     inv_a = np.linalg.inv(a)
     inv_ad = np.linalg.inv(a + delta)
-    return float(np.linalg.norm(inv_ad - inv_a + inv_a @ delta @ inv_ad))
+    return frobenius(inv_ad - inv_a + inv_a @ delta @ inv_ad)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,25 +192,25 @@ def pick_second_derivative(
     return total
 
 
-def elementary_decomposition_residual(
-    u: float, c: float, z: float, window: SpectrumWindow
-) -> float:
+def elementary_decomposition_residual(u, c, z, window: SpectrumWindow):
     """Residual of the atom integrand's algebraic decomposition (exact identity).
 
     (z-c)(1+uz)/(u-z) == (1+u^2)(u-c) sgn(u) f_u(z) - uz + uc - (1+u^2).
+    Arrays u, c, z give the residual entrywise; the first pole inside the
+    window, or c or z outside it, raises.
     """
-    point = ResolventPoint(u, window)
+    u, c, z = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, c, z)))
+    if window.contains(u).any():
+        raise ValueError(f"resolvent point u={u[window.contains(u)][0]} must lie "
+                         f"outside ({window.a}, {window.b})")
     for x, label in ((c, "c"), (z, "z")):
-        if not window.contains(x):
-            raise DomainViolationError(f"{label}={x} must lie inside the window")
+        if not window.contains(x).all():
+            raise DomainViolationError(
+                f"{label}={x[~window.contains(x)][0]} must lie inside the window")
+    sign = np.where(u <= window.a, -1.0, 1.0)  # ResolventPoint.sign
     lhs = (z - c) * (1.0 + u * z) / (u - z)
-    rhs = (
-        (1.0 + u * u) * (u - c) * point.sign * point.scalar(z)
-        - u * z
-        + u * c
-        - (1.0 + u * u)
-    )
-    return abs(lhs - rhs)
+    rhs = (1.0 + u * u) * (u - c) * sign * (sign / (u - z)) - u * z + u * c - (1.0 + u * u)
+    return _float_or_rows(np.abs(lhs - rhs))
 
 
 def certify_representation(

@@ -9,6 +9,13 @@ quantity over a fixed ensemble, and reports pass/fail against a documented
 tolerance.  Margins are oriented so that positive means healthy: distance to
 the failure threshold.  Worst cases are NaN-propagating ``np.min`` /
 ``np.max`` reductions, so a NaN trial fails its check.
+
+Trials run as stacks.  Each trial still draws from its own stream in the
+order a lone trial would; the trials of a check that draw their shape (the
+(k, n) of a parallel sum, the n of a Lieb or joint-concavity trial, the pole
+or size of a resolvent or tensor-power trial) are grouped by shape, each
+group runs through the kernels as one stack, and the results go back into
+stream order before the reductions.
 """
 
 from __future__ import annotations
@@ -24,15 +31,17 @@ from . import entropy as ent
 from . import jointconcavity as jc
 from . import resolvent as rv
 from .io import check_record
-from .linalg import SpectrumWindow
+from .linalg import SpectrumWindow, frobenius
 from .quadrature import QuadratureConfig, gamma_quadrature
 from .rand import (
     STREAM_BLOCK,
     RandomSpec,
-    random_density_from,
-    random_hermitian_from,
-    random_in_window_from,
+    random_densities,
     random_direction_from,
+    random_direction_rows,
+    random_hermitian_rows,
+    random_in_window_from,
+    random_in_window_rows,
 )
 
 _WINDOW_WIDE = SpectrumWindow(0.1, 5.0)
@@ -83,23 +92,25 @@ def check_mutual_information(spec: RandomSpec) -> dict:
                          "bell_error": bell_err})
 
 
+def _shape_groups(shapes: list) -> list[tuple]:
+    """(shape, row indices in stream order) for each distinct shape."""
+    return [(shape, np.array([t for t, x in enumerate(shapes) if x == shape]))
+            for shape in sorted(set(shapes))]
+
+
 def check_parallel_sum(spec: RandomSpec) -> dict:
     """Exact Hessian of the parallel sum is negative semidefinite, the block
     projection residuals vanish, and the Hessian matches finite differences."""
-    eigs, projs, rels = [], [], []
-    for t in range(200):
-        rng = spec.stream(t).rng()
-        k = int(rng.integers(2, 4))
-        n = int(rng.integers(2, 6))
-        mats = [random_in_window_from(n, _WINDOW_WIDE, rng) for _ in range(k)]
-        dirs = jc.random_directions(k, n, rng)
-        hess, eig, proj = jc.parallel_sum_certificate(mats, dirs)
-        eigs.append(eig)
-        projs.append(proj)
+    rngs = [spec.stream(t).rng() for t in range(200)]
+    shapes = [(int(rng.integers(2, 4)), int(rng.integers(2, 6))) for rng in rngs]
+    eigs, projs, rels = np.empty(200), np.empty(200), np.empty(200)
+    for (k, n), rows in _shape_groups(shapes):
+        group = [rngs[t] for t in rows]
+        mats = [random_in_window_rows(n, _WINDOW_WIDE, group) for _ in range(k)]
+        dirs = jc.random_directions(k, n, group)
+        hess, eigs[rows], projs[rows] = jc.parallel_sum_certificate(mats, dirs)
         fd = jc.tuple_second_difference(jc.parallel_sum, mats, dirs, 1e-4)
-        rels.append(
-            float(np.linalg.norm(hess - fd)) / max(float(np.linalg.norm(hess)), 1e-30)
-        )
+        rels[rows] = frobenius(hess - fd) / np.maximum(frobenius(hess), 1e-30)
     worst_eig = float(np.max(eigs))
     worst_proj = float(np.max(projs))
     worst_rel = float(np.max(rels))
@@ -113,13 +124,12 @@ def check_parallel_sum(spec: RandomSpec) -> dict:
 def check_tensor_power(spec: RandomSpec) -> dict:
     """Quadrature route for A^p x B^(1-p) agrees with the spectral route and
     the error decreases with the node count."""
-    errors = []
+    errors = np.empty((2, 20))
     for i, p in enumerate([(0.5, 0.5), (0.3, 0.7)]):
-        for t in range(20):
-            rng = spec.stream(100 * i + t).rng()
-            n = 2 if t % 2 == 0 else 3
-            mats = [random_in_window_from(n, _WINDOW_WIDE, rng) for _ in range(2)]
-            errors += jc.tensor_power_errors(mats, p, [64])
+        for n in (2, 3):  # n = 2 on even trials, 3 on odd ones
+            rngs = [spec.stream(100 * i + t).rng() for t in range(n - 2, 20, 2)]
+            mats = [random_in_window_rows(n, _WINDOW_WIDE, rngs) for _ in range(2)]
+            errors[i, n - 2::2] = jc.tensor_power_errors(mats, p, [64])[0]
     worst = float(np.max(errors))
     rng = spec.stream(999).rng()
     mats = [random_in_window_from(3, _WINDOW_WIDE, rng) for _ in range(2)]
@@ -151,16 +161,17 @@ def check_c_constant(spec: RandomSpec) -> dict:
 def check_lieb_wyd(spec: RandomSpec) -> dict:
     """Midpoint joint concavity of Tr[A^p K* B^r K] and the commuting-case
     vanishing of the skew information."""
-    gaps, wyds = [], []
-    for t in range(200):
-        rng = spec.stream(t).rng()
-        n = int(rng.integers(2, 5))
-        gap, p = jc.lieb_midpoint_gap(n, _WINDOW_WIDE, rng)
-        gaps.append(gap)
-        rho = random_density_from(n, spec.stream(100000 + t).rng())
+    rngs = [spec.stream(t).rng() for t in range(200)]
+    sizes = [int(rng.integers(2, 5)) for rng in rngs]
+    gaps, wyds = np.empty(200), np.empty(200)
+    for n, rows in _shape_groups(sizes):
+        group = [rngs[t] for t in rows]
+        gaps[rows], p = jc.lieb_midpoint_gap(n, _WINDOW_WIDE, group)
+        rho = random_densities(n, (spec.stream(100000 + t).rng() for t in rows))
         _, u = np.linalg.eigh(rho)
-        k_comm = (u * rng.standard_normal(n)) @ u.conj().T
-        wyds.append(abs(jc.wyd_skew_information(rho, k_comm, p)))
+        spectra = np.array([rng.standard_normal(n) for rng in group])
+        k_comm = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        wyds[rows] = np.abs(jc.wyd_skew_information(rho, k_comm, p))
     worst_gap = float(np.min(gaps, initial=0.0))
     worst_wyd = float(np.max(wyds))
     margin = np.min([worst_gap + 1e-8, 1e-12 - worst_wyd])
@@ -172,24 +183,17 @@ def check_lieb_wyd(spec: RandomSpec) -> dict:
 def check_relative_entropy(spec: RandomSpec) -> dict:
     """Epsilon-limit residual, joint concavity of relative entropy, and the
     conditional-entropy concavity gap."""
-    eps_residuals = []
-    for t in range(50):
-        rng = spec.stream(t).rng()
-        a = random_in_window_from(3, _WINDOW_NARROW, rng)
-        b = random_in_window_from(3, _WINDOW_NARROW, rng)
-        eps_residuals.append(ent.epsilon_limit_residual(a, b, 1e-5))
-    joint_gaps = []
-    for t in range(200):
-        rng = spec.stream(1000 + t).rng()
-        n = int(rng.integers(2, 5))
-        a0, a1, b0, b1 = (
-            random_in_window_from(n, _WINDOW_NARROW, rng) for _ in range(4)
-        )
-        joint_gaps.append(
-            ent.relative_entropy(0.5 * (a0 + a1), 0.5 * (b0 + b1)) - 0.5 * (
-                ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1)
-            )
-        )
+    rngs = [spec.stream(t).rng() for t in range(50)]
+    a, b = (random_in_window_rows(3, _WINDOW_NARROW, rngs) for _ in range(2))
+    eps_residuals = ent.epsilon_limit_residual(a, b, 1e-5)
+    rngs = [spec.stream(1000 + t).rng() for t in range(200)]
+    sizes = [int(rng.integers(2, 5)) for rng in rngs]
+    joint_gaps = np.empty(200)
+    for n, rows in _shape_groups(sizes):
+        group = [rngs[t] for t in rows]
+        a0, a1, b0, b1 = (random_in_window_rows(n, _WINDOW_NARROW, group) for _ in range(4))
+        joint_gaps[rows] = ent.relative_entropy(0.5 * (a0 + a1), 0.5 * (b0 + b1)) - 0.5 * (
+            ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1))
     # trial t: states from streams 3000 + t and 4000 + t, weight from 2000 + t
     lams = [spec.stream(2000 + t).rng().uniform(0.1, 0.9) for t in range(200)]
     lr_gaps = ent.lieb_ruskai_concavity_gap(
@@ -240,30 +244,26 @@ def check_convexity_detectors(spec: RandomSpec) -> dict:
 def check_resolvent_exactness(spec: RandomSpec) -> dict:
     """Resolvent identity, exact-vs-FD second derivative, and the algebraic
     atom decomposition."""
-    identity_residuals, fd_deviations = [], []
-    for t in range(100):
-        rng = spec.stream(t).rng()
-        a = random_in_window_from(3, _WINDOW_WIDE, rng)
-        q = random_direction_from(3, rng)
-        point = rv.ResolventPoint(7.0 if t % 2 else -1.0, _WINDOW_WIDE)
+    rngs = [spec.stream(t).rng() for t in range(100)]
+    identity_residuals, fd_deviations = np.empty(100), np.empty(100)
+    for parity, pole in enumerate((-1.0, 7.0)):  # the pole of trial t: 7 when t is odd
+        rows = np.arange(parity, 100, 2)
+        group = [rngs[t] for t in rows]
+        a = random_in_window_rows(3, _WINDOW_WIDE, group)
+        q = random_direction_rows(3, group)
+        point = rv.ResolventPoint(pole, _WINDOW_WIDE)
         exact = rv.resolvent_second_derivative(a, q, point)
-        f = cx.ScalarFunction("signed_resolvent", point.scalar, _WINDOW_WIDE)
+        f = cx.ScalarFunction("signed_resolvent", point.scalar, _WINDOW_WIDE,
+                              vectorized=True)
         fd = cx.second_derivative_fd(f, a, q, cx.default_fd_step(a))
-        fd_deviations.append(
-            float(np.linalg.norm(exact - fd) / np.linalg.norm(exact))
-        )
-        delta = 0.01 * random_hermitian_from(3, rng)
-        shifted = a + 6.0 * np.eye(3)
-        identity_residuals.append(rv.resolvent_identity_residual(shifted, delta))
-    decomposition_residuals = []
+        fd_deviations[rows] = frobenius(exact - fd) / frobenius(exact)
+        delta = 0.01 * random_hermitian_rows(3, group)
+        identity_residuals[rows] = rv.resolvent_identity_residual(a + 6.0 * np.eye(3), delta)
     rng = spec.stream(9999).rng()
-    for _ in range(1000):
-        u = float(rng.choice([-1.0, -0.5, 6.0, 12.0]))
-        c = float(rng.uniform(0.1, 5.0))
-        z = float(rng.uniform(0.1, 5.0))
-        decomposition_residuals.append(
-            rv.elementary_decomposition_residual(u, c, z, _WINDOW_WIDE)
-        )
+    poles = np.array([-1.0, -0.5, 6.0, 12.0])
+    u, c, z = np.array([(poles[rng.integers(0, 4)], rng.uniform(0.1, 5.0),
+                         rng.uniform(0.1, 5.0)) for _ in range(1000)]).T
+    decomposition_residuals = rv.elementary_decomposition_residual(u, c, z, _WINDOW_WIDE)
     worst_id = float(np.max(identity_residuals))
     worst_fd = float(np.max(fd_deviations))
     worst_dec = float(np.max(decomposition_residuals))

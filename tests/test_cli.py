@@ -22,7 +22,7 @@ from matconvex.io import (
 )
 from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import random_in_window_from
+from matconvex.rand import RandomSpec, random_in_window_from
 from matconvex.resolvent import PickRepresentation
 
 
@@ -210,6 +210,54 @@ def test_check_concavity_parallel_sum(capsys):
     assert code == 0
 
 
+#: check-concavity arguments -> the (margin, detail) that a trial-at-a-time loop
+#: reports; the stacked batteries reproduce them bit for bit
+PINNED_BATTERIES = {
+    "--suite lieb --seed 3": (1e-08, {
+        "slack": 0.0, "tolerance": 1e-08, "worst_scaled_gap": 0.0}),
+    "--suite parallel-sum --seed 3": (4.62795560042875e-06, {
+        "max_eigenvalue": -4.61795560042875e-06, "slack": 4.61795560042875e-06,
+        "tolerance": 1e-08, "worst_projection_residual": 1.6501411259699236e-15}),
+    "--suite parallel-sum --k 3 --n 4 --trials 50 --seed 3": (0.005202294047136945, {
+        "max_eigenvalue": -0.005202284047136945, "slack": 0.005202284047136945,
+        "tolerance": 1e-08, "worst_projection_residual": 1.343295795267648e-15}),
+    # 300 trials of 2 x 2 rows run in three chunks
+    "--suite parallel-sum --k 2 --n 2 --trials 300 --seed 7": (2.2812693746097615e-05, {
+        "max_eigenvalue": -2.2802693746097613e-05, "slack": 2.2802693746097613e-05,
+        "tolerance": 1e-08, "worst_projection_residual": 8.817253038237926e-16}),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_BATTERIES))
+def test_check_concavity_batteries_keep_their_values(argv, capsys):
+    assert main(["check-concavity", *argv.split(), "--format", "json"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (record["margin"], record["detail"]) == PINNED_BATTERIES[argv]
+
+
+def test_parallel_sum_battery_on_a_fixed_tuple_keeps_its_values(tmp_path, capsys):
+    # the tuple is factored once per chunk, against a stack of directions
+    path = tmp_path / "tuple.json"
+    save_json(str(path), tuple_to_list([np.array([[1.0, 0.2], [0.2, 2.0]]),
+                                        np.diag([0.5, 3.0]), np.eye(2)]))
+    assert main(["check-concavity", "--suite", "parallel-sum", "--tuple", str(path),
+                 "--trials", "40", "--seed", "3", "--format", "json"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (record["margin"], record["detail"]) == (0.013326776737976121, {
+        "max_eigenvalue": -0.013326766737976121, "slack": 0.013326766737976121,
+        "tolerance": 1e-08, "worst_projection_residual": 1.7460489445185184e-16})
+
+
+def test_lieb_battery_rows_keep_their_values():
+    # the battery's report floors its worst gap at 0; the rows behind it
+    window = SpectrumWindow(0.1, 5.0)
+    gaps = np.concatenate([jc.lieb_midpoint_gap(3, window, rngs)[0]
+                           for rngs in cx.trial_chunks(RandomSpec(3), 100, 3)])
+    assert (gaps.min(), gaps.argmin(), gaps[0], gaps[99], gaps.sum()) == (
+        0.003338719242875838, 75, 0.024178010264864706, 0.015847063202413143,
+        3.3939067264782565)
+
+
 def test_check_concavity_tensor_power(capsys):
     code = main(["check-concavity", "--suite", "tensor-power",
                  "--p", "0.5,0.5", "--nodes", "64", "--trials", "10",
@@ -249,16 +297,22 @@ def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys)
 
 
 def test_check_concavity_nan_trial_fails(monkeypatch, capsys):
+    # the battery runs its 5 trials as one stack: row 0 of the first call turns NaN
     real = jc.lieb_functional
     calls = []
 
     def nan_once(*args):
-        calls.append(args)
-        return float("nan") if len(calls) == 1 else real(*args)
+        out = real(*args)
+        calls.append(out)
+        if len(calls) == 1:
+            out = np.array(out)
+            out[0] = float("nan")
+        return out
 
     monkeypatch.setattr(jc, "lieb_functional", nan_once)
     code = main(["check-concavity", "--suite", "lieb", "--trials", "5",
                  "--seed", "3"])
+    assert len(calls[0]) == 5
     assert code == 1
 
 

@@ -386,6 +386,15 @@ def test_lieb_functional_is_real_for_random_k():
     assert isinstance(val, float)
 
 
+@pytest.mark.parametrize("p, r", [(math.nan, 0.5), (0.4, math.nan), (-0.1, 0.5),
+                                  (0.6, 0.5), (np.array([0.2, math.nan]), 0.5)])
+def test_lieb_functional_rejects_bad_exponents(p, r):
+    # with A = B = I, 1^NaN = 1 would turn a NaN exponent into a finite value
+    eye = np.stack([np.eye(2)] * 2) if np.ndim(p) else np.eye(2)
+    with pytest.raises(ValueError, match="p \\+ r <= 1"):
+        lieb_functional(eye, eye, eye, p, r)
+
+
 def test_vectorization_identity():
     rng = RandomSpec(57).rng()
     a, b = _tuple(2, 4, 58)

@@ -26,6 +26,18 @@ def test_gauss_legendre_01_integrates_polynomials():
     assert (w * x**5).sum() == pytest.approx(1.0 / 6.0)
 
 
+def test_gauss_legendre_01_is_built_once_and_read_only():
+    x, w = gauss_legendre_01(32)
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(32)
+    np.testing.assert_array_equal(x, 0.5 * (fresh_x + 1.0))
+    np.testing.assert_array_equal(w, 0.5 * fresh_w)
+    assert gauss_legendre_01(32)[0] is x
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_halfline_rule_beta_type_integral(p):
     # int_0^inf u^(p-1)/(1+u) du = pi / sin(pi p)
@@ -87,3 +99,10 @@ def test_gamma_quadrature_rejects_nonpositive():
     for p in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="0 < p < inf"):
             gamma_quadrature(p)
+
+
+@pytest.mark.parametrize("p", [1e-5, 0.04, 2.6, 100.0, 170.0])
+def test_gamma_quadrature_rejects_p_outside_its_verified_range(p):
+    # the fixed window and step would be off by 0.12 (p = 1e-5) to 2e-2 (p = 170)
+    with pytest.raises(ValueError, match="0.05 <= p <= 2.5"):
+        gamma_quadrature(p)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,29 +52,58 @@ def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
     ("lieb_wyd", "lieb_functional", math.nan),
 ])
 def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
+    # the kernel runs a stack of trials: one row of its first call turns NaN
     real = getattr(jc, target)
-    calls = []
+    rows = []
 
     def nan_once(*args):
-        calls.append(args)
         out = real(*args)
-        if len(calls) > 1:
+        if rows:
             return out
         # a tuple result keeps every slot but the last
-        return (*out[:-1], nan_value) if isinstance(out, tuple) else nan_value
+        last = np.array(out[-1] if isinstance(out, tuple) else out, dtype=float)
+        rows.append(len(last))
+        last[0] = nan_value
+        return (*out[:-1], last) if isinstance(out, tuple) else last
 
     monkeypatch.setattr(jc, target, nan_once)
     (record,) = run_suite(1, only=check)
+    assert rows[0] > 1  # a stack, not one trial
     assert record["status"] == "fail"
     assert math.isnan(record["margin"])
 
 
+#: check -> shape groups at seed 1: (k, n) pairs of the parallel sum, sizes of
+#: the Lieb trials, the epsilon stack plus the joint-concavity sizes, the two
+#: poles, the two exponent vectors times n = 2, 3 plus the error curve
+SHAPE_GROUPS = {"parallel_sum_certificate": 8, "lieb_wyd": 3,
+                "relative_entropy_machinery": 4, "resolvent_exactness": 2,
+                "tensor_power_quadrature": 5}
+
+
+@pytest.mark.parametrize("check", sorted(SHAPE_GROUPS))
+def test_stacked_checks_factor_per_shape_group(monkeypatch, check):
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "inv", "qr"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    (record,) = run_suite(1, only=check)
+    assert record["status"] == "pass"
+    # one trial at a time made 100 to 2000 calls of a kernel (lieb_wyd: 1600
+    # eigh); a stack makes a handful per shape group
+    assert calls and max(calls.values()) <= 16 * SHAPE_GROUPS[check], dict(calls)
+
+
 #: The checks that run the stacked entropy kernels, the stacked Haar QR, the
-#: parallel-sum block projection, the stacked trial engine and the stacked
-#: Daleckii-Krein quadrature.
+#: stacked joint-concavity, relative-entropy and resolvent kernels, the
+#: stacked trial engine and the stacked Daleckii-Krein quadrature.
 BATCHED_CHECKS = ("ssa_battery", "subadditivity_chain", "mutual_information",
-                  "parallel_sum_certificate", "relative_entropy_machinery",
-                  "convexity_detectors", "kernel_identity", "monte_carlo_physics",
+                  "parallel_sum_certificate", "tensor_power_quadrature", "lieb_wyd",
+                  "relative_entropy_machinery", "convexity_detectors",
+                  "resolvent_exactness", "kernel_identity", "monte_carlo_physics",
                   "determinism")
 
 
