@@ -179,10 +179,9 @@ def cmd_certify_representation(args) -> int:
 
     def routes():
         # block 1: disjoint from the certification's streams at any --trials
-        block = spec.stream(STREAM_BLOCK)
         deviations = []
-        for t in range(20):
-            a = random_in_window_from(args.n, rep.window, block.stream(t).rng())
+        for rng in spec.stream(STREAM_BLOCK).rngs(range(20)):
+            a = random_in_window_from(args.n, rep.window, rng)
             deviations.append(float(np.linalg.norm(
                 pick_eval_matrix(rep, a, via="spectral")
                 - pick_eval_matrix(rep, a, via="atoms")
@@ -224,10 +223,8 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
             # a fixed tuple gives the same error in every trial: evaluate it once
             tuples = [mio.load_tuple(args.tuple)]
         else:
-            tuples = []
-            for t in range(args.trials):
-                rng = spec.stream(t).rng()
-                tuples.append([random_in_window_from(args.n, window, rng) for _ in p])
+            tuples = [[random_in_window_from(args.n, window, rng) for _ in p]
+                      for rng in spec.rngs(range(args.trials))]
         errors = [jc.tensor_power_errors(mats, p, [quad.nodes_per_axis])[0]
                   for mats in tuples]
         worst = float(np.max(errors, initial=0.0))
@@ -238,7 +235,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
                 tuples[0], p, jc.ERROR_CURVE_NODES)
         return mio.check_record("tensor_power_vs_direct", detail["slack"], detail)
     if args.suite == "lieb":
-        worst = 0.0
+        worst = math.inf
         for rngs in cx.trial_chunks(spec, args.trials, args.n):
             worst = float(np.min(jc.lieb_midpoint_gap(args.n, window, rngs)[0],
                                  initial=worst))
@@ -247,7 +244,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
     if not args.rep:  # kubo-ando, the last of the parser's choices
         raise ValidationError("kubo-ando suite needs --rep FILE")
     rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
-    worst = 0.0
+    worst = math.inf
     for rngs in cx.trial_chunks(spec, args.trials, args.n):
         a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
         mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))

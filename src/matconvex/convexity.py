@@ -37,6 +37,7 @@ from .linalg import (
 from .quadrature import gauss_legendre_01
 from .rand import (
     RandomSpec,
+    generators,
     random_direction_rows,
     random_in_window_rows,
     random_simplex,
@@ -145,10 +146,12 @@ def _chunk_rows(n: int) -> int:
 
 def trial_chunks(spec: RandomSpec, trials: int, n: int):
     """The generators of streams ``spec.stream(0 .. trials-1)``, yielded in
-    chunks of :func:`_chunk_rows` trials for rows of n x n matrices."""
+    chunks of :func:`_chunk_rows` trials for rows of n x n matrices.  The
+    streams are hashed in one batch; each chunk builds its own generators."""
     rows = _chunk_rows(n)
+    words = spec.seed_words(range(trials))
     for start in range(0, trials, rows):
-        yield [spec.stream(t).rng() for t in range(start, min(start + rows, trials))]
+        yield generators(words[start:start + rows])
 
 
 def run_trials(

@@ -453,5 +453,4 @@ def random_state(dims: Sequence[int], spec: RandomSpec) -> DensityOperator:
 
 def random_states(dims: Sequence[int], spec: RandomSpec, count: int) -> DensityOperator:
     """Stack of ``count`` states; row t is ``random_state(dims, spec.stream(t))``."""
-    rngs = (spec.stream(t).rng() for t in range(count))
-    return DensityOperator(random_densities(math.prod(dims), rngs), dims)
+    return DensityOperator(random_densities(math.prod(dims), spec.rngs(range(count))), dims)

@@ -10,20 +10,29 @@ keeps every part, and every helper that part calls with a sub-stream, inside
 its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
 absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
+Every generator is made by :meth:`RandomSpec.rngs`, which seeds a batch of
+streams with one vectorized pass of numpy's ``SeedSequence`` entropy hash
+(O'Neill's ``seed_seq``, fixed as a stable stream by NEP 19): stream
+``stream(o)`` gets ``Generator(PCG64(SeedSequence((seed, stream_id + o))))``
+bit for bit, so every stored witness and report replays unchanged.
+:meth:`RandomSpec.rng` is the batch of one.
+
 Samplers take a ``np.random.Generator`` (``x_from(n, spec.rng())``), so one
 stream can feed several draws in a fixed order.
 
 Stacked samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) draw
-row t from the t-th generator as the ``_from`` form would, then run one QR or
-product for the stack; the ``_from`` form is the unstacked case, equal to a row
-bit for bit.  Generators are independent, so a trial stack that draws A, then Q
-makes one pass over its generators per input.  A Monte Carlo average has no
-per-sample witness and owns one stream (``haar_unitaries_from``).
+row t from the t-th generator as the ``_from`` form would, straight into one
+stack buffer, then run one QR or product for the stack; the ``_from`` form is
+the unstacked case, equal to a row bit for bit.  Generators are independent,
+so a trial stack that draws A, then Q makes one pass over its generators per
+input.  A Monte Carlo average has no per-sample witness and owns one stream
+(``haar_unitaries_from``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +47,14 @@ WINDOW_MARGIN = 0.05
 #: part k the block starting at ``k * STREAM_BLOCK``.
 STREAM_BLOCK = 1_000_000
 
+# numpy's SeedSequence hash: a pool of 4 uint32 words and the hashmix and mix
+# constants; every step ends with a xor-shift by 16 bits.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
 
 @dataclasses.dataclass(frozen=True)
 class RandomSpec:
@@ -47,13 +64,117 @@ class RandomSpec:
     stream_id: int = 0
 
     def rng(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
-        )
+        """The generator of this stream: the batch of one, ``rngs((0,))[0]``."""
+        return self.rngs((0,))[0]
+
+    def rngs(self, offsets: Iterable[int]) -> list[np.random.Generator]:
+        """The generators of streams ``stream(o)``, o in ``offsets``, in order."""
+        return generators(self.seed_words(offsets))
+
+    def seed_words(self, offsets: Iterable[int]) -> np.ndarray:
+        """``SeedSequence((seed, stream_id + o)).generate_state(4, np.uint64)``
+        as row t of a ``(T, 4)`` array, o the t-th offset: one hash per batch.
+
+        Raises ValueError for a negative seed or stream id, as numpy does.
+        """
+        seed, base = operator.index(self.seed), operator.index(self.stream_id)
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        if seed < 0 or base + int(offsets.min(initial=0)) < 0:
+            raise ValueError("expected non-negative integer")
+        seed_row = _uint32_words(seed, np.zeros(1, dtype=np.int64))[0]
+        ids = _uint32_words(base, offsets)
+        # numpy drops an id's leading zero words, so each row has its own length
+        lengths = len(seed_row) + np.max(
+            np.where(ids != 0, np.arange(1, ids.shape[1] + 1), 1), axis=1)
+        seed_rows = np.broadcast_to(seed_row, (len(ids), len(seed_row)))
+        return _seed_sequence_state(np.concatenate([seed_rows, ids], axis=1), lengths)
 
     def stream(self, offset: int) -> "RandomSpec":
         """The stream ``offset`` ids past this one (ids nest, see module doc)."""
         return RandomSpec(self.seed, self.stream_id + offset)
+
+
+def _uint32_words(base: int, offsets: np.ndarray) -> np.ndarray:
+    """Row t holds the uint32 words of ``base + offsets[t]`` (non-negative),
+    least significant first, zero-padded to the word count of the largest.
+    ``base`` may be any int; the int64 offsets are carried word by word."""
+    top = base + int(offsets.max(initial=0))
+    words = np.empty((len(offsets), max(1, -(-top.bit_length() // 32))), dtype=np.uint32)
+    carry = offsets
+    for k in range(words.shape[1]):
+        low = (base & _MASK32) + carry
+        words[:, k] = low & _MASK32
+        carry, base = low >> 32, base >> 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant before and after each of ``count`` steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _seed_sequence_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a
+    zero-padded ``(T, L)`` uint32 entropy array, row t holding ``lengths[t]``
+    words, in uint32 arithmetic (wrapping as C does).
+
+    Each hashmix step k xors the value with constant k, multiplies it by
+    constant k + 1 and xor-shifts it; the steps run in numpy's order, a pool
+    word's updates against every other word at once.  Padding inside the
+    pool is what numpy pads with; a word beyond it is mixed in only where
+    the row reaches it, and comes after every other step.
+    """
+    width = entropy.shape[1]
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, width - _POOL))
+    step = 0
+
+    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
+        nonlocal step
+        out = (values ^ a[step:step + count]) * a[step + 1:step + count + 1]
+        step += count
+        return out ^ (out >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> 16)
+
+    pool = np.zeros((len(entropy), _POOL), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL]
+    pool = hashmix(pool, _POOL)
+    for src in range(_POOL):  # late words reach early ones
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], _POOL - 1))
+    for src in range(_POOL, width):  # entropy beyond the pool
+        mixed = mix(pool, hashmix(entropy[:, src, None], _POOL))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    words = (np.concatenate([pool, pool], axis=1) ^ b[:-1]) * b[1:]
+    words ^= words >> 16
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """Hands PCG64 the seed words :meth:`RandomSpec.seed_words` computed; PCG64
+    asks for 4 uint64 words once, at construction."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def generators(words: np.ndarray) -> list[np.random.Generator]:
+    """``Generator(PCG64)`` per row of a :meth:`RandomSpec.seed_words` array."""
+    # registered here, not at import, so that importing matconvex does not load
+    # numpy.random; registering again is a no-op
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 def _complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -61,9 +182,13 @@ def _complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.nd
 
 
 def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    # a list, not np.fromiter: filling a (n, n) subarray dtype item by item
-    # costs about 1 ms per row at n = 128, where a chunk is one row
-    return np.array([_complex_gaussian((n, n), rng) for rng in rngs]).reshape(-1, n, n)
+    """Row t: ``_complex_gaussian((n, n), rngs[t])``, each part drawn in place."""
+    rngs = list(rngs)
+    buf = np.empty((2, len(rngs), n, n))
+    for part, rng in zip(buf.swapaxes(0, 1), rngs):
+        rng.standard_normal(out=part[0])
+        rng.standard_normal(out=part[1])
+    return buf[0] + 1j * buf[1]
 
 
 def _haar(g: np.ndarray) -> np.ndarray:

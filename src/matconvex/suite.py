@@ -101,7 +101,7 @@ def _shape_groups(shapes: list) -> list[tuple]:
 def check_parallel_sum(spec: RandomSpec) -> dict:
     """Exact Hessian of the parallel sum is negative semidefinite, the block
     projection residuals vanish, and the Hessian matches finite differences."""
-    rngs = [spec.stream(t).rng() for t in range(200)]
+    rngs = spec.rngs(range(200))
     shapes = [(int(rng.integers(2, 4)), int(rng.integers(2, 6))) for rng in rngs]
     eigs, projs, rels = np.empty(200), np.empty(200), np.empty(200)
     for (k, n), rows in _shape_groups(shapes):
@@ -126,8 +126,9 @@ def check_tensor_power(spec: RandomSpec) -> dict:
     the error decreases with the node count."""
     errors = np.empty((2, 20))
     for i, p in enumerate([(0.5, 0.5), (0.3, 0.7)]):
+        trial_rngs = spec.rngs(range(100 * i, 100 * i + 20))
         for n in (2, 3):  # n = 2 on even trials, 3 on odd ones
-            rngs = [spec.stream(100 * i + t).rng() for t in range(n - 2, 20, 2)]
+            rngs = trial_rngs[n - 2::2]
             mats = [random_in_window_rows(n, _WINDOW_WIDE, rngs) for _ in range(2)]
             errors[i, n - 2::2] = jc.tensor_power_errors(mats, p, [64])[0]
     worst = float(np.max(errors))
@@ -161,18 +162,18 @@ def check_c_constant(spec: RandomSpec) -> dict:
 def check_lieb_wyd(spec: RandomSpec) -> dict:
     """Midpoint joint concavity of Tr[A^p K* B^r K] and the commuting-case
     vanishing of the skew information."""
-    rngs = [spec.stream(t).rng() for t in range(200)]
+    rngs, density_rngs = spec.rngs(range(200)), spec.rngs(range(100000, 100200))
     sizes = [int(rng.integers(2, 5)) for rng in rngs]
     gaps, wyds = np.empty(200), np.empty(200)
     for n, rows in _shape_groups(sizes):
         group = [rngs[t] for t in rows]
         gaps[rows], p = jc.lieb_midpoint_gap(n, _WINDOW_WIDE, group)
-        rho = random_densities(n, (spec.stream(100000 + t).rng() for t in rows))
+        rho = random_densities(n, [density_rngs[t] for t in rows])
         _, u = np.linalg.eigh(rho)
         spectra = np.array([rng.standard_normal(n) for rng in group])
         k_comm = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
         wyds[rows] = np.abs(jc.wyd_skew_information(rho, k_comm, p))
-    worst_gap = float(np.min(gaps, initial=0.0))
+    worst_gap = float(np.min(gaps))
     worst_wyd = float(np.max(wyds))
     margin = np.min([worst_gap + 1e-8, 1e-12 - worst_wyd])
     return check_record("lieb_wyd", margin,
@@ -183,10 +184,10 @@ def check_lieb_wyd(spec: RandomSpec) -> dict:
 def check_relative_entropy(spec: RandomSpec) -> dict:
     """Epsilon-limit residual, joint concavity of relative entropy, and the
     conditional-entropy concavity gap."""
-    rngs = [spec.stream(t).rng() for t in range(50)]
+    rngs = spec.rngs(range(50))
     a, b = (random_in_window_rows(3, _WINDOW_NARROW, rngs) for _ in range(2))
     eps_residuals = ent.epsilon_limit_residual(a, b, 1e-5)
-    rngs = [spec.stream(1000 + t).rng() for t in range(200)]
+    rngs = spec.rngs(range(1000, 1200))
     sizes = [int(rng.integers(2, 5)) for rng in rngs]
     joint_gaps = np.empty(200)
     for n, rows in _shape_groups(sizes):
@@ -195,13 +196,13 @@ def check_relative_entropy(spec: RandomSpec) -> dict:
         joint_gaps[rows] = ent.relative_entropy(0.5 * (a0 + a1), 0.5 * (b0 + b1)) - 0.5 * (
             ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1))
     # trial t: states from streams 3000 + t and 4000 + t, weight from 2000 + t
-    lams = [spec.stream(2000 + t).rng().uniform(0.1, 0.9) for t in range(200)]
+    lams = [rng.uniform(0.1, 0.9) for rng in spec.rngs(range(2000, 2200))]
     lr_gaps = ent.lieb_ruskai_concavity_gap(
         ent.random_states((2, 2), spec.stream(3000), 200),
         ent.random_states((2, 2), spec.stream(4000), 200), np.array(lams))
     worst_eps = float(np.max(eps_residuals))
-    worst_joint = float(np.min(joint_gaps, initial=0.0))
-    worst_lr = float(np.min(lr_gaps, initial=0.0))
+    worst_joint = float(np.min(joint_gaps))
+    worst_lr = float(np.min(lr_gaps))
     margin = np.min([1e-3 - worst_eps, worst_joint + 1e-8, worst_lr + 1e-8])
     return check_record("relative_entropy_machinery", margin,
                         {"worst_epsilon_residual": worst_eps,
@@ -244,7 +245,7 @@ def check_convexity_detectors(spec: RandomSpec) -> dict:
 def check_resolvent_exactness(spec: RandomSpec) -> dict:
     """Resolvent identity, exact-vs-FD second derivative, and the algebraic
     atom decomposition."""
-    rngs = [spec.stream(t).rng() for t in range(100)]
+    rngs = spec.rngs(range(100))
     identity_residuals, fd_deviations = np.empty(100), np.empty(100)
     for parity, pole in enumerate((-1.0, 7.0)):  # the pole of trial t: 7 when t is odd
         rows = np.arange(parity, 100, 2)
@@ -315,9 +316,9 @@ def check_determinism(spec: RandomSpec) -> dict:
     margins bit-for-bit."""
     def battery() -> list[float]:
         states = ent.random_states((2, 3), spec, 20)
-        out = []
-        for t, slack in enumerate(ent.subadditivity_report(states).min_slack()):
-            rng = spec.stream(100 + t).rng()
+        out = []  # trial t: state t, then A and Q from stream 100 + t
+        for slack, rng in zip(ent.subadditivity_report(states).min_slack(),
+                              spec.rngs(range(100, 120))):
             a = random_in_window_from(3, _WINDOW_WIDE, rng)
             q = random_direction_from(3, rng)
             out += [float(slack), float(np.linalg.eigvalsh(

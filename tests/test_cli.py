@@ -111,6 +111,12 @@ def test_certify_function_without_closed_forms_is_a_usage_error(monkeypatch, cap
     assert "x4 has no closed-form deriv and deriv2" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    code = main(["certify-function", "--f", "x2", "--window", "0.1,2", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+
+
 def test_certify_function_sqrt_monotone(capsys):
     code = main(["certify-function", "--f", "sqrt", "--window", "0.1,10",
                  "--mode", "monotone", "--seed", "7"])
@@ -213,8 +219,10 @@ def test_check_concavity_parallel_sum(capsys):
 #: check-concavity arguments -> the (margin, detail) that a trial-at-a-time loop
 #: reports; the stacked batteries reproduce them bit for bit
 PINNED_BATTERIES = {
-    "--suite lieb --seed 3": (1e-08, {
-        "slack": 0.0, "tolerance": 1e-08, "worst_scaled_gap": 0.0}),
+    # the smallest raw gap, row 75 of test_lieb_battery_rows_keep_their_values
+    "--suite lieb --seed 3": (0.003338729242875838, {
+        "slack": 0.003338719242875838, "tolerance": 1e-08,
+        "worst_scaled_gap": 0.003338719242875838}),
     "--suite parallel-sum --seed 3": (4.62795560042875e-06, {
         "max_eigenvalue": -4.61795560042875e-06, "slack": 4.61795560042875e-06,
         "tolerance": 1e-08, "worst_projection_residual": 1.6501411259699236e-15}),
@@ -249,7 +257,7 @@ def test_parallel_sum_battery_on_a_fixed_tuple_keeps_its_values(tmp_path, capsys
 
 
 def test_lieb_battery_rows_keep_their_values():
-    # the battery's report floors its worst gap at 0; the rows behind it
+    # the rows behind the battery's report, whose slack is their minimum
     window = SpectrumWindow(0.1, 5.0)
     gaps = np.concatenate([jc.lieb_midpoint_gap(3, window, rngs)[0]
                            for rngs in cx.trial_chunks(RandomSpec(3), 100, 3)])
@@ -344,8 +352,12 @@ def test_check_concavity_kubo_ando(tmp_path, capsys):
         KuboAndoRepresentation(0.3, 0.2, atoms=((1.0, 0.5),))
     ))
     code = main(["check-concavity", "--suite", "kubo-ando", "--rep", str(path),
-                 "--trials", "20", "--seed", "3"])
+                 "--trials", "20", "--seed", "3", "--format", "json"])
     assert code == 0
+    (record,) = json.loads(capsys.readouterr().out)["checks"]
+    # the smallest gap eigenvalue over the 20 trials, not a floor at 0
+    assert record["detail"]["slack"] == record["detail"]["worst_gap_eigenvalue"] \
+        == 0.00029194569559292234
     code = main(["check-concavity", "--suite", "kubo-ando", "--trials", "5"])
     assert code == 2  # needs --rep
 

@@ -596,3 +596,42 @@ def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):
     assert res <= 1e-12
     # the gap: A0, A1 and A_lambda; the integrand: all 2 x 32 nodes at once
     assert [c for c in calls if c[0] == "eigh"] == [("eigh", (2, 2))] * 3 + [("eigh", (64, 2, 2))]
+
+
+def _count_hashes(monkeypatch):
+    """Count seed-word hashes; building a numpy SeedSequence fails the test."""
+    real, batches = RandomSpec.seed_words, []
+
+    def counted(self, offsets):
+        words = real(self, offsets)
+        batches.append(len(words))
+        return words
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    monkeypatch.setattr(RandomSpec, "seed_words", counted)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    return batches
+
+
+def test_definition_hashes_its_streams_once(monkeypatch):
+    batches = _count_hashes(monkeypatch)
+    v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
+    assert v.status == "violated" and v.trials == 1000
+    assert batches == [1000]  # one batch for all 9 chunks
+
+
+def test_one_row_chunks_share_one_hash(monkeypatch):
+    batches = _count_hashes(monkeypatch)
+    spec, drawn = RandomSpec(4, 60), []
+
+    def trial(rngs):
+        drawn.append([rng.uniform() for rng in rngs])
+        return np.zeros(len(rngs)), lambda t: {"kind": "test"}
+
+    assert cx._chunk_rows(128) == 1
+    v = run_trials(trial, 5, spec, 128, TOL_CERT, TOL_VIOL)
+    assert v.status == "certified" and batches == [5]
+    monkeypatch.undo()
+    assert drawn == [[spec.stream(t).rng().uniform()] for t in range(5)]

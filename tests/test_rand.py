@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matconvex.errors import UnboundedWindowError
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
+    _stacked_draws,
     haar_unitaries,
     haar_unitaries_from,
     haar_unitary_from,
@@ -133,3 +135,78 @@ def test_haar_unitaries_from_one_generator():
         np.testing.assert_array_equal(u[s], q * (np.diagonal(r) / np.abs(np.diagonal(r))))
     np.testing.assert_allclose(u @ u.conj().swapaxes(1, 2), np.broadcast_to(np.eye(3), u.shape),
                                atol=1e-12)
+
+
+def _numpy_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """The construction the reproducibility contract names."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
+
+
+def _any_word_count(bits: int):
+    """Integers below ``2**bits`` of every uint32 word count, often next to a
+    word boundary (2**32, 2**64)."""
+    return st.one_of(st.integers(0, 2**bits - 1),
+                     *(st.integers(2**k - 4, 2**k + 4) for k in range(32, bits, 32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_any_word_count(70), base=_any_word_count(34),
+       offsets=st.lists(_any_word_count(33), max_size=6))
+def test_batched_streams_match_numpy_seed_sequence(seed, base, offsets):
+    # seeds, ids and offsets all cross 2^32, so an entropy array may hold one
+    # word more or less than its neighbour in the batch
+    gens = RandomSpec(seed, base).rngs(offsets)
+    assert len(gens) == len(offsets)
+    for offset, rng in zip(offsets, gens):
+        ref = _numpy_generator(seed, base + offset)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        assert rng.integers(0, 2**63) == ref.integers(0, 2**63)
+
+
+def test_batched_streams_cover_word_count_boundaries():
+    for seed in (0, 2**32 - 1, 2**32, 2**64, 2**96 + 5):
+        spec = RandomSpec(seed, 2**32 - 2)
+        offsets = [0, 1, 2, 3, 2**32 + 2, 2**33, 5]  # ids of 1, 2 and 2 words, mixed
+        for offset, rng in zip(offsets, spec.rngs(offsets)):
+            ref = _numpy_generator(seed, spec.stream_id + offset)
+            assert rng.bit_generator.state == ref.bit_generator.state
+    # an id beyond int64, reached from a large base
+    rng = RandomSpec(3, 2**70).rngs([1])[0]
+    assert rng.bit_generator.state == _numpy_generator(3, 2**70 + 1).bit_generator.state
+
+
+def test_rng_is_the_batch_of_one():
+    spec = RandomSpec(42, 7)
+    assert spec.rng().bit_generator.state == spec.rngs([0])[0].bit_generator.state
+    assert spec.rng().bit_generator.state == _numpy_generator(42, 7).bit_generator.state
+
+
+def test_empty_batch():
+    assert RandomSpec(1, 5).rngs([]) == []
+    assert RandomSpec(1, 5).seed_words(range(0)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("spec, offsets", [
+    (RandomSpec(-1), [0]),
+    (RandomSpec(-1), []),
+    (RandomSpec(0, -1), [0]),
+    (RandomSpec(0, 3), [0, -4]),  # the batch reaches id -1
+])
+def test_negative_seed_or_stream_id_is_rejected_like_numpy(spec, offsets):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        spec.rngs(offsets)
+    if offsets == [0]:
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            spec.rng()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_draws_fill_each_row_from_its_generator(n):
+    spec = RandomSpec(12, 300)
+    stack = _stacked_draws(n, spec.rngs(range(9)))
+    assert stack.shape == (9, n, n) and stack.dtype == complex
+    for t, rng in enumerate(spec.rngs(range(9))):
+        np.testing.assert_array_equal(
+            stack[t], rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert _stacked_draws(n, []).shape == (0, n, n)

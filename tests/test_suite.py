@@ -29,6 +29,28 @@ def test_x4_witness_regenerates_from_its_stream_id():
     assert witness["stream_id"] == 9_000_002
 
 
+def _numpy_words(self, offsets):
+    return np.array([np.random.SeedSequence((self.seed, self.stream_id + int(o)))
+                     .generate_state(4, np.uint64) for o in offsets], dtype=np.uint64)
+
+
+def _numpy_rngs(self, offsets):
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (self.seed, self.stream_id + int(o))))) for o in offsets]
+
+
+def test_suite_records_match_numpy_seed_sequence_streams(monkeypatch):
+    # every batch (and rng(), its batch of one) built the way numpy seeds one
+    # stream at a time; trial chunks take their seed words from numpy too
+    shipped = run_suite(1)
+    monkeypatch.setattr(RandomSpec, "rngs", _numpy_rngs)
+    monkeypatch.setattr(RandomSpec, "seed_words", _numpy_words)
+    reference = run_suite(1)
+    for record in shipped + reference:
+        del record["timing"]
+    assert shipped == reference
+
+
 def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
     from matconvex import entropy as ent
 
@@ -48,7 +70,7 @@ def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
 @pytest.mark.parametrize("check, target, nan_value", [
     # worst case taken with a max over trials: NaN in the certificate's residual
     ("parallel_sum_certificate", "parallel_sum_certificate", math.nan),
-    # worst case taken with a min over trials, floored at zero
+    # worst case taken with a NaN-propagating min over trials
     ("lieb_wyd", "lieb_functional", math.nan),
 ])
 def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
