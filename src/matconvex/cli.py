@@ -26,7 +26,7 @@ from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
 from .linalg import SpectrumWindow
 from .quadrature import QuadratureConfig
-from .rand import STREAM_BLOCK, RandomSpec, random_in_window_from, random_in_window_rows
+from .rand import STREAM_BLOCK, RandomSpec, random_in_window_rows
 from .resolvent import certify_representation, pick_eval_matrix
 
 _PASSING = {"pass", "certified"}
@@ -179,13 +179,10 @@ def cmd_certify_representation(args) -> int:
 
     def routes():
         # block 1: disjoint from the certification's streams at any --trials
-        deviations = []
-        for rng in spec.stream(STREAM_BLOCK).rngs(range(20)):
-            a = random_in_window_from(args.n, rep.window, rng)
-            deviations.append(float(np.linalg.norm(
-                pick_eval_matrix(rep, a, via="spectral")
-                - pick_eval_matrix(rep, a, via="atoms")
-            )))
+        rngs = spec.stream(STREAM_BLOCK).rngs(range(20))
+        deviations = [float(np.linalg.norm(pick_eval_matrix(rep, a, via="spectral")
+                                           - pick_eval_matrix(rep, a, via="atoms")))
+                      for a in random_in_window_rows(args.n, rep.window, rngs)]
         worst = float(np.max(deviations))
         slack = 1e-8 - worst
         return mio.check_record("spectral_vs_atoms_routes", slack, {
@@ -223,14 +220,14 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
             # a fixed tuple gives the same error in every trial: evaluate it once
             tuples = [mio.load_tuple(args.tuple)]
         else:
-            tuples = [[random_in_window_from(args.n, window, rng) for _ in p]
-                      for rng in spec.rngs(range(args.trials))]
+            rngs = spec.rngs(range(args.trials))
+            tuples = list(zip(*[random_in_window_rows(args.n, window, rngs) for _ in p]))
         errors = [jc.tensor_power_errors(mats, p, [quad.nodes_per_axis])[0]
                   for mats in tuples]
-        worst = float(np.max(errors, initial=0.0))
+        worst = float(np.max(errors))
         detail = {"slack": quad.tolerance - worst, "tolerance": 0.0,
                   "worst_relative_error": worst, "nodes": args.nodes}
-        if args.error_curve and tuples:
+        if args.error_curve:
             detail["error_curve_16_to_128"] = jc.tensor_power_errors(
                 tuples[0], p, jc.ERROR_CURVE_NODES)
         return mio.check_record("tensor_power_vs_direct", detail["slack"], detail)
@@ -255,6 +252,8 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
 
 
 def cmd_check_concavity(args) -> int:
+    if args.trials < 1:  # zero trials certify nothing
+        raise ValidationError(f"need at least one trial, got {args.trials}")
     seed = _default_seed(args.seed)
     spec = RandomSpec(seed)
     checks = [_timed(lambda: _concavity_check(args, spec, SpectrumWindow(0.1, 5.0)))]

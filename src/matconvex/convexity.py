@@ -32,7 +32,6 @@ from .linalg import (
     entrywise,
     _raise_first,
     min_eigenvalue,
-    op_norm,
 )
 from .quadrature import gauss_legendre_01
 from .rand import (
@@ -53,8 +52,6 @@ _CONFLUENT = np.finfo(float).eps ** (1.0 / 3.0)
 #: Relative rounding allowed in f_i - f_j before a divided difference
 #: trusts the quotient over the trapezoid.
 _ROUNDING = 4.0 * np.finfo(float).eps
-#: h = (1 + ||M||) eps^(1/4) balances truncation against roundoff.
-_FD_EXPONENT = 0.25
 #: Matrix entries per chunk of stacked trials, where each trial's generator
 #: (about 2 kB, alive for the whole chunk) counts as 128 entries: one trial at
 #: n = 128, 124 at n = 2, so a chunk never holds more than one large-n trial.
@@ -258,30 +255,6 @@ def jensen_test(
                                    "matrices": list(mats[t])}
 
     return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
-
-
-def default_fd_step(m: np.ndarray):
-    """(1 + ||M||) eps^(1/4); a ``(T,)`` array of steps for a stack."""
-    return (1.0 + op_norm(m)) * np.finfo(float).eps ** _FD_EXPONENT
-
-
-def second_derivative_fd(
-    f: ScalarFunction, m: np.ndarray, q: np.ndarray, h
-) -> np.ndarray:
-    """Central second difference (f(M+hQ) - 2 f(M) + f(M-hQ)) / h^2; a stack
-    takes one step per row.  An independent oracle for the exact derivative."""
-    h = np.asarray(h)[..., None, None]
-    try:
-        fp = apply_function(m + h * q, f, f.domain, source="M+hQ")
-        f0 = apply_function(m, f, f.domain, source="M")
-        fm = apply_function(m - h * q, f, f.domain, source="M-hQ")
-    except DomainViolationError as err:
-        raise DomainViolationError(
-            f"{err}; try a smaller step h",
-            eigenvalue=err.eigenvalue,
-            source=err.source,
-        ) from err
-    return (fp - 2.0 * f0 + fm) / (h * h)
 
 
 def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,

@@ -6,7 +6,7 @@ average, conditional and relative entropy, the conditional-entropy concavity
 gap, subadditivity and strong subadditivity reports, and the splitting of
 mutual information into a quantum and a classical part.
 
-All logarithms are natural; report serializations also quote bits.
+All logarithms are natural.
 
 Pinching is basis dependent and the defining eigenbases are not unique when a
 marginal has degenerate eigenvalues.  The deterministic rule used here:
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import _dagger, _float_or_rows, _trace, check_hermitian, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
-from .rand import RandomSpec, haar_unitaries_from, random_densities, random_density_from
+from .rand import RandomSpec, haar_unitaries_from, random_densities
 
 #: Eigenvalues at or below this floor count as exact zeros for entropy and as
 #: support violations for relative entropy.
@@ -314,8 +314,6 @@ def lieb_ruskai_concavity_gap(rho_a: DensityOperator, rho_b: DensityOperator, la
 # ---------------------------------------------------------------------------
 # Reports.
 
-LOG2 = math.log(2.0)
-
 
 @dataclasses.dataclass(frozen=True)
 class EntropyReport:
@@ -328,13 +326,6 @@ class EntropyReport:
     def min_slack(self):
         """Smallest slack (NaN-propagating), per row for a stack."""
         return np.min(list(self.slacks.values()), axis=0) if self.slacks else math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "values_nats": dict(self.values),
-            "values_bits": {k: v / LOG2 for k, v in self.values.items()},
-            "slacks": dict(self.slacks),
-        }
 
 
 def subadditivity_report(rho12: DensityOperator) -> EntropyReport:
@@ -415,7 +406,7 @@ def ssa_report(rho123: DensityOperator) -> EntropyReport:
 
 
 # ---------------------------------------------------------------------------
-# Named states used throughout the test batteries.
+# Named and random states.
 
 
 def bell_state() -> DensityOperator:
@@ -425,30 +416,9 @@ def bell_state() -> DensityOperator:
     return DensityOperator(np.outer(v, v), (2, 2))
 
 
-def ghz_state() -> DensityOperator:
-    """(|000> + |111>)/sqrt(2) on three qubits."""
-    v = np.zeros(8)
-    v[0] = v[7] = 1.0 / math.sqrt(2.0)
-    return DensityOperator(np.outer(v, v), (2, 2, 2))
-
-
-def classically_correlated_pair() -> DensityOperator:
-    """Perfectly correlated classical bits: diag(1/2, 0, 0, 1/2)."""
-    return DensityOperator(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-
-
-def product_state(*factors: DensityOperator) -> DensityOperator:
-    mat = np.eye(1)
-    dims: tuple[int, ...] = ()
-    for f in factors:
-        mat = tensor(mat, f.matrix)
-        dims = dims + f.dims
-    return DensityOperator(mat, dims)
-
-
 def random_state(dims: Sequence[int], spec: RandomSpec) -> DensityOperator:
     """Hilbert-Schmidt ensemble state on the given tensor factorization."""
-    return DensityOperator(random_density_from(math.prod(dims), spec.rng()), dims)
+    return DensityOperator(random_densities(math.prod(dims), [spec.rng()])[0], dims)
 
 
 def random_states(dims: Sequence[int], spec: RandomSpec, count: int) -> DensityOperator:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .convexity import ScalarFunction, Verdict, default_fd_step, run_trials
+from .convexity import ScalarFunction
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
     SpectrumWindow,
@@ -48,19 +48,14 @@ from .linalg import (
     apply_function,
     check_hermitian,
     frobenius,
-    max_eigenvalue,
-    min_eigenvalue,
     op_norm,
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
-from .rand import RandomSpec, random_hermitian_rows, random_in_window_rows
+from .rand import random_hermitian_rows, random_in_window_rows
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
-#: The tuple second difference has no exact form: its FD verdicts run coarser.
-TOL_CERT_FD = 1e-5
-TOL_VIOL_FD = 1e-4
 
 #: Entries per chunk of the (nodes, n^k) resolvent-diagonal temporary in
 #: tensor_power_integral: 2^20 float64 values, about 8 MB at any node count.
@@ -113,14 +108,12 @@ def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [q / scale for q in dirs]
 
 
-def random_directions(k: int, n: int, rng) -> list[np.ndarray]:
-    """k Hermitian n x n directions drawn in turn from ``rng`` and scaled
-    jointly by normalize_directions; a sequence of T generators gives k
-    ``(T, n, n)`` stacks, row t drawn from the t-th."""
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    dirs = normalize_directions([random_hermitian_rows(n, rngs) for _ in range(k)])
-    return [q[0] for q in dirs] if single else dirs
+def random_directions(
+    k: int, n: int, rngs: Sequence[np.random.Generator]
+) -> list[np.ndarray]:
+    """k ``(T, n, n)`` stacks of Hermitian directions, row t drawn in turn from
+    the t-th of T generators, each row scaled jointly by normalize_directions."""
+    return normalize_directions([random_hermitian_rows(n, rngs) for _ in range(k)])
 
 
 def parallel_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -157,95 +150,25 @@ def parallel_sum_hessian(
     """Exact d^2/dt^2 of the parallel sum along A_j + t Q_j.
 
     Equals -2 Y* (I - T) Y with Y the blocks Y_j = A_j^(-1/2) Q_j A_j^(-1) R^(-1)
-    stacked kn x n and T the block projection (projection_block_matrix).
+    stacked kn x n and T the block projection A_j^(-1/2) R^(-1) A_m^(-1/2).
     Negative semidefinite because T is an orthogonal projection.
     """
     return _hessian(_block_projection(mats), dirs)
 
 
-def projection_block_matrix(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The kn x kn block matrix T with blocks A_j^(-1/2) R^(-1) A_m^(-1/2)."""
-    return _block_projection(mats)[3]
-
-
-def _residuals(t: np.ndarray):
-    return frobenius(t - _dagger(t)), frobenius(t @ t - t)
-
-
-def projection_residuals(mats: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Frobenius norms (||T - T*||, ||T^2 - T||) of the block projection;
-    ``(T,)`` arrays for a tuple of stacks."""
-    return _residuals(projection_block_matrix(mats))
-
-
 def parallel_sum_certificate(
     mats: Sequence[np.ndarray], dirs: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float, float]:
-    """(Hessian, its largest eigenvalue, the larger projection residual), all
-    read from one block projection; for every admissible tuple the eigenvalue
-    is <= 0 and the residual 0, up to roundoff.  Stacks give a Hessian per
-    row and ``(T,)`` arrays; a fixed tuple (2-D entries) with stacked
-    directions is factored once."""
+    """(Hessian, its largest eigenvalue, the larger projection residual
+    max(||T - T*||, ||T^2 - T||)), all read from one block projection; for
+    every admissible tuple the eigenvalue is <= 0 and the residual 0, up to
+    roundoff.  Stacks give a Hessian per row and ``(T,)`` arrays; a fixed
+    tuple (2-D entries) with stacked directions is factored once."""
     projection = _block_projection(mats)
-    hess = _hessian(projection, dirs)
+    hess, t = _hessian(projection, dirs), projection[3]
     top = _float_or_rows(np.linalg.eigvalsh(hess).max(axis=-1))
-    return hess, top, _float_or_rows(np.maximum(*_residuals(projection[3])))
-
-
-def tuple_second_difference(
-    map_fn: Callable[[Sequence[np.ndarray]], np.ndarray],
-    mats: Sequence[np.ndarray],
-    dirs: Sequence[np.ndarray],
-    h: float,
-):
-    """Central second difference of a tuple map along (Q_1, ..., Q_k)."""
-    plus = map_fn([a + h * q for a, q in zip(mats, dirs)])
-    mid = map_fn(list(mats))
-    minus = map_fn([a - h * q for a, q in zip(mats, dirs)])
-    return (plus - 2.0 * mid + minus) / (h * h)
-
-
-def joint_concavity_test(
-    map_fn: Callable[[Sequence[np.ndarray]], np.ndarray],
-    sampler: Callable[[int, int, np.random.Generator], list[np.ndarray]],
-    k: int,
-    n: int,
-    trials: int,
-    spec: RandomSpec,
-    mode: str = "fd",
-) -> Verdict:
-    """Randomized joint-concavity test of a tuple map, judged at
-    ``TOL_CERT_FD``/``TOL_VIOL_FD``.
-
-    mode "fd": the second difference along random directions, with the step
-    ``default_fd_step`` of the largest entry, must be negative (semi)definite.
-    mode "midpoint": the definitional gap F((A+B)/2) - (F(A) + F(B))/2 must be
-    positive semidefinite.  ``map_fn`` and ``sampler`` may be any callables on
-    one tuple, so a trial runs its rows in turn.
-    """
-    if mode not in ("fd", "midpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def row(rng):
-        mats = sampler(k, n, rng)
-        if mode == "fd":
-            dirs = random_directions(k, n, rng)
-            step = max(default_fd_step(a) for a in mats)
-            d2 = tuple_second_difference(map_fn, mats, dirs, step)
-            return -max_eigenvalue(d2), {"kind": "joint_fd", "matrices": mats,
-                                         "directions": dirs, "h": step}
-        other = sampler(k, n, rng)
-        gap = map_fn([0.5 * (a + b) for a, b in zip(mats, other)]) - 0.5 * (
-            map_fn(list(mats)) + map_fn(list(other))
-        )
-        return min_eigenvalue(gap), {"kind": "joint_midpoint", "matrices": mats,
-                                     "others": other}
-
-    def trial(rngs):
-        margins, witnesses = zip(*map(row, rngs))
-        return np.array(margins), witnesses.__getitem__
-
-    return run_trials(trial, trials, spec, n, TOL_CERT_FD, TOL_VIOL_FD)
+    residual = np.maximum(frobenius(t - _dagger(t)), frobenius(t @ t - t))
+    return hess, top, _float_or_rows(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +394,6 @@ class KuboAndoRepresentation:
                 raise ValueError(f"atom location must be positive, got t={t}")
             if nu <= 0.0:
                 raise ValueError(f"atom weight must be positive, got nu={nu}")
-
-    def scalar_function(self) -> ScalarFunction:
-        """The induced scalar function (set B = 1, A = x)."""
-
-        def f(x: float) -> float:
-            total = self.a * x + self.b
-            for t, nu in self.atoms:
-                total += nu * (t * x / (1.0 + t * x)) * (1.0 + t) / t
-            return total
-
-        return ScalarFunction("kubo_ando_scalar", f, SpectrumWindow(0.0, np.inf))
 
 
 def kubo_ando_eval(

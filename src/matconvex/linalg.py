@@ -166,10 +166,6 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def max_eigenvalue(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(h)[-1])
-
-
 def op_norm(h: np.ndarray):
     """Operator (spectral) norm of a Hermitian matrix; a ``(T,)`` array for a stack."""
     return _float_or_rows(np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1))

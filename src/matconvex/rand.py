@@ -17,16 +17,15 @@ streams with one vectorized pass of numpy's ``SeedSequence`` entropy hash
 bit for bit, so every stored witness and report replays unchanged.
 :meth:`RandomSpec.rng` is the batch of one.
 
-Samplers take a ``np.random.Generator`` (``x_from(n, spec.rng())``), so one
-stream can feed several draws in a fixed order.
-
-Stacked samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) draw
-row t from the t-th generator as the ``_from`` form would, straight into one
-stack buffer, then run one QR or product for the stack; the ``_from`` form is
-the unstacked case, equal to a row bit for bit.  Generators are independent,
-so a trial stack that draws A, then Q makes one pass over its generators per
-input.  A Monte Carlo average has no per-sample witness and owns one stream
-(``haar_unitaries_from``).
+Samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) take a
+sequence of generators and draw row t from the t-th, straight into one stack
+buffer, then run one QR or product for the stack; a lone draw is the stack of
+one, ``random_in_window_rows(n, window, [spec.rng()])[0]``.  One generator can
+feed several draws in a fixed order, and generators are independent, so a
+trial stack that draws A, then Q makes one pass over its generators per input.
+A Monte Carlo average has no per-sample witness and owns one stream
+(``haar_unitaries_from``); ``random_simplex`` draws one weight vector from one
+generator.
 """
 
 from __future__ import annotations
@@ -177,12 +176,9 @@ def generators(words: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
-def _complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Row t: ``_complex_gaussian((n, n), rngs[t])``, each part drawn in place."""
+    """Complex Gaussian G + iH, row t from ``rngs[t]`` (G, then H), each part
+    drawn in place."""
     rngs = list(rngs)
     buf = np.empty((2, len(rngs), n, n))
     for part, rng in zip(buf.swapaxes(0, 1), rngs):
@@ -203,33 +199,26 @@ def haar_unitaries(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     return _haar(_stacked_draws(n, rngs))
 
 
-def haar_unitary_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary (the unstacked :func:`haar_unitaries`)."""
-    return _haar(_complex_gaussian((n, n), rng))
-
-
 def haar_unitaries_from(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar unitaries from one generator: the real parts of every
     sample, then the imaginary parts, then one QR."""
-    return _haar(_complex_gaussian((count, n, n), rng))
+    shape = (count, n, n)
+    return _haar(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def random_hermitian_rows(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Row t is ``random_hermitian_from(n, rngs[t])``."""
+    """GUE-like samples (G + G*)/2 with G complex standard Gaussian, row t
+    from the t-th generator."""
     g = _stacked_draws(n, rngs)
     return 0.5 * (g + g.conj().swapaxes(-1, -2))
-
-
-def random_hermitian_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE-like sample (G + G*)/2 with G complex standard Gaussian."""
-    return random_hermitian_rows(n, (rng,))[0]
 
 
 def random_in_window_rows(
     n: int, window: SpectrumWindow, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """Row t is ``random_in_window_from(n, window, rngs[t])``: each generator
-    draws its spectrum, then its unitary; one QR and one product for the stack."""
+    """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar,
+    row t from the t-th generator: each draws its spectrum, then its unitary;
+    one QR and one product for the stack."""
     if not window.is_bounded:
         raise UnboundedWindowError(
             "random_in_window needs a bounded window; pass a compact sub-window"
@@ -240,47 +229,21 @@ def random_in_window_rows(
     return (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def random_in_window_from(
-    n: int, window: SpectrumWindow, rng: np.random.Generator
-) -> np.ndarray:
-    """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar."""
-    return random_in_window_rows(n, window, (rng,))[0]
-
-
 def random_direction_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Row t is ``random_direction_from(n, rngs[t])``."""
+    """Random Hermitian matrices normalized to unit operator norm, row t from
+    the t-th generator."""
     q = random_hermitian_rows(n, rngs)
     return q / op_norm(q)[:, None, None]
 
 
-def random_direction_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix normalized to unit operator norm."""
-    return random_direction_rows(n, (rng,))[0]
-
-
-def _hilbert_schmidt(g: np.ndarray) -> np.ndarray:
-    """G G* / Tr(G G*) for complex Gaussian G, row by row over a stack."""
+def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Hilbert-Schmidt ensemble G G* / Tr(G G*), G complex Gaussian, row t
+    from the t-th generator."""
+    g = _stacked_draws(n, rngs)
     w = g @ g.conj().swapaxes(-1, -2)
     w /= np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
     return w
 
-
-def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Hilbert-Schmidt ensemble, row t from the t-th generator."""
-    return _hilbert_schmidt(_stacked_draws(n, rngs))
-
-
-def random_density_from(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Hilbert-Schmidt density matrix (the unstacked :func:`random_densities`)."""
-    return _hilbert_schmidt(_complex_gaussian((n, n), rng))
-
-
-def random_pure_density(n: int, spec: RandomSpec) -> np.ndarray:
-    """Rank-one projector onto a Haar-random unit vector."""
-    rng = spec.rng()
-    v = _complex_gaussian((n, 1), rng)[:, 0]
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:

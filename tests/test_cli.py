@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from helpers import product_state
 from matconvex import convexity as cx
 from matconvex import io as mio
 from matconvex import jointconcavity as jc
 from matconvex import suite
 from matconvex.cli import main
 from matconvex.errors import MatConvexError
-from matconvex.entropy import bell_state, product_state, DensityOperator
+from matconvex.entropy import bell_state, DensityOperator
 from matconvex.io import (
     density_to_dict,
     kubo_ando_to_dict,
@@ -22,7 +23,7 @@ from matconvex.io import (
 )
 from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import RandomSpec, random_in_window_from
+from matconvex.rand import RandomSpec, random_in_window_rows
 from matconvex.resolvent import PickRepresentation
 
 
@@ -73,7 +74,7 @@ def test_certify_function_detectors_draw_from_disjoint_blocks(monkeypatch, capsy
     main(["certify-function", "--f", "x2", "--window", "0.1,2",
           "--n", "2", "--trials", "5", "--seed", "7"])
     window = SpectrumWindow(0.1, 2.0)
-    first = {name: random_in_window_from(2, window, spec.stream(0).rng())
+    first = {name: random_in_window_rows(2, window, [spec.stream(0).rng()])[0]
              for name, spec in specs.items()}
     assert not np.array_equal(first["definition_test"],
                               first["second_derivative_test"])
@@ -360,6 +361,19 @@ def test_check_concavity_kubo_ando(tmp_path, capsys):
         == 0.00029194569559292234
     code = main(["check-concavity", "--suite", "kubo-ando", "--trials", "5"])
     assert code == 2  # needs --rep
+
+
+@pytest.mark.parametrize("suite_name", ["parallel-sum", "tensor-power", "lieb", "kubo-ando"])
+def test_check_concavity_zero_trials_is_a_usage_error(tmp_path, capsys, suite_name):
+    # zero trials certify nothing: no pass with margin Infinity, one error line
+    path = tmp_path / "mean.json"
+    save_json(str(path), kubo_ando_to_dict(KuboAndoRepresentation(0.3, 0.2)))
+    code = main(["check-concavity", "--suite", suite_name, "--rep", str(path),
+                 "--trials", "0", "--format", "json"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need at least one trial, got 0\n"
 
 
 def test_seed_env_fallback(monkeypatch, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import fd_step, second_difference
 from matconvex import convexity as cx
 from matconvex.convexity import (
     BUILTINS,
@@ -16,7 +17,6 @@ from matconvex.convexity import (
     _probe_points,
     builtin,
     convexity_gap,
-    default_fd_step,
     definition_test,
     jensen_gap,
     jensen_test,
@@ -29,16 +29,15 @@ from matconvex.convexity import (
     run_trials,
     secant_test,
     secant_transform,
-    second_derivative_fd,
     second_derivative_test,
 )
 from matconvex.errors import DomainViolationError
 from matconvex.linalg import SpectrumWindow, apply_function, min_eigenvalue
 from matconvex.rand import (
     RandomSpec,
-    haar_unitary_from,
-    random_direction_from,
-    random_in_window_from,
+    haar_unitaries,
+    random_direction_rows,
+    random_in_window_rows,
     random_simplex,
 )
 
@@ -64,9 +63,9 @@ def test_witness_stream_id_is_absolute():
     spec = RandomSpec(2024, 5000)
     v = definition_test(builtin("x4"), NARROW, 2, 200, spec)
     assert v.status == "violated" and v.witness["stream_id"] >= 5000
-    redrawn = random_in_window_from(
-        2, NARROW, RandomSpec(2024, v.witness["stream_id"]).rng()
-    )
+    redrawn = random_in_window_rows(
+        2, NARROW, [RandomSpec(2024, v.witness["stream_id"]).rng()]
+    )[0]
     np.testing.assert_array_equal(redrawn, v.witness["A0"])
 
 
@@ -162,22 +161,22 @@ def test_exact_and_fd_second_derivative_agree():
     worst = dict.fromkeys(CLOSED_FORMS, 0.0)
     for t in range(50):
         rng = RandomSpec(5, t).rng()
-        m = random_in_window_from(4, NARROW, rng)
-        q = random_direction_from(4, rng)
+        m = random_in_window_rows(4, NARROW, [rng])[0]
+        q = random_direction_rows(4, [rng])[0]
         for name, closed in CLOSED_FORMS.items():
             exact = line_second_derivative(builtin(name), m, q)
             worst[name] = max(worst[name], _relative_error(exact, closed(m, q)))
     assert max(worst.values()) <= 1e-10, worst
-    fd = second_derivative_fd(builtin("x4"), m, q, default_fd_step(m))
+    fd = second_difference(lambda x: x @ x @ x @ x, m, q, fd_step(m))
     np.testing.assert_allclose(fd, exact, atol=1e-4)
 
 
 def test_daleckii_krein_on_a_clustered_spectrum():
     # pairs 1e-9 apart take the confluent forms; 1e-5 is near the threshold
     rng = RandomSpec(5).rng()
-    u = haar_unitary_from(5, rng)
+    u = haar_unitaries(5, [rng])[0]
     m = (u * np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-5, 2.0])) @ u.conj().T
-    q = random_direction_from(5, rng)
+    q = random_direction_rows(5, [rng])[0]
     exact = line_second_derivative(builtin("x4"), m, q)
     assert _relative_error(exact, CLOSED_FORMS["x4"](m, q)) <= 1e-10
     stacked = line_second_derivative(builtin("x4"), np.stack([m, m + 0.5 * np.eye(5)]), q)
@@ -186,9 +185,9 @@ def test_daleckii_krein_on_a_clustered_spectrum():
     # average gave 1.5e-6, the quotient just beyond the threshold 2e-8)
     for t in range(6):
         rng = RandomSpec(6, t).rng()
-        u = haar_unitary_from(5, rng)
+        u = haar_unitaries(5, [rng])[0]
         m = (u * np.array([0.5, 1.0, 1.0 + 2e-5, 3.0, 1.0 + 4.6e-5])) @ u.conj().T
-        q = random_direction_from(5, rng)
+        q = random_direction_rows(5, [rng])[0]
         for name in ("x4", "inv"):
             exact = line_second_derivative(builtin(name), m, q)
             assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-9, (name, t)
@@ -196,9 +195,9 @@ def test_daleckii_krein_on_a_clustered_spectrum():
     # with the top of the spectrum (1/x: 2e-9 with the spectrum's scale)
     for t in range(20):
         rng = RandomSpec(8, t).rng()
-        u = haar_unitary_from(4, rng)
+        u = haar_unitaries(4, [rng])[0]
         m = (u * np.array([0.2, 0.2 + 1e-5, 1.1, 1.9])) @ u.conj().T
-        q = random_direction_from(4, rng)
+        q = random_direction_rows(4, [rng])[0]
         exact = line_second_derivative(builtin("inv"), m, q)
         assert _relative_error(exact, CLOSED_FORMS["inv"](m, q)) <= 1e-10, t
 
@@ -214,9 +213,9 @@ def test_a_pair_just_beyond_the_confluent_band_stays_exact(ratio):
         rng = RandomSpec(7, t).rng()
         for lam in ([1.0, 1.0 + h, 1.9], [0.4, 1.2, 1.2 + h2, 1.9],
                     [1.0, 1.0 + h, 1.0 + 2.3 * h, 1.9]):
-            u = haar_unitary_from(len(lam), rng)
+            u = haar_unitaries(len(lam), [rng])[0]
             m = (u * np.array(lam)) @ u.conj().T
-            q = random_direction_from(len(lam), rng)
+            q = random_direction_rows(len(lam), [rng])[0]
             assert abs(min_eigenvalue(line_second_derivative(builtin("affine"), m, q))) <= 1e-10
             x2 = line_second_derivative(builtin("x2"), m, q)
             assert _relative_error(x2, CLOSED_FORMS["x2"](m, q)) <= 1e-10
@@ -246,7 +245,7 @@ def test_closed_form_derivatives_match_central_differences(name):
 
 def test_missing_closed_forms_fail_closed():
     x4 = builtin("x4")
-    m = random_in_window_from(2, NARROW, SPEC.rng())
+    m = random_in_window_rows(2, NARROW, [SPEC.rng()])[0]
     for bare in (ScalarFunction("bare_x4", x4.fn, x4.domain, vectorized=True),
                  ScalarFunction("no_deriv2_x4", x4.fn, x4.domain, deriv=x4.deriv)):
         with pytest.raises(ValueError, match=f"{bare.name} has no closed-form deriv and deriv2"):
@@ -380,8 +379,8 @@ def _engine(monkeypatch, run):
 
 def _definition_trial(f, window, n):
     def trial(rng):
-        a0 = random_in_window_from(n, window, rng)
-        a1 = random_in_window_from(n, window, rng)
+        a0 = random_in_window_rows(n, window, [rng])[0]
+        a1 = random_in_window_rows(n, window, [rng])[0]
         lam = float(rng.uniform(0.05, 0.95))
         return min_eigenvalue(convexity_gap(f, a0, a1, lam))
     return trial
@@ -390,15 +389,15 @@ def _definition_trial(f, window, n):
 def _jensen_trial(f, window, n, atoms):
     def trial(rng):
         weights = random_simplex(atoms, rng)
-        mats = [random_in_window_from(n, window, rng) for _ in range(atoms)]
+        mats = [random_in_window_rows(n, window, [rng])[0] for _ in range(atoms)]
         return min_eigenvalue(jensen_gap(f, weights, mats))
     return trial
 
 
 def _second_derivative_trial(f, window, n):
     def trial(rng):
-        m = random_in_window_from(n, window, rng)
-        q = random_direction_from(n, rng)
+        m = random_in_window_rows(n, window, [rng])[0]
+        q = random_direction_rows(n, [rng])[0]
         return min_eigenvalue(line_second_derivative(f, m, q))
     return trial
 
@@ -489,7 +488,7 @@ def test_chunk_boundaries_keep_every_row(monkeypatch, extra):
 
 def test_a_domain_escape_in_one_row_raises():
     rng = SPEC.rng()
-    a0 = np.stack([random_in_window_from(2, WINDOW, rng) for _ in range(5)])
+    a0 = np.stack([random_in_window_rows(2, WINDOW, [rng])[0] for _ in range(5)])
     a0[3] -= 6.0 * np.eye(2)  # row 3 leaves (0, inf)
     with pytest.raises(DomainViolationError, match="of A0 row 3 outside") as err:
         convexity_gap(builtin("inv"), a0, a0[::-1], np.full(5, 0.5))
@@ -590,7 +589,7 @@ def test_second_derivative_makes_one_eigensolve_per_chunk(monkeypatch):
 
 def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):
     rng = SPEC.rng()
-    a0, a1 = (random_in_window_from(2, NARROW, rng) for _ in range(2))
+    a0, a1 = (random_in_window_rows(2, NARROW, [rng])[0] for _ in range(2))
     calls = _count_kernels(monkeypatch)
     res = kernel_identity_residual(builtin("x4"), a0, a1, 0.42)
     assert res <= 1e-12

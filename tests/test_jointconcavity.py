@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 from scipy.special import gamma
 
-from matconvex import convexity as cx
-from matconvex.convexity import builtin, default_fd_step
+from helpers import second_difference
+from matconvex.convexity import builtin
 from matconvex.entropy import epsilon_limit_residual, relative_entropy
 from matconvex.errors import (
     ConditioningError,
@@ -19,10 +19,9 @@ from matconvex.errors import (
     UnsupportedArityError,
 )
 from matconvex.jointconcavity import (
-    TOL_VIOL_FD,
     KuboAndoRepresentation,
+    _block_projection,
     c_constant,
-    joint_concavity_test,
     kubo_ando_eval,
     lieb_functional,
     normalize_directions,
@@ -30,35 +29,30 @@ from matconvex.jointconcavity import (
     parallel_sum_certificate,
     parallel_sum_hessian,
     perspective,
-    projection_block_matrix,
-    projection_residuals,
-    random_directions,
     tensor_power_direct,
     tensor_power_integral,
-    tuple_second_difference,
     vectorization_residual,
     wyd_skew_information,
 )
-from matconvex.linalg import SpectrumWindow, max_eigenvalue, min_eigenvalue, op_norm
+from matconvex.linalg import SpectrumWindow, min_eigenvalue
 from matconvex.quadrature import QuadratureConfig, gamma_quadrature, orthant_rule
 from matconvex.rand import (
     RandomSpec,
-    haar_unitary_from,
-    random_density_from,
-    random_hermitian_from,
-    random_in_window_from,
+    haar_unitaries,
+    random_densities,
+    random_hermitian_rows,
+    random_in_window_rows,
 )
 
 WINDOW = SpectrumWindow(0.1, 5.0)
 
 
 def _tuple(k, n, seed):
-    return [random_in_window_from(n, WINDOW, RandomSpec(seed, j).rng())
-            for j in range(k)]
+    return list(random_in_window_rows(n, WINDOW, RandomSpec(seed).rngs(range(k))))
 
 
-def _window_sampler(k, n, rng):
-    return [random_in_window_from(n, WINDOW, rng) for _ in range(k)]
+def _hermitian(n, seed, stream_id):
+    return random_hermitian_rows(n, [RandomSpec(seed, stream_id).rng()])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +91,11 @@ def test_hessian_scalar_oracle():
 def test_hessian_negative_semidefinite_and_matches_fd(k, n):
     mats = _tuple(k, n, 100 * k + n)
     dirs = normalize_directions(
-        [random_hermitian_from(n, RandomSpec(7, 50 + j).rng()) for j in range(k)]
+        [_hermitian(n, 7, 50 + j) for j in range(k)]
     )
     hess = parallel_sum_hessian(mats, dirs)
     assert np.linalg.eigvalsh(hess).max() <= 1e-10
-    fd = tuple_second_difference(parallel_sum, mats, dirs, 1e-4)
+    fd = second_difference(parallel_sum, mats, dirs, 1e-4)
     assert np.linalg.norm(hess - fd) / np.linalg.norm(hess) < 1e-4
 
 
@@ -113,9 +107,10 @@ def test_hessian_direction_count_mismatch():
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 4)])
 def test_block_projection_residuals(k, n):
-    r_sym, r_idem = projection_residuals(_tuple(k, n, 31 + k))
-    assert r_sym < 1e-10
-    assert r_idem < 1e-10
+    # the certificate's residual is max(||T - T*||, ||T^2 - T||)
+    mats = _tuple(k, n, 31 + k)
+    _, _, residual = parallel_sum_certificate(mats, [np.eye(n)] * k)
+    assert residual < 1e-10
 
 
 def _hessian_block_sum(mats, dirs):
@@ -137,14 +132,14 @@ def _hessian_block_sum(mats, dirs):
 def test_hessian_matches_the_block_sum_oracle(k, n, seed):
     mats = _tuple(k, n, 200 + seed)
     dirs = normalize_directions(
-        [random_hermitian_from(n, RandomSpec(8, 10 * seed + j).rng()) for j in range(k)]
+        [_hermitian(n, 8, 10 * seed + j) for j in range(k)]
     )
     hess, oracle = parallel_sum_hessian(mats, dirs), _hessian_block_sum(mats, dirs)
     assert np.linalg.norm(hess - oracle) <= 1e-12 * np.linalg.norm(oracle)
     # the projection's blocks are A_j^(-1/2) R^(-1) A_m^(-1/2)
     r_inv = np.linalg.inv(sum(np.linalg.inv(a) for a in mats))
     s = np.concatenate([np.linalg.inv(sqrtm(a)) for a in mats])
-    np.testing.assert_allclose(projection_block_matrix(mats), s @ r_inv @ s.conj().T,
+    np.testing.assert_allclose(_block_projection(mats)[3], s @ r_inv @ s.conj().T,
                                atol=1e-12)
 
 
@@ -152,7 +147,7 @@ def test_hessian_matches_the_block_sum_oracle(k, n, seed):
 def test_certificate_factors_each_entry_once(monkeypatch, k):
     mats = _tuple(k, 3, 40 + k)
     dirs = normalize_directions(
-        [random_hermitian_from(3, RandomSpec(9, j).rng()) for j in range(k)]
+        [_hermitian(3, 9, j) for j in range(k)]
     )
     expected = parallel_sum_certificate(mats, dirs)
     calls = Counter()
@@ -167,74 +162,6 @@ def test_certificate_factors_each_entry_once(monkeypatch, k):
     np.testing.assert_array_equal(hess, expected[0])
     assert (eig, residual) == expected[1:]
     assert eig <= 1e-10 and residual <= 1e-12
-
-
-def test_joint_concavity_test_certifies_parallel_sum():
-    v = joint_concavity_test(
-        parallel_sum, _window_sampler, 2, 3, 50, RandomSpec(42), mode="fd"
-    )
-    assert v.status == "certified"
-    v = joint_concavity_test(
-        parallel_sum, _window_sampler, 2, 3, 50, RandomSpec(43), mode="midpoint"
-    )
-    assert v.status == "certified"
-
-
-def test_joint_concavity_test_refutes_a_convex_map():
-    def square_sum(mats):
-        return sum(a @ a for a in mats)
-
-    v = joint_concavity_test(
-        square_sum, _window_sampler, 2, 2, 100, RandomSpec(44), mode="fd"
-    )
-    assert v.status == "violated"
-
-
-def _square_sum(mats):
-    return sum(a @ a for a in mats)
-
-
-@pytest.mark.parametrize("map_fn, mode, seed", [
-    (parallel_sum, "fd", 42), (parallel_sum, "midpoint", 43), (_square_sum, "fd", 44)])
-def test_joint_concavity_rows_match_the_per_trial_loop(monkeypatch, map_fn, mode, seed):
-    # the reference loop: trial t alone, on stream t
-    spec, trials = RandomSpec(seed, 300), 60
-    expected = []
-    for t in range(trials):
-        rng = spec.stream(t).rng()
-        mats = _window_sampler(2, 3, rng)
-        if mode == "fd":
-            dirs = random_directions(2, 3, rng)
-            step = max(default_fd_step(a) for a in mats)
-            expected.append(-max_eigenvalue(tuple_second_difference(map_fn, mats, dirs, step)))
-        else:
-            other = _window_sampler(2, 3, rng)
-            expected.append(min_eigenvalue(
-                map_fn([0.5 * (a + b) for a, b in zip(mats, other)])
-                - 0.5 * (map_fn(mats) + map_fn(other))))
-    expected = np.array(expected)
-    seen = []
-    real = cx._aggregate
-    monkeypatch.setattr(cx, "_aggregate", lambda m, *rest: seen.append(m) or real(m, *rest))
-    v = joint_concavity_test(map_fn, _window_sampler, 2, 3, trials, spec, mode=mode)
-    np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-12)
-    bad = np.flatnonzero(expected < -TOL_VIOL_FD)
-    assert v.status == ("violated" if bad.size else "certified")
-    if bad.size:
-        assert v.witness["stream_id"] == spec.stream_id + bad[0]
-
-
-def test_joint_fd_default_step_follows_the_largest_entry():
-    def square_sum(mats):
-        return sum(a @ a for a in mats)
-
-    v = joint_concavity_test(
-        square_sum, _window_sampler, 2, 2, 100, RandomSpec(44), mode="fd"
-    )
-    w = v.witness
-    assert w["h"] == (
-        (1.0 + max(op_norm(a) for a in w["matrices"])) * np.finfo(float).eps ** 0.25
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +233,7 @@ def test_tensor_power_integral_matches_dense_oracle(k, n):
     p = (0.3, 0.7) if k == 2 else (0.2, 0.5, 0.3)
     mats = _tuple(k, n, 80 + 10 * k + n)
     # a factor with a repeated eigenvalue: its eigenbasis is not unique
-    u = haar_unitary_from(n, RandomSpec(90, n).rng())
+    u = haar_unitaries(n, [RandomSpec(90, n).rng()])[0]
     mats[1] = (u * np.array([0.7] * (n - 1) + [2.5])) @ u.conj().T
     quad = QuadratureConfig(16)
     oracle = _dense_resolvent_integral(mats, p, quad)
@@ -413,10 +340,10 @@ def test_wyd_hand_value():
 
 def test_wyd_zero_iff_commuting_and_nonpositive():
     for t in range(20):
-        rho = random_density_from(3, RandomSpec(60, t).rng())
-        k = random_hermitian_from(3, RandomSpec(61, t).rng())
+        rho = random_densities(3, [RandomSpec(60, t).rng()])[0]
+        k = _hermitian(3, 61, t)
         assert wyd_skew_information(rho, k, 0.3) <= 1e-12
-    w, u = np.linalg.eigh(random_density_from(3, RandomSpec(62).rng()))
+    w, u = np.linalg.eigh(random_densities(3, [RandomSpec(62).rng()])[0])
     k_comm = (u * np.array([1.0, -2.0, 0.5])) @ u.conj().T
     rho = (u * w) @ u.conj().T
     assert abs(wyd_skew_information(rho, k_comm, 0.7)) < 1e-12
@@ -444,13 +371,17 @@ def test_kubo_ando_validation():
 
 def test_kubo_ando_matrix_vs_scalar_coherence():
     rep = KuboAndoRepresentation(0.2, 0.1, atoms=((0.5, 0.3), (2.0, 0.7)))
-    f = rep.scalar_function()
+
+    def f(x):  # the induced scalar function (B = 1, A = x)
+        return rep.a * x + rep.b + sum(nu * (t * x / (1.0 + t * x)) * (1.0 + t) / t
+                                       for t, nu in rep.atoms)
+
     # commuting pair: eval must equal b * f_rep(a/b) on joint eigenvalues
     a = np.diag([0.5, 3.0])
     b = np.eye(2)
     out = kubo_ando_eval(rep, a, b)
     np.testing.assert_allclose(
-        out, np.diag([f.fn(0.5), f.fn(3.0)]), atol=1e-12
+        out, np.diag([f(0.5), f(3.0)]), atol=1e-12
     )
 
 
@@ -488,7 +419,6 @@ GATED = {
     "parallel_sum": lambda bad, good: parallel_sum([good, bad]),
     "parallel_sum_hessian": lambda bad, good: parallel_sum_hessian(
         [bad, good], [good, good]),
-    "projection_residuals": lambda bad, good: projection_residuals([good, bad]),
     "parallel_sum_certificate": lambda bad, good: parallel_sum_certificate(
         [good, bad], [good, good]),
     "tensor_power_direct": lambda bad, good: tensor_power_direct([good, bad], (0.3, 0.7)),
@@ -519,7 +449,7 @@ GATED = {
 )
 def test_gated_entry_points_reject_without_repair(name, n, seed, i, j, defect):
     rng = RandomSpec(seed).rng()
-    good = random_in_window_from(n, WINDOW, rng)
+    good = random_in_window_rows(n, WINDOW, [rng])[0]
     bad = good.copy()
     i, j = i % n, j % n
     if math.isnan(defect):

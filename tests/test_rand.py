@@ -9,28 +9,22 @@ from matconvex.rand import (
     _stacked_draws,
     haar_unitaries,
     haar_unitaries_from,
-    haar_unitary_from,
     random_densities,
-    random_density_from,
-    random_direction_from,
     random_direction_rows,
-    random_hermitian_from,
-    random_in_window_from,
+    random_hermitian_rows,
     random_in_window_rows,
-    random_pure_density,
     random_simplex,
 )
 
 
 def test_same_spec_same_draw():
-    a = random_hermitian_from(5, RandomSpec(42, 3).rng())
-    b = random_hermitian_from(5, RandomSpec(42, 3).rng())
+    a = random_hermitian_rows(5, [RandomSpec(42, 3).rng()])
+    b = random_hermitian_rows(5, [RandomSpec(42, 3).rng()])
     np.testing.assert_array_equal(a, b)
 
 
 def test_different_streams_differ():
-    a = random_hermitian_from(5, RandomSpec(42, 0).rng())
-    b = random_hermitian_from(5, RandomSpec(42, 1).rng())
+    a, b = random_hermitian_rows(5, RandomSpec(42).rngs([0, 1]))
     assert np.linalg.norm(a - b) > 1e-3
 
 
@@ -42,14 +36,14 @@ def test_stream_helper():
 
 
 def test_haar_unitary_is_unitary():
-    u = haar_unitary_from(6, RandomSpec(0).rng())
+    (u,) = haar_unitaries(6, [RandomSpec(0).rng()])
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
 
 def test_random_in_window_spectrum_confined():
     window = SpectrumWindow(1.0, 3.0)
     for t in range(20):
-        m = random_in_window_from(4, window, RandomSpec(1, t).rng())
+        (m,) = random_in_window_rows(4, window, [RandomSpec(1, t).rng()])
         eigs = np.linalg.eigvalsh(m)
         assert eigs.min() > 1.0 and eigs.max() < 3.0
         # the 5% sampling margin keeps spectra clear of the edges
@@ -58,24 +52,18 @@ def test_random_in_window_spectrum_confined():
 
 def test_random_in_window_rejects_unbounded():
     with pytest.raises(UnboundedWindowError):
-        random_in_window_from(3, SpectrumWindow(0.0, np.inf), RandomSpec(0).rng())
+        random_in_window_rows(3, SpectrumWindow(0.0, np.inf), [RandomSpec(0).rng()])
 
 
 def test_random_direction_unit_norm():
-    q = random_direction_from(4, RandomSpec(3).rng())
+    (q,) = random_direction_rows(4, [RandomSpec(3).rng()])
     assert np.max(np.abs(np.linalg.eigvalsh(q))) == pytest.approx(1.0)
 
 
 def test_random_density_valid():
-    rho = random_density_from(5, RandomSpec(9).rng())
+    (rho,) = random_densities(5, [RandomSpec(9).rng()])
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho).min() >= 0.0
-
-
-def test_random_pure_density_rank_one():
-    rho = random_pure_density(4, RandomSpec(2))
-    eigs = np.sort(np.linalg.eigvalsh(rho))
-    np.testing.assert_allclose(eigs, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_random_simplex_sums_to_one():
@@ -90,7 +78,7 @@ def test_stacked_haar_rows_bit_identical_to_per_stream_draws(n):
     stack = haar_unitaries(n, (spec.stream(t).rng() for t in range(30)))
     assert stack.shape == (30, n, n)
     for t in range(30):
-        alone = haar_unitary_from(n, spec.stream(t).rng())
+        (alone,) = haar_unitaries(n, [spec.stream(t).rng()])
         np.testing.assert_array_equal(stack[t], alone)
         # the 2-D formula a loop over streams would run
         rng = spec.stream(t).rng()
@@ -103,8 +91,13 @@ def test_stacked_density_rows_bit_identical_to_per_stream_draws():
     spec = RandomSpec(6, 70)
     stack = random_densities(4, (spec.stream(t).rng() for t in range(20)))
     for t in range(20):
-        alone = random_density_from(4, spec.stream(t).rng())
+        (alone,) = random_densities(4, [spec.stream(t).rng()])
         np.testing.assert_array_equal(stack[t], alone)
+        # the 2-D formula a loop over streams would run
+        rng = spec.stream(t).rng()
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        w = g @ g.conj().T
+        np.testing.assert_array_equal(stack[t], w / np.trace(w).real)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -115,14 +108,14 @@ def test_stacked_window_and_direction_rows_bit_identical_to_per_stream_draws(n):
     a, q = random_in_window_rows(n, window, rngs), random_direction_rows(n, rngs)
     assert a.shape == q.shape == (25, n, n)
     for t in range(25):
-        rng = spec.stream(t).rng()
-        np.testing.assert_array_equal(a[t], random_in_window_from(n, window, rng))
-        np.testing.assert_array_equal(q[t], random_direction_from(n, rng))
+        rngs = [spec.stream(t).rng()]
+        np.testing.assert_array_equal(a[t], random_in_window_rows(n, window, rngs)[0])
+        np.testing.assert_array_equal(q[t], random_direction_rows(n, rngs)[0])
         # the 2-D formulas a loop over streams would run: spectrum, then unitary
         rng = spec.stream(t).rng()
         inner = window.shrunk(0.05)
         lam = rng.uniform(inner.a, inner.b, size=n)
-        u = haar_unitary_from(n, rng)
+        (u,) = haar_unitaries(n, [rng])
         np.testing.assert_array_equal(a[t], (u * lam) @ u.conj().T)
 
 

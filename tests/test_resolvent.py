@@ -4,19 +4,14 @@ representation, and input validation."""
 import numpy as np
 import pytest
 
-from matconvex.convexity import (
-    ScalarFunction,
-    _probe_points,
-    default_fd_step,
-    line_second_derivative,
-    second_derivative_fd,
-)
+from helpers import fd_step, second_difference
+from matconvex.convexity import ScalarFunction, _probe_points, line_second_derivative
 from matconvex.errors import ConditioningError, DomainViolationError
-from matconvex.linalg import SpectrumWindow
+from matconvex.linalg import SpectrumWindow, apply_function
 from matconvex.rand import (
     RandomSpec,
-    random_direction_from,
-    random_in_window_from,
+    random_direction_rows,
+    random_in_window_rows,
 )
 from matconvex.resolvent import (
     PickRepresentation,
@@ -70,8 +65,8 @@ def test_resolvent_spectrum_check():
 @pytest.mark.parametrize("u", [-1.0, 7.0])
 def test_second_derivative_psd_both_branches(u):
     for t in range(20):
-        a = random_in_window_from(3, WINDOW, RandomSpec(10, t).rng())
-        q = random_direction_from(3, RandomSpec(10, 1000 + t).rng())
+        a = random_in_window_rows(3, WINDOW, [RandomSpec(10, t).rng()])[0]
+        q = random_direction_rows(3, [RandomSpec(10, 1000 + t).rng()])[0]
         d2 = resolvent_second_derivative(a, q, ResolventPoint(u, WINDOW))
         assert np.linalg.eigvalsh(d2).min() >= -1e-10
 
@@ -79,20 +74,20 @@ def test_second_derivative_psd_both_branches(u):
 @pytest.mark.parametrize("u", [-1.0, 7.0])
 def test_second_derivative_matches_fd(u):
     spec = RandomSpec(11)
-    a = random_in_window_from(3, WINDOW, spec.rng())
-    q = random_direction_from(3, spec.stream(1).rng())
+    a = random_in_window_rows(3, WINDOW, [spec.rng()])[0]
+    q = random_direction_rows(3, [spec.stream(1).rng()])[0]
     point = ResolventPoint(u, WINDOW)
     exact = resolvent_second_derivative(a, q, point)
     f = ScalarFunction("f_u", point.scalar, WINDOW)
-    fd = second_derivative_fd(f, a, q, default_fd_step(a))
+    fd = second_difference(lambda x: apply_function(x, f, WINDOW), a, q, fd_step(a))
     rel = np.linalg.norm(exact - fd) / np.linalg.norm(exact)
     assert rel < 1e-4
 
 
 def test_resolvent_identity_exact():
     spec = RandomSpec(12)
-    a = random_in_window_from(4, WINDOW, spec.rng()) + 6.0 * np.eye(4)
-    delta = 0.01 * random_direction_from(4, spec.stream(1).rng())
+    a = random_in_window_rows(4, WINDOW, [spec.rng()])[0] + 6.0 * np.eye(4)
+    delta = 0.01 * random_direction_rows(4, [spec.stream(1).rng()])[0]
     assert resolvent_identity_residual(a, delta) < 1e-12
 
 
@@ -135,7 +130,7 @@ def test_scalar_eval_at_pole_free_point():
 
 def test_matrix_routes_agree():
     for t in range(10):
-        a = random_in_window_from(4, WINDOW, RandomSpec(14, t).rng())
+        a = random_in_window_rows(4, WINDOW, [RandomSpec(14, t).rng()])[0]
         via_spectral = pick_eval_matrix(REP, a, via="spectral")
         via_atoms = pick_eval_matrix(REP, a, via="atoms")
         np.testing.assert_allclose(via_spectral, via_atoms, atol=1e-10)
@@ -152,12 +147,12 @@ def test_matrix_route_commuting_case_matches_scalar():
 
 def test_exact_second_derivative_psd_and_matches_fd():
     spec = RandomSpec(15)
-    m = random_in_window_from(3, WINDOW, spec.rng())
-    q = random_direction_from(3, spec.stream(1).rng())
+    m = random_in_window_rows(3, WINDOW, [spec.rng()])[0]
+    q = random_direction_rows(3, [spec.stream(1).rng()])[0]
     exact = pick_second_derivative(REP, m, q)
     assert np.linalg.eigvalsh(exact).min() >= -1e-10
     f = pick_scalar_function(REP)
-    fd = second_derivative_fd(f, m, q, default_fd_step(m))
+    fd = second_difference(lambda x: apply_function(x, f, WINDOW), m, q, fd_step(m))
     assert np.linalg.norm(exact - fd) / np.linalg.norm(exact) < 1e-4
 
 
@@ -177,8 +172,8 @@ def test_daleckii_krein_matches_the_resolvent_sum(n, lines, tol):
     f = pick_scalar_function(REP)
     for t in range(lines):
         rng = RandomSpec(17, t).rng()
-        m = random_in_window_from(n, WINDOW, rng)
-        q = random_direction_from(n, rng)
+        m = random_in_window_rows(n, WINDOW, [rng])[0]
+        q = random_direction_rows(n, [rng])[0]
         exact = pick_second_derivative(REP, m, q)
         dk = line_second_derivative(f, m, q)
         assert np.linalg.norm(dk - exact) / np.linalg.norm(exact) <= tol

@@ -90,9 +90,9 @@ def test_a_stack_row_equals_the_unstacked_call(name):
 def test_random_directions_rows_equal_single_draws():
     stacked = _directions(3, 4, 9)
     for t in range(ROWS):
-        single = jc.random_directions(3, 4, RandomSpec(9, 100 + t).rng())
+        single = jc.random_directions(3, 4, [RandomSpec(9, 100 + t).rng()])
         for q, row in zip(single, stacked):
-            np.testing.assert_array_equal(row[t], q)
+            np.testing.assert_array_equal(row[t], q[0])
 
 
 def test_a_fixed_tuple_broadcasts_against_stacked_directions():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from matconvex import jointconcavity as jc
+from matconvex import resolvent as rv
 from matconvex.io import matrix_from_dict
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import RandomSpec, random_in_window_from
+from matconvex.rand import RandomSpec, random_in_window_rows
 from matconvex.suite import run_suite
 
 
@@ -22,9 +23,9 @@ def test_x4_witness_regenerates_from_its_stream_id():
     (record,) = run_suite(1, only="convexity_detectors")
     witness = record["witness"]
     a0, _ = matrix_from_dict(witness["A0"])
-    redrawn = random_in_window_from(
-        2, SpectrumWindow(0.1, 2.0), RandomSpec(1, witness["stream_id"]).rng()
-    )
+    redrawn = random_in_window_rows(
+        2, SpectrumWindow(0.1, 2.0), [RandomSpec(1, witness["stream_id"]).rng()]
+    )[0]
     np.testing.assert_array_equal(redrawn, a0)
     assert witness["stream_id"] == 9_000_002
 
@@ -93,6 +94,28 @@ def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
     assert rows[0] > 1  # a stack, not one trial
     assert record["status"] == "fail"
     assert math.isnan(record["margin"])
+
+
+@pytest.mark.parametrize("check, module, target", [
+    ("parallel_sum_certificate", jc, "parallel_sum_certificate"),
+    ("resolvent_exactness", rv, "resolvent_second_derivative"),
+], ids=["parallel_sum_certificate", "resolvent_exactness"])
+def test_a_small_error_in_an_exact_second_derivative_fails_its_check(
+        monkeypatch, check, module, target):
+    # the oracles are exact, so a 1e-6 relative error fails the check; a
+    # finite-difference oracle at its 1e-4 resolution would let it pass
+    real = getattr(module, target)
+
+    def skewed(*args):
+        out = real(*args)
+        if isinstance(out, tuple):  # the certificate: Hessian first
+            return (out[0] * (1.0 + 1e-6), *out[1:])
+        return out * (1.0 + 1e-6)
+
+    monkeypatch.setattr(module, target, skewed)
+    (record,) = run_suite(1, only=check)
+    assert record["status"] == "fail"
+    assert record["detail"]["worst_oracle_relative_deviation"] == pytest.approx(1e-6, rel=1e-3)
 
 
 #: check -> shape groups at seed 1: (k, n) pairs of the parallel sum, sizes of
