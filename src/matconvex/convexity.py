@@ -12,7 +12,12 @@ NaN margin never certifies.  Every randomized test is a stacked trial run by
 :func:`run_trials`, the one loop that splits streams, stamps witnesses and
 reduces margins: trial t still draws from its own stream ``spec.stream(t)``,
 in the order a single trial would, but a chunk of trials is evaluated as one
-``(T, n, n)`` stack, so one eigensolve serves every row of it.
+``(T, n, n)`` stack, so one eigensolve serves every row of it.  A sampled
+matrix travels with its spectral factors (lambda, U) from the sampler, and f
+and the Daleckii-Krein derivative are evaluated from them: the only
+eigensolves left are of the mixtures A_lambda and the Jensen barycenter, which
+no sampler made.  Witnesses store the factors next to each matrix, and
+:func:`replay_witness` replays from them.
 A randomized run can refute but never prove; `certified` means "no violation
 found at the stated resolution".
 """
@@ -27,18 +32,21 @@ import numpy as np
 
 from .errors import DomainViolationError
 from .linalg import (
+    HERMITICITY_TOL,
     SpectrumWindow,
     apply_function,
     entrywise,
+    from_spectrum,
     _raise_first,
     min_eigenvalue,
+    spectral_function,
 )
 from .quadrature import gauss_legendre_01
 from .rand import (
     RandomSpec,
     generators,
     random_direction_rows,
-    random_in_window_rows,
+    random_in_window_factors,
     random_simplex,
 )
 
@@ -171,8 +179,10 @@ def run_trials(
     for rngs in trial_chunks(spec, trials, n):
         m, witness = trial(rngs)
         margins.append(np.asarray(m, dtype=float))
-        # only a chunk with a violating row can supply the witness; drop the rest
+        # only a chunk with a violating row can supply the witness; drop the
+        # rest, with the arrays they hold, before the next chunk draws
         witnesses.append(witness if np.any(margins[-1] < -tol_viol) else None)
+        del witness
     margins = np.concatenate(margins)
 
     def stamped(t: int) -> dict:
@@ -180,6 +190,33 @@ def run_trials(
                 "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
 
     return _aggregate(margins, stamped, tol_cert, tol_viol)
+
+
+def _with_factors(key: str, m, w, u) -> dict:
+    """Witness entry ``key`` and its spectral factors, ``key_eigenvalues`` and
+    ``key_eigenvectors``, from which :func:`replay_witness` recomputes f."""
+    return {key: m, f"{key}_eigenvalues": w, f"{key}_eigenvectors": u}
+
+
+def _stored_factors(witness: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The factors stored next to ``witness[key]``; ValueError naming the key
+    unless they are there and rebuild it to within
+    ``HERMITICITY_TOL * (1 + max|entry|)``."""
+    for k in (f"{key}_eigenvalues", f"{key}_eigenvectors"):
+        if k not in witness:
+            raise ValueError(f"witness has no {k!r}: regenerate it from its stream id")
+    m = np.asarray(witness[key], dtype=complex)
+    w = np.asarray(witness[f"{key}_eigenvalues"], dtype=float)
+    u = np.asarray(witness[f"{key}_eigenvectors"], dtype=complex)
+    if w.shape != m.shape[:-1] or u.shape != m.shape:
+        raise ValueError(f"witness factors of {key!r} have shapes {w.shape} and "
+                         f"{u.shape}, not those of {key!r} {m.shape}")
+    error = np.max(np.abs(from_spectrum(w, u) - m))
+    bound = HERMITICITY_TOL * (1.0 + np.max(np.abs(m)))
+    if not error <= bound:  # NaN fails too
+        raise ValueError(f"witness factors of {key!r} rebuild it to {error:.3e}, "
+                         f"beyond {bound:.3e}")
+    return w, u
 
 
 def check_mixing_weight(lam):
@@ -191,15 +228,20 @@ def check_mixing_weight(lam):
 
 
 def convexity_gap(
-    f: ScalarFunction, a0: np.ndarray, a1: np.ndarray, lam: float
+    f: ScalarFunction, a0: np.ndarray, a1: np.ndarray, lam: float, factors=None,
 ) -> np.ndarray:
     """(1-lam) f(A0) + lam f(A1) - f(A_lam); PSD iff the midpoint test passes
-    here.  Stacks of A0 and A1 take a ``(T,)`` array of weights."""
+    here.  Stacks of A0 and A1 take a ``(T,)`` array of weights.
+
+    ``factors`` holds the spectral factors ``(w, U)`` of A0 and of A1 when
+    the caller has them, as the sampler does, so only A_lam is diagonalized;
+    otherwise ``eigh`` finds them.
+    """
     lam = np.asarray(check_mixing_weight(lam))[..., None, None]
-    a_mid = (1.0 - lam) * a0 + lam * a1
-    f0 = apply_function(a0, f, f.domain, source="A0")
-    f1 = apply_function(a1, f, f.domain, source="A1")
-    fm = apply_function(a_mid, f, f.domain, source="A_lambda")
+    (w0, u0), (w1, u1) = factors or (np.linalg.eigh(a0), np.linalg.eigh(a1))
+    f0 = spectral_function(w0, u0, f, f.domain, source="A0")
+    f1 = spectral_function(w1, u1, f, f.domain, source="A1")
+    fm = apply_function((1.0 - lam) * a0 + lam * a1, f, f.domain, source="A_lambda")
     return (1.0 - lam) * f0 + lam * f1 - fm
 
 
@@ -212,26 +254,32 @@ def definition_test(
 ) -> Verdict:
     """Randomized midpoint test of matrix convexity on n x n matrices."""
     def trial(rngs):
-        a0 = random_in_window_rows(n, window, rngs)
-        a1 = random_in_window_rows(n, window, rngs)
+        e0 = random_in_window_factors(n, window, rngs)
+        e1 = random_in_window_factors(n, window, rngs)
+        a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
         lam = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
-        margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam))[:, 0]
-        return margins, lambda t: {"kind": "definition", "A0": a0[t], "A1": a1[t],
-                                   "lam": float(lam[t])}
+        margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam, (e0, e1)))[:, 0]
+        return margins, lambda t: {"kind": "definition", "lam": float(lam[t]),
+                                   **_with_factors("A0", a0[t], e0[0][t], e0[1][t]),
+                                   **_with_factors("A1", a1[t], e1[0][t], e1[1][t])}
 
     return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
 
-def jensen_gap(f: ScalarFunction, weights, mats) -> np.ndarray:
+def jensen_gap(f: ScalarFunction, weights, mats, factors=None) -> np.ndarray:
     """sum_i w_i f(M_i) - f(sum_i w_i M_i); PSD at every measure iff f is
     matrix convex on the window.  ``weights`` (..., atoms) and ``mats``
-    (..., atoms, n, n) may carry a leading stack axis."""
+    (..., atoms, n, n) may carry a leading stack axis.  ``factors`` holds the
+    spectral factors ``(w, U)`` of ``mats``, shaped (..., atoms, n) and
+    (..., atoms, n, n), when the caller has them, so only the barycenter is
+    diagonalized; otherwise ``eigh`` finds them."""
     weights, mats = np.asarray(weights), np.asarray(mats)
-    atoms = [(weights[..., i, None, None], mats[..., i, :, :])
-             for i in range(weights.shape[-1])]
-    mean = sum(w * m for w, m in atoms)
-    lhs = sum(w * apply_function(m, f, f.domain, source=f"M_{i}")
-              for i, (w, m) in enumerate(atoms))
+    w, u = factors or np.linalg.eigh(mats)
+    lhs = sum(weights[..., i, None, None]
+              * spectral_function(w[..., i, :], u[..., i, :, :], f, f.domain, source=f"M_{i}")
+              for i in range(weights.shape[-1]))
+    mean = sum(weights[..., i, None, None] * mats[..., i, :, :]
+               for i in range(weights.shape[-1]))
     return lhs - apply_function(mean, f, f.domain, source="barycenter")
 
 
@@ -249,10 +297,13 @@ def jensen_test(
 
     def trial(rngs):
         weights = np.array([random_simplex(atoms, rng) for rng in rngs])
-        mats = np.stack([random_in_window_rows(n, window, rngs) for _ in range(atoms)], 1)
-        margins = np.linalg.eigvalsh(jensen_gap(f, weights, mats))[:, 0]
+        w, u = (np.stack(x, 1) for x in zip(*[random_in_window_factors(n, window, rngs)
+                                              for _ in range(atoms)]))
+        mats = from_spectrum(w, u)
+        margins = np.linalg.eigvalsh(jensen_gap(f, weights, mats, (w, u)))[:, 0]
         return margins, lambda t: {"kind": "jensen", "weights": weights[t],
-                                   "matrices": list(mats[t])}
+                                   **_with_factors("matrices", list(mats[t]),
+                                                   list(w[t]), list(u[t]))}
 
     return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
@@ -301,15 +352,22 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
 
 
 def line_second_derivative(f: ScalarFunction, m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact d^2/dt^2 f(M + tQ)|_0 by the Daleckii-Krein formula, row by row
-    over a stack, from one eigendecomposition M = U diag(lam) U*.
+    """Exact d^2/dt^2 f(M + tQ)|_0, row by row over a stack: the
+    eigendecomposition of M, then :func:`spectral_second_derivative`."""
+    return spectral_second_derivative(f, *np.linalg.eigh(m), q)
 
-    With Q~ = U* Q U, entry (i, k) of U* D U is 2 sum_j f[lam_i, lam_j, lam_k]
+
+def spectral_second_derivative(
+    f: ScalarFunction, w: np.ndarray, u: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Exact d^2/dt^2 f(M + tQ)|_0 by the Daleckii-Krein formula, row by row
+    over a stack, for M = U diag(w) U* given by its spectral factors.
+
+    With Q~ = U* Q U, entry (i, k) of U* D U is 2 sum_j f[w_i, w_j, w_k]
     Q~_ij Q~_jk.  A distant pair reads it from the commutator
-    ((L o Q~) Q~ - Q~ (L o Q~))_ik / (lam_i - lam_k); a confluent pair, the
+    ((L o Q~) Q~ - Q~ (L o Q~))_ik / (w_i - w_k); a confluent pair, the
     diagonal included, from sum_j (G_ij + G_kj)/2 Q~_ij Q~_jk.
     """
-    w, u = np.linalg.eigh(m)
     f.domain.check_spectrum(w, source="M")
     lo, g, near = _divided_differences(f, w)
     uh = u.conj().swapaxes(-1, -2)
@@ -331,10 +389,11 @@ def second_derivative_test(
 ) -> Verdict:
     """Local convexity criterion: d^2/dt^2 f(M + tQ)|_0 >= 0 along random lines."""
     def trial(rngs):
-        m = random_in_window_rows(n, window, rngs)
+        w, u = random_in_window_factors(n, window, rngs)
         q = random_direction_rows(n, rngs)
-        margins = np.linalg.eigvalsh(line_second_derivative(f, m, q))[:, 0]
-        return margins, lambda t: {"kind": "second_derivative", "M": m[t], "Q": q[t]}
+        margins = np.linalg.eigvalsh(spectral_second_derivative(f, w, u, q))[:, 0]
+        return margins, lambda t: {"kind": "second_derivative", "Q": q[t],
+                                   **_with_factors("M", from_spectrum(w[t], u[t]), w[t], u[t])}
 
     return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
 
@@ -451,12 +510,15 @@ def replay_witness(f: ScalarFunction, witness: dict) -> float:
     """Recompute the margin of a stored witness from its data alone."""
     kind = witness["kind"]
     if kind == "definition":
-        gap = convexity_gap(f, witness["A0"], witness["A1"], witness["lam"])
+        factors = (_stored_factors(witness, "A0"), _stored_factors(witness, "A1"))
+        gap = convexity_gap(f, witness["A0"], witness["A1"], witness["lam"], factors)
         return min_eigenvalue(gap)
     if kind == "jensen":
-        return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"]))
+        factors = _stored_factors(witness, "matrices")
+        return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"], factors))
     if kind == "second_derivative":
-        return min_eigenvalue(line_second_derivative(f, witness["M"], witness["Q"]))
+        w, u = _stored_factors(witness, "M")
+        return min_eigenvalue(spectral_second_derivative(f, w, u, witness["Q"]))
     if kind == "loewner":
         return min_eigenvalue(loewner_matrix(f, witness["sites"]))
     if kind == "secant":

@@ -176,23 +176,22 @@ _CHECK_OPTIONAL = {"witness", "detail"}
 
 
 def serialize_witness(witness: dict | None) -> dict | None:
-    """Inline witness payload; numpy arrays become matrix documents."""
+    """Inline witness payload: a numpy matrix becomes a matrix document, a 1-D
+    array (spectrum, weights) a list of floats, and a list of arrays a list
+    of those."""
     if witness is None:
         return None
-    out: dict[str, Any] = {}
-    for key, val in witness.items():
-        if isinstance(val, np.ndarray):
-            if val.ndim == 2:
-                out[key] = matrix_to_dict(val)
-            else:
-                out[key] = [float(x) for x in val]
-        elif isinstance(val, (list, tuple)) and val and isinstance(val[0], np.ndarray):
-            out[key] = [matrix_to_dict(m) for m in val]
-        elif isinstance(val, (np.floating, np.integer)):
-            out[key] = val.item()
-        else:
-            out[key] = val
-    return out
+    return {key: _jsonable(val) for key, val in witness.items()}
+
+
+def _jsonable(val):
+    if isinstance(val, np.ndarray):
+        return matrix_to_dict(val) if val.ndim == 2 else [float(x) for x in val]
+    if isinstance(val, (list, tuple)) and val and isinstance(val[0], np.ndarray):
+        return [_jsonable(v) for v in val]
+    if isinstance(val, (np.floating, np.integer)):
+        return val.item()
+    return val
 
 
 def check_record(

@@ -3,9 +3,13 @@
 All matrices are finite-dimensional, complex, and self-adjoint.  The working
 currency throughout the library is a plain ``numpy.ndarray`` that has passed
 through :func:`hermitian`, which validates and exactly symmetrizes its input.
-Matrix functions always go through a full spectral decomposition, so degenerate
+Matrix functions are evaluated on a spectral decomposition, so degenerate
 eigenvalues need no special handling; they take a ``(T, n, n)`` stack as well
-as one matrix, and an error on a stack names the row it came from.
+as one matrix, and an error on a stack names the row it came from.  A sampled
+matrix travels with its spectral factors (w, U), from which
+:func:`spectral_function` evaluates f without diagonalizing it again;
+:func:`apply_function` is that core after one ``eigh`` of a matrix that came
+without them.
 """
 
 from __future__ import annotations
@@ -132,25 +136,42 @@ def entrywise(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([f(float(v)) for v in x.ravel()], dtype=float).reshape(x.shape)
 
 
+def from_spectrum(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(w) U*, row by row over a stack of spectra and eigenvector bases."""
+    return (u * w[..., None, :]) @ _dagger(u)
+
+
+def spectral_function(
+    w: np.ndarray,
+    u: np.ndarray,
+    f: Callable[[float], float],
+    domain: SpectrumWindow | None = None,
+    source: str = "matrix",
+) -> np.ndarray:
+    """The matrix function U diag(f(w)) U* of the matrix with spectrum ``w``
+    and orthonormal eigenvectors ``u`` (columns), row by row over a stack,
+    with ``f`` evaluated through :func:`entrywise`.
+
+    When ``domain`` is given, every eigenvalue must lie inside it; an escape,
+    or a non-finite value of f, raises :class:`DomainViolationError` carrying
+    the offending eigenvalue and the source (and row) it came from.
+    """
+    if domain is not None:
+        domain.check_spectrum(w, source=source)
+    fw = entrywise(f, w)
+    _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
+    return from_spectrum(fw, u)
+
+
 def apply_function(
     h: np.ndarray,
     f: Callable[[float], float],
     domain: SpectrumWindow | None = None,
     source: str = "matrix",
 ) -> np.ndarray:
-    """Evaluate the matrix function U diag(f(lambda_i)) U*, row by row over a
-    ``(T, n, n)`` stack, with ``f`` evaluated through :func:`entrywise`.
-
-    When ``domain`` is given, every eigenvalue must lie inside it; an escape,
-    or a non-finite value of f, raises :class:`DomainViolationError` carrying
-    the offending eigenvalue and the source (and row) it came from.
-    """
-    w, u = np.linalg.eigh(h)
-    if domain is not None:
-        domain.check_spectrum(w, source=source)
-    fw = entrywise(f, w)
-    _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
-    return (u * fw[..., None, :]) @ _dagger(u)
+    """:func:`spectral_function` of a Hermitian matrix or ``(T, n, n)`` stack,
+    through its eigendecomposition."""
+    return spectral_function(*np.linalg.eigh(h), f, domain, source)
 
 
 def frobenius(x: np.ndarray):

@@ -10,17 +10,21 @@ keeps every part, and every helper that part calls with a sub-stream, inside
 its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
 absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
-Every generator is made by :meth:`RandomSpec.rngs`, which seeds a batch of
+A batch of generators is made by :meth:`RandomSpec.rngs`, which seeds its
 streams with one vectorized pass of numpy's ``SeedSequence`` entropy hash
-(O'Neill's ``seed_seq``, fixed as a stable stream by NEP 19): stream
+(O'Neill's ``seed_seq``, fixed as a stable stream by NEP 19); a lone one, by
+:meth:`RandomSpec.rng` through numpy's ``SeedSequence`` itself, which costs
+less for one row than a batch's fixed numpy calls.  Either way stream
 ``stream(o)`` gets ``Generator(PCG64(SeedSequence((seed, stream_id + o))))``
 bit for bit, so every stored witness and report replays unchanged.
-:meth:`RandomSpec.rng` is the batch of one.
 
 Samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) take a
 sequence of generators and draw row t from the t-th, straight into one stack
 buffer, then run one QR or product for the stack; a lone draw is the stack of
-one, ``random_in_window_rows(n, window, [spec.rng()])[0]``.  One generator can
+one, ``random_in_window_rows(n, window, [spec.rng()])[0]``.  A windowed sample
+is made from its spectral factors, and ``random_in_window_factors`` returns
+them, so the matrix can travel with (lambda, U) and never be diagonalized
+again; ``random_in_window_rows`` is their product.  One generator can
 feed several draws in a fixed order, and generators are independent, so a
 trial stack that draws A, then Q makes one pass over its generators per input.
 A Monte Carlo average has no per-sample witness and owns one stream
@@ -37,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnboundedWindowError
-from .linalg import SpectrumWindow, op_norm
+from .linalg import SpectrumWindow, from_spectrum, op_norm
 
 #: Margin fraction kept clear of each window edge when sampling spectra.
 WINDOW_MARGIN = 0.05
@@ -63,8 +67,10 @@ class RandomSpec:
     stream_id: int = 0
 
     def rng(self) -> np.random.Generator:
-        """The generator of this stream: the batch of one, ``rngs((0,))[0]``."""
-        return self.rngs((0,))[0]
+        """The generator of this stream, ``rngs((0,))[0]``, built by numpy's
+        own ``SeedSequence``: one row costs less that way than a batch."""
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((operator.index(self.seed), operator.index(self.stream_id)))))
 
     def rngs(self, offsets: Iterable[int]) -> list[np.random.Generator]:
         """The generators of streams ``stream(o)``, o in ``offsets``, in order."""
@@ -213,20 +219,28 @@ def random_hermitian_rows(n: int, rngs: Iterable[np.random.Generator]) -> np.nda
     return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
-def random_in_window_rows(
+def random_in_window_factors(
     n: int, window: SpectrumWindow, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """U diag(lambda) U* with lambda uniform on the 5%-shrunk window and U Haar,
-    row t from the t-th generator: each draws its spectrum, then its unitary;
-    one QR and one product for the stack."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral factors ``(lambda, U)`` of a stack of sampled matrices:
+    lambda ``(T, n)`` uniform on the 5%-shrunk window and U ``(T, n, n)`` Haar,
+    row t from the t-th generator.  Each draws its spectrum, then its
+    unitary; one QR for the stack."""
     if not window.is_bounded:
         raise UnboundedWindowError(
             "random_in_window needs a bounded window; pass a compact sub-window"
         )
     inner = window.shrunk(WINDOW_MARGIN)
     lam = np.array([rng.uniform(inner.a, inner.b, size=n) for rng in rngs])
-    u = haar_unitaries(n, rngs)
-    return (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return lam, haar_unitaries(n, rngs)
+
+
+def random_in_window_rows(
+    n: int, window: SpectrumWindow, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """U diag(lambda) U*, the product of :func:`random_in_window_factors`,
+    row t from the t-th generator: one product for the stack."""
+    return from_spectrum(*random_in_window_factors(n, window, rngs))
 
 
 def random_direction_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -30,16 +30,26 @@ from matconvex.convexity import (
     secant_test,
     secant_transform,
     second_derivative_test,
+    spectral_second_derivative,
 )
 from matconvex.errors import DomainViolationError
-from matconvex.linalg import SpectrumWindow, apply_function, min_eigenvalue
+from matconvex.linalg import (
+    SpectrumWindow,
+    apply_function,
+    entrywise,
+    from_spectrum,
+    min_eigenvalue,
+    spectral_function,
+)
 from matconvex.rand import (
     RandomSpec,
     haar_unitaries,
     random_direction_rows,
+    random_in_window_factors,
     random_in_window_rows,
     random_simplex,
 )
+from matconvex.resolvent import PickRepresentation, certify_representation
 
 WINDOW = SpectrumWindow(0.1, 5.0)
 NARROW = SpectrumWindow(0.1, 2.0)
@@ -67,6 +77,26 @@ def test_witness_stream_id_is_absolute():
         2, NARROW, [RandomSpec(2024, v.witness["stream_id"]).rng()]
     )[0]
     np.testing.assert_array_equal(redrawn, v.witness["A0"])
+
+
+def test_factored_witnesses_regenerate_from_their_stream_id():
+    # matrices and factors alike are the draws of the witness's own stream
+    v = second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC)
+    rng = RandomSpec(SPEC.seed, v.witness["stream_id"]).rng()
+    (w,), (u,) = random_in_window_factors(2, NARROW, [rng])
+    np.testing.assert_array_equal(v.witness["M_eigenvalues"], w)
+    np.testing.assert_array_equal(v.witness["M_eigenvectors"], u)
+    np.testing.assert_array_equal(
+        v.witness["M"],
+        random_in_window_rows(2, NARROW, [RandomSpec(SPEC.seed, v.witness["stream_id"]).rng()])[0])
+    v = jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)
+    rng = RandomSpec(SPEC.seed, v.witness["stream_id"]).rng()
+    np.testing.assert_array_equal(v.witness["weights"], random_simplex(3, rng))
+    for k in range(3):
+        w, u = random_in_window_factors(2, NARROW, [rng])
+        np.testing.assert_array_equal(v.witness["matrices_eigenvalues"][k], w[0])
+        np.testing.assert_array_equal(v.witness["matrices_eigenvectors"][k], u[0])
+        np.testing.assert_array_equal(v.witness["matrices"][k], from_spectrum(w, u)[0])
 
 
 @pytest.mark.parametrize("name", CONVEX)
@@ -254,6 +284,80 @@ def test_missing_closed_forms_fail_closed():
             second_derivative_test(bare, NARROW, 2, 10, SPEC)
     with pytest.raises(ValueError, match="bare_x4 has no closed-form deriv$"):
         loewner_matrix(ScalarFunction("bare_x4", x4.fn, x4.domain), [0.5, 1.0])
+
+
+def _relative_frobenius(x, y):
+    """||x - y|| / ||y|| in Frobenius norm, row by row; absolute where ||y|| < 1
+    (the second derivative of an affine f is 0)."""
+    return (np.linalg.norm(x - y, axis=(-2, -1))
+            / np.maximum(np.linalg.norm(y, axis=(-2, -1)), 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+@pytest.mark.parametrize("rows", [None, 6])
+def test_the_factor_path_agrees_with_the_matrix_path(name, rows):
+    # a 2-D pair of factors, or a (6, 4, 4) stack; the matrix path re-diagonalizes
+    f = builtin(name)
+    w, u = random_in_window_factors(4, NARROW, RandomSpec(31).rngs(range(rows or 1)))
+    q = random_direction_rows(4, RandomSpec(32).rngs(range(rows or 1)))
+    # the two paths' spectra differ in the last bits, which the second divided
+    # differences of Daleckii-Krein amplify by 1 / gap^2: the derivative runs
+    # on spectra spaced 0.4 apart (clustered spectra have their own tests)
+    spaced = np.sort(w, axis=-1) * 0.1 + np.linspace(0.2, 1.4, 4)
+    if rows is None:
+        w, spaced, u, q = w[0], spaced[0], u[0], q[0]
+    m = from_spectrum(w, u)
+    assert np.all(_relative_frobenius(spectral_function(w, u, f, f.domain),
+                                      apply_function(m, f, f.domain)) <= 1e-12)
+    assert np.all(_relative_frobenius(spectral_second_derivative(f, spaced, u, q),
+                                      line_second_derivative(f, from_spectrum(spaced, u), q))
+                  <= 1e-12)
+    # on the sampler's own spectra the paths agree to eps (|f| + ||M|| |f'|) / gap^2,
+    # the rounding of f and of the spectrum through the second divided differences
+    # (exp, row 2: 1.6e-12 relative at a gap of 0.0097; at most 6x the scale
+    # over the builtins at seeds 31-59)
+    gap = np.min(np.diff(np.sort(w, axis=-1), axis=-1), axis=-1)
+    scale = np.finfo(float).eps / gap**2 * (
+        np.max(np.abs(entrywise(f.fn, w)), axis=-1)
+        + np.max(np.abs(w), axis=-1) * np.max(np.abs(entrywise(f.deriv, w)), axis=-1))
+    error = np.linalg.norm(spectral_second_derivative(f, w, u, q)
+                           - line_second_derivative(f, m, q), axis=(-2, -1))
+    assert np.all(error <= 32 * scale)
+
+
+def test_an_out_of_window_factor_row_raises():
+    w, u = random_in_window_factors(2, NARROW, RandomSpec(33).rngs(range(5)))
+    good = (w.copy(), u)
+    w[3, 0] = -0.5  # row 3 leaves (0, inf)
+    f = builtin("inv")
+    with pytest.raises(DomainViolationError, match="eigenvalue -0.5 of A0 row 3 outside") as err:
+        spectral_function(w, u, f, f.domain, source="A0")
+    assert err.value.source == "A0" and err.value.eigenvalue == -0.5
+    with pytest.raises(DomainViolationError, match="eigenvalue -0.5 of M row 3 outside"):
+        spectral_second_derivative(f, w, u, u)
+    with pytest.raises(DomainViolationError, match="of A1 row 3 outside"):
+        convexity_gap(f, from_spectrum(*good), from_spectrum(w, u), np.full(5, 0.5),
+                      (good, (w, u)))
+
+
+@pytest.mark.parametrize("key", ["A0_eigenvalues", "A1_eigenvectors"])
+def test_replay_refuses_factors_that_do_not_rebuild_the_matrix(key):
+    v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
+    witness = {**v.witness, key: v.witness[key] * (1.0 + 1e-9)}
+    with pytest.raises(ValueError, match=f"witness factors of '{key[:2]}'"):
+        replay_witness(builtin("x4"), witness)
+    # a witness stored without its factors is regenerated from its stream id
+    witness = {k: val for k, val in v.witness.items() if k != key}
+    with pytest.raises(ValueError, match=f"witness has no '{key}'"):
+        replay_witness(builtin("x4"), witness)
+    m = {"jensen": "matrices", "second_derivative": "M"}
+    for kind, test in (("jensen", lambda: jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)),
+                       ("second_derivative",
+                        lambda: second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC))):
+        witness = dict(test().witness)
+        witness[f"{m[kind]}_eigenvalues"] = np.asarray(witness[f"{m[kind]}_eigenvalues"]) + 1e-9
+        with pytest.raises(ValueError, match=f"witness factors of '{m[kind]}'"):
+            replay_witness(builtin("x4"), witness)
 
 
 def test_kernel_is_nonnegative_with_kink():
@@ -559,9 +663,10 @@ def test_definition_makes_one_eigensolve_per_kernel_per_chunk(monkeypatch):
     v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     chunks = -(-1000 // cx._chunk_rows(2))
     assert v.status == "violated" and v.trials == 1000
-    # A0, A1 and A_lambda: one eigh each; the gap: one eigvalsh; A0, A1: one QR each
+    # A_lambda: one eigh (A0 and A1 come with their factors); the gap: one
+    # eigvalsh; A0, A1: one QR each
     assert chunks == 9
-    assert sorted(calls) == sorted(["eigh"] * 3 * chunks + ["eigvalsh"] * chunks
+    assert sorted(calls) == sorted(["eigh"] * chunks + ["eigvalsh"] * chunks
                                    + ["qr"] * 2 * chunks)
 
 
@@ -581,10 +686,33 @@ def test_second_derivative_makes_one_eigensolve_per_chunk(monkeypatch):
     v = second_derivative_test(builtin("neglog"), NARROW, 2, 500, SPEC)
     chunks = -(-500 // cx._chunk_rows(2))
     assert v.status == "certified" and chunks == 5
-    # the derivative: one eigh of M and one eigvalsh of D^2; sampling: one QR
-    # for M and one eigvalsh normalizing Q
+    # the derivative: no eigh (M comes with its factors) and one eigvalsh of
+    # D^2; sampling: one QR for M and one eigvalsh normalizing Q
     assert sorted(name for name, _ in calls) == sorted(
-        ["eigh"] * chunks + ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
+        ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
+
+
+def test_jensen_makes_one_eigh_per_chunk(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    v = jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)
+    chunks = -(-500 // cx._chunk_rows(2))
+    assert v.status == "violated" and chunks == 5
+    # the barycenter: one eigh (the atoms come with their factors); the gap:
+    # one eigvalsh; the 3 atoms: one QR each
+    assert sorted(name for name, _ in calls) == sorted(
+        ["eigh"] * chunks + ["eigvalsh"] * chunks + ["qr"] * 3 * chunks)
+
+
+def test_certify_representation_makes_no_eigh(monkeypatch):
+    rep = PickRepresentation(alpha=0.5, beta=1.0, gamma=0.25, c=1.0, window=NARROW,
+                             atoms=((-1.0, 0.5), (7.0, 2.0)))
+    calls = _count_kernels(monkeypatch)
+    v = certify_representation(rep, 3, 200, SPEC)
+    chunks = -(-200 // cx._chunk_rows(3))
+    assert v.status == "certified" and chunks == 2
+    # as second_derivative_test: no eigh; eigvalsh of D^2 and of Q; one QR
+    assert sorted(name for name, _ in calls) == sorted(
+        ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
 
 
 def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from matconvex.convexity import builtin, jensen_test
 from matconvex.entropy import bell_state
 from matconvex.errors import HermiticityError, ValidationError
 from matconvex.io import (
@@ -26,6 +28,7 @@ from matconvex.io import (
 )
 from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
+from matconvex.rand import RandomSpec
 from matconvex.resolvent import PickRepresentation
 
 
@@ -142,6 +145,14 @@ def test_serialize_witness_handles_arrays():
     assert isinstance(out["margin"], float)
     assert len(out["matrices"]) == 2
     assert serialize_witness(None) is None
+
+
+def test_serialize_witness_handles_a_list_of_spectra():
+    v = jensen_test(builtin("x4"), SpectrumWindow(0.1, 2.0), 2, 3, 500, RandomSpec(2024))
+    assert v.status == "violated"
+    out = json.loads(json.dumps(serialize_witness(v.witness)))
+    assert out["matrices_eigenvalues"] == [list(w) for w in v.witness["matrices_eigenvalues"]]
+    assert [m["dim"] for m in out["matrices_eigenvectors"]] == [2, 2, 2]
 
 
 def test_load_json_error_reporting(tmp_path):

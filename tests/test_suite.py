@@ -163,21 +163,26 @@ def _in_child(code: str, blas_threads: str = "1") -> str:
 
 
 def _batched_checks_in_child(blas_threads: str) -> str:
-    """Margins and details of the batched checks, run in a fresh interpreter."""
+    """Margins, details and witnesses of the batched checks, run in a fresh
+    interpreter."""
     code = (
         "import json\n"
         "from matconvex.suite import run_suite\n"
         f"names = {BATCHED_CHECKS!r}\n"
         "recs = [r for n in names for r in run_suite(1, only=n)]\n"
-        "print(json.dumps([[r['name'], r['status'], r['margin'], r['detail']]"
-        " for r in recs]))\n"
+        "print(json.dumps([[r['name'], r['status'], r['margin'], r['detail'],"
+        " r.get('witness')] for r in recs]))\n"
     )
     return _in_child(code, blas_threads)
 
 
 def test_batched_checks_repeat_across_processes_and_blas_threads():
     one, two = _batched_checks_in_child("1"), _batched_checks_in_child("2")
-    assert [r[0] for r in json.loads(one)] == list(BATCHED_CHECKS)
+    records = json.loads(one)
+    assert [r[0] for r in records] == list(BATCHED_CHECKS)
+    witness = records[BATCHED_CHECKS.index("convexity_detectors")][4]
+    assert {"A0_eigenvalues", "A0_eigenvectors", "A1_eigenvalues", "A1_eigenvectors",
+            "margin"} <= witness.keys()
     assert one == two
 
 
