@@ -33,9 +33,12 @@ import numpy as np
 from .errors import DomainViolationError
 from .linalg import (
     HERMITICITY_TOL,
+    ScalarFunction,
     SpectrumWindow,
     apply_function,
+    check_hermitian,
     entrywise,
+    factor,
     from_spectrum,
     _raise_first,
     min_eigenvalue,
@@ -68,48 +71,6 @@ _GENERATOR_ENTRIES = 128
 
 
 @dataclasses.dataclass(frozen=True)
-class ScalarFunction:
-    """A named real function with its admissible spectrum window.
-
-    ``deriv`` and ``deriv2`` are closed forms of f' and f'': Loewner matrices
-    need ``deriv``, line second derivatives both, and raise ``ValueError``
-    without them.  ``vectorized`` declares ``fn`` and both derivatives numpy
-    forms that map arrays entrywise, so a stack of spectra takes one call.
-    """
-
-    name: str
-    fn: Callable[[float], float]
-    domain: SpectrumWindow
-    deriv: Callable[[float], float] | None = None
-    deriv2: Callable[[float], float] | None = None
-    vectorized: bool = False
-
-    def __post_init__(self):
-        xs = _probe_points(self.domain)
-        ys = entrywise(self, xs)
-        if not np.all(np.isfinite(ys)):
-            x = xs[np.argmax(~np.isfinite(ys))]
-            raise ValueError(f"{self.name} is not finite at probe point {x}")
-
-    def __call__(self, x: float) -> float:
-        return self.fn(x)
-
-
-def _probe_points(domain: SpectrumWindow, count: int = 32) -> np.ndarray:
-    """A compact sub-interval of the domain, sampled at ``count`` points."""
-    if domain.is_bounded:
-        inner = domain.shrunk(0.05)
-        lo, hi = inner.a, inner.b
-    elif math.isfinite(domain.a):
-        lo, hi = domain.a + 0.05, domain.a + 10.0
-    elif math.isfinite(domain.b):
-        lo, hi = domain.b - 10.0, domain.b - 0.05
-    else:
-        lo, hi = -10.0, 10.0
-    return np.linspace(lo, hi, count)
-
-
-@dataclasses.dataclass(frozen=True)
 class Verdict:
     """Outcome of a randomized certification run.
 
@@ -124,22 +85,18 @@ class Verdict:
     witness: dict | None = None
 
 
-def _aggregate(
-    margins: Sequence[float],
-    witness: Callable[[int], dict],
-    tol_cert: float,
-    tol_viol: float,
-) -> Verdict:
-    """Deterministic reduction: worst margin, and ``witness(t)`` of the first
-    violating trial t in stream order (the only witness ever built).
+def _aggregate(margins: Sequence[float], witness: Callable[[int], dict]) -> Verdict:
+    """Deterministic reduction at ``TOL_CERT`` and ``TOL_VIOL``: worst margin,
+    and ``witness(t)`` of the first violating trial t in stream order (the
+    only witness ever built).
 
     The worst margin propagates NaN, so a NaN trial never certifies.
     """
     worst = float(np.min(margins))
-    violating = np.flatnonzero(np.asarray(margins) < -tol_viol)
+    violating = np.flatnonzero(np.asarray(margins) < -TOL_VIOL)
     if violating.size:
         return Verdict("violated", len(margins), worst, witness(int(violating[0])))
-    if worst >= -tol_cert:
+    if worst >= -TOL_CERT:
         return Verdict("certified", len(margins), worst, None)
     return Verdict("inconclusive", len(margins), worst, None)
 
@@ -161,7 +118,7 @@ def trial_chunks(spec: RandomSpec, trials: int, n: int):
 
 def run_trials(
     trial: Callable[[list[np.random.Generator]], tuple[np.ndarray, Callable[[int], dict]]],
-    trials: int, spec: RandomSpec, n: int, tol_cert: float, tol_viol: float,
+    trials: int, spec: RandomSpec, n: int,
 ) -> Verdict:
     """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
 
@@ -181,7 +138,7 @@ def run_trials(
         margins.append(np.asarray(m, dtype=float))
         # only a chunk with a violating row can supply the witness; drop the
         # rest, with the arrays they hold, before the next chunk draws
-        witnesses.append(witness if np.any(margins[-1] < -tol_viol) else None)
+        witnesses.append(witness if np.any(margins[-1] < -TOL_VIOL) else None)
         del witness
     margins = np.concatenate(margins)
 
@@ -189,7 +146,7 @@ def run_trials(
         return {**witnesses[t // rows](t % rows),
                 "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
 
-    return _aggregate(margins, stamped, tol_cert, tol_viol)
+    return _aggregate(margins, stamped)
 
 
 def _with_factors(key: str, m, w, u) -> dict:
@@ -235,13 +192,13 @@ def convexity_gap(
 
     ``factors`` holds the spectral factors ``(w, U)`` of A0 and of A1 when
     the caller has them, as the sampler does, so only A_lam is diagonalized;
-    otherwise ``eigh`` finds them.
+    otherwise :func:`linalg.factor` checks and diagonalizes A0 and A1.
     """
     lam = np.asarray(check_mixing_weight(lam))[..., None, None]
-    (w0, u0), (w1, u1) = factors or (np.linalg.eigh(a0), np.linalg.eigh(a1))
-    f0 = spectral_function(w0, u0, f, f.domain, source="A0")
-    f1 = spectral_function(w1, u1, f, f.domain, source="A1")
-    fm = apply_function((1.0 - lam) * a0 + lam * a1, f, f.domain, source="A_lambda")
+    (w0, u0), (w1, u1) = factors or (factor(a0), factor(a1))
+    f0 = spectral_function(w0, u0, f, source="A0")
+    f1 = spectral_function(w1, u1, f, source="A1")
+    fm = apply_function((1.0 - lam) * a0 + lam * a1, f, source="A_lambda")
     return (1.0 - lam) * f0 + lam * f1 - fm
 
 
@@ -263,7 +220,7 @@ def definition_test(
                                    **_with_factors("A0", a0[t], e0[0][t], e0[1][t]),
                                    **_with_factors("A1", a1[t], e1[0][t], e1[1][t])}
 
-    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
+    return run_trials(trial, trials, spec, n)
 
 
 def jensen_gap(f: ScalarFunction, weights, mats, factors=None) -> np.ndarray:
@@ -272,15 +229,15 @@ def jensen_gap(f: ScalarFunction, weights, mats, factors=None) -> np.ndarray:
     (..., atoms, n, n) may carry a leading stack axis.  ``factors`` holds the
     spectral factors ``(w, U)`` of ``mats``, shaped (..., atoms, n) and
     (..., atoms, n, n), when the caller has them, so only the barycenter is
-    diagonalized; otherwise ``eigh`` finds them."""
+    diagonalized; otherwise :func:`linalg.factor` checks and diagonalizes them."""
     weights, mats = np.asarray(weights), np.asarray(mats)
-    w, u = factors or np.linalg.eigh(mats)
+    w, u = factors or factor(mats)
     lhs = sum(weights[..., i, None, None]
-              * spectral_function(w[..., i, :], u[..., i, :, :], f, f.domain, source=f"M_{i}")
+              * spectral_function(w[..., i, :], u[..., i, :, :], f, source=f"M_{i}")
               for i in range(weights.shape[-1]))
     mean = sum(weights[..., i, None, None] * mats[..., i, :, :]
                for i in range(weights.shape[-1]))
-    return lhs - apply_function(mean, f, f.domain, source="barycenter")
+    return lhs - apply_function(mean, f, source="barycenter")
 
 
 def jensen_test(
@@ -305,7 +262,7 @@ def jensen_test(
                                    **_with_factors("matrices", list(mats[t]),
                                                    list(w[t]), list(u[t]))}
 
-    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
+    return run_trials(trial, trials, spec, n)
 
 
 def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
@@ -328,11 +285,8 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
                          f"{'deriv and deriv2' if second else 'deriv'}")
     x = np.asarray(x, dtype=float)
 
-    def at(g):  # one array call when f is vectorized, one scalar call per entry otherwise
-        return np.broadcast_to(g(x), x.shape) if f.vectorized else entrywise(g, x)
-
-    fx, d1 = at(f.fn), at(f.deriv)
-    d2 = at(f.deriv2) if second else np.zeros(x.shape)
+    fx, d1 = entrywise(f.fn, x), entrywise(f.deriv, x)
+    d2 = entrywise(f.deriv2, x) if second else np.zeros(x.shape)
     finite = np.isfinite(fx) & np.isfinite(d1) & np.isfinite(d2)
     _raise_first(~finite, x, source, "gives a non-finite function value")
     dx = x[..., :, None] - x[..., None, :]
@@ -352,9 +306,11 @@ def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
 
 
 def line_second_derivative(f: ScalarFunction, m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact d^2/dt^2 f(M + tQ)|_0, row by row over a stack: the
-    eigendecomposition of M, then :func:`spectral_second_derivative`."""
-    return spectral_second_derivative(f, *np.linalg.eigh(m), q)
+    """Exact d^2/dt^2 f(M + tQ)|_0, row by row over a stack: Q checked
+    Hermitian, M checked and diagonalized by :func:`linalg.factor`, then
+    :func:`spectral_second_derivative`."""
+    check_hermitian(np.asarray(q))
+    return spectral_second_derivative(f, *factor(m), q)
 
 
 def spectral_second_derivative(
@@ -395,7 +351,7 @@ def second_derivative_test(
         return margins, lambda t: {"kind": "second_derivative", "Q": q[t],
                                    **_with_factors("M", from_spectrum(w[t], u[t]), w[t], u[t])}
 
-    return run_trials(trial, trials, spec, n, TOL_CERT, TOL_VIOL)
+    return run_trials(trial, trials, spec, n)
 
 
 def kernel_K(lam: float, t: float) -> float:
@@ -438,10 +394,7 @@ def loewner_matrix(f: ScalarFunction, sites: Sequence[float]) -> np.ndarray:
     xs = np.asarray(sites, dtype=float)
     if np.any(np.diff(xs, axis=-1) <= 0.0):
         raise ValueError("sites must be strictly increasing with no duplicates")
-    outside = ~f.domain.contains(xs)
-    if outside.any():
-        x = float(xs.ravel()[np.argmax(outside.ravel())])
-        raise DomainViolationError(f"site {x} outside domain of {f.name}", eigenvalue=x)
+    f.domain.check_spectrum(xs, source="sites")
     return _divided_differences(f, xs, second=False, source="sites")[0]
 
 
@@ -476,7 +429,7 @@ def monotonicity_test(
                 margins[rows] = np.linalg.eigvalsh(loewner)[:, 0]
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
-    return run_trials(trial, trials, spec, max_sites, TOL_CERT, TOL_VIOL)
+    return run_trials(trial, trials, spec, max_sites)
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
@@ -493,7 +446,7 @@ def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
         return _divided_differences(f, np.stack([x, np.full_like(x, y)], -1))[k][..., 0, 1]
 
     return ScalarFunction(f"secant[{f.name};y={y:g}]", lambda x: pair(x, 0), f.domain,
-                          deriv=lambda x: pair(x, 1), vectorized=True)
+                          deriv=lambda x: pair(x, 1))
 
 
 def secant_test(f: ScalarFunction, y: float, window: SpectrumWindow, max_sites: int,
@@ -518,6 +471,7 @@ def replay_witness(f: ScalarFunction, witness: dict) -> float:
         return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"], factors))
     if kind == "second_derivative":
         w, u = _stored_factors(witness, "M")
+        check_hermitian(np.asarray(witness["Q"]))
         return min_eigenvalue(spectral_second_derivative(f, w, u, witness["Q"]))
     if kind == "loewner":
         return min_eigenvalue(loewner_matrix(f, witness["sites"]))
@@ -536,23 +490,22 @@ _REALS = SpectrumWindow(-math.inf, math.inf)
 
 BUILTINS: dict[str, ScalarFunction] = {f.name: f for f in (
     ScalarFunction("affine", lambda x: 3.0 * x + 1.0, _REALS, deriv=lambda x: 3.0,
-                   deriv2=lambda x: 0.0, vectorized=True),
+                   deriv2=lambda x: 0.0),
     ScalarFunction("x2", lambda x: x * x, _REALS, deriv=lambda x: 2.0 * x,
-                   deriv2=lambda x: 2.0, vectorized=True),
+                   deriv2=lambda x: 2.0),
     ScalarFunction("x3", lambda x: x**3, _REALS, deriv=lambda x: 3.0 * x * x,
-                   deriv2=lambda x: 6.0 * x, vectorized=True),
+                   deriv2=lambda x: 6.0 * x),
     ScalarFunction("x4", lambda x: x**4, _REALS, deriv=lambda x: 4.0 * x**3,
-                   deriv2=lambda x: 12.0 * x * x, vectorized=True),
+                   deriv2=lambda x: 12.0 * x * x),
     ScalarFunction("inv", lambda x: 1.0 / x, _POS, deriv=lambda x: -1.0 / x**2,
-                   deriv2=lambda x: 2.0 / x**3, vectorized=True),
+                   deriv2=lambda x: 2.0 / x**3),
     ScalarFunction("sqrt", np.sqrt, _POS, deriv=lambda x: 0.5 / np.sqrt(x),
-                   deriv2=lambda x: -0.25 / (x * np.sqrt(x)), vectorized=True),
+                   deriv2=lambda x: -0.25 / (x * np.sqrt(x))),
     ScalarFunction("neglog", lambda x: -np.log(x), _POS, deriv=lambda x: -1.0 / x,
-                   deriv2=lambda x: 1.0 / x**2, vectorized=True),
+                   deriv2=lambda x: 1.0 / x**2),
     ScalarFunction("xlogx", lambda x: x * np.log(x), _POS,
-                   deriv=lambda x: np.log(x) + 1.0, deriv2=lambda x: 1.0 / x,
-                   vectorized=True),
-    ScalarFunction("exp", np.exp, _REALS, deriv=np.exp, deriv2=np.exp, vectorized=True),
+                   deriv=lambda x: np.log(x) + 1.0, deriv2=lambda x: 1.0 / x),
+    ScalarFunction("exp", np.exp, _REALS, deriv=np.exp, deriv2=np.exp),
 )}
 
 #: Ground truth on (0, inf): (matrix convex, matrix monotone increasing).

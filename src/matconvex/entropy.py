@@ -34,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .convexity import check_mixing_weight
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import _dagger, _float_or_rows, _trace, check_hermitian, tensor
+from .linalg import _dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities
 
@@ -69,9 +70,7 @@ class DensityOperator:
             raise DimensionMismatchError(
                 f"matrix shape {mat.shape} does not match factorization {dims}"
             )
-        check_hermitian(mat)
-        mat = mat + _dagger(mat)
-        mat *= 0.5
+        mat = hermitian(mat)
         w = np.linalg.eigvalsh(mat)
         # the trace test reads the eigenvalues too
         tr, lo = w.sum(axis=-1).reshape(-1), w[..., 0].reshape(-1)
@@ -116,10 +115,14 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 def von_neumann_entropy(rho: DensityOperator):
     """S(rho) = -Tr(rho log rho), with the 0 log 0 = 0 convention, from the
     spectrum computed when ``rho`` was checked; a ``(T,)`` array for a stack."""
-    w = rho.spectrum
+    return _float_or_rows(-_sum_w_log_w(rho.spectrum))
+
+
+def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
+    """Sum of w log w over the last axis of a spectrum, with eigenvalues at or
+    below ``EIGENVALUE_FLOOR`` counted as exact zeros (0 log 0 = 0)."""
     pos = w > EIGENVALUE_FLOOR
-    s = -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
 
 
 def conditional_entropy(
@@ -179,7 +182,7 @@ def pinching_basis(marginal: np.ndarray) -> np.ndarray:
     """Deterministic eigenbasis of a marginal (or of each row of a stack),
     computational-basis-preferring in degenerate eigenspaces (module docstring)."""
     d = marginal.shape[-1]
-    w, v = np.linalg.eigh(marginal.reshape(-1, d, d))
+    w, v = factor(marginal.reshape(-1, d, d))
     first = np.argmax(np.abs(v) > 1e-8, axis=1)[:, None, :]  # first entry above 1e-8
     lead = np.take_along_axis(v, first, axis=1)
     basis = v * (lead.conj() / np.abs(lead))
@@ -209,7 +212,7 @@ def pinch(rho12: DensityOperator) -> DensityOperator:
 
 def _pinch_in(rho12: DensityOperator, basis: np.ndarray) -> DensityOperator:
     diag = np.diagonal(_dagger(basis) @ rho12.matrix @ basis, axis1=-2, axis2=-1).real
-    return DensityOperator((basis * diag[..., None, :]) @ _dagger(basis), rho12.dims)
+    return DensityOperator(from_spectrum(diag, basis), rho12.dims)
 
 
 def pinch_monte_carlo(
@@ -230,13 +233,6 @@ def pinch_monte_carlo(
 # Relative entropy and the concavity machinery behind strong subadditivity.
 
 
-def _checked_factors(*mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, U) of each matrix (or stack), from one ``eigh`` after ``check_hermitian``."""
-    for m in mats:
-        check_hermitian(np.asarray(m))
-    return [np.linalg.eigh(m) for m in mats]
-
-
 def _check_rows(bad: np.ndarray, message: str) -> None:
     """ValidationError naming the first flagged row (of a stack) if any is."""
     if np.any(bad):
@@ -251,7 +247,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray):
     infinite-divergence signal, not an exception).  Both arguments must be
     finite and Hermitian (never repaired).  Stacks give a ``(T,)`` array.
     """
-    return _relative_entropy(a, *_checked_factors(a, b))
+    return _relative_entropy(a, factor(a), factor(b))
 
 
 def _relative_entropy(a: np.ndarray, fa, fb):
@@ -261,11 +257,9 @@ def _relative_entropy(a: np.ndarray, fa, fb):
     (wa, _), (wb, ub) = fa, fb
     _check_rows(np.minimum(wa[..., 0], wb[..., 0]) < -PSD_TOL,
                 "relative entropy needs positive semidefinite inputs")
-    pos, support = wa > EIGENVALUE_FLOOR, wb > SUPPORT_TOL
-    tr_a_log_a = np.sum(np.where(pos, wa * np.log(np.where(pos, wa, 1.0)), 0.0), axis=-1)
-    log_wb = np.where(support, np.log(np.where(support, wb, 1.0)), 0.0)
-    log_b = (ub * log_wb[..., None, :]) @ _dagger(ub)
-    out = np.array(-(tr_a_log_a - _trace(a @ log_b).real))
+    support = wb > SUPPORT_TOL
+    log_b = from_spectrum(np.where(support, np.log(np.where(support, wb, 1.0)), 0.0), ub)
+    out = np.array(-(_sum_w_log_w(wa) - _trace(a @ log_b).real))
     scale = 1.0 + np.max(np.abs(wa), axis=-1)
     for t in map(tuple, np.argwhere(~np.all(support, axis=-1))):  # B has a kernel
         perp = ub[t][:, ~support[t]]
@@ -279,12 +273,11 @@ def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float):
     give a ``(T,)`` array."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    fa, fb = _checked_factors(a, b)
+    fa, fb = factor(a), factor(b)
     (wa, ua), (wb, ub) = fa, fb
     _check_rows(np.minimum(wa[..., 0], wb[..., 0]) <= 0.0,
                 "epsilon limit needs strictly positive matrices")
-    a_pow = (ua * (wa ** (1.0 - eps))[..., None, :]) @ _dagger(ua)
-    b_pow = (ub * (wb**eps)[..., None, :]) @ _dagger(ub)
+    a_pow, b_pow = from_spectrum(wa ** (1.0 - eps), ua), from_spectrum(wb**eps, ub)
     quotient = (_trace(a_pow @ b_pow) - _trace(a)).real / eps
     return _float_or_rows(np.abs(quotient - _relative_entropy(a, fa, fb)))
 
@@ -299,9 +292,7 @@ def lieb_ruskai_concavity_gap(rho_a: DensityOperator, rho_b: DensityOperator, la
         )
     if len(rho_a.dims) < 2:
         raise ValidationError("need at least two factors")
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((0.0 < lam) & (lam < 1.0)):  # NaN fails too
-        raise ValueError(f"mixing weight must lie in (0, 1), got {lam}")
+    lam = np.asarray(check_mixing_weight(lam))
     rest = list(range(1, len(rho_a.dims)))
     w = lam[..., None, None]
     mix = DensityOperator((1.0 - w) * rho_a.matrix + w * rho_b.matrix, rho_a.dims)

@@ -82,7 +82,7 @@ def density_from_dict(doc: dict) -> DensityOperator:
     mat, dims = matrix_from_dict(doc)
     if dims is None:
         raise ValidationError("state: the dims factorization field is mandatory")
-    return DensityOperator(hermitian(mat), dims)
+    return DensityOperator(mat, dims)
 
 
 def tuple_to_list(mats: list[np.ndarray]) -> list[dict]:

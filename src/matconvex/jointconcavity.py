@@ -21,12 +21,12 @@ inversion of the resolvents as an oracle that uses no eigendecomposition.  On
 top of these sit the Lieb trace functional, the skew-information form, and
 operator perspectives with their discrete Loewner-representation evaluator.
 
-The parallel-sum, tensor-power, Lieb and skew-information kernels are
-stack-aware: tuple entries may be ``(T, n, n)`` stacks of one shape, gated
-row by row (one ``eigh`` per entry for the whole stack), with ``(T,)``
-exponents where a row has its own; row t of a stacked call equals the 2-D
-call on row t bit for bit, and the 2-D call is the unstacked case of the
-same code.  Frobenius norms are taken per row for that reason
+The parallel-sum, tensor-power, Lieb, skew-information and perspective
+kernels are stack-aware: tuple entries may be ``(T, n, n)`` stacks of one
+shape, gated row by row (one ``eigh`` per entry for the whole stack), with
+``(T,)`` exponents where a row has its own; row t of a stacked call equals
+the 2-D call on row t bit for bit, and the 2-D call is the unstacked case of
+the same code.  Frobenius norms are taken per row for that reason
 (:func:`linalg.frobenius`).
 """
 
@@ -38,16 +38,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .convexity import ScalarFunction
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
+    ScalarFunction,
     SpectrumWindow,
     _dagger,
     _float_or_rows,
     _trace,
     apply_function,
     check_hermitian,
+    factor,
     frobenius,
+    from_spectrum,
     op_norm,
     tensor,
 )
@@ -66,9 +68,9 @@ ERROR_CURVE_NODES = (16, 32, 64, 128)
 
 
 def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The tuple gate (module docstring): one (w, U) per entry, from the one
-    ``eigh`` that also checks it.  Entries may be ``(T, n, n)`` stacks of one
-    shape; the floor test is NaN-safe and names the first bad row."""
+    """The tuple gate (module docstring): one (w, U) per entry, from
+    :func:`linalg.factor`, which also checks it.  Entries may be ``(T, n, n)``
+    stacks of one shape; the floor test is NaN-safe and names the first bad row."""
     if not len(mats):
         raise ValueError("empty matrix tuple")
     shape = np.shape(mats[0])
@@ -79,8 +81,7 @@ def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         if a.shape != shape:
             raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
                                          f"expected {shape}")
-        check_hermitian(a)
-        w, u = np.linalg.eigh(a)
+        w, u = factor(a)
         low = ~(w[..., 0] >= POSITIVITY_FLOOR)
         if low.any():
             row = int(np.argmax(low.ravel()))
@@ -91,13 +92,13 @@ def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     return factors
 
 
-def _power(factor: tuple[np.ndarray, np.ndarray], p) -> np.ndarray:
+def _power(factors: tuple[np.ndarray, np.ndarray], p) -> np.ndarray:
     """A^p from the (w, U) that _factor returned for A; a ``(T,)`` array of
     exponents raises row t of a stack to p[t]."""
-    w, u = factor
+    w, u = factors
     if np.ndim(p):  # a scalar p stays one: w**p keeps numpy's sqrt and reciprocal paths
         p = np.asarray(p)[:, None]
-    return (u * (w**p)[..., None, :]) @ _dagger(u)
+    return from_spectrum(w**p, u)
 
 
 def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -252,7 +253,7 @@ def tensor_power_integral(
     basis = np.eye(1)
     for _, u in decomps:
         basis = tensor(basis, u)
-    return (basis * (diag / norm)[..., None, :]) @ _dagger(basis)
+    return from_spectrum(diag / norm, basis)
 
 
 def tensor_power_errors(
@@ -356,11 +357,10 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     """
     if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
-    check_hermitian(np.asarray(rho))
-    w, u = np.linalg.eigh(rho)
+    w, u = factor(rho)
     w = np.clip(w.real, 1e-12, None)
-    factor = (w / w.sum(axis=-1, keepdims=True), u)
-    rho_p, rho_q, rho_r = (_power(factor, x) for x in (p, 1.0 - p, 1.0))
+    lifted = (w / w.sum(axis=-1, keepdims=True), u)
+    rho_p, rho_q, rho_r = (_power(lifted, x) for x in (p, 1.0 - p, 1.0))
     cross = _trace(k @ rho_p @ k @ rho_q).real
     plain = _trace(k @ rho_r @ k).real
     return _float_or_rows(cross - plain)
@@ -375,8 +375,8 @@ def perspective(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (fb,) = _factor([b])
     b_half, b_inv_half = _power(fb, 0.5), _power(fb, -0.5)
     core = b_inv_half @ a @ b_inv_half
-    val = b_half @ apply_function(core, f, f.domain, source="B^-1/2 A B^-1/2") @ b_half
-    return 0.5 * (val + val.conj().T)
+    val = b_half @ apply_function(core, f, source="B^-1/2 A B^-1/2") @ b_half
+    return 0.5 * (val + _dagger(val))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,15 +1,14 @@
-"""Hermitian linear-algebra substrate.
+"""Hermitian linear-algebra substrate and the library's one spectral calculus.
 
-All matrices are finite-dimensional, complex, and self-adjoint.  The working
-currency throughout the library is a plain ``numpy.ndarray`` that has passed
-through :func:`hermitian`, which validates and exactly symmetrizes its input.
-Matrix functions are evaluated on a spectral decomposition, so degenerate
-eigenvalues need no special handling; they take a ``(T, n, n)`` stack as well
-as one matrix, and an error on a stack names the row it came from.  A sampled
-matrix travels with its spectral factors (w, U), from which
+All matrices are finite-dimensional, complex, and self-adjoint; every function
+takes a ``(T, n, n)`` stack as well as one matrix, and an error on a stack
+names the row it came from.  A matrix function f(A) = U f(w) U* has three
+steps, each of which exists once: :func:`factor` (:func:`check_hermitian`,
+then the library's only ``eigh``), f at the spectrum (a :class:`ScalarFunction`
+of numpy forms, in one :func:`entrywise` call) and :func:`from_spectrum`.  A
+sampled matrix travels with its factors (w, U), from which
 :func:`spectral_function` evaluates f without diagonalizing it again;
-:func:`apply_function` is that core after one ``eigh`` of a matrix that came
-without them.
+:func:`apply_function` is that core after :func:`factor`.
 """
 
 from __future__ import annotations
@@ -62,6 +61,54 @@ class SpectrumWindow:
             raise ValueError("cannot shrink an unbounded window")
         delta = fraction * (self.b - self.a)
         return SpectrumWindow(self.a + delta, self.b - delta)
+
+
+@dataclasses.dataclass(frozen=True)
+class ScalarFunction:
+    """A named real function with its admissible spectrum window.
+
+    ``fn`` and the closed forms ``deriv`` (f') and ``deriv2`` (f'') are numpy
+    forms, each mapping a float array entrywise (a constant may return a
+    scalar).  Loewner matrices need ``deriv``, line second derivatives both.
+    Construction refuses a form that takes no array, or an ``fn`` not finite
+    on probe points of the window, with a ``ValueError`` naming the function.
+    """
+
+    name: str
+    fn: Callable[[np.ndarray], np.ndarray]
+    domain: SpectrumWindow
+    deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv2: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        xs = _probe_points(self.domain)
+        try:
+            ys = entrywise(self.fn, xs)
+            for g in (self.deriv, self.deriv2):
+                if g is not None:
+                    entrywise(g, xs)
+        except TypeError as err:  # a scalar-only form, such as math.log
+            raise ValueError(f"{self.name} is not a numpy form: {err}") from err
+        if not np.all(np.isfinite(ys)):
+            x = xs[np.argmax(~np.isfinite(ys))]
+            raise ValueError(f"{self.name} is not finite at probe point {x}")
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+def _probe_points(domain: SpectrumWindow, count: int = 32) -> np.ndarray:
+    """A compact sub-interval of the domain, sampled at ``count`` points."""
+    if domain.is_bounded:
+        inner = domain.shrunk(0.05)
+        lo, hi = inner.a, inner.b
+    elif math.isfinite(domain.a):
+        lo, hi = domain.a + 0.05, domain.a + 10.0
+    elif math.isfinite(domain.b):
+        lo, hi = domain.b - 10.0, domain.b - 0.05
+    else:
+        lo, hi = -10.0, 10.0
+    return np.linspace(lo, hi, count)
 
 
 def _raise_first(bad: np.ndarray, w: np.ndarray, source: str, what: str) -> None:
@@ -119,21 +166,29 @@ def hermitian(entries) -> np.ndarray:
 
     Non-finite entries or asymmetry beyond ``HERMITICITY_TOL * (1 + max|entry|)``
     are construction errors (see :func:`check_hermitian`); the returned array
-    is (H + H*)/2 so later formula chains cannot drift.
+    is (H + H*)/2 so later formula chains cannot drift.  A ``(T, n, n)``
+    stack is checked and symmetrized row by row.
     """
     h = np.asarray(entries, dtype=complex)
     check_hermitian(h)
-    return 0.5 * (h + h.conj().T)
+    out = h + _dagger(h)
+    out *= 0.5
+    return out
 
 
-def entrywise(f: Callable, x: np.ndarray) -> np.ndarray:
-    """``f`` at every entry of the float array ``x``: one array call when ``f``
-    declares itself ``vectorized`` (a ScalarFunction with a numpy form), one
-    scalar call per entry otherwise."""
+def factor(h) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral factors (w, U) of a Hermitian matrix or stack: ``np.linalg.eigh``,
+    which reads one triangle, after :func:`check_hermitian` has read both."""
+    h = np.asarray(h)
+    check_hermitian(h)
+    return np.linalg.eigh(h)
+
+
+def entrywise(g: Callable, x) -> np.ndarray:
+    """The numpy form ``g`` at every entry of the float array ``x``, in one
+    call; a scalar result (a constant form) is broadcast to the shape of x."""
     x = np.asarray(x, dtype=float)
-    if getattr(f, "vectorized", False):
-        return np.asarray(f(x), dtype=float)
-    return np.array([f(float(v)) for v in x.ravel()], dtype=float).reshape(x.shape)
+    return np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
 
 
 def from_spectrum(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -142,36 +197,26 @@ def from_spectrum(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def spectral_function(
-    w: np.ndarray,
-    u: np.ndarray,
-    f: Callable[[float], float],
-    domain: SpectrumWindow | None = None,
-    source: str = "matrix",
+    w: np.ndarray, u: np.ndarray, f: ScalarFunction, source: str = "matrix",
 ) -> np.ndarray:
     """The matrix function U diag(f(w)) U* of the matrix with spectrum ``w``
     and orthonormal eigenvectors ``u`` (columns), row by row over a stack,
-    with ``f`` evaluated through :func:`entrywise`.
+    with f evaluated through :func:`entrywise`.
 
-    When ``domain`` is given, every eigenvalue must lie inside it; an escape,
-    or a non-finite value of f, raises :class:`DomainViolationError` carrying
-    the offending eigenvalue and the source (and row) it came from.
+    Every eigenvalue must lie inside ``f.domain``; an escape, or a non-finite
+    value of f, raises :class:`DomainViolationError` carrying the offending
+    eigenvalue and the source (and row) it came from.
     """
-    if domain is not None:
-        domain.check_spectrum(w, source=source)
-    fw = entrywise(f, w)
+    f.domain.check_spectrum(w, source=source)
+    fw = entrywise(f.fn, w)
     _raise_first(~np.isfinite(fw), w, source, "gives a non-finite function value")
     return from_spectrum(fw, u)
 
 
-def apply_function(
-    h: np.ndarray,
-    f: Callable[[float], float],
-    domain: SpectrumWindow | None = None,
-    source: str = "matrix",
-) -> np.ndarray:
+def apply_function(h, f: ScalarFunction, source: str = "matrix") -> np.ndarray:
     """:func:`spectral_function` of a Hermitian matrix or ``(T, n, n)`` stack,
-    through its eigendecomposition."""
-    return spectral_function(*np.linalg.eigh(h), f, domain, source)
+    on the factors from :func:`factor`."""
+    return spectral_function(*factor(h), f, source)
 
 
 def frobenius(x: np.ndarray):

@@ -31,7 +31,7 @@ from . import entropy as ent
 from . import jointconcavity as jc
 from . import resolvent as rv
 from .io import check_record
-from .linalg import SpectrumWindow, frobenius
+from .linalg import SpectrumWindow, factor, frobenius, from_spectrum
 from .quadrature import QuadratureConfig, gamma_quadrature
 from .rand import (
     STREAM_BLOCK,
@@ -180,9 +180,9 @@ def check_lieb_wyd(spec: RandomSpec) -> dict:
         group = [rngs[t] for t in rows]
         gaps[rows], p = jc.lieb_midpoint_gap(n, _WINDOW_WIDE, group)
         rho = random_densities(n, [density_rngs[t] for t in rows])
-        _, u = np.linalg.eigh(rho)
+        _, u = factor(rho)
         spectra = np.array([rng.standard_normal(n) for rng in group])
-        k_comm = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        k_comm = from_spectrum(spectra, u)
         wyds[rows] = np.abs(jc.wyd_skew_information(rho, k_comm, p))
     worst_gap = float(np.min(gaps))
     worst_wyd = float(np.max(wyds))
@@ -269,8 +269,7 @@ def check_resolvent_exactness(spec: RandomSpec) -> dict:
         exact = rv.resolvent_second_derivative(a, q, point)
         f = cx.ScalarFunction("signed_resolvent", point.scalar, _WINDOW_WIDE,
                               deriv=lambda z: point.sign / (point.u - z) ** 2,
-                              deriv2=lambda z: 2.0 * point.sign / (point.u - z) ** 3,
-                              vectorized=True)
+                              deriv2=lambda z: 2.0 * point.sign / (point.u - z) ** 3)
         oracle = cx.line_second_derivative(f, a, q)
         deviations[rows] = frobenius(exact - oracle) / frobenius(oracle)
         delta = 0.01 * random_hermitian_rows(3, group)

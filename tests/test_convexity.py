@@ -14,7 +14,6 @@ from matconvex.convexity import (
     TRUTH_ON_POSITIVES,
     ScalarFunction,
     _aggregate,
-    _probe_points,
     builtin,
     convexity_gap,
     definition_test,
@@ -32,9 +31,10 @@ from matconvex.convexity import (
     second_derivative_test,
     spectral_second_derivative,
 )
-from matconvex.errors import DomainViolationError
+from matconvex.errors import DomainViolationError, HermiticityError
 from matconvex.linalg import (
     SpectrumWindow,
+    _probe_points,
     apply_function,
     entrywise,
     from_spectrum,
@@ -49,7 +49,13 @@ from matconvex.rand import (
     random_in_window_rows,
     random_simplex,
 )
-from matconvex.resolvent import PickRepresentation, certify_representation
+from matconvex.resolvent import (
+    PickRepresentation,
+    ResolventPoint,
+    certify_representation,
+    pick_eval_matrix,
+    resolvent_second_derivative,
+)
 
 WINDOW = SpectrumWindow(0.1, 5.0)
 NARROW = SpectrumWindow(0.1, 2.0)
@@ -63,7 +69,7 @@ NONMONOTONE = [name for name, (_, mono) in TRUTH_ON_POSITIVES.items() if not mon
 
 @pytest.mark.parametrize("margins", [[0.0, math.nan], [math.nan, 0.0]])
 def test_aggregate_never_certifies_a_nan_margin(margins):
-    v = _aggregate(margins, [{}, {}], TOL_CERT, TOL_VIOL)
+    v = _aggregate(margins, [{}, {}])
     assert v.status == "inconclusive"
     assert math.isnan(v.worst_margin)
 
@@ -276,7 +282,7 @@ def test_closed_form_derivatives_match_central_differences(name):
 def test_missing_closed_forms_fail_closed():
     x4 = builtin("x4")
     m = random_in_window_rows(2, NARROW, [SPEC.rng()])[0]
-    for bare in (ScalarFunction("bare_x4", x4.fn, x4.domain, vectorized=True),
+    for bare in (ScalarFunction("bare_x4", x4.fn, x4.domain),
                  ScalarFunction("no_deriv2_x4", x4.fn, x4.domain, deriv=x4.deriv)):
         with pytest.raises(ValueError, match=f"{bare.name} has no closed-form deriv and deriv2"):
             line_second_derivative(bare, m, m)
@@ -307,8 +313,8 @@ def test_the_factor_path_agrees_with_the_matrix_path(name, rows):
     if rows is None:
         w, spaced, u, q = w[0], spaced[0], u[0], q[0]
     m = from_spectrum(w, u)
-    assert np.all(_relative_frobenius(spectral_function(w, u, f, f.domain),
-                                      apply_function(m, f, f.domain)) <= 1e-12)
+    assert np.all(_relative_frobenius(spectral_function(w, u, f),
+                                      apply_function(m, f)) <= 1e-12)
     assert np.all(_relative_frobenius(spectral_second_derivative(f, spaced, u, q),
                                       line_second_derivative(f, from_spectrum(spaced, u), q))
                   <= 1e-12)
@@ -331,7 +337,7 @@ def test_an_out_of_window_factor_row_raises():
     w[3, 0] = -0.5  # row 3 leaves (0, inf)
     f = builtin("inv")
     with pytest.raises(DomainViolationError, match="eigenvalue -0.5 of A0 row 3 outside") as err:
-        spectral_function(w, u, f, f.domain, source="A0")
+        spectral_function(w, u, f, source="A0")
     assert err.value.source == "A0" and err.value.eigenvalue == -0.5
     with pytest.raises(DomainViolationError, match="eigenvalue -0.5 of M row 3 outside"):
         spectral_second_derivative(f, w, u, u)
@@ -473,9 +479,9 @@ def _engine(monkeypatch, run):
     """Run a test and return its verdict and every margin it reduced."""
     seen, real = {}, cx._aggregate
 
-    def spy(margins, witness, tol_cert, tol_viol):
+    def spy(margins, witness):
         seen["margins"] = np.asarray(margins)
-        return real(margins, witness, tol_cert, tol_viol)
+        return real(margins, witness)
 
     monkeypatch.setattr(cx, "_aggregate", spy)
     return run(), seen["margins"]
@@ -530,7 +536,7 @@ ORACLE_CASES = {
                       _definition_trial(builtin("x2"), WINDOW, 3), 100, None),
     "definition_x4": (lambda s: definition_test(builtin("x4"), NARROW, 2, 300, s),
                       _definition_trial(builtin("x4"), NARROW, 2), 300, None),
-    "definition_scalar_only": (
+    "definition_signed_resolvent": (
         lambda s: definition_test(_SIGNED_RESOLVENT, WINDOW, 3, 60, s),
         _definition_trial(_SIGNED_RESOLVENT, WINDOW, 3), 60, None),
     "jensen_inv": (lambda s: jensen_test(builtin("inv"), WINDOW, 3, 3, 60, s),
@@ -602,16 +608,52 @@ def test_a_domain_escape_in_one_row_raises():
 
 
 def test_a_non_finite_value_in_one_row_names_it():
-    f = ScalarFunction("pole_at_2", lambda x: 1.0 / (x - 2.0) if x != 2.0 else math.inf,
-                       SpectrumWindow(2.5, 5.0))
+    def pole_at_2(x):  # the window holds the pole, so only the finiteness check can fire
+        return np.divide(1.0, x - 2.0, out=np.full_like(x, math.inf), where=x != 2.0)
+
+    f = ScalarFunction("pole_at_2", pole_at_2, SpectrumWindow(1.5, 5.0))
     stack = np.stack([np.diag([3.0, 4.0]), np.diag([2.0, 3.0])])
     with pytest.raises(DomainViolationError, match="eigenvalue 2.0 of M row 1 gives"):
-        apply_function(stack, f, None, source="M")
+        apply_function(stack, f, source="M")
     # the divided-difference kernel checks f, f' and f'' alike
     g = ScalarFunction("nan_deriv2_at_1", lambda x: 3.0 * x + 1.0, SpectrumWindow(0.0, 5.0),
-                       deriv=lambda x: 3.0, deriv2=lambda x: math.nan if x == 1.0 else 0.0)
+                       deriv=lambda x: 3.0, deriv2=lambda x: np.where(x == 1.0, math.nan, 0.0))
     with pytest.raises(DomainViolationError, match="eigenvalue 1.0 of M row 1 gives"):
         line_second_derivative(g, stack - np.eye(2), stack)
+
+
+#: Both read as diag(1, 2) by an eigensolver that sees only the lower triangle.
+NOT_HERMITIAN = {"asymmetric": np.array([[1.0, 3.0], [0.0, 2.0]]),
+                 "nan_upper": np.array([[1.0, math.nan], [0.0, 2.0]])}
+_PICK = PickRepresentation(0.5, -0.2, 0.3, 1.0, WINDOW, atoms=((-1.0, 0.4), (7.0, 0.25)))
+GATED = {
+    "apply_function": lambda m: apply_function(m, builtin("x2")),
+    "line_second_derivative_M": lambda m: line_second_derivative(builtin("x2"), m, np.eye(2)),
+    "line_second_derivative_Q": lambda m: line_second_derivative(builtin("x2"), np.eye(2), m),
+    "convexity_gap": lambda m: convexity_gap(builtin("x2"), m, np.eye(2), 0.5),
+    "jensen_gap": lambda m: jensen_gap(builtin("x2"), [0.5, 0.5], [m, np.eye(2)]),
+    "kernel_identity_residual": lambda m: kernel_identity_residual(
+        builtin("x2"), m, np.eye(2), 0.5),
+    "pick_spectral": lambda m: pick_eval_matrix(_PICK, m, via="spectral"),
+    "pick_atoms": lambda m: pick_eval_matrix(_PICK, m, via="atoms"),
+    "resolvent_second_derivative": lambda m: resolvent_second_derivative(
+        m, np.eye(2), ResolventPoint(7.0, WINDOW)),
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(NOT_HERMITIAN))
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_every_entry_point_refuses_a_non_hermitian_matrix(entry, matrix):
+    with pytest.raises(HermiticityError):
+        GATED[entry](NOT_HERMITIAN[matrix])
+
+
+@pytest.mark.parametrize("matrix", sorted(NOT_HERMITIAN))
+def test_replay_refuses_a_non_hermitian_direction(matrix):
+    witness = second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC).witness
+    replay_witness(builtin("x4"), witness)
+    with pytest.raises(HermiticityError):
+        replay_witness(builtin("x4"), {**witness, "Q": NOT_HERMITIAN[matrix]})
 
 
 def test_zero_trials_is_an_error():
@@ -625,14 +667,14 @@ def test_a_nan_row_never_certifies():
         margins[1::len(rngs)] = math.nan
         return margins, lambda t: {"kind": "test", "row": t}
 
-    v = run_trials(trial, 4, SPEC, 2, TOL_CERT, TOL_VIOL)
+    v = run_trials(trial, 4, SPEC, 2)
     assert v.status == "inconclusive" and math.isnan(v.worst_margin)
 
     def violated_after_nan(rngs):
         margins = np.array([0.0, math.nan, -1.0, -2.0])[:len(rngs)]
         return margins, lambda t: {"kind": "test", "row": t}
 
-    v = run_trials(violated_after_nan, 4, RandomSpec(3, 40), 2, TOL_CERT, TOL_VIOL)
+    v = run_trials(violated_after_nan, 4, RandomSpec(3, 40), 2)
     assert v.status == "violated" and math.isnan(v.worst_margin)
     assert v.witness == {"kind": "test", "row": 2, "stream_id": 42, "margin": -1.0}
 
@@ -647,7 +689,7 @@ def test_witness_of_a_later_chunk_regenerates_from_its_stream_id():
         xs = np.array([rng.uniform() for rng in rngs])
         return np.where(xs > 0.9, -1.0, 0.0), lambda t: {"kind": "test", "x": xs[t]}
 
-    v = run_trials(trial, 30, spec, 64, TOL_CERT, TOL_VIOL)
+    v = run_trials(trial, 30, spec, 64)
     assert v.status == "violated"
     assert v.witness["stream_id"] == spec.stream(first).stream_id
     assert v.witness["x"] == RandomSpec(11, v.witness["stream_id"]).rng().uniform()
@@ -758,7 +800,7 @@ def test_one_row_chunks_share_one_hash(monkeypatch):
         return np.zeros(len(rngs)), lambda t: {"kind": "test"}
 
     assert cx._chunk_rows(128) == 1
-    v = run_trials(trial, 5, spec, 128, TOL_CERT, TOL_VIOL)
+    v = run_trials(trial, 5, spec, 128)
     assert v.status == "certified" and batches == [5]
     monkeypatch.undo()
     assert drawn == [[spec.stream(t).rng().uniform()] for t in range(5)]

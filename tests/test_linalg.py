@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from matconvex.errors import DomainViolationError, HermiticityError
 from matconvex.linalg import (
+    ScalarFunction,
     SpectrumWindow,
     apply_function,
     hermitian,
@@ -29,6 +30,24 @@ def test_hermitian_rejects_asymmetric():
             hermitian(np.array([[1.0, bad], [bad, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 2, 2)])
+def test_hermitian_symmetrizes_a_stack_row_by_row(shape):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = g + g.conj().swapaxes(-1, -2)  # Hermitian to the last bit
+    np.testing.assert_array_equal(hermitian(stack), stack)
+    nudged = stack + 1e-14 * rng.normal(size=shape)
+    np.testing.assert_array_equal(hermitian(nudged), [hermitian(row) for row in nudged])
+
+
+def test_a_scalar_only_function_is_refused_when_built():
+    with pytest.raises(ValueError, match="scalar_log is not a numpy form"):
+        ScalarFunction("scalar_log", lambda x: math.log(x), SpectrumWindow(0.0, math.inf))
+    with pytest.raises(ValueError, match="scalar_deriv is not a numpy form"):
+        ScalarFunction("scalar_deriv", np.log, SpectrumWindow(0.0, math.inf),
+                       deriv=lambda x: 1.0 / float(x))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         SpectrumWindow(2.0, 1.0)
@@ -50,14 +69,14 @@ def test_apply_function_matches_direct_eigencalc():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = hermitian(g + g.conj().T)
     shifted = h + 10.0 * np.eye(4)
-    out = apply_function(shifted, math.sqrt, SpectrumWindow(0.0, math.inf))
+    out = apply_function(shifted, ScalarFunction("sqrt", np.sqrt, SpectrumWindow(0.0, math.inf)))
     np.testing.assert_allclose(out @ out, shifted, atol=1e-10)
 
 
 def test_apply_function_domain_violation_names_source():
     with pytest.raises(DomainViolationError, match="A0"):
         apply_function(
-            np.diag([-1.0, 2.0]), math.sqrt, SpectrumWindow(0.0, math.inf),
+            np.diag([-1.0, 2.0]), ScalarFunction("sqrt", np.sqrt, SpectrumWindow(0.0, math.inf)),
             source="A0",
         )
 
@@ -80,7 +99,10 @@ def test_apply_function_reconstructs(n, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = hermitian(0.5 * (g + g.conj().T))
-    np.testing.assert_allclose(apply_function(h, lambda x: x), h, atol=1e-10)
-    np.testing.assert_allclose(apply_function(h, lambda x: 1.0), np.eye(n), atol=1e-10)
+    reals = SpectrumWindow(-math.inf, math.inf)
+    identity, one = (ScalarFunction(name, g, reals)
+                     for name, g in (("identity", lambda x: x), ("one", lambda x: 1.0)))
+    np.testing.assert_allclose(apply_function(h, identity), h, atol=1e-10)
+    np.testing.assert_allclose(apply_function(h, one), np.eye(n), atol=1e-10)
     w = np.linalg.eigvalsh(h)
     assert min_eigenvalue(h) == w.min()
