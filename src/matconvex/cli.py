@@ -338,9 +338,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_window(argv: list[str]) -> list[str]:
+    """``--window -1,1`` as ``--window=-1,1``: argparse reads a separate value
+    that starts with '-' (and is not a plain number) as an option."""
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--window" and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [f"--window={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_window(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (KeyError, ValueError, MatConvexError) as err:

@@ -11,12 +11,14 @@ one T gives the Hessian and both projection residuals.  Tensor products of
 fractional powers are handled twice, by direct spectral calculus and by an
 integral of parallel-sum-type resolvents over the positive orthant.  The
 embedded inverses I x ... x A_j^(-1) x ... x I act on different tensor
-factors, so they commute and share the eigenbasis V_1 x ... x V_k; the
+factors, so they commute and share the eigenbasis V = V_1 x ... x V_k; the
 integral is evaluated there, where every resolvent on the quadrature grid is
-diagonal and no matrix is inverted.  The two routes share only the per-factor
-eigendecompositions; the orthant quadrature, its normalization and the
-Kronecker assembly of the joint eigenbasis belong to the integral route alone,
-so they still cross-check each other.  The tests keep a dense per-node
+diagonal and no matrix is inverted, and V diag(d) V* is assembled one tensor
+factor at a time, so V is never formed.  The two routes share only the
+per-factor eigendecompositions (one per entry for both routes and every node
+count of :func:`tensor_power_errors`); the orthant quadrature, its
+normalization and the factor-by-factor assembly belong to the integral route
+alone, so they still cross-check each other.  The tests keep a dense per-node
 inversion of the resolvents as an oracle that uses no eigendecomposition.  On
 top of these sit the Lieb trace functional, the skew-information form, and
 operator perspectives with their discrete Loewner-representation evaluator.
@@ -50,6 +52,7 @@ from .linalg import (
     factor,
     frobenius,
     from_spectrum,
+    kron_from_spectrum,
     op_norm,
     tensor,
 )
@@ -60,8 +63,8 @@ from .rand import random_hermitian_rows, random_in_window_rows
 POSITIVITY_FLOOR = 1e-8
 
 #: Entries per chunk of the (nodes, n^k) resolvent-diagonal temporary in
-#: tensor_power_integral: 2^20 float64 values, about 8 MB at any node count.
-_RESOLVENT_CHUNK = 1 << 20
+#: tensor_power_integral: 2^17 float64 values, 1 MB at any node count.
+_RESOLVENT_CHUNK = 1 << 17
 
 #: Per-axis node counts of the tensor-power quadrature error curve.
 ERROR_CURVE_NODES = (16, 32, 64, 128)
@@ -185,14 +188,32 @@ def check_power_vector(p: Sequence[float]) -> list[float]:
     return ps
 
 
-def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
-    """Kronecker product of spectral fractional powers A_j^(p_j) (A^0 = I),
-    row by row over stacks."""
+def _check_powers(mats, p, integral: bool = False) -> list[float]:
+    """The power vector of a tuple, one p_j per entry; the integral route also
+    needs every p_j > 0 with sum exactly 1, and k in {2, 3}."""
     ps = check_power_vector(p)
     if len(ps) != len(mats):
         raise DimensionMismatchError("power vector length must match tuple length")
+    if integral and (any(x <= 0.0 for x in ps) or abs(sum(ps) - 1.0) > 1e-12):
+        raise ValueError("integral route needs all p_j > 0 with sum exactly 1")
+    if integral and len(ps) not in (2, 3):
+        raise UnsupportedArityError(
+            f"integral route supports k in {{2, 3}}, got k={len(ps)}; "
+            "use tensor_power_direct for other arities"
+        )
+    return ps
+
+
+def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
+    """Kronecker product of spectral fractional powers A_j^(p_j) (A^0 = I),
+    row by row over stacks."""
+    ps = _check_powers(mats, p)
+    return _tensor_power_direct(_factor(mats), ps)
+
+
+def _tensor_power_direct(factors, ps: list[float]) -> np.ndarray:
     out = np.eye(1)
-    for f, pj in zip(_factor(mats), ps):
+    for f, pj in zip(factors, ps):
         out = tensor(out, _power(f, pj))
     return out
 
@@ -213,31 +234,25 @@ def tensor_power_integral(
     The embedded inverses A~_j^(-1) commute and are diagonal in the joint
     eigenbasis V = V_1 x ... x V_k (A_j = V_j diag(lambda_j) V_j*), so each
     resolvent is the diagonal 1 / ((1, u) . g), with g the (k, n^k) array of
-    joint reciprocal eigenvalues in Kronecker order.  The weighted sum of
-    these diagonals is accumulated in fixed-size chunks of grid points and
-    the result is V diag(d / norm) V*.  The tuple gate rejects input that is
-    not finite and Hermitian, never symmetrizing it: eigh reads one triangle.
-    A tuple of ``(T, n, n)`` stacks runs every row through each chunk, whose
-    grid points then number ``_RESOLVENT_CHUNK / (T n^k)``.
+    joint reciprocal eigenvalues in Kronecker order.  Their weighted sum d is
+    accumulated in fixed-size chunks of grid points, and V diag(d / norm) V*
+    is assembled factor by factor (:func:`linalg.kron_from_spectrum`).  The
+    tuple gate rejects input that is not finite and Hermitian, never
+    symmetrizing it: eigh reads one triangle.  A tuple of ``(T, n, n)`` stacks
+    runs every row through each chunk, of ``_RESOLVENT_CHUNK / (T n^k)`` points.
     """
-    ps = check_power_vector(p)
-    k = len(mats)
-    if len(ps) != k:
-        raise DimensionMismatchError("power vector length must match tuple length")
-    if any(x <= 0.0 for x in ps) or abs(sum(ps) - 1.0) > 1e-12:
-        raise ValueError("integral route needs all p_j > 0 with sum exactly 1")
-    if k not in (2, 3):
-        raise UnsupportedArityError(
-            f"integral route supports k in {{2, 3}}, got k={k}; "
-            "use tensor_power_direct for other arities"
-        )
-    decomps = _factor(mats)
-    stack, n = decomps[0][0].shape[:-1], decomps[0][0].shape[-1]
+    ps = _check_powers(mats, p, integral=True)
+    return _tensor_power_integral(_factor(mats), ps, quad)
+
+
+def _tensor_power_integral(factors, ps: list[float], quad: QuadratureConfig) -> np.ndarray:
+    k = len(ps)
+    stack, n = factors[0][0].shape[:-1], factors[0][0].shape[-1]
     # g[..., j, :] is 1/lambda_j on axis j of the Kronecker index (n, ..., n)
     g = np.stack([
         np.broadcast_to((1.0 / w).reshape(*stack, *(n if i == j else 1 for i in range(k))),
                         (*stack, *(n,) * k)).reshape(*stack, n**k)
-        for j, (w, _) in enumerate(decomps)
+        for j, (w, _) in enumerate(factors)
     ], axis=-2)
     points, weights = orthant_rule(ps[1:], quad.nodes_per_axis)
     coeffs = np.column_stack([np.ones(len(weights)), points])
@@ -249,11 +264,7 @@ def tensor_power_integral(
         np.reciprocal(resolvents, out=resolvents)
         diag += weights[start:start + chunk] @ resolvents
     norm = np.sum(weights / (1.0 + points.sum(axis=1)))
-
-    basis = np.eye(1)
-    for _, u in decomps:
-        basis = tensor(basis, u)
-    return from_spectrum(diag / norm, basis)
+    return kron_from_spectrum(diag / norm, [u for _, u in factors])
 
 
 def tensor_power_errors(
@@ -262,10 +273,13 @@ def tensor_power_errors(
     """Relative Frobenius error of tensor_power_integral against
     tensor_power_direct, one entry per per-axis node count in ``nodes``
     (pass ERROR_CURVE_NODES for the error curve); each entry a ``(T,)``
-    array for a tuple of stacks."""
-    direct = tensor_power_direct(mats, p)
+    array for a tuple of stacks.  Both routes and every node count share one
+    factorization per tuple entry."""
+    ps = _check_powers(mats, p, integral=True)
+    factors = _factor(mats)
+    direct = _tensor_power_direct(factors, ps)
     scale = frobenius(direct)
-    return [frobenius(tensor_power_integral(mats, p, QuadratureConfig(m)) - direct) / scale
+    return [frobenius(_tensor_power_integral(factors, ps, QuadratureConfig(m)) - direct) / scale
             for m in nodes]
 
 

@@ -36,10 +36,13 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     once (``leggauss`` polishes its nodes by Newton steps) and shared, so the
     arrays come back read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    rule = 0.5 * (x + 1.0), 0.5 * w
-    for a in rule:
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
         a.flags.writeable = False
-    return rule
+    return arrays
 
 
 def halfline_power_rule(p: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +89,18 @@ def orthant_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
     splits the orthant along its diagonal and rescales the smaller variable
     (u_minor = t * u_major), because the joint decay puts an integrable but
     quadrature-hostile ridge along u_1 ~ u_2 that a per-axis product rule
-    resolves only at first order.
+    resolves only at first order.  Each rule is built once per (ps, nodes)
+    and shared, so the arrays come back read-only.
     """
+    return _orthant_rule(tuple(ps), nodes)
+
+
+@functools.lru_cache(maxsize=16)
+def _orthant_rule(ps: tuple[float, ...], nodes: int) -> tuple[np.ndarray, np.ndarray]:
     d = len(ps)
     if d == 1:
         u, w = halfline_power_rule(ps[0], nodes)
-        return u[:, None], w
+        return _read_only(u[:, None], w)
     if d != 2:
         raise ValueError(f"orthant_rule supports 1 or 2 axes, got {d}")
     p1, p2 = ps
@@ -107,7 +116,7 @@ def orthant_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
         pts[:, minor] = (uu * tt).ravel()
         points.append(pts)
         weights.append(ww.ravel())
-    return np.concatenate(points), np.concatenate(weights)
+    return _read_only(np.concatenate(points), np.concatenate(weights))
 
 
 def gamma_quadrature(p: float) -> float:

@@ -162,7 +162,7 @@ def pick_eval_matrix(
     if via != "atoms":
         raise ValueError(f"unknown evaluation route {via!r}")
     check_hermitian(a)
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     eigs = np.linalg.eigvalsh(a)
     rep.window.check_spectrum(eigs, source="A")
     total = rep.alpha * eye + rep.beta * a + rep.gamma * (a @ a)

@@ -65,6 +65,20 @@ def test_certify_function_x4_violated_with_witness(tmp_path, capsys):
     assert violated[0]["witness"]["A0"]["dim"] == 2
 
 
+def test_certify_function_takes_a_negative_window_in_both_forms(capsys):
+    reports = []
+    for window in (["--window", "-1,1"], ["--window=-1,1"]):
+        code = main(["certify-function", "--f", "exp", *window, "--n", "2",
+                     "--trials", "20", "--seed", "1", "--format", "json"])
+        assert code == 1  # exp is not matrix convex: the secant test finds it
+        report = json.loads(capsys.readouterr().out)
+        for check in report["checks"]:
+            check.pop("timing")
+        reports.append(report)
+    assert reports[0]["config"]["window"] == [-1.0, 1.0]
+    assert reports[0] == reports[1]
+
+
 def test_certify_function_detectors_draw_from_disjoint_blocks(monkeypatch, capsys):
     specs = {}
     for name in ("definition_test", "second_derivative_test"):
@@ -310,11 +324,11 @@ def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys)
     path = tmp_path / "tuple.json"
     save_json(str(path), tuple_to_list([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]))
     reads, integrals = [], []
-    real_load, real_integral = mio.load_tuple, jc.tensor_power_integral
+    real_load, real_errors = mio.load_tuple, jc.tensor_power_errors
     monkeypatch.setattr(mio, "load_tuple",
                         lambda p: reads.append(p) or real_load(p))
-    monkeypatch.setattr(jc, "tensor_power_integral",
-                        lambda *a: integrals.append(a) or real_integral(*a))
+    monkeypatch.setattr(jc, "tensor_power_errors",
+                        lambda *a: integrals.append(a) or real_errors(*a))
     for name in ("parallel-sum", "tensor-power"):
         assert main(["check-concavity", "--suite", name, "--tuple", str(path),
                      "--trials", "5", "--seed", "3"]) == 0

@@ -10,6 +10,8 @@ from scipy.linalg import sqrtm
 from scipy.special import gamma
 
 from helpers import second_difference
+from matconvex import jointconcavity as jc
+from matconvex import linalg
 from matconvex.convexity import builtin
 from matconvex.entropy import epsilon_limit_residual, relative_entropy
 from matconvex.errors import (
@@ -19,6 +21,7 @@ from matconvex.errors import (
     UnsupportedArityError,
 )
 from matconvex.jointconcavity import (
+    ERROR_CURVE_NODES,
     KuboAndoRepresentation,
     _block_projection,
     c_constant,
@@ -30,6 +33,7 @@ from matconvex.jointconcavity import (
     parallel_sum_hessian,
     perspective,
     tensor_power_direct,
+    tensor_power_errors,
     tensor_power_integral,
     vectorization_residual,
     wyd_skew_information,
@@ -253,6 +257,34 @@ def test_tensor_power_factor_order(n):
         ba = route([b, a], (0.7, 0.3))
         rel = np.linalg.norm(ba - swap @ ab @ swap.T) / np.linalg.norm(ba)
         assert rel <= 1e-12, (route.__name__, rel)
+
+
+def test_tensor_power_errors_factor_each_entry_once(monkeypatch):
+    mats = _tuple(2, 3, 60)
+    expected = [tensor_power_errors(mats, (0.3, 0.7), ERROR_CURVE_NODES),
+                tensor_power_errors(mats, (0.3, 0.7), [64])]
+    calls = Counter()
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.update(["eigh"]) or real(*a, **k))
+    curve = tensor_power_errors(mats, (0.3, 0.7), ERROR_CURVE_NODES)
+    assert calls == {"eigh": 2}
+    assert curve == expected[0]
+    assert tensor_power_errors(mats, (0.3, 0.7), [64]) == expected[1]
+    assert calls == {"eigh": 4}
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 2)])
+def test_tensor_power_integral_never_forms_the_product_basis(monkeypatch, k, n):
+    def refuse(*args):
+        raise AssertionError("the Kronecker eigenbasis was formed")
+
+    p = (0.3, 0.7) if k == 2 else (0.2, 0.5, 0.3)
+    mats = _tuple(k, n, 70 + k)
+    expected = tensor_power_direct(mats, p)
+    for module in (jc, linalg):
+        monkeypatch.setattr(module, "tensor", refuse)
+    out = tensor_power_integral(mats, p, QuadratureConfig(64))
+    assert np.linalg.norm(out - expected) / np.linalg.norm(expected) < 1e-5
 
 
 def test_tensor_power_integral_rejects_without_repair():

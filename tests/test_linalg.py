@@ -9,7 +9,9 @@ from matconvex.linalg import (
     ScalarFunction,
     SpectrumWindow,
     apply_function,
+    from_spectrum,
     hermitian,
+    kron_from_spectrum,
     min_eigenvalue,
     op_norm,
     tensor,
@@ -89,6 +91,34 @@ def test_loewner_order_helpers():
 def test_tensor_is_kron():
     a, b = np.diag([1.0, 2.0]), np.diag([3.0, 4.0])
     np.testing.assert_allclose(tensor(a, b), np.kron(a, b))
+
+
+def _unitaries(dims, rng, *stack):
+    return [np.linalg.qr(rng.normal(size=(*stack, n, n))
+                         + 1j * rng.normal(size=(*stack, n, n)))[0] for n in dims]
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 3), (2, 3, 4), (3, 3, 3), (16, 16)])
+def test_kron_from_spectrum_matches_the_product_basis(dims):
+    rng = np.random.default_rng(sum(dims))
+    us = _unitaries(dims, rng)
+    w = rng.normal(size=math.prod(dims))
+    basis = np.eye(1)
+    for u in us:
+        basis = tensor(basis, u)
+    expected = from_spectrum(w, basis)
+    out = kron_from_spectrum(w, us)
+    assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 3, 4), (3, 3, 3)])
+def test_kron_from_spectrum_stacked_rows_equal_their_calls(dims):
+    rng = np.random.default_rng(7)
+    us = _unitaries(dims, rng, 4)
+    w = rng.normal(size=(4, math.prod(dims)))
+    stacked = kron_from_spectrum(w, us)
+    for t in range(4):
+        np.testing.assert_array_equal(stacked[t], kron_from_spectrum(w[t], [u[t] for u in us]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -85,6 +85,16 @@ def test_orthant_rule_2d_handles_diagonal_ridge():
     assert value == pytest.approx(exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("ps", [[0.5], [0.3, 0.4]])
+def test_orthant_rule_is_built_once_and_read_only(ps):
+    first = orthant_rule(ps, 16)
+    again = orthant_rule(list(ps), 16)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_orthant_rule_rejects_three_axes():
     with pytest.raises(ValueError):
         orthant_rule([0.3, 0.3, 0.4], 16)
