@@ -150,10 +150,8 @@ def cmd_check_entropy(args) -> int:
 
     def battery(name, slacks):
         values, detail = slacks()
-        worst = float(np.min(values))
-        return mio.check_record(name, worst + tol, {
-            "slack": worst, "tolerance": tol,
-            "states": states.matrix.size // states.dim**2, **detail})
+        return mio.bound_record(name, {"slack": (values, ">=", -tol)}, tolerance=tol,
+                                states=states.matrix.size // states.dim**2, **detail)
 
     checks = []  # "all" runs only the checks that fit the states' factor count
     for name, (fewest, most, slacks) in batteries.items():
@@ -183,10 +181,8 @@ def cmd_certify_representation(args) -> int:
         deviations = [float(np.linalg.norm(pick_eval_matrix(rep, a, via="spectral")
                                            - pick_eval_matrix(rep, a, via="atoms")))
                       for a in random_in_window_rows(args.n, rep.window, rngs)]
-        worst = float(np.max(deviations))
-        slack = 1e-8 - worst
-        return mio.check_record("spectral_vs_atoms_routes", slack, {
-            "slack": slack, "tolerance": 0.0, "worst_deviation": worst})
+        return mio.bound_record("spectral_vs_atoms_routes", {
+            "worst_deviation": (deviations, "<=", 1e-8)}, tolerance=1e-8)
 
     checks = [
         _timed(lambda: _verdict_record("exact_second_derivative",
@@ -203,16 +199,15 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
         # a fixed tuple is factored once per chunk, against a stack of directions
         fixed = mio.load_tuple(args.tuple) if args.tuple else None
         n = fixed[0].shape[0] if fixed else args.n
-        worst_eig, worst_proj = -math.inf, 0.0
+        rows = []  # (eigenvalues, residuals) of each chunk; one residual for a fixed tuple
         for rngs in cx.trial_chunks(spec, args.trials, n):
             mats = fixed or [random_in_window_rows(n, window, rngs) for _ in range(args.k)]
             dirs = jc.random_directions(len(mats), n, rngs)
-            _, eig, proj = jc.parallel_sum_certificate(mats, dirs)
-            worst_eig = float(np.max(eig, initial=worst_eig))
-            worst_proj = float(np.max(proj, initial=worst_proj))
-        return mio.check_record("parallel_sum_hessian_nsd", -worst_eig + 1e-8, {
-            "slack": -worst_eig, "tolerance": 1e-8, "max_eigenvalue": worst_eig,
-            "worst_projection_residual": worst_proj})
+            rows.append(jc.parallel_sum_certificate(mats, dirs)[1:])
+        eigs, projs = (np.hstack(chunks) for chunks in zip(*rows))
+        return mio.bound_record("parallel_sum_hessian_nsd", {
+            "max_eigenvalue": (eigs, "<=", 1e-8)}, tolerance=1e-8,
+            worst_projection_residual=float(np.max(projs)))
     if args.suite == "tensor-power":
         p = tuple(float(x) for x in args.p.split(","))
         quad = QuadratureConfig(args.nodes)
@@ -224,31 +219,27 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
             tuples = list(zip(*[random_in_window_rows(args.n, window, rngs) for _ in p]))
         errors = [jc.tensor_power_errors(mats, p, [quad.nodes_per_axis])[0]
                   for mats in tuples]
-        worst = float(np.max(errors))
-        detail = {"slack": quad.tolerance - worst, "tolerance": 0.0,
-                  "worst_relative_error": worst, "nodes": args.nodes}
-        if args.error_curve:
-            detail["error_curve_16_to_128"] = jc.tensor_power_errors(
-                tuples[0], p, jc.ERROR_CURVE_NODES)
-        return mio.check_record("tensor_power_vs_direct", detail["slack"], detail)
+        curve = ({"error_curve_16_to_128": jc.tensor_power_errors(
+            tuples[0], p, jc.ERROR_CURVE_NODES)} if args.error_curve else {})
+        return mio.bound_record("tensor_power_vs_direct", {
+            "worst_relative_error": (errors, "<=", quad.tolerance)},
+            tolerance=quad.tolerance, nodes=args.nodes, **curve)
     if args.suite == "lieb":
-        worst = math.inf
-        for rngs in cx.trial_chunks(spec, args.trials, args.n):
-            worst = float(np.min(jc.lieb_midpoint_gap(args.n, window, rngs)[0],
-                                 initial=worst))
-        return mio.check_record("lieb_midpoint_concavity", worst + 1e-8, {
-            "slack": worst, "tolerance": 1e-8, "worst_scaled_gap": worst})
+        gaps = [jc.lieb_midpoint_gap(args.n, window, rngs)[0]
+                for rngs in cx.trial_chunks(spec, args.trials, args.n)]
+        return mio.bound_record("lieb_midpoint_concavity", {
+            "worst_scaled_gap": (np.hstack(gaps), ">=", -1e-8)}, tolerance=1e-8)
     if not args.rep:  # kubo-ando, the last of the parser's choices
         raise ValidationError("kubo-ando suite needs --rep FILE")
     rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
-    worst = math.inf
+    gaps = []
     for rngs in cx.trial_chunks(spec, args.trials, args.n):
         a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
         mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
         avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0) + jc.kubo_ando_eval(rep, a1, b1))
-        worst = float(np.min(np.linalg.eigvalsh(mid - avg), initial=worst))
-    return mio.check_record("kubo_ando_midpoint_concavity", worst + 1e-8, {
-        "slack": worst, "tolerance": 1e-8, "worst_gap_eigenvalue": worst})
+        gaps.append(np.linalg.eigvalsh(mid - avg))
+    return mio.bound_record("kubo_ando_midpoint_concavity", {
+        "worst_gap_eigenvalue": (np.concatenate(gaps), ">=", -1e-8)}, tolerance=1e-8)
 
 
 def cmd_check_concavity(args) -> int:

@@ -215,6 +215,26 @@ def check_record(
     return rec
 
 
+#: op -> the NaN-propagating worst case of the values bounded that way
+_WORST = {"<=": np.max, ">=": np.min}
+
+
+def bound_record(name: str, bounds: dict, **extra) -> dict:
+    """The check record of one-sided bounds: ``bounds`` maps each detail key
+    to ``(values, op, bound)``, op ``"<="`` or ``">="``.  The detail holds each
+    key's worst value (NaN if any value is NaN), then ``extra``; the margin is
+    the least distance to a bound, ``bound - worst`` or ``worst - bound``, so
+    the record passes iff every bound holds.  Raises ValueError on an unknown
+    op or a non-finite bound, which would pass or fail any values."""
+    detail, terms = {}, []
+    for key, (values, op, bound) in bounds.items():
+        if op not in _WORST or not math.isfinite(bound):
+            raise ValueError(f"{name}: {key} {op} {bound} is not a finite <= or >= bound")
+        detail[key] = worst = float(_WORST[op](values))
+        terms.append(bound - worst if op == "<=" else worst - bound)
+    return check_record(name, np.min(terms), {**detail, **extra})
+
+
 def report_to_dict(
     command: str, config: dict, checks: list[dict], overall_status: str
 ) -> dict:

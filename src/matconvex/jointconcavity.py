@@ -21,9 +21,9 @@ normalization and the factor-by-factor assembly belong to the integral route
 alone, so they still cross-check each other.  The tests keep a dense per-node
 inversion of the resolvents as an oracle that uses no eigendecomposition.  On
 top of these sit the Lieb trace functional, the skew-information form, and
-operator perspectives with their discrete Loewner-representation evaluator.
+operator means with their discrete Loewner-representation evaluator.
 
-The parallel-sum, tensor-power, Lieb, skew-information and perspective
+The parallel-sum, tensor-power, Lieb, skew-information and operator-mean
 kernels are stack-aware: tuple entries may be ``(T, n, n)`` stacks of one
 shape, gated row by row (one ``eigh`` per entry for the whole stack), with
 ``(T,)`` exponents where a row has its own; row t of a stacked call equals
@@ -42,13 +42,10 @@ import numpy as np
 
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
-    ScalarFunction,
     SpectrumWindow,
     _dagger,
     _float_or_rows,
     _trace,
-    apply_function,
-    check_hermitian,
     factor,
     frobenius,
     from_spectrum,
@@ -290,7 +287,7 @@ def c_constant(
 
     A (k-1)-dimensional integral of 1/(1 + u_2 + ... + u_k) against
     prod u_j^(p_j) du_j / u_j; equals the product of Gamma(p_j) when the p_j
-    sum to one, which the independent gamma_quadrature oracle verifies.
+    sum to one (the acceptance suite checks c_2 = pi and c_3 = Gamma(1/3)^3).
     """
     ps = check_power_vector(p)
     if len(ps) < 2:
@@ -302,7 +299,7 @@ def c_constant(
 
 
 # ---------------------------------------------------------------------------
-# Lieb functional, skew information, perspectives.
+# Lieb functional, skew information, operator means.
 
 
 def _check_exponents(p, r):
@@ -339,27 +336,6 @@ def lieb_midpoint_gap(
     return (mid - avg) / np.maximum(np.maximum(np.abs(mid), np.abs(avg)), 1.0), p
 
 
-def vec_columns(k: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(k).flatten(order="F")
-
-
-def vectorization_residual(
-    a: np.ndarray, b: np.ndarray, k: np.ndarray, p: float, r: float
-) -> float:
-    """|trace form - bilinear form| for the vectorized Lieb functional.
-
-    With column stacking the transpose lands on the A factor:
-    Tr[A^p K* B^r K] = <vec K| (A^p)^T x B^r |vec K>, fixed by an index-level
-    expansion of both sides.
-    """
-    trace_form = lieb_functional(a, b, k, p, r)
-    (fa,), (fb,) = _factor([a]), _factor([b])
-    v = vec_columns(k)
-    bilinear = float((v.conj() @ tensor(_power(fa, p).T, _power(fb, r)) @ v).real)
-    return abs(trace_form - bilinear)
-
-
 def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     """Tr[K rho^p K rho^(1-p)] - Tr[K rho K]; zero iff [rho, K] = 0, else < 0.
 
@@ -378,19 +354,6 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     cross = _trace(k @ rho_p @ k @ rho_q).real
     plain = _trace(k @ rho_r @ k).real
     return _float_or_rows(cross - plain)
-
-
-def perspective(f: ScalarFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """B^(1/2) f(B^(-1/2) A B^(-1/2)) B^(1/2); degree-one homogeneous in (A, B).
-
-    A must be finite and Hermitian and B pass the tuple gate; neither is repaired.
-    """
-    check_hermitian(np.asarray(a))
-    (fb,) = _factor([b])
-    b_half, b_inv_half = _power(fb, 0.5), _power(fb, -0.5)
-    core = b_inv_half @ a @ b_inv_half
-    val = b_half @ apply_function(core, f, source="B^-1/2 A B^-1/2") @ b_half
-    return 0.5 * (val + _dagger(val))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -118,26 +118,3 @@ def _orthant_rule(ps: tuple[float, ...], nodes: int) -> tuple[np.ndarray, np.nda
         weights.append(ww.ravel())
     return _read_only(np.concatenate(points), np.concatenate(weights))
 
-
-def gamma_quadrature(p: float) -> float:
-    """Independent 1-d quadrature of Gamma(p) = int_0^inf e^(-v) v^(p-1) dv.
-
-    A double-exponential (exp-sinh) rule (Takahasi and Mori, 1974): v = e^s
-    with s = (pi/2) sinh t gives int e^(p s - e^s) (pi/2) cosh t dt, whose
-    integrand decays doubly exponentially both ways, so the trapezoid rule
-    with step 1/32 on |t| <= 12.5 is exact to rounding for 0.05 <= p <= 2.5.
-    It shares no node or substitution with the Gauss-Legendre power rules
-    above, so it stays an independent oracle for them.  Raises ValueError
-    unless 0 < p < inf (NaN included), and outside 0.05 <= p <= 2.5, where
-    the fixed window and step go wrong without a sign (relative error 0.12
-    at p = 1e-5, 2e-2 at p = 170).
-    """
-    if not 0.0 < p < np.inf:
-        raise ValueError(f"Gamma integral needs 0 < p < inf, got {p}")
-    if not 0.05 <= p <= 2.5:
-        raise ValueError(f"the Gamma rule is verified only for 0.05 <= p <= 2.5, got {p}")
-    t = np.arange(-400, 401) / 32.0
-    s = 0.5 * np.pi * np.sinh(t)
-    with np.errstate(over="ignore"):  # e^s overflows only where e^(-e^s) is 0
-        integrand = np.exp(p * s - np.exp(s)) * (0.5 * np.pi) * np.cosh(t)
-    return float(np.sum(integrand) / 32.0)

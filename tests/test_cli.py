@@ -1,6 +1,10 @@
 """Exit codes, report determinism, and file handling of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import RandomSpec, random_in_window_rows
 from matconvex.resolvent import PickRepresentation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -205,6 +211,16 @@ def test_check_entropy_zero_trials_is_a_usage_error(capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_check_entropy_non_finite_tolerance_is_a_usage_error(tol, capsys):
+    # an infinite tolerance would pass any state, a NaN one fail every state
+    code = main(["check-entropy", "--random", "2x2x2", "--trials", "3", "--tol", tol])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "not a finite" in err and err.count("\n") == 1
+
+
 def test_check_entropy_product_state_ssa(tmp_path):
     factor = DensityOperator(np.diag([0.6, 0.4]), (2,))
     path = tmp_path / "product.json"
@@ -228,8 +244,14 @@ def test_check_entropy_needs_input(capsys):
 
 def test_certify_representation(rep_file, capsys):
     code = main(["certify-representation", "--rep", rep_file,
-                 "--n", "4", "--trials", "100", "--seed", "2"])
+                 "--n", "4", "--trials", "100", "--seed", "2", "--format", "json"])
     assert code == 0
+    routes = json.loads(capsys.readouterr().out)["checks"][1]
+    # the tolerance is the bound applied to the worst deviation of the two routes
+    assert routes["name"] == "spectral_vs_atoms_routes"
+    assert sorted(routes["detail"]) == ["tolerance", "worst_deviation"]
+    assert routes["detail"]["tolerance"] == 1e-8
+    assert routes["margin"] == 1e-8 - routes["detail"]["worst_deviation"] > 0.0
 
 
 def test_certify_representation_invalid_field(tmp_path, capsys):
@@ -254,18 +276,20 @@ def test_check_concavity_parallel_sum(capsys):
 PINNED_BATTERIES = {
     # the smallest raw gap, row 75 of test_lieb_battery_rows_keep_their_values
     "--suite lieb --seed 3": (0.003338729242875838, {
-        "slack": 0.003338719242875838, "tolerance": 1e-08,
-        "worst_scaled_gap": 0.003338719242875838}),
+        "tolerance": 1e-08, "worst_scaled_gap": 0.003338719242875838}),
     "--suite parallel-sum --seed 3": (4.62795560042875e-06, {
-        "max_eigenvalue": -4.61795560042875e-06, "slack": 4.61795560042875e-06,
+        "max_eigenvalue": -4.61795560042875e-06,
         "tolerance": 1e-08, "worst_projection_residual": 1.6501411259699236e-15}),
     "--suite parallel-sum --k 3 --n 4 --trials 50 --seed 3": (0.005202294047136945, {
-        "max_eigenvalue": -0.005202284047136945, "slack": 0.005202284047136945,
+        "max_eigenvalue": -0.005202284047136945,
         "tolerance": 1e-08, "worst_projection_residual": 1.343295795267648e-15}),
     # 300 trials of 2 x 2 rows run in three chunks
     "--suite parallel-sum --k 2 --n 2 --trials 300 --seed 7": (2.2812693746097615e-05, {
-        "max_eigenvalue": -2.2802693746097613e-05, "slack": 2.2802693746097613e-05,
+        "max_eigenvalue": -2.2802693746097613e-05,
         "tolerance": 1e-08, "worst_projection_residual": 8.817253038237926e-16}),
+    # the tolerance is the bound applied to the worst relative error
+    "--suite tensor-power --p 0.3,0.7 --nodes 16 --trials 3 --seed 3": (8.73811979922018e-06, {
+        "nodes": 16, "tolerance": 1e-05, "worst_relative_error": 1.261880200779822e-06}),
 }
 
 
@@ -285,7 +309,7 @@ def test_parallel_sum_battery_on_a_fixed_tuple_keeps_its_values(tmp_path, capsys
                  "--trials", "40", "--seed", "3", "--format", "json"]) == 0
     (record,) = json.loads(capsys.readouterr().out)["checks"]
     assert (record["margin"], record["detail"]) == (0.013326776737976121, {
-        "max_eigenvalue": -0.013326766737976121, "slack": 0.013326766737976121,
+        "max_eigenvalue": -0.013326766737976121,
         "tolerance": 1e-08, "worst_projection_residual": 1.7460489445185184e-16})
 
 
@@ -389,8 +413,8 @@ def test_check_concavity_kubo_ando(tmp_path, capsys):
     assert code == 0
     (record,) = json.loads(capsys.readouterr().out)["checks"]
     # the smallest gap eigenvalue over the 20 trials, not a floor at 0
-    assert record["detail"]["slack"] == record["detail"]["worst_gap_eigenvalue"] \
-        == 0.00029194569559292234
+    assert record["detail"]["worst_gap_eigenvalue"] == 0.00029194569559292234
+    assert record["margin"] == 0.00029194569559292234 + 1e-8
     code = main(["check-concavity", "--suite", "kubo-ando", "--trials", "5"])
     assert code == 2  # needs --rep
 
@@ -438,3 +462,13 @@ def test_run_suite_filter_and_determinism(tmp_path, capsys):
 
 def test_run_suite_unknown_filter(capsys):
     assert main(["run-suite", "--only", "zzz"]) == 2
+
+
+def test_python_m_matconvex_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "matconvex", "run-suite", "--only",
+                           "c_constant"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["pass", "c_constant"]

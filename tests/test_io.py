@@ -8,6 +8,7 @@ from matconvex.convexity import builtin, jensen_test
 from matconvex.entropy import bell_state
 from matconvex.errors import HermiticityError, ValidationError
 from matconvex.io import (
+    bound_record,
     density_from_dict,
     density_to_dict,
     kubo_ando_from_dict,
@@ -128,6 +129,56 @@ def test_report_schema_strict():
     doc3["schema_version"] = 99
     with pytest.raises(ValidationError, match="schema_version"):
         report_from_dict(doc3)
+
+
+@pytest.mark.parametrize("values", [2.5, [0.5, 2.5, 1.0], np.array([[0.5], [2.5]])],
+                         ids=["scalar", "list", "array"])
+def test_bound_record_takes_the_worst_value_against_each_op(values):
+    upper = bound_record("x", {"top": (values, "<=", 3.0)}, tolerance=3.0)
+    assert (upper["status"], upper["margin"], upper["detail"]) == (
+        "pass", 0.5, {"top": 2.5, "tolerance": 3.0})
+    lower = bound_record("x", {"low": (values, ">=", 3.0)})
+    assert (lower["status"], lower["detail"]["low"]) == ("fail", float(np.min(values)))
+    assert lower["margin"] == float(np.min(values)) - 3.0
+
+
+def test_bound_record_margin_is_the_least_distance_to_a_bound():
+    rec = bound_record("x", {"a": ([0.2, 0.7], "<=", 1.0), "b": ([0.4, 0.9], ">=", 0.3)},
+                       trials=2)
+    assert rec["margin"] == min(1.0 - 0.7, 0.4 - 0.3)
+    assert rec["detail"] == {"a": 0.7, "b": 0.4, "trials": 2}
+    assert "witness" not in rec
+    # a bound at the worst value passes with margin 0
+    assert bound_record("x", {"a": ([0.2, 1.0], "<=", 1.0)})["status"] == "pass"
+
+
+@pytest.mark.parametrize("op", ["<=", ">="])
+def test_bound_record_fails_on_a_nan_row(op):
+    rec = bound_record("x", {"ok": ([0.0], "<=", 1.0), "v": ([0.1, math.nan, 0.2], op, 0.0)})
+    assert rec["status"] == "fail"
+    assert math.isnan(rec["margin"]) and math.isnan(rec["detail"]["v"])
+
+
+def test_bound_record_reproduces_the_hand_written_margins_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        slacks, devs = rng.normal(size=7) * 1e-9, np.abs(rng.normal(size=7)) * 1e-10
+        worst_slack, worst_dev = float(np.min(slacks)), float(np.max(devs))
+        rec = bound_record("x", {"s": (slacks, ">=", -1e-9), "d": (devs, "<=", 1e-10)})
+        assert rec["margin"] == float(np.min([worst_slack + 1e-9, 1e-10 - worst_dev]))
+        top = float(np.max(slacks))  # the parallel-sum battery wrote -top + 1e-8
+        assert bound_record("x", {"e": (slacks, "<=", 1e-8)})["margin"] == -top + 1e-8
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_bound_record_refuses_a_non_finite_bound(bound):
+    with pytest.raises(ValueError, match="not a finite"):
+        bound_record("x", {"v": ([0.0], ">=", bound)})
+
+
+def test_bound_record_refuses_an_unknown_op():
+    with pytest.raises(ValueError, match="not a finite <= or >= bound"):
+        bound_record("x", {"v": ([0.0], "<", 1.0)})
 
 
 def test_serialize_witness_handles_arrays():

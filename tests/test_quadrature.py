@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from helpers import gamma_quadrature
 from matconvex.quadrature import (
     QuadratureConfig,
-    gamma_quadrature,
     gauss_legendre_01,
     halfline_power_rule,
     orthant_rule,

@@ -4,7 +4,6 @@ for bit, and the gates name the first bad row."""
 import numpy as np
 import pytest
 
-from matconvex import convexity as cx
 from matconvex import entropy as ent
 from matconvex import jointconcavity as jc
 from matconvex import resolvent as rv
@@ -51,8 +50,6 @@ def _kernel_cases():
             jc.tensor_power_errors([a, b], (0.3, 0.7), [16, 64])),
         "kubo_ando_eval": (lambda t: jc.kubo_ando_eval(MEAN, a[t], b[t]),
                            jc.kubo_ando_eval(MEAN, a, b)),
-        "perspective": (lambda t: jc.perspective(cx.builtin("x2"), a[t], b[t]),
-                        jc.perspective(cx.builtin("x2"), a, b)),
         "lieb_functional": (lambda t: jc.lieb_functional(a[t], b[t], k[t], p[t], 0.25),
                             jc.lieb_functional(a, b, k, p, 0.25)),
         "wyd_skew_information": (

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ def test_one_nan_trial_fails_the_check(monkeypatch, check, target, nan_value):
     assert rows[0] > 1  # a stack, not one trial
     assert record["status"] == "fail"
     assert math.isnan(record["margin"])
+
+
+def test_a_nan_pinch_distance_fails_the_check_and_does_not_raise(monkeypatch):
+    # the 10^2-sample distance is a measured value, never a bound: a NaN in
+    # it fails monte_carlo_physics instead of aborting the suite
+    from matconvex import entropy as ent
+
+    real = ent.pinch_monte_carlo
+
+    def nan_at_100(state, samples, stream):
+        out = real(state, samples, stream)
+        return SimpleNamespace(matrix=out.matrix * np.nan) if samples == 100 else out
+
+    monkeypatch.setattr(ent, "pinch_monte_carlo", nan_at_100)
+    (record,) = run_suite(1, only="monte_carlo_physics")
+    assert record["status"] == "fail"
+    assert math.isnan(record["margin"]) and math.isnan(record["detail"]["pinch_mc_gap"])
 
 
 @pytest.mark.parametrize("check, module, target", [
