@@ -24,7 +24,7 @@ from . import jointconcavity as jc
 from . import io as mio
 from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
-from .linalg import SpectrumWindow
+from .linalg import SpectrumWindow, frobenius
 from .quadrature import QuadratureConfig
 from .rand import STREAM_BLOCK, RandomSpec, random_in_window_rows
 from .resolvent import certify_representation, pick_eval_matrix
@@ -136,7 +136,7 @@ def cmd_check_entropy(args) -> int:
     def decomposition():
         rep = ent.mutual_information_decomposition(states)
         first = {k: float(np.reshape(v, -1)[0]) for k, v in rep.values.items()}
-        return rep.min_slack(), {"last_values": first}  # slacks: the two parts
+        return rep.min_slack(), {"first_values": first}  # slacks: the two parts
 
     # name -> (fewest factors, most factors, slacks of every state and detail)
     batteries = {
@@ -177,10 +177,9 @@ def cmd_certify_representation(args) -> int:
 
     def routes():
         # block 1: disjoint from the certification's streams at any --trials
-        rngs = spec.stream(STREAM_BLOCK).rngs(range(20))
-        deviations = [float(np.linalg.norm(pick_eval_matrix(rep, a, via="spectral")
-                                           - pick_eval_matrix(rep, a, via="atoms")))
-                      for a in random_in_window_rows(args.n, rep.window, rngs)]
+        a = random_in_window_rows(args.n, rep.window, spec.stream(STREAM_BLOCK).rngs(range(20)))
+        deviations = frobenius(pick_eval_matrix(rep, a, via="spectral")
+                               - pick_eval_matrix(rep, a, via="atoms"))
         return mio.bound_record("spectral_vs_atoms_routes", {
             "worst_deviation": (deviations, "<=", 1e-8)}, tolerance=1e-8)
 
@@ -195,51 +194,60 @@ def cmd_certify_representation(args) -> int:
 
 
 def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
+    """The ``--suite`` battery as one :func:`convexity.stacked_rows` call (a
+    fixed tensor-power tuple is evaluated once).  Tensor-power chunks are sized
+    as rows of n^k x n^k matrices, 32 x 32 at least: at most 14 rows, whose
+    (T, points, n^k) resolvent temporary, 1 MB a row, stays under 16 MB."""
     if args.suite == "parallel-sum":
         # a fixed tuple is factored once per chunk, against a stack of directions
         fixed = mio.load_tuple(args.tuple) if args.tuple else None
         n = fixed[0].shape[0] if fixed else args.n
-        rows = []  # (eigenvalues, residuals) of each chunk; one residual for a fixed tuple
-        for rngs in cx.trial_chunks(spec, args.trials, n):
+
+        def certificate(rngs):
             mats = fixed or [random_in_window_rows(n, window, rngs) for _ in range(args.k)]
-            dirs = jc.random_directions(len(mats), n, rngs)
-            rows.append(jc.parallel_sum_certificate(mats, dirs)[1:])
-        eigs, projs = (np.hstack(chunks) for chunks in zip(*rows))
+            _, top, residual = jc.parallel_sum_certificate(
+                mats, jc.random_directions(len(mats), n, rngs))
+            return top, np.broadcast_to(residual, top.shape)  # one residual for a fixed tuple
+
+        eigs, projs = cx.stacked_rows(spec, args.trials, n, certificate)
         return mio.bound_record("parallel_sum_hessian_nsd", {
             "max_eigenvalue": (eigs, "<=", 1e-8)}, tolerance=1e-8,
             worst_projection_residual=float(np.max(projs)))
     if args.suite == "tensor-power":
-        p = tuple(float(x) for x in args.p.split(","))
-        quad = QuadratureConfig(args.nodes)
-        if args.tuple:
-            # a fixed tuple gives the same error in every trial: evaluate it once
-            tuples = [mio.load_tuple(args.tuple)]
-        else:
-            rngs = spec.rngs(range(args.trials))
-            tuples = list(zip(*[random_in_window_rows(args.n, window, rngs) for _ in p]))
-        errors = [jc.tensor_power_errors(mats, p, [quad.nodes_per_axis])[0]
-                  for mats in tuples]
+        p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
+        fixed = mio.load_tuple(args.tuple) if args.tuple else None
+
+        def draw(rngs):
+            return [random_in_window_rows(args.n, window, rngs) for _ in p]
+
+        # a fixed tuple gives the same error in every trial: evaluate it once
+        errors = jc.tensor_power_errors(fixed, p, [args.nodes])[0] if fixed else cx.stacked_rows(
+            spec, args.trials, max(32, args.n ** len(p)),
+            lambda rngs: jc.tensor_power_errors(draw(rngs), p, [args.nodes]))[0]
         curve = ({"error_curve_16_to_128": jc.tensor_power_errors(
-            tuples[0], p, jc.ERROR_CURVE_NODES)} if args.error_curve else {})
+            fixed or [m[0] for m in draw(spec.rngs([0]))], p, jc.ERROR_CURVE_NODES)}
+            if args.error_curve else {})
         return mio.bound_record("tensor_power_vs_direct", {
             "worst_relative_error": (errors, "<=", quad.tolerance)},
             tolerance=quad.tolerance, nodes=args.nodes, **curve)
     if args.suite == "lieb":
-        gaps = [jc.lieb_midpoint_gap(args.n, window, rngs)[0]
-                for rngs in cx.trial_chunks(spec, args.trials, args.n)]
+        gaps, _ = cx.stacked_rows(spec, args.trials, args.n,
+                                  lambda rngs: jc.lieb_midpoint_gap(args.n, window, rngs))
         return mio.bound_record("lieb_midpoint_concavity", {
-            "worst_scaled_gap": (np.hstack(gaps), ">=", -1e-8)}, tolerance=1e-8)
+            "worst_scaled_gap": (gaps, ">=", -1e-8)}, tolerance=1e-8)
     if not args.rep:  # kubo-ando, the last of the parser's choices
         raise ValidationError("kubo-ando suite needs --rep FILE")
     rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
-    gaps = []
-    for rngs in cx.trial_chunks(spec, args.trials, args.n):
+
+    def midpoint_gaps(rngs):
         a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
         mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
         avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0) + jc.kubo_ando_eval(rep, a1, b1))
-        gaps.append(np.linalg.eigvalsh(mid - avg))
+        return (np.linalg.eigvalsh(mid - avg),)
+
+    (gaps,) = cx.stacked_rows(spec, args.trials, args.n, midpoint_gaps)
     return mio.bound_record("kubo_ando_midpoint_concavity", {
-        "worst_gap_eigenvalue": (np.concatenate(gaps), ">=", -1e-8)}, tolerance=1e-8)
+        "worst_gap_eigenvalue": (gaps, ">=", -1e-8)}, tolerance=1e-8)
 
 
 def cmd_check_concavity(args) -> int:

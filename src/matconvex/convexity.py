@@ -9,10 +9,10 @@ Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``-TOL_CERT``, reports a violation
 only if some margin dips below ``-TOL_VIOL``, and is otherwise inconclusive; a
 NaN margin never certifies.  Every randomized test is a stacked trial run by
-:func:`run_trials`, the one loop that splits streams, stamps witnesses and
-reduces margins: trial t still draws from its own stream ``spec.stream(t)``,
-in the order a single trial would, but a chunk of trials is evaluated as one
-``(T, n, n)`` stack, so one eigensolve serves every row of it.  A sampled
+:func:`run_trials` on :func:`stacked_rows`, the one battery engine: trial t
+draws from its own stream ``spec.stream(t)`` as a lone trial would, but a
+chunk of trials is one ``(T, n, n)`` stack, so one eigensolve serves every
+row; a violating trial's witness is rebuilt from its stream.  A sampled
 matrix travels with its spectral factors (lambda, U) from the sampler, and f
 and the Daleckii-Krein derivative are evaluated from them: the only
 eigensolves left are of the mixtures A_lambda and the Jensen barycenter, which
@@ -106,14 +106,18 @@ def _chunk_rows(n: int) -> int:
     return max(1, _TRIAL_CHUNK // (n * n + _GENERATOR_ENTRIES))
 
 
-def trial_chunks(spec: RandomSpec, trials: int, n: int):
-    """The generators of streams ``spec.stream(0 .. trials-1)``, yielded in
-    chunks of :func:`_chunk_rows` trials for rows of n x n matrices.  The
-    streams are hashed in one batch; each chunk builds its own generators."""
-    rows = _chunk_rows(n)
-    words = spec.seed_words(range(trials))
-    for start in range(0, trials, rows):
-        yield generators(words[start:start + rows])
+def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable):
+    """The one battery engine: ``body(rngs)`` on each chunk of
+    :func:`_chunk_rows` (n) streams of ``spec.stream(0 .. trials-1)`` (hashed
+    in one batch) returns a sequence of per-row outputs; each comes back
+    concatenated in stream order, in a tuple.  Row t of a chunk draws from
+    ``rngs[t]``; stacked kernels give a row bit for bit as its lone call, so
+    the output does not depend on the chunking."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    rows, words = _chunk_rows(n), spec.seed_words(range(trials))
+    outs = [body(generators(words[start:start + rows])) for start in range(0, trials, rows)]
+    return tuple(map(np.concatenate, zip(*outs)))
 
 
 def run_trials(
@@ -122,31 +126,19 @@ def run_trials(
 ) -> Verdict:
     """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
 
-    The only trial loop behind a :class:`Verdict`.  ``trial(rngs)`` draws row
-    t of its stack from ``rngs[t]`` and returns the ``(T,)`` margins and
-    ``witness(t)``, the witness (``kind`` plus the data that replays it) of
-    row t.  Rows of n x n matrices run in chunks of :func:`_chunk_rows`.  The
-    witness of the first violating trial is stamped with that trial's
-    absolute ``stream_id`` and its margin.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    rows = _chunk_rows(n)
-    margins, witnesses = [], []
-    for rngs in trial_chunks(spec, trials, n):
-        m, witness = trial(rngs)
-        margins.append(np.asarray(m, dtype=float))
-        # only a chunk with a violating row can supply the witness; drop the
-        # rest, with the arrays they hold, before the next chunk draws
-        witnesses.append(witness if np.any(margins[-1] < -TOL_VIOL) else None)
-        del witness
-    margins = np.concatenate(margins)
+    :func:`stacked_rows`, then :func:`_aggregate`, the only route to a
+    :class:`Verdict`.  ``trial(rngs)`` returns the ``(T,)`` margins of its
+    stack and ``witness(t)``, the data that replays row t, under ``kind``.
+    Only margins are kept: the first violating trial's witness comes from
+    ``trial`` rerun on that one stream, stamped with its ``stream_id`` and
+    margin."""
+    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1])
 
-    def stamped(t: int) -> dict:
-        return {**witnesses[t // rows](t % rows),
+    def witness(t: int) -> dict:
+        return {**trial(spec.rngs([t]))[1](0),
                 "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
 
-    return _aggregate(margins, stamped)
+    return _aggregate(margins, witness)
 
 
 def _with_factors(key: str, m, w, u) -> dict:
@@ -408,7 +400,7 @@ def monotonicity_test(
     """Matrix monotonicity via positivity of random Loewner matrices.  A trial
     whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
     the others run as one Loewner stack and one ``eigvalsh`` per site count."""
-    inner = window.shrunk(0.05)
+    inner = window.shrunk()
     min_sep = 1e-3 * (window.b - window.a)
 
     def draw(rng):

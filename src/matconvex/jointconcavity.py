@@ -59,8 +59,8 @@ from .rand import random_hermitian_rows, random_in_window_rows
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
 
-#: Entries per chunk of the (nodes, n^k) resolvent-diagonal temporary in
-#: tensor_power_integral: 2^17 float64 values, 1 MB at any node count.
+#: Entries per row of a chunk of the (points, n^k) resolvent-diagonal temporary
+#: in tensor_power_integral: 2^17 float64 values, 1 MB a row at any node count.
 _RESOLVENT_CHUNK = 1 << 17
 
 #: Per-axis node counts of the tensor-power quadrature error curve.
@@ -235,8 +235,9 @@ def tensor_power_integral(
     accumulated in fixed-size chunks of grid points, and V diag(d / norm) V*
     is assembled factor by factor (:func:`linalg.kron_from_spectrum`).  The
     tuple gate rejects input that is not finite and Hermitian, never
-    symmetrizing it: eigh reads one triangle.  A tuple of ``(T, n, n)`` stacks
-    runs every row through each chunk, of ``_RESOLVENT_CHUNK / (T n^k)`` points.
+    symmetrizing it: eigh reads one triangle.  A chunk of
+    ``_RESOLVENT_CHUNK / n^k`` points runs every row of a ``(T, n, n)`` stack
+    (up to T MB), so a row equals its 2-D call bit for bit.
     """
     ps = _check_powers(mats, p, integral=True)
     return _tensor_power_integral(_factor(mats), ps, quad)
@@ -255,7 +256,7 @@ def _tensor_power_integral(factors, ps: list[float], quad: QuadratureConfig) -> 
     coeffs = np.column_stack([np.ones(len(weights)), points])
 
     diag = np.zeros((*stack, n**k))
-    chunk = max(1, _RESOLVENT_CHUNK // diag.size)
+    chunk = max(1, _RESOLVENT_CHUNK // n**k)
     for start in range(0, len(weights), chunk):
         resolvents = coeffs[start:start + chunk] @ g
         np.reciprocal(resolvents, out=resolvents)

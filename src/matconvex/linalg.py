@@ -56,11 +56,11 @@ class SpectrumWindow:
         _raise_first(~self.contains(w), w, source,
                      f"outside window ({self.a}, {self.b})")
 
-    def shrunk(self, fraction: float = 0.05) -> "SpectrumWindow":
-        """Compact sub-window with a margin of ``fraction * (b - a)`` per side."""
+    def shrunk(self) -> "SpectrumWindow":
+        """Compact sub-window with a margin of ``0.05 * (b - a)`` per side."""
         if not self.is_bounded:
             raise ValueError("cannot shrink an unbounded window")
-        delta = fraction * (self.b - self.a)
+        delta = 0.05 * (self.b - self.a)
         return SpectrumWindow(self.a + delta, self.b - delta)
 
 
@@ -101,7 +101,7 @@ class ScalarFunction:
 def _probe_points(domain: SpectrumWindow, count: int = 32) -> np.ndarray:
     """A compact sub-interval of the domain, sampled at ``count`` points."""
     if domain.is_bounded:
-        inner = domain.shrunk(0.05)
+        inner = domain.shrunk()
         lo, hi = inner.a, inner.b
     elif math.isfinite(domain.a):
         lo, hi = domain.a + 0.05, domain.a + 10.0

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import ClassVar
 
 import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureConfig:
-    """Node budget per integration axis and target relative error."""
+    """Node budget per integration axis; one target relative error for all."""
 
     nodes_per_axis: int = 64
-    tolerance: float = 1e-5
+    tolerance: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if self.nodes_per_axis < 8:

@@ -43,9 +43,6 @@ import numpy as np
 from .errors import UnboundedWindowError
 from .linalg import SpectrumWindow, from_spectrum, op_norm
 
-#: Margin fraction kept clear of each window edge when sampling spectra.
-WINDOW_MARGIN = 0.05
-
 #: Stream ids per block; a battery that splits its work into parts hands
 #: part k the block starting at ``k * STREAM_BLOCK``.
 STREAM_BLOCK = 1_000_000
@@ -230,7 +227,7 @@ def random_in_window_factors(
         raise UnboundedWindowError(
             "random_in_window needs a bounded window; pass a compact sub-window"
         )
-    inner = window.shrunk(WINDOW_MARGIN)
+    inner = window.shrunk()
     lam = np.array([rng.uniform(inner.a, inner.b, size=n) for rng in rngs])
     return lam, haar_unitaries(n, rngs)
 

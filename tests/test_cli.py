@@ -172,7 +172,7 @@ def test_check_entropy_bell_decomposition(bell_file, capsys):
                  "--check", "decomposition", "--format", "json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    values = report["checks"][0]["detail"]["last_values"]
+    values = report["checks"][0]["detail"]["first_values"]
     assert values["quantum_part"] == pytest.approx(np.log(2), abs=1e-9)
     assert values["classical_part"] == pytest.approx(np.log(2), abs=1e-9)
 
@@ -316,8 +316,7 @@ def test_parallel_sum_battery_on_a_fixed_tuple_keeps_its_values(tmp_path, capsys
 def test_lieb_battery_rows_keep_their_values():
     # the rows behind the battery's report, whose slack is their minimum
     window = SpectrumWindow(0.1, 5.0)
-    gaps = np.concatenate([jc.lieb_midpoint_gap(3, window, rngs)[0]
-                           for rngs in cx.trial_chunks(RandomSpec(3), 100, 3)])
+    gaps = jc.lieb_midpoint_gap(3, window, RandomSpec(3).rngs(range(100)))[0]
     assert (gaps.min(), gaps.argmin(), gaps[0], gaps[99], gaps.sum()) == (
         0.003338719242875838, 75, 0.024178010264864706, 0.015847063202413143,
         3.3939067264782565)

@@ -513,7 +513,7 @@ def _second_derivative_trial(f, window, n):
 
 
 def _monotonicity_trial(f, window, max_sites):
-    inner, min_sep = window.shrunk(0.05), 1e-3 * (window.b - window.a)
+    inner, min_sep = window.shrunk(), 1e-3 * (window.b - window.a)
 
     def trial(rng):
         k = int(rng.integers(2, max_sites + 1))
@@ -593,7 +593,9 @@ def test_chunk_boundaries_keep_every_row(monkeypatch, extra):
     v, margins = _engine(monkeypatch, lambda: definition_test(f, NARROW, n, trials, SPEC))
     np.testing.assert_allclose(margins, expected, rtol=0, atol=1e-12)
     assert (v.trials, v.status) == (trials, status)
-    assert chunks == [min(trials, rows)] + ([1] if extra == 1 else [])
+    # a violated verdict rebuilds its witness from one lone row
+    assert chunks == ([min(trials, rows)] + ([1] if extra == 1 else [])
+                      + ([1] if status == "violated" else []))
 
 
 def test_a_domain_escape_in_one_row_raises():
@@ -670,13 +672,19 @@ def test_a_nan_row_never_certifies():
     v = run_trials(trial, 4, SPEC, 2)
     assert v.status == "inconclusive" and math.isnan(v.worst_margin)
 
-    def violated_after_nan(rngs):
-        margins = np.array([0.0, math.nan, -1.0, -2.0])[:len(rngs)]
-        return margins, lambda t: {"kind": "test", "row": t}
+    # each row's margin is a function of its own stream, as a stacked kernel's
+    spec = RandomSpec(3, 40)
+    margin_of = {spec.stream(t).rng().uniform(): m
+                 for t, m in enumerate([0.0, math.nan, -1.0, -2.0])}
 
-    v = run_trials(violated_after_nan, 4, RandomSpec(3, 40), 2)
+    def violated_after_nan(rngs):
+        xs = [rng.uniform() for rng in rngs]
+        return np.array([margin_of[x] for x in xs]), lambda t: {"kind": "test", "x": xs[t]}
+
+    v = run_trials(violated_after_nan, 4, spec, 2)
     assert v.status == "violated" and math.isnan(v.worst_margin)
-    assert v.witness == {"kind": "test", "row": 2, "stream_id": 42, "margin": -1.0}
+    assert v.witness == {"kind": "test", "x": spec.stream(2).rng().uniform(),
+                         "stream_id": 42, "margin": -1.0}
 
 
 def test_witness_of_a_later_chunk_regenerates_from_its_stream_id():
@@ -706,10 +714,11 @@ def test_definition_makes_one_eigensolve_per_kernel_per_chunk(monkeypatch):
     chunks = -(-1000 // cx._chunk_rows(2))
     assert v.status == "violated" and v.trials == 1000
     # A_lambda: one eigh (A0 and A1 come with their factors); the gap: one
-    # eigvalsh; A0, A1: one QR each
+    # eigvalsh; A0, A1: one QR each; once per chunk, and once more for the
+    # lone row that rebuilds the witness
     assert chunks == 9
-    assert sorted(calls) == sorted(["eigh"] * chunks + ["eigvalsh"] * chunks
-                                   + ["qr"] * 2 * chunks)
+    runs = chunks + 1
+    assert sorted(calls) == sorted(["eigh"] * runs + ["eigvalsh"] * runs + ["qr"] * 2 * runs)
 
 
 def _count_kernels(monkeypatch):
@@ -740,9 +749,12 @@ def test_jensen_makes_one_eigh_per_chunk(monkeypatch):
     chunks = -(-500 // cx._chunk_rows(2))
     assert v.status == "violated" and chunks == 5
     # the barycenter: one eigh (the atoms come with their factors); the gap:
-    # one eigvalsh; the 3 atoms: one QR each
+    # one eigvalsh; the 3 atoms: one QR each; once per chunk, and once more
+    # for the lone row that rebuilds the witness
+    runs = chunks + 1
     assert sorted(name for name, _ in calls) == sorted(
-        ["eigh"] * chunks + ["eigvalsh"] * chunks + ["qr"] * 3 * chunks)
+        ["eigh"] * runs + ["eigvalsh"] * runs + ["qr"] * 3 * runs)
+    assert all(shape[0] == 1 for _, shape in calls[-5:])
 
 
 def test_certify_representation_makes_no_eigh(monkeypatch):
@@ -788,7 +800,8 @@ def test_definition_hashes_its_streams_once(monkeypatch):
     batches = _count_hashes(monkeypatch)
     v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     assert v.status == "violated" and v.trials == 1000
-    assert batches == [1000]  # one batch for all 9 chunks
+    # one batch for all 9 chunks, and the witness's stream alone
+    assert batches == [1000, 1]
 
 
 def test_one_row_chunks_share_one_hash(monkeypatch):

@@ -61,7 +61,7 @@ def test_window_validation():
 
 
 def test_window_shrunk():
-    inner = SpectrumWindow(0.0, 10.0).shrunk(0.05)
+    inner = SpectrumWindow(0.0, 10.0).shrunk()
     assert inner.a == pytest.approx(0.5)
     assert inner.b == pytest.approx(9.5)
 

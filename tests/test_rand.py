@@ -113,7 +113,7 @@ def test_stacked_window_and_direction_rows_bit_identical_to_per_stream_draws(n):
         np.testing.assert_array_equal(q[t], random_direction_rows(n, rngs)[0])
         # the 2-D formulas a loop over streams would run: spectrum, then unitary
         rng = spec.stream(t).rng()
-        inner = window.shrunk(0.05)
+        inner = window.shrunk()
         lam = rng.uniform(inner.a, inner.b, size=n)
         (u,) = haar_unitaries(n, [rng])
         np.testing.assert_array_equal(a[t], (u * lam) @ u.conj().T)

@@ -48,6 +48,15 @@ def _kernel_cases():
         "tensor_power_errors": (
             lambda t: jc.tensor_power_errors([a[t], b[t]], (0.3, 0.7), [16, 64]),
             jc.tensor_power_errors([a, b], (0.3, 0.7), [16, 64])),
+        # k = 3 grids hold more points than one resolvent chunk: a stacked
+        # row must sum its chunks as its 2-D call does
+        "tensor_power_integral_k3": (
+            lambda t: jc.tensor_power_integral([a[t], b[t], c[t]], (0.2, 0.5, 0.3)),
+            jc.tensor_power_integral([a, b, c], (0.2, 0.5, 0.3))),
+        "tensor_power_error_curve_k3": (
+            lambda t: jc.tensor_power_errors([a[t], b[t], c[t]], (0.2, 0.5, 0.3),
+                                             jc.ERROR_CURVE_NODES),
+            jc.tensor_power_errors([a, b, c], (0.2, 0.5, 0.3), jc.ERROR_CURVE_NODES)),
         "kubo_ando_eval": (lambda t: jc.kubo_ando_eval(MEAN, a[t], b[t]),
                            jc.kubo_ando_eval(MEAN, a, b)),
         "lieb_functional": (lambda t: jc.lieb_functional(a[t], b[t], k[t], p[t], 0.25),
