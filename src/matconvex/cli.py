@@ -143,7 +143,7 @@ def cmd_check_entropy(args) -> int:
         "subadditivity": (2, 2, lambda: (
             ent.subadditivity_report(states).min_slack(), {})),
         "decomposition": (2, 2, decomposition),
-        "ssa": (3, 3, lambda: (ent.ssa_report(states).slacks["ssa"], {})),
+        "ssa": (3, 3, lambda: (ent.ssa_slack(states), {})),
         "lieb-ruskai": (2, math.inf, lambda: (ent.lieb_ruskai_concavity_gap(
             states, ent.random_state(states.dims, spec.stream(90001)), 0.5), {})),
     }

@@ -51,6 +51,8 @@ from .rand import (
     random_direction_rows,
     random_in_window_factors,
     random_simplex,
+    uniform_range,
+    uniform_rows,
 )
 
 #: Certification / violation thresholds on eigenvalue margins.
@@ -206,7 +208,7 @@ def definition_test(
         e0 = random_in_window_factors(n, window, rngs)
         e1 = random_in_window_factors(n, window, rngs)
         a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
-        lam = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
+        lam = uniform_rows(0.05, 0.95, rngs)
         margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam, (e0, e1)))[:, 0]
         return margins, lambda t: {"kind": "definition", "lam": float(lam[t]),
                                    **_with_factors("A0", a0[t], e0[0][t], e0[1][t]),
@@ -401,12 +403,13 @@ def monotonicity_test(
     whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
     the others run as one Loewner stack and one ``eigvalsh`` per site count."""
     inner = window.shrunk()
+    low, span = uniform_range(inner.a, inner.b)
     min_sep = 1e-3 * (window.b - window.a)
 
     def draw(rng):
         k = int(rng.integers(2, max_sites + 1))
         for _ in range(100):
-            xs = np.sort(rng.uniform(inner.a, inner.b, size=k))
+            xs = np.sort(low + span * rng.random(k))
             if np.all(np.diff(xs) >= min_sep):
                 return xs, True
         return xs, False

@@ -21,6 +21,11 @@ every state function then runs on all rows at once and reports hold ``(T,)``
 arrays.  Each DensityOperator, marginals and pinched states too, is checked row
 by row when built: finite and Hermitian (never repaired), then trace and PSD
 from one ``eigvalsh``, kept as ``spectrum`` for its entropy.  A bad row is named.
+So each state is built, and diagonalized, once: a report reuses the marginals
+it builds, :func:`conditional_entropy` reads rho itself when its kept set is
+every factor, and only :func:`ssa_report` builds decoupled states, rho_12 x
+1/d_3 from the rho_12 its slack already holds; :func:`ssa_slack` is that slack
+alone, for the batteries that read nothing else.
 The relative-entropy kernels take ``(T, n, n)`` stacks of matrices the same way.
 The Monte Carlo averages have no per-sample witness, so each owns one stream:
 all samples come from ``spec.rng()``.
@@ -38,7 +43,7 @@ from .convexity import check_mixing_weight
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import _dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian, tensor
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
-from .rand import RandomSpec, haar_unitaries_from, random_densities
+from .rand import RandomSpec, haar_unitaries_from, random_densities, uniform_range
 
 #: Eigenvalues at or below this floor count as exact zeros for entropy and as
 #: support violations for relative entropy.
@@ -128,11 +133,14 @@ def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
 def conditional_entropy(
     rho: DensityOperator, part_a: Sequence[int], part_b: Sequence[int]
 ) -> float:
-    """S(a|b) = S(rho_ab) - S(rho_b); can be negative for entangled states."""
+    """S(a|b) = S(rho_ab) - S(rho_b); can be negative for entangled states.
+    When a and b keep every factor, rho_ab is ``rho`` itself."""
     sa, sb = set(part_a), set(part_b)
     if sa & sb:
         raise ValidationError(f"index sets overlap: {sorted(sa & sb)}")
-    s_ab = von_neumann_entropy(partial_trace(rho, sorted(sa | sb)))
+    kept = sorted(sa | sb)
+    s_ab = von_neumann_entropy(
+        rho if kept == list(range(len(rho.dims))) else partial_trace(rho, kept))
     s_b = von_neumann_entropy(partial_trace(rho, sorted(sb)))
     return s_ab - s_b
 
@@ -224,7 +232,8 @@ def pinch_monte_carlo(
     diag(p)* M diag(p) is M o (P* P) / samples."""
     basis = pinch_product_basis(rho12)
     in_basis = _dagger(basis) @ rho12.matrix @ basis
-    phases = np.exp(1j * spec.rng().uniform(0.0, 2.0 * np.pi, size=(samples, rho12.dim)))
+    low, span = uniform_range(0.0, 2.0 * np.pi)
+    phases = np.exp(1j * (low + span * spec.rng().random((samples, rho12.dim))))
     avg = in_basis * (phases.conj().T @ phases) / samples
     return DensityOperator(basis @ avg @ _dagger(basis), rho12.dims)
 
@@ -364,35 +373,46 @@ def uhlmann_tilde(rho123: DensityOperator) -> DensityOperator:
     """rho_12 x 1/d_3: the Haar average decoupling the third factor."""
     if len(rho123.dims) != 3:
         raise ValidationError(f"expected three factors, got dims {rho123.dims}")
-    d3 = rho123.dims[2]
-    return DensityOperator(
-        tensor(rho123.marginal([0, 1]).matrix, np.eye(d3) / d3), rho123.dims
-    )
+    return _decoupled(rho123.marginal([0, 1]), rho123.dims[2])
+
+
+def _decoupled(rho12: DensityOperator, d3: int) -> DensityOperator:
+    return DensityOperator(tensor(rho12.matrix, np.eye(d3) / d3), (*rho12.dims, d3))
+
+
+def _ssa_core(rho123: DensityOperator) -> tuple:
+    """(SSA slack, {S123, S23, S12, S2}, rho_12): one state per marginal."""
+    if len(rho123.dims) != 3:
+        raise ValidationError(f"expected three factors, got dims {rho123.dims}")
+    rho12 = rho123.marginal([0, 1])
+    s123 = von_neumann_entropy(rho123)
+    s23 = von_neumann_entropy(rho123.marginal([1, 2]))
+    s12 = von_neumann_entropy(rho12)
+    s2 = von_neumann_entropy(rho123.marginal([1]))
+    values = {"S123": s123, "S23": s23, "S12": s12, "S2": s2}
+    return (s12 - s2) - (s123 - s23), values, rho12
+
+
+def ssa_slack(rho123: DensityOperator):
+    """Strong subadditivity slack [S12 - S2] - [S123 - S23] >= 0 (a ``(T,)``
+    array for a stack), as :func:`ssa_report` gives it, without building the
+    decoupled states of its cross-check."""
+    return _ssa_core(rho123)[0]
 
 
 def ssa_report(rho123: DensityOperator) -> EntropyReport:
     """Strong subadditivity: [S12 - S2] - [S123 - S23] >= 0, with the
     decoupled-state cross-check S(tilde_123) - S(tilde_23) = S12 - S2, whose
-    slack ``SSA_CHAIN_TOL - |mismatch|`` goes negative when it fails."""
-    if len(rho123.dims) != 3:
-        raise ValidationError(f"expected three factors, got dims {rho123.dims}")
-    s123 = von_neumann_entropy(rho123)
-    s23 = von_neumann_entropy(rho123.marginal([1, 2]))
-    s12 = von_neumann_entropy(rho123.marginal([0, 1]))
-    s2 = von_neumann_entropy(rho123.marginal([1]))
-    tilde = uhlmann_tilde(rho123)
+    slack ``SSA_CHAIN_TOL - |mismatch|`` goes negative when it fails.  The
+    decoupled state rho_12 x 1/d_3 is built from the rho_12 of the slack."""
+    slack, values, rho12 = _ssa_core(rho123)
+    tilde = _decoupled(rho12, rho123.dims[2])
     s_tilde = von_neumann_entropy(tilde)
     s_tilde_23 = von_neumann_entropy(tilde.marginal([1, 2]))
+    chain = (s_tilde - s_tilde_23) - (values["S12"] - values["S2"])
     return EntropyReport(
-        values={
-            "S123": s123, "S23": s23, "S12": s12, "S2": s2,
-            "S_tilde123": s_tilde, "S_tilde23": s_tilde_23,
-        },
-        slacks={
-            "ssa": (s12 - s2) - (s123 - s23),
-            "uhlmann_chain_matches":
-                SSA_CHAIN_TOL - np.abs((s_tilde - s_tilde_23) - (s12 - s2)),
-        },
+        values={**values, "S_tilde123": s_tilde, "S_tilde23": s_tilde_23},
+        slacks={"ssa": slack, "uhlmann_chain_matches": SSA_CHAIN_TOL - np.abs(chain)},
     )
 
 

@@ -54,7 +54,7 @@ from .linalg import (
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
-from .rand import random_hermitian_rows, random_in_window_rows
+from .rand import _stacked_draws, random_hermitian_rows, random_in_window_rows, uniform_rows
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
@@ -327,11 +327,10 @@ def lieb_midpoint_gap(
     p, r, A0, A1, B0, B1 (in the window) and K from ``rngs[t]`` in that order;
     returns the ``(T,)`` arrays of (L(mid) - avg) / max(|L(mid)|, |avg|, 1),
     >= 0 up to roundoff, and of p."""
-    p = np.array([rng.uniform(0.2, 0.8) for rng in rngs])
-    r = np.array([rng.uniform(0.05, 1.0 - pt) for rng, pt in zip(rngs, p)])
+    p = uniform_rows(0.2, 0.8, rngs)
+    r = uniform_rows(0.05, 1.0 - p, rngs)
     a0, a1, b0, b1 = (random_in_window_rows(n, window, rngs) for _ in range(4))
-    k = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                  for rng in rngs])
+    k = _stacked_draws(n, rngs)
     mid = lieb_functional(0.5 * (a0 + a1), 0.5 * (b0 + b1), k, p, r)
     avg = 0.5 * (lieb_functional(a0, b0, k, p, r) + lieb_functional(a1, b1, k, p, r))
     return (mid - avg) / np.maximum(np.maximum(np.abs(mid), np.abs(avg)), 1.0), p

@@ -30,11 +30,22 @@ trial stack that draws A, then Q makes one pass over its generators per input.
 A Monte Carlo average has no per-sample witness and owns one stream
 (``haar_unitaries_from``); ``random_simplex`` draws one weight vector from one
 generator.
+
+Draw contract: a sampler makes one generator call per distribution per row.
+A complex Gaussian row G + iH is one ``standard_normal`` call that fills G,
+then H, as two calls would.  A uniform is never drawn by
+``Generator.uniform``: :func:`uniform_rows` fills each row with one
+``Generator.random`` call and maps the stack once by numpy's own
+``low + (high - low) * u``, which is bit for bit what ``uniform`` returns and
+leaves each generator where ``uniform`` would; a lone generator maps its
+``random`` draws the same way, with the range checked by
+:func:`uniform_range`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -180,14 +191,42 @@ def generators(words: np.ndarray) -> list[np.random.Generator]:
 
 
 def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Complex Gaussian G + iH, row t from ``rngs[t]`` (G, then H), each part
-    drawn in place."""
+    """Complex Gaussian G + iH, row t from ``rngs[t]``: one ``standard_normal``
+    call fills G, then H, in place."""
     rngs = list(rngs)
-    buf = np.empty((2, len(rngs), n, n))
-    for part, rng in zip(buf.swapaxes(0, 1), rngs):
-        rng.standard_normal(out=part[0])
-        rng.standard_normal(out=part[1])
-    return buf[0] + 1j * buf[1]
+    buf = np.empty((len(rngs), 2, n, n))
+    for rng, row in zip(rngs, buf):
+        rng.standard_normal(out=row)
+    return buf[:, 0] + 1j * buf[:, 1]
+
+
+def uniform_range(low, high) -> tuple[np.ndarray, np.ndarray]:
+    """``(low, high - low)`` as float arrays, checked as ``Generator.uniform``
+    checks them: OverflowError for a range that is not finite, ValueError for
+    a negative one.  ``low + span * rng.random(size)`` is then that draw."""
+    low = np.asarray(low, dtype=float)
+    span = np.subtract(high, low, dtype=float)
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if np.any(span < 0.0):
+        raise ValueError("high - low < 0")
+    return low, span
+
+
+def uniform_rows(low, high, rngs: Sequence[np.random.Generator], size=()) -> np.ndarray:
+    """Row t is ``rngs[t].uniform(low[t], high[t], size)`` bit for bit, shaped
+    ``(T, *size)``: one ``random`` call per row, then numpy's map
+    low + (high - low) * u once for the stack.  ``low`` and ``high`` are
+    scalars or ``(T,)`` arrays; the range is checked (:func:`uniform_range`)
+    before any generator moves."""
+    low, span = uniform_range(low, high)
+    size = tuple(size) if np.iterable(size) else (operator.index(size),)
+    u = np.empty((len(rngs), math.prod(size)))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    lift = (1,) * len(size)
+    return low.reshape(low.shape + lift) + span.reshape(span.shape + lift) * u.reshape(
+        len(rngs), *size)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -228,8 +267,7 @@ def random_in_window_factors(
             "random_in_window needs a bounded window; pass a compact sub-window"
         )
     inner = window.shrunk()
-    lam = np.array([rng.uniform(inner.a, inner.b, size=n) for rng in rngs])
-    return lam, haar_unitaries(n, rngs)
+    return uniform_rows(inner.a, inner.b, rngs, n), haar_unitaries(n, rngs)
 
 
 def random_in_window_rows(
@@ -254,7 +292,6 @@ def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     w = g @ g.conj().swapaxes(-1, -2)
     w /= np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
     return w
-
 
 
 def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:

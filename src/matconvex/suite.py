@@ -42,6 +42,8 @@ from .rand import (
     random_direction_rows,
     random_hermitian_rows,
     random_in_window_rows,
+    uniform_range,
+    uniform_rows,
 )
 
 _WINDOW_WIDE = SpectrumWindow(0.1, 5.0)
@@ -51,7 +53,7 @@ _WINDOW_NARROW = SpectrumWindow(0.1, 2.0)
 def check_ssa_battery(spec: RandomSpec) -> dict:
     """SSA slack over random tripartite ensembles; tolerance 1e-8."""
     slacks = np.concatenate([
-        ent.ssa_report(ent.random_states(dims, spec.stream(500 * k), 500)).slacks["ssa"]
+        ent.ssa_slack(ent.random_states(dims, spec.stream(500 * k), 500))
         for k, dims in enumerate(((2, 2, 2), (2, 3, 2)))
     ])
     return bound_record("ssa_battery", {"worst_slack": (slacks, ">=", -1e-8)},
@@ -188,10 +190,10 @@ def check_relative_entropy(spec: RandomSpec) -> dict:
         joint_gaps[rows] = ent.relative_entropy(0.5 * (a0 + a1), 0.5 * (b0 + b1)) - 0.5 * (
             ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1))
     # trial t: states from streams 3000 + t and 4000 + t, weight from 2000 + t
-    lams = [rng.uniform(0.1, 0.9) for rng in spec.rngs(range(2000, 2200))]
+    lams = uniform_rows(0.1, 0.9, spec.rngs(range(2000, 2200)))
     lr_gaps = ent.lieb_ruskai_concavity_gap(
         ent.random_states((2, 2), spec.stream(3000), 200),
-        ent.random_states((2, 2), spec.stream(4000), 200), np.array(lams))
+        ent.random_states((2, 2), spec.stream(4000), 200), lams)
     return bound_record("relative_entropy_machinery", {
         "worst_epsilon_residual": (eps_residuals, "<=", 1e-3),
         "worst_joint_concavity_gap": (joint_gaps, ">=", -1e-8),
@@ -253,8 +255,9 @@ def check_resolvent_exactness(spec: RandomSpec) -> dict:
         identity_residuals[rows] = rv.resolvent_identity_residual(a + 6.0 * np.eye(3), delta)
     rng = spec.stream(9999).rng()
     poles = np.array([-1.0, -0.5, 6.0, 12.0])
-    u, c, z = np.array([(poles[rng.integers(0, 4)], rng.uniform(0.1, 5.0),
-                         rng.uniform(0.1, 5.0)) for _ in range(1000)]).T
+    picks, draws = zip(*[(rng.integers(0, 4), rng.random(2)) for _ in range(1000)])
+    low, span = uniform_range(0.1, 5.0)
+    u, (c, z) = poles[list(picks)], (low + span * np.array(draws)).T
     decomposition_residuals = rv.elementary_decomposition_residual(u, c, z, _WINDOW_WIDE)
     return bound_record("resolvent_exactness", {
         "worst_identity_residual": (identity_residuals, "<=", 1e-10),

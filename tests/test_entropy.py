@@ -22,6 +22,7 @@ from matconvex.entropy import (
     random_states,
     relative_entropy,
     ssa_report,
+    ssa_slack,
     subadditivity_report,
     uhlmann_tilde,
     von_neumann_entropy,
@@ -225,6 +226,72 @@ def test_subadditivity_report_builds_each_marginal_once(monkeypatch):
     rep = subadditivity_report(states)
     assert sorted(kept) == [[0], [1]]
     np.testing.assert_array_equal(rep.values["S_pinched"], pinched_entropy)
+
+
+def _count_states_and_traces(monkeypatch):
+    """Record every DensityOperator built and every partial trace's keep set."""
+    from matconvex import entropy as ent
+
+    built, kept = [], []
+    real_init, real_trace = ent.DensityOperator.__post_init__, ent.partial_trace
+
+    def counted_init(self):
+        built.append(np.shape(self.matrix))
+        real_init(self)
+
+    def counted_trace(rho, keep):
+        kept.append(list(keep))
+        return real_trace(rho, keep)
+
+    monkeypatch.setattr(ent.DensityOperator, "__post_init__", counted_init)
+    monkeypatch.setattr(ent, "partial_trace", counted_trace)
+    return built, kept
+
+
+def test_ssa_report_builds_each_state_once(monkeypatch):
+    states = random_states((2, 3, 2), SPEC.stream(840), 6)
+    built, kept = _count_states_and_traces(monkeypatch)
+    rep = ssa_report(states)
+    # rho_12, rho_23, rho_2, the decoupled state and its (2, 3) marginal
+    assert sorted(kept) == [[0, 1], [1], [1, 2], [1, 2]]
+    assert sorted(built) == [(6, 3, 3), (6, 6, 6), (6, 6, 6), (6, 6, 6), (6, 12, 12)]
+    assert rep.slacks["ssa"].shape == rep.slacks["uhlmann_chain_matches"].shape == (6,)
+
+
+def test_ssa_slack_is_the_reports_slack_without_decoupled_states(monkeypatch):
+    for dims, count in (((2, 2, 2), 40), ((2, 3, 2), 25), ((3, 2, 2), 1)):
+        states = random_states(dims, SPEC.stream(850 + count), count)
+        rep = ssa_report(states)
+        built, kept = _count_states_and_traces(monkeypatch)
+        slack = ssa_slack(states)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(slack, rep.slacks["ssa"])
+        assert sorted(kept) == [[0, 1], [1], [1, 2]] and len(built) == 3
+        v = rep.values
+        np.testing.assert_array_equal(slack, (v["S12"] - v["S2"]) - (v["S123"] - v["S23"]))
+    assert ssa_slack(ghz_state()) == ssa_report(ghz_state()).slacks["ssa"]
+    with pytest.raises(ValidationError, match="three factors"):
+        ssa_slack(bell_state())
+
+
+@pytest.mark.parametrize("dims, part_a, part_b", [
+    ((2, 3), [0], [1]), ((2, 2, 2), [0], [1, 2]), ((2, 3, 2), [2, 0], [1]),
+])
+def test_conditional_entropy_reads_the_state_when_every_factor_is_kept(
+        monkeypatch, dims, part_a, part_b):
+    states = random_states(dims, SPEC.stream(860), 7)
+    # the value a partial trace that keeps every factor gave
+    old = (von_neumann_entropy(partial_trace(states, range(len(dims))))
+           - von_neumann_entropy(partial_trace(states, sorted(part_b))))
+    built, kept = _count_states_and_traces(monkeypatch)
+    new = conditional_entropy(states, part_a, part_b)
+    assert kept == [sorted(part_b)] and len(built) == 1
+    np.testing.assert_array_equal(new, old)
+    # a smaller kept set still traces
+    if len(dims) == 3:
+        kept.clear()
+        conditional_entropy(states, [0], [1])
+        assert kept == [[0, 1], [1]]
 
 
 def test_lieb_ruskai_gap():

@@ -12,8 +12,11 @@ from matconvex.rand import (
     random_densities,
     random_direction_rows,
     random_hermitian_rows,
+    random_in_window_factors,
     random_in_window_rows,
     random_simplex,
+    uniform_range,
+    uniform_rows,
 )
 
 
@@ -203,3 +206,83 @@ def test_stacked_draws_fill_each_row_from_its_generator(n):
         np.testing.assert_array_equal(
             stack[t], rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     assert _stacked_draws(n, []).shape == (0, n, n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_window_samplers_take_an_empty_stack(n):
+    window = SpectrumWindow(0.1, 5.0)
+    lam, u = random_in_window_factors(n, window, [])
+    assert lam.shape == (0, n) and u.shape == (0, n, n)
+    assert random_in_window_rows(n, window, []).shape == (0, n, n)
+    assert uniform_rows(0.0, 1.0, [], n).shape == (0, n)
+    assert uniform_rows(0.0, 1.0, []).shape == (0,)
+
+
+@pytest.mark.parametrize("low, high", [
+    (0.05, 0.95), (0.1, 5.0), (1e-9, 3e-9), (-7.5, -2.25), (-1e6, 1e6), (-1e300, 1e300),
+])
+@pytest.mark.parametrize("size", [(), 1, 4, (2, 3)])
+def test_uniform_rows_are_numpy_uniform_draws(low, high, size):
+    spec = RandomSpec(17, 500)
+    rows = uniform_rows(low, high, spec.rngs(range(12)), size)
+    shape = (size,) if isinstance(size, int) else size
+    assert rows.shape == (12, *shape) and rows.dtype == float
+    for t, rng in enumerate(spec.rngs(range(12))):
+        expect = rng.uniform(low, high, size=None if size == () else size)
+        np.testing.assert_array_equal(rows[t], expect)
+
+
+def test_uniform_rows_take_a_range_per_row():
+    # Lieb's exponents: p on (0.2, 0.8), then r on (0.05, 1 - p) per row
+    spec = RandomSpec(23, 40)
+    rngs = spec.rngs(range(30))
+    p = uniform_rows(0.2, 0.8, rngs)
+    r = uniform_rows(0.05, 1.0 - p, rngs)
+    lam = uniform_rows(np.linspace(-3.0, 1.0, 30), np.linspace(-1.0, 9.0, 30), rngs, 3)
+    for t, rng in enumerate(spec.rngs(range(30))):
+        pt = rng.uniform(0.2, 0.8)
+        assert p[t] == pt and r[t] == rng.uniform(0.05, 1.0 - pt)
+        lo, hi = np.linspace(-3.0, 1.0, 30)[t], np.linspace(-1.0, 9.0, 30)[t]
+        np.testing.assert_array_equal(lam[t], rng.uniform(lo, hi, size=3))
+
+
+def test_uniform_rows_leave_each_generator_where_uniform_would():
+    spec = RandomSpec(29, 7)
+    rngs = spec.rngs(range(5))
+    uniform_rows(0.1, 5.0, rngs, 3)
+    uniform_rows(0.05, 0.95, rngs)
+    for rng, ref in zip(rngs, spec.rngs(range(5))):
+        ref.uniform(0.1, 5.0, size=3)
+        ref.uniform(0.05, 0.95)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # later draws of every kind stay aligned
+        np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+        assert rng.integers(0, 4) == ref.integers(0, 4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("low, high", [
+    (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (-1e308, 1e308), (1.0, 0.0),
+])
+def test_a_bad_range_raises_as_numpy_does(low, high):
+    with pytest.raises((OverflowError, ValueError)) as numpy_error:
+        np.random.default_rng(0).uniform(low, high)
+    rngs = RandomSpec(3).rngs(range(2))
+    for call in (lambda: uniform_rows(low, high, rngs),
+                 lambda: uniform_rows(np.full(2, low), np.full(2, high), rngs, 2),
+                 lambda: uniform_range(low, high)):
+        with pytest.raises(numpy_error.type, match=str(numpy_error.value)):
+            call()
+    # a row whose range alone is bad fails the stack, as its lone call would
+    with pytest.raises(numpy_error.type):
+        uniform_rows(np.array([0.0, low]), np.array([1.0, high]), rngs)
+    # no generator moved
+    for rng, ref in zip(rngs, RandomSpec(3).rngs(range(2))):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_lone_draws_map_random_as_uniform_does():
+    low, span = uniform_range(0.0, 2.0 * np.pi)
+    rng, ref = RandomSpec(5).rng(), RandomSpec(5).rng()
+    np.testing.assert_array_equal(low + span * rng.random((7, 3)),
+                                  ref.uniform(0.0, 2.0 * np.pi, size=(7, 3)))
