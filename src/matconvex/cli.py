@@ -1,10 +1,12 @@
 """Batch command-line harness.
 
 Subcommands: certify-function, check-entropy, certify-representation,
-check-concavity, run-suite.  Every run echoes its seed and tolerances in the
-report so results can be replayed exactly.  Exit codes: 0 all checks pass,
-1 at least one violation or failed check, 2 usage or parse error, 3 internal
-error (any other exception, reported as one ``error:`` line).
+check-concavity, run-suite.  A subcommand only builds its checks: ``main``
+resolves the seed, checks the counts and emits the report, whose ``config`` is
+the parsed arguments (seed resolved, window as [a, b]), so a run can be
+replayed exactly.  Exit codes: 0 all checks pass, 1 at least one violation or
+failed check, 2 usage or parse error (a malformed input file included),
+3 internal error (any other exception, reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -33,18 +35,17 @@ _PASSING = {"pass", "certified"}
 
 
 def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MATCONVEX_SEED")
-    return int(env) if env else 0
+    return value if value is not None else int(os.environ.get("MATCONVEX_SEED") or 0)
 
 
-def _parse_window(text: str) -> SpectrumWindow:
+def _parse_window(text: str) -> list[float]:
+    """'a,b' as [a, b], the ends of a valid :class:`SpectrumWindow`."""
     try:
         a, b = (float(x) for x in text.split(","))
-        return SpectrumWindow(a, b)
+        SpectrumWindow(a, b)
     except ValueError as err:
-        raise ValidationError(f"bad window {text!r}: expected 'a,b' ({err})") from err
+        raise argparse.ArgumentTypeError(f"bad window {text!r}: expected 'a,b' ({err})") from err
+    return [a, b]
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -69,10 +70,24 @@ def _timed(check: Callable[[], dict]) -> dict:
     return rec
 
 
-def _emit(command: str, config: dict, checks: list[dict], args) -> int:
+def _check_counts(args) -> None:
+    """Zero trials certify nothing, and a matrix or tuple needs a size."""
+    if getattr(args, "trials", 1) < 1:
+        raise ValidationError(f"need at least one trial, got {args.trials}")
+    for name in ("n", "k"):
+        if getattr(args, name, 1) < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
+#: parsed arguments that say how to run or report, not what ran
+_NOT_CONFIG = {"command", "func", "out", "format"}
+
+
+def _emit(args, checks: list[dict]) -> int:
     bad = [c for c in checks if c["status"] not in _PASSING]
     overall = "pass" if not bad else "fail"
-    report = mio.report_to_dict(command, config, checks, overall)
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    report = mio.report_to_dict(args.command, config, checks, overall)
     if args.out:
         mio.save_json(args.out, report)
     if args.format == "json":
@@ -88,14 +103,13 @@ def _emit(command: str, config: dict, checks: list[dict], args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each takes the parsed arguments and the run's RandomSpec and
+# returns its check records.
 
 
-def cmd_certify_function(args) -> int:
-    seed = _default_seed(args.seed)
+def cmd_certify_function(args, spec: RandomSpec) -> list[dict]:
     f = cx.builtin(args.f)
-    window = _parse_window(args.window)
-    spec = RandomSpec(seed)
+    window = SpectrumWindow(*args.window)
     n, sites, trials = args.n, max(args.n, 2), args.trials
     convex = args.mode in ("all", "convex")
     mid = 0.5 * (window.a + window.b)
@@ -113,36 +127,26 @@ def cmd_certify_function(args) -> int:
         ("loewner_monotonicity", args.mode in ("all", "monotone"),
          lambda s: cx.monotonicity_test(f, window, sites, trials, s)),
     )
-    checks = [
+    return [
         _timed(lambda: _verdict_record(name, test(spec.stream(k * STREAM_BLOCK))))
         for k, (name, wanted, test) in enumerate(detectors) if wanted
     ]
-    config = {"f": args.f, "window": [window.a, window.b], "n": args.n,
-              "trials": args.trials, "seed": seed, "mode": args.mode}
-    return _emit("certify-function", config, checks, args)
 
 
-def cmd_check_entropy(args) -> int:
-    seed = _default_seed(args.seed)
-    spec, tol = RandomSpec(seed), args.tol
-    if args.state:
-        states = mio.load_state(args.state)
-    elif args.random:
-        states = ent.random_states(_parse_dims(args.random), spec, args.trials)
-    else:
-        raise ValidationError("need either --state FILE or --random DIMS")
-    want = args.check
+def cmd_check_entropy(args, spec: RandomSpec) -> list[dict]:
+    from functools import cache
 
-    def decomposition():
-        rep = ent.mutual_information_decomposition(states)
-        first = {k: float(np.reshape(v, -1)[0]) for k, v in rep.values.items()}
-        return rep.min_slack(), {"first_values": first}  # slacks: the two parts
+    states = (mio.load(args.state, mio.density_from_dict) if args.state
+              else ent.random_states(_parse_dims(args.random), spec, args.trials))
+    want, tol = args.check, args.tol
+    # the subadditivity slacks are the decomposition's two parts: one pinching chain
+    split = cache(lambda: ent.mutual_information_decomposition(states))
 
     # name -> (fewest factors, most factors, slacks of every state and detail)
     batteries = {
-        "subadditivity": (2, 2, lambda: (
-            ent.subadditivity_report(states).min_slack(), {})),
-        "decomposition": (2, 2, decomposition),
+        "subadditivity": (2, 2, lambda: (split().min_slack(), {})),
+        "decomposition": (2, 2, lambda: (split().min_slack(), {"first_values": {
+            k: float(np.reshape(v, -1)[0]) for k, v in split().values.items()}})),
         "ssa": (3, 3, lambda: (ent.ssa_slack(states), {})),
         "lieb-ruskai": (2, math.inf, lambda: (ent.lieb_ruskai_concavity_gap(
             states, ent.random_state(states.dims, spec.stream(90001)), 0.5), {})),
@@ -164,16 +168,11 @@ def cmd_check_entropy(args) -> int:
             checks.append(_timed(lambda: battery(name, slacks)))
     if not checks:
         raise ValidationError(f"no entropy check applies to dims {states.dims}")
-
-    config = {"seed": seed, "trials": args.trials, "check": want, "tol": tol,
-              "state": args.state, "random": args.random}
-    return _emit("check-entropy", config, checks, args)
+    return checks
 
 
-def cmd_certify_representation(args) -> int:
-    seed = _default_seed(args.seed)
-    rep = mio.load_representation(args.rep)
-    spec = RandomSpec(seed)
+def cmd_certify_representation(args, spec: RandomSpec) -> list[dict]:
+    rep = mio.load(args.rep, mio.pick_from_dict)
 
     def routes():
         # block 1: disjoint from the certification's streams at any --trials
@@ -183,14 +182,12 @@ def cmd_certify_representation(args) -> int:
         return mio.bound_record("spectral_vs_atoms_routes", {
             "worst_deviation": (deviations, "<=", 1e-8)}, tolerance=1e-8)
 
-    checks = [
+    return [
         _timed(lambda: _verdict_record("exact_second_derivative",
                                        certify_representation(
                                            rep, args.n, args.trials, spec))),
         _timed(routes),
     ]
-    config = {"rep": args.rep, "n": args.n, "trials": args.trials, "seed": seed}
-    return _emit("certify-representation", config, checks, args)
 
 
 def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
@@ -200,7 +197,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
     (T, points, n^k) resolvent temporary, 1 MB a row, stays under 16 MB."""
     if args.suite == "parallel-sum":
         # a fixed tuple is factored once per chunk, against a stack of directions
-        fixed = mio.load_tuple(args.tuple) if args.tuple else None
+        fixed = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
         n = fixed[0].shape[0] if fixed else args.n
 
         def certificate(rngs):
@@ -215,7 +212,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
             worst_projection_residual=float(np.max(projs)))
     if args.suite == "tensor-power":
         p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
-        fixed = mio.load_tuple(args.tuple) if args.tuple else None
+        fixed = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
 
         def draw(rngs):
             return [random_in_window_rows(args.n, window, rngs) for _ in p]
@@ -237,7 +234,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
             "worst_scaled_gap": (gaps, ">=", -1e-8)}, tolerance=1e-8)
     if not args.rep:  # kubo-ando, the last of the parser's choices
         raise ValidationError("kubo-ando suite needs --rep FILE")
-    rep = mio.kubo_ando_from_dict(mio.load_json(args.rep))
+    rep = mio.load(args.rep, mio.kubo_ando_from_dict)
 
     def midpoint_gaps(rngs):
         a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
@@ -250,24 +247,12 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
         "worst_gap_eigenvalue": (gaps, ">=", -1e-8)}, tolerance=1e-8)
 
 
-def cmd_check_concavity(args) -> int:
-    if args.trials < 1:  # zero trials certify nothing
-        raise ValidationError(f"need at least one trial, got {args.trials}")
-    seed = _default_seed(args.seed)
-    spec = RandomSpec(seed)
-    checks = [_timed(lambda: _concavity_check(args, spec, SpectrumWindow(0.1, 5.0)))]
-    config = {"suite": args.suite, "k": args.k, "n": args.n,
-              "trials": args.trials, "seed": seed, "p": args.p,
-              "nodes": args.nodes, "tuple": args.tuple, "rep": args.rep,
-              "error_curve": args.error_curve}
-    return _emit("check-concavity", config, checks, args)
+def cmd_check_concavity(args, spec: RandomSpec) -> list[dict]:
+    return [_timed(lambda: _concavity_check(args, spec, SpectrumWindow(0.1, 5.0)))]
 
 
-def cmd_run_suite(args) -> int:
-    seed = _default_seed(args.seed)
-    checks = acceptance.run_suite(seed, only=args.only)
-    config = {"seed": seed, "only": args.only}
-    return _emit("run-suite", config, checks, args)
+def cmd_run_suite(args, spec: RandomSpec) -> list[dict]:
+    return acceptance.run_suite(spec.seed, only=args.only)
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +266,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $MATCONVEX_SEED or 0)")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
 
-    p = sub.add_parser("certify-function", help="convexity/monotonicity detectors")
+    p = command("certify-function", cmd_certify_function, "convexity/monotonicity detectors")
     p.add_argument("--f", required=True, help=f"one of {sorted(cx.BUILTINS)}")
-    p.add_argument("--window", required=True, help="spectrum window 'a,b'")
+    p.add_argument("--window", required=True, type=_parse_window, help="spectrum window 'a,b'")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--mode", choices=("all", "convex", "monotone"), default="convex")
-    common(p)
-    p.set_defaults(func=cmd_certify_function)
 
-    p = sub.add_parser("check-entropy", help="entropy inequality batteries")
-    p.add_argument("--state", default=None, help="state file (JSON)")
-    p.add_argument("--random", default=None, help="random ensemble dims, e.g. 2x3x2")
+    p = command("check-entropy", cmd_check_entropy, "entropy inequality batteries")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", help="state file (JSON)")
+    source.add_argument("--random", help="random ensemble dims, e.g. 2x3x2")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--check", default="all",
                    choices=("all", "subadditivity", "decomposition", "ssa",
                             "lieb-ruskai"))
     p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
-    p.set_defaults(func=cmd_check_entropy)
 
-    p = sub.add_parser("certify-representation",
-                       help="exact certification of a resolvent representation")
+    p = command("certify-representation", cmd_certify_representation,
+                "exact certification of a resolvent representation")
     p.add_argument("--rep", required=True, help="representation file (JSON)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
-    common(p)
-    p.set_defaults(func=cmd_certify_representation)
 
-    p = sub.add_parser("check-concavity", help="joint-concavity batteries")
+    p = command("check-concavity", cmd_check_concavity, "joint-concavity batteries")
     p.add_argument("--suite", required=True,
                    choices=("parallel-sum", "tensor-power", "lieb", "kubo-ando"))
     p.add_argument("--k", type=int, default=2)
@@ -326,14 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", default=None, help="matrix tuple file (JSON list)")
     p.add_argument("--rep", default=None, help="operator-mean file for kubo-ando")
     p.add_argument("--error-curve", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_check_concavity)
 
-    p = sub.add_parser("run-suite", help="full acceptance battery")
+    p = command("run-suite", cmd_run_suite, "full acceptance battery")
     p.add_argument("--only", default=None, help="substring filter on check names")
-    common(p)
-    p.set_defaults(func=cmd_run_suite)
-
     return parser
 
 
@@ -348,9 +326,14 @@ def _attach_window(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_window(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        args = parser.parse_args(_attach_window(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as done:  # --help, or a usage error argparse has reported
+        return done.code
+    try:
+        args.seed = _default_seed(args.seed)
+        _check_counts(args)
+        return _emit(args, args.func(args, RandomSpec(args.seed)))
     except (KeyError, ValueError, MatConvexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -282,13 +282,12 @@ def save_json(path: str, doc: Any):
         fh.write("\n")
 
 
-def load_state(path: str) -> DensityOperator:
-    return density_from_dict(load_json(path))
-
-
-def load_representation(path: str) -> PickRepresentation:
-    return pick_from_dict(load_json(path))
-
-
-def load_tuple(path: str) -> list[np.ndarray]:
-    return tuple_from_list(load_json(path))
+def load(path: str, reader: Callable[[Any], Any]) -> Any:
+    """``reader`` (``density_from_dict``, ``pick_from_dict``, ...) applied to the
+    JSON document at ``path``.  A field of the wrong JSON type (a TypeError or
+    OverflowError in the reader) is a ValidationError naming the file."""
+    doc = load_json(path)
+    try:
+        return reader(doc)
+    except (TypeError, OverflowError) as err:
+        raise ValidationError(f"{path}: {err}") from err

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import product_state
 from matconvex import convexity as cx
+from matconvex import entropy as ent
 from matconvex import io as mio
 from matconvex import jointconcavity as jc
 from matconvex import suite
@@ -208,7 +209,36 @@ def test_check_entropy_named_check_on_wrong_factor_count(dims, check, capsys):
 def test_check_entropy_zero_trials_is_a_usage_error(capsys):
     # zero states certify nothing: an empty stack is rejected, not passed
     assert main(["check-entropy", "--random", "2x3", "--trials", "0"]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need at least one trial, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("check-concavity --suite parallel-sum --k 0", "--k must be at least 1, got 0"),
+    ("check-concavity --suite parallel-sum --n 0", "--n must be at least 1, got 0"),
+    ("check-concavity --suite lieb --n -2", "--n must be at least 1, got -2"),
+    ("certify-representation --rep missing.json --n 0", "--n must be at least 1, got 0"),
+    ("certify-function --f x2 --window 0,1 --trials -1", "need at least one trial, got -1"),
+])
+def test_counts_below_one_are_usage_errors(argv, message, capsys):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_check_entropy_all_computes_the_pinching_chain_once(monkeypatch, capsys):
+    # subadditivity and decomposition read one split: two marginals, not four;
+    # lieb-ruskai takes the other three
+    traces = []
+    real = ent.partial_trace
+    monkeypatch.setattr(ent, "partial_trace", lambda *a: traces.append(a) or real(*a))
+    assert main(["check-entropy", "--random", "2x3", "--trials", "50", "--seed", "5"]) == 0
+    assert len(traces) == 5
+
+
+def test_check_entropy_state_and_random_are_exclusive(bell_file, capsys):
+    assert main(["check-entropy", "--state", bell_file, "--random", "2x3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
@@ -240,6 +270,32 @@ def test_check_entropy_malformed_state(tmp_path, capsys):
 
 def test_check_entropy_needs_input(capsys):
     assert main(["check-entropy"]) == 2
+
+
+#: valid documents, each given one field of the wrong JSON type below
+_GOOD_STATE = density_to_dict(bell_state())
+_GOOD_REP = pick_to_dict(PickRepresentation(0.5, 0.1, 0.3, 1.0, SpectrumWindow(0.1, 5.0),
+                                            atoms=((-1.0, 0.4), (7.0, 0.2))))
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["check-entropy", "--state"], {**_GOOD_STATE, "entries": 5}),
+    (["check-entropy", "--state"], {**_GOOD_STATE, "dim": None}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": None}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "atoms": 5}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "atoms": [{"u": None, "w": 0.4}]}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": 10 ** 400}),
+    (["check-concavity", "--suite", "tensor-power", "--tuple"], [{"dim": 2, "entries": 5}]),
+    (["check-concavity", "--suite", "kubo-ando", "--rep"], {"a": None, "b": 0.2, "atoms": []}),
+])
+def test_malformed_input_files_are_usage_errors(argv, doc, tmp_path, capsys):
+    # a field of the wrong JSON type is the file's fault, not an internal error
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path), "--trials", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_certify_representation(rep_file, capsys):
@@ -347,9 +403,9 @@ def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys)
     path = tmp_path / "tuple.json"
     save_json(str(path), tuple_to_list([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]))
     reads, integrals = [], []
-    real_load, real_errors = mio.load_tuple, jc.tensor_power_errors
-    monkeypatch.setattr(mio, "load_tuple",
-                        lambda p: reads.append(p) or real_load(p))
+    real_load, real_errors = mio.load, jc.tensor_power_errors
+    monkeypatch.setattr(mio, "load",
+                        lambda p, reader: reads.append(p) or real_load(p, reader))
     monkeypatch.setattr(jc, "tensor_power_errors",
                         lambda *a: integrals.append(a) or real_errors(*a))
     for name in ("parallel-sum", "tensor-power"):
