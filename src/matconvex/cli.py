@@ -4,9 +4,11 @@ Subcommands: certify-function, check-entropy, certify-representation,
 check-concavity, run-suite.  A subcommand only builds its checks: ``main``
 resolves the seed, checks the counts and emits the report, whose ``config`` is
 the parsed arguments (seed resolved, window as [a, b]), so a run can be
-replayed exactly.  Exit codes: 0 all checks pass, 1 at least one violation or
-failed check, 2 usage or parse error (a malformed input file included),
-3 internal error (any other exception, reported as one ``error:`` line).
+replayed exactly.  Check k of a report is part k of one ``suite.run_parts``
+call, so it draws from stream block k whichever checks run.  Exit codes: 0 all
+checks pass, 1 at least one violation or failed check, 2 usage or parse error
+(a malformed input file included), 3 internal error (any other exception,
+reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-import time
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -58,22 +60,19 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _verdict_record(name: str, verdict: cx.Verdict) -> dict:
+def _verdict_record(name: str, test: Callable[[RandomSpec], cx.Verdict], spec: RandomSpec) -> dict:
+    verdict = test(spec)
     return mio.check_record(name, verdict.worst_margin, {"trials": verdict.trials},
                             verdict.witness, status=verdict.status)
 
 
-def _timed(check: Callable[[], dict]) -> dict:
-    start = time.perf_counter()
-    rec = check()
-    rec["timing"] = round(time.perf_counter() - start, 6)
-    return rec
-
-
 def _check_counts(args) -> None:
-    """Zero trials certify nothing, and a matrix or tuple needs a size."""
+    """Zero trials certify nothing, more than a stream block would reach into
+    the next part's block, and a matrix or tuple needs a size."""
     if getattr(args, "trials", 1) < 1:
         raise ValidationError(f"need at least one trial, got {args.trials}")
+    if getattr(args, "trials", 1) > STREAM_BLOCK:
+        raise ValidationError(f"at most {STREAM_BLOCK} trials, got {args.trials}")
     for name in ("n", "k"):
         if getattr(args, name, 1) < 1:
             raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
@@ -104,7 +103,7 @@ def _emit(args, checks: list[dict]) -> int:
 
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed arguments and the run's RandomSpec and
-# returns its check records.
+# returns the records of its parts.
 
 
 def cmd_certify_function(args, spec: RandomSpec) -> list[dict]:
@@ -113,29 +112,19 @@ def cmd_certify_function(args, spec: RandomSpec) -> list[dict]:
     n, sites, trials = args.n, max(args.n, 2), args.trials
     convex = args.mode in ("all", "convex")
     mid = 0.5 * (window.a + window.b)
-    # Detector k draws from its own block spec.stream(k * STREAM_BLOCK), so
-    # its block does not depend on which other detectors the mode runs.
-    detectors = (
-        ("definition", convex,
-         lambda s: cx.definition_test(f, window, n, trials, s)),
-        ("jensen", convex,
-         lambda s: cx.jensen_test(f, window, n, 3, trials, s)),
-        ("second_derivative", convex,
-         lambda s: cx.second_derivative_test(f, window, n, trials, s)),
-        ("secant_monotonicity", convex,
-         lambda s: cx.secant_test(f, mid, window, sites, trials, s)),
-        ("loewner_monotonicity", args.mode in ("all", "monotone"),
-         lambda s: cx.monotonicity_test(f, window, sites, trials, s)),
-    )
-    return [
-        _timed(lambda: _verdict_record(name, test(spec.stream(k * STREAM_BLOCK))))
-        for k, (name, wanted, test) in enumerate(detectors) if wanted
-    ]
+    detectors = {  # name -> (wanted, verdict of a spec)
+        "definition": (convex, lambda s: cx.definition_test(f, window, n, trials, s)),
+        "jensen": (convex, lambda s: cx.jensen_test(f, window, n, 3, trials, s)),
+        "second_derivative": (convex, lambda s: cx.second_derivative_test(f, window, n, trials, s)),
+        "secant_monotonicity": (convex, lambda s: cx.secant_test(f, mid, window, sites, trials, s)),
+        "loewner_monotonicity": (args.mode in ("all", "monotone"),
+                                 lambda s: cx.monotonicity_test(f, window, sites, trials, s)),
+    }
+    return acceptance.run_parts(spec, [partial(_verdict_record, name, test) if wanted else None
+                                       for name, (wanted, test) in detectors.items()])
 
 
 def cmd_check_entropy(args, spec: RandomSpec) -> list[dict]:
-    from functools import cache
-
     states = (mio.load(args.state, mio.density_from_dict) if args.state
               else ent.random_states(_parse_dims(args.random), spec, args.trials))
     want, tol = args.check, args.tol
@@ -144,57 +133,54 @@ def cmd_check_entropy(args, spec: RandomSpec) -> list[dict]:
 
     # name -> (fewest factors, most factors, slacks of every state and detail)
     batteries = {
-        "subadditivity": (2, 2, lambda: (split().min_slack(), {})),
-        "decomposition": (2, 2, lambda: (split().min_slack(), {"first_values": {
+        "subadditivity": (2, 2, lambda s: (split().min_slack(), {})),
+        "decomposition": (2, 2, lambda s: (split().min_slack(), {"first_values": {
             k: float(np.reshape(v, -1)[0]) for k, v in split().values.items()}})),
-        "ssa": (3, 3, lambda: (ent.ssa_slack(states), {})),
-        "lieb-ruskai": (2, math.inf, lambda: (ent.lieb_ruskai_concavity_gap(
-            states, ent.random_state(states.dims, spec.stream(90001)), 0.5), {})),
+        "ssa": (3, 3, lambda s: (ent.ssa_slack(states), {})),
+        "lieb-ruskai": (2, math.inf, lambda s: (ent.lieb_ruskai_concavity_gap(
+            states, ent.random_state(states.dims, s), 0.5), {})),
     }
 
-    def battery(name, slacks):
-        values, detail = slacks()
+    def battery(name, slacks, s: RandomSpec) -> dict:
+        values, detail = slacks(s)
         return mio.bound_record(name, {"slack": (values, ">=", -tol)}, tolerance=tol,
                                 states=states.matrix.size // states.dim**2, **detail)
 
-    checks = []  # "all" runs only the checks that fit the states' factor count
+    parts = []  # "all" runs only the checks that fit the states' factor count
     for name, (fewest, most, slacks) in batteries.items():
         fits = fewest <= len(states.dims) <= most
         if want == name and not fits:
             raise ValidationError(
                 f"{name} needs {fewest}{'+' if most > fewest else ''} tensor factors, "
                 f"state has dims {states.dims}")
-        if want in ("all", name) and fits:
-            checks.append(_timed(lambda: battery(name, slacks)))
-    if not checks:
+        parts.append(partial(battery, name, slacks) if want in ("all", name) and fits else None)
+    if not any(parts):
         raise ValidationError(f"no entropy check applies to dims {states.dims}")
-    return checks
+    return acceptance.run_parts(spec, parts)
 
 
 def cmd_certify_representation(args, spec: RandomSpec) -> list[dict]:
     rep = mio.load(args.rep, mio.pick_from_dict)
 
-    def routes():
-        # block 1: disjoint from the certification's streams at any --trials
-        a = random_in_window_rows(args.n, rep.window, spec.stream(STREAM_BLOCK).rngs(range(20)))
+    def routes(s: RandomSpec) -> dict:
+        a = random_in_window_rows(args.n, rep.window, s.rngs(range(20)))
         deviations = frobenius(pick_eval_matrix(rep, a, via="spectral")
                                - pick_eval_matrix(rep, a, via="atoms"))
         return mio.bound_record("spectral_vs_atoms_routes", {
             "worst_deviation": (deviations, "<=", 1e-8)}, tolerance=1e-8)
 
-    return [
-        _timed(lambda: _verdict_record("exact_second_derivative",
-                                       certify_representation(
-                                           rep, args.n, args.trials, spec))),
-        _timed(routes),
-    ]
+    return acceptance.run_parts(spec, [
+        partial(_verdict_record, "exact_second_derivative",
+                lambda s: certify_representation(rep, args.n, args.trials, s)),
+        routes])
 
 
-def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
+def _concavity_check(args, spec: RandomSpec) -> dict:
     """The ``--suite`` battery as one :func:`convexity.stacked_rows` call (a
     fixed tensor-power tuple is evaluated once).  Tensor-power chunks are sized
     as rows of n^k x n^k matrices, 32 x 32 at least: at most 14 rows, whose
     (T, points, n^k) resolvent temporary, 1 MB a row, stays under 16 MB."""
+    window = SpectrumWindow(0.1, 5.0)
     if args.suite == "parallel-sum":
         # a fixed tuple is factored once per chunk, against a stack of directions
         fixed = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
@@ -248,7 +234,7 @@ def _concavity_check(args, spec: RandomSpec, window: SpectrumWindow) -> dict:
 
 
 def cmd_check_concavity(args, spec: RandomSpec) -> list[dict]:
-    return [_timed(lambda: _concavity_check(args, spec, SpectrumWindow(0.1, 5.0)))]
+    return acceptance.run_parts(spec, [partial(_concavity_check, args)])
 
 
 def cmd_run_suite(args, spec: RandomSpec) -> list[dict]:

@@ -67,9 +67,10 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(self.dims)
+        if not dims or any(not isinstance(d, (int, np.integer)) or d < 1 for d in dims):
             raise ValidationError(f"invalid factor dimensions {dims}")
+        dims = tuple(int(d) for d in dims)
         n = math.prod(dims)
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (n, n) or not mat.size:
             raise DimensionMismatchError(

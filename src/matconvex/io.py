@@ -8,7 +8,9 @@ One matrix schema is shared by every command:
 factorization.  Tuples of matrices are a plain JSON list of matrix documents.
 Representation files and the versioned report schema are documented next to
 their readers below.  Readers are strict: unknown fields are rejected so that
-typos fail loudly instead of being silently ignored.
+typos fail loudly instead of being silently ignored, and nothing is coerced:
+a size (``dim``, ``dims``) is a JSON integer and every other number a JSON
+number, so a bool, a string or a fractional size raises TypeError.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], what: str):
         raise ValidationError(f"{what}: unknown fields {sorted(unknown)}")
 
 
+def _num(value: Any, size: bool = False):
+    """A JSON number as a float, or, for a ``size``, a JSON integer as an int."""
+    if isinstance(value, bool) or not isinstance(value, int if size else (int, float)):
+        raise TypeError(f"expected a JSON {'integer' if size else 'number'}, got {value!r}")
+    return int(value) if size else float(value)
+
+
 # ---------------------------------------------------------------------------
 # Matrices and states.
 
@@ -56,19 +65,19 @@ def matrix_to_dict(mat: np.ndarray, dims: tuple[int, ...] | None = None) -> dict
 
 def matrix_from_dict(doc: dict) -> tuple[np.ndarray, tuple[int, ...] | None]:
     _require_keys(doc, {"dim", "entries"}, {"dims"}, "matrix")
-    n = int(doc["dim"])
+    n = _num(doc["dim"], size=True)
     entries = doc["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValidationError(f"matrix: entries are not a {n}x{n} array")
     try:
         mat = np.array(
-            [[complex(re, im) for re, im in row] for row in entries], dtype=complex
+            [[complex(_num(re), _num(im)) for re, im in row] for row in entries], dtype=complex
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ValidationError(f"matrix: malformed [re, im] pair ({err})") from err
     dims = None
     if "dims" in doc:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = tuple(_num(d, size=True) for d in doc["dims"])
         if int(np.prod(dims)) != n:
             raise ValidationError(f"matrix: dims {dims} do not multiply to dim {n}")
     return mat, dims
@@ -108,8 +117,8 @@ def window_to_dict(w: SpectrumWindow) -> dict:
 
 def window_from_dict(doc: dict) -> SpectrumWindow:
     _require_keys(doc, {"a", "b"}, set(), "window")
-    a = -math.inf if doc["a"] is None else float(doc["a"])
-    b = math.inf if doc["b"] is None else float(doc["b"])
+    a = -math.inf if doc["a"] is None else _num(doc["a"])
+    b = math.inf if doc["b"] is None else _num(doc["b"])
     return SpectrumWindow(a, b)
 
 
@@ -131,13 +140,13 @@ def pick_from_dict(doc: dict) -> PickRepresentation:
     atoms = []
     for atom in doc["atoms"]:
         _require_keys(atom, {"u", "w"}, set(), "representation atom")
-        atoms.append((float(atom["u"]), float(atom["w"])))
+        atoms.append((_num(atom["u"]), _num(atom["w"])))
     try:
         return PickRepresentation(
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            gamma=float(doc["gamma"]),
-            c=float(doc["c"]),
+            alpha=_num(doc["alpha"]),
+            beta=_num(doc["beta"]),
+            gamma=_num(doc["gamma"]),
+            c=_num(doc["c"]),
             window=window_from_dict(doc["window"]),
             atoms=tuple(atoms),
         )
@@ -158,10 +167,10 @@ def kubo_ando_from_dict(doc: dict) -> KuboAndoRepresentation:
     atoms = []
     for atom in doc["atoms"]:
         _require_keys(atom, {"t", "nu"}, set(), "mean atom")
-        atoms.append((float(atom["t"]), float(atom["nu"])))
+        atoms.append((_num(atom["t"]), _num(atom["nu"])))
     try:
         return KuboAndoRepresentation(
-            a=float(doc["a"]), b=float(doc["b"]), atoms=tuple(atoms)
+            a=_num(doc["a"]), b=_num(doc["b"]), atoms=tuple(atoms)
         )
     except ValueError as err:
         raise ValidationError(f"mean representation: {err}") from err

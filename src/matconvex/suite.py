@@ -1,9 +1,10 @@
 """The full acceptance battery behind `run-suite`.
 
-Check i (in ``CHECKS`` order) receives ``RandomSpec(seed, (i + 1) *
-STREAM_BLOCK)`` and draws only from sub-streams of it.  Stream ids nest, so the
-helpers it hands a sub-stream (``pinch_monte_carlo``, ``haar_average_residual``,
-which each draw all their samples from that one stream) stay inside the check's
+Check i (in ``CHECKS`` order) runs on block i + 1, ``RandomSpec(seed, (i + 1)
+* STREAM_BLOCK)``, through :func:`run_parts`, which times every report's parts.
+It draws only from sub-streams of its block.  Stream ids nest, so the helpers
+it hands a sub-stream (``pinch_monte_carlo``, ``haar_average_residual``, which
+each draw all their samples from that one stream) stay inside the check's
 block too, and no two checks share a draw.  Each check bounds worst-case
 quantities over a fixed ensemble, and :func:`io.bound_record` reduces them:
 NaN-propagating worst cases (so a NaN trial fails its check) and a margin
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -334,16 +335,21 @@ CHECKS: dict[str, Callable[[RandomSpec], dict]] = {
 }
 
 
+def run_parts(spec: RandomSpec, parts: Iterable[Callable | None]) -> list[dict]:
+    """The timed record of part k on ``spec.stream(k * STREAM_BLOCK)``, for each
+    part but the ``None`` ones, which are skipped yet keep their block."""
+    records = []
+    for k, part in enumerate(parts):
+        if part is not None:
+            start = time.perf_counter()
+            records.append(part(spec.stream(k * STREAM_BLOCK)))
+            records[-1]["timing"] = round(time.perf_counter() - start, 6)
+    return records
+
+
 def run_suite(seed: int, only: str | None = None) -> list[dict]:
     """Run all checks (or those whose name contains `only`) and return records."""
-    names = [n for n in CHECKS if only is None or only in n]
-    if not names:
+    parts = [check if only is None or only in name else None for name, check in CHECKS.items()]
+    if not any(parts):
         raise ValueError(f"no checks match {only!r}; known: {sorted(CHECKS)}")
-    records = []
-    for name in names:
-        spec = RandomSpec(seed, STREAM_BLOCK * (1 + list(CHECKS).index(name)))
-        start = time.perf_counter()
-        rec = CHECKS[name](spec)
-        rec["timing"] = round(time.perf_counter() - start, 6)
-        records.append(rec)
-    return records
+    return run_parts(RandomSpec(seed, STREAM_BLOCK), parts)

@@ -29,7 +29,7 @@ from matconvex.io import (
 )
 from matconvex.jointconcavity import KuboAndoRepresentation
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import RandomSpec, random_in_window_rows
+from matconvex.rand import STREAM_BLOCK, RandomSpec, random_in_window_rows
 from matconvex.resolvent import PickRepresentation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -218,6 +218,12 @@ def test_check_entropy_zero_trials_is_a_usage_error(capsys):
     ("check-concavity --suite lieb --n -2", "--n must be at least 1, got -2"),
     ("certify-representation --rep missing.json --n 0", "--n must be at least 1, got 0"),
     ("certify-function --f x2 --window 0,1 --trials -1", "need at least one trial, got -1"),
+    # more trials than a stream block would draw from the next part's block
+    ("certify-function --f x2 --window 0,1 --trials 1000001",
+     "at most 1000000 trials, got 1000001"),
+    ("certify-representation --rep missing.json --trials 1000001",
+     "at most 1000000 trials, got 1000001"),
+    ("check-entropy --random 2x2 --trials 1000001", "at most 1000000 trials, got 1000001"),
 ])
 def test_counts_below_one_are_usage_errors(argv, message, capsys):
     assert main(argv.split()) == 2
@@ -233,6 +239,17 @@ def test_check_entropy_all_computes_the_pinching_chain_once(monkeypatch, capsys)
     monkeypatch.setattr(ent, "partial_trace", lambda *a: traces.append(a) or real(*a))
     assert main(["check-entropy", "--random", "2x3", "--trials", "50", "--seed", "5"]) == 0
     assert len(traces) == 5
+
+
+@pytest.mark.parametrize("argv", ["--random 2x2 --check lieb-ruskai", "--random 2x2x2"])
+def test_lieb_ruskai_partner_state_comes_from_block_3(argv, monkeypatch, capsys):
+    # lieb-ruskai is part 3 of check-entropy, whichever other parts run
+    specs = []
+    real = ent.random_state
+    monkeypatch.setattr(ent, "random_state", lambda dims, spec: specs.append(spec)
+                        or real(dims, spec))
+    assert main(["check-entropy", *argv.split(), "--trials", "5", "--seed", "4"]) == 0
+    assert specs == [RandomSpec(4, 3 * STREAM_BLOCK)]
 
 
 def test_check_entropy_state_and_random_are_exclusive(bell_file, capsys):
@@ -287,6 +304,14 @@ _GOOD_REP = pick_to_dict(PickRepresentation(0.5, 0.1, 0.3, 1.0, SpectrumWindow(0
     (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": 10 ** 400}),
     (["check-concavity", "--suite", "tensor-power", "--tuple"], [{"dim": 2, "entries": 5}]),
     (["check-concavity", "--suite", "kubo-ando", "--rep"], {"a": None, "b": 0.2, "atoms": []}),
+    # readers coerce nothing: a size is a JSON integer, any other number a JSON number
+    (["check-entropy", "--state"], {**_GOOD_STATE, "dims": [2.5, 2]}),
+    (["check-entropy", "--state"], {**_GOOD_STATE, "dim": 4.9}),
+    (["check-entropy", "--state"], {**_GOOD_STATE, "dim": "4"}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": "0.5"}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "gamma": True}),
+    (["certify-representation", "--rep"], {**_GOOD_REP, "window": {"a": "0.1", "b": 5.0}}),
+    (["check-concavity", "--suite", "kubo-ando", "--rep"], {"a": 0.3, "b": "0.2", "atoms": []}),
 ])
 def test_malformed_input_files_are_usage_errors(argv, doc, tmp_path, capsys):
     # a field of the wrong JSON type is the file's fault, not an internal error

@@ -1,6 +1,7 @@
 """Entropies, pinching, and the inequality chain on hand-checked states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def test_density_operator_validation():
         DensityOperator(np.diag([1.5, -0.5]), (2,))         # not PSD
     with pytest.raises(DimensionMismatchError):
         DensityOperator(np.eye(4) / 4.0, (2, 3))
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2.5, 2), ("2", "2"), (2.0, 2), ()])
+def test_density_operator_refuses_non_integral_dimensions(dims):
+    # a dimension is neither truncated nor parsed: (2.5, 2) is not (2, 2)
+    with pytest.raises(ValidationError, match=re.escape(f"invalid factor dimensions {dims}")):
+        DensityOperator(np.eye(4) / 4.0, dims)
+
+
+def test_density_operator_takes_numpy_integer_dimensions():
+    rho = DensityOperator(np.eye(4) / 4.0, np.array([2, 2]))
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
 
 
 def test_entropy_pure_maximal_and_hand_value():
