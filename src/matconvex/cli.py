@@ -1,19 +1,20 @@
 """Batch command-line harness.
 
-Subcommands: certify-function, check-entropy, certify-representation,
-check-concavity, run-suite.  A subcommand only builds its checks: ``main``
-resolves the seed, checks the counts and emits the report, whose ``config`` is
-the parsed arguments (seed resolved, window as [a, b]), so a run can be
-replayed exactly.  Check k of a report is part k of one ``suite.run_parts``
-call, so it draws from stream block k whichever checks run.  Exit codes: 0 all
-checks pass, 1 at least one violation or failed check, 2 usage or parse error
-(a malformed input file included), 3 internal error (any other exception,
-reported as one ``error:`` line).
+Subcommands: certify-function, check-entropy, certify-representation, run-suite, and
+check-concavity NAME, whose battery (parallel-sum, tensor-power, lieb, kubo-ando)
+declares only the options it reads.  A command only builds its checks: ``main``
+resolves the seed, checks the counts and emits the report, whose ``config`` is the
+parsed arguments (seed resolved, window as [a, b]), so a run can be replayed exactly.
+Check k of a report is part k of one ``suite.run_parts`` call, so it draws from stream
+block k whichever checks run.  Exit codes: 0 all checks pass, 1 at least one violation
+or failed check, 2 usage or parse error (a malformed input file included), 3 internal
+error (any other exception, reported as one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -28,12 +29,13 @@ from . import jointconcavity as jc
 from . import io as mio
 from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
-from .linalg import SpectrumWindow, frobenius
+from .linalg import SpectrumWindow, apply_function, frobenius
 from .quadrature import QuadratureConfig
 from .rand import STREAM_BLOCK, RandomSpec, random_in_window_rows
-from .resolvent import certify_representation, pick_eval_matrix
+from .resolvent import certify_representation, pick_eval_matrix, pick_scalar_function
 
 _PASSING = {"pass", "certified"}
+_WINDOW = SpectrumWindow(0.1, 5.0)
 
 
 def _default_seed(value: int | None) -> int:
@@ -90,8 +92,6 @@ def _emit(args, checks: list[dict]) -> int:
     if args.out:
         mio.save_json(args.out, report)
     if args.format == "json":
-        import json
-
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for c in checks:
@@ -125,6 +125,8 @@ def cmd_certify_function(args, spec: RandomSpec) -> list[dict]:
 
 
 def cmd_check_entropy(args, spec: RandomSpec) -> list[dict]:
+    if args.tol < 0:  # a NaN or infinite bound is refused by bound_record
+        raise ValidationError(f"--tol must be at least 0, got {args.tol}")
     states = (mio.load(args.state, mio.density_from_dict) if args.state
               else ent.random_states(_parse_dims(args.random), spec, args.trials))
     want, tol = args.check, args.tol
@@ -164,8 +166,8 @@ def cmd_certify_representation(args, spec: RandomSpec) -> list[dict]:
 
     def routes(s: RandomSpec) -> dict:
         a = random_in_window_rows(args.n, rep.window, s.rngs(range(20)))
-        deviations = frobenius(pick_eval_matrix(rep, a, via="spectral")
-                               - pick_eval_matrix(rep, a, via="atoms"))
+        deviations = frobenius(apply_function(a, pick_scalar_function(rep))
+                               - pick_eval_matrix(rep, a))
         return mio.bound_record("spectral_vs_atoms_routes", {
             "worst_deviation": (deviations, "<=", 1e-8)}, tolerance=1e-8)
 
@@ -175,55 +177,64 @@ def cmd_certify_representation(args, spec: RandomSpec) -> list[dict]:
         routes])
 
 
-def _concavity_check(args, spec: RandomSpec) -> dict:
-    """The ``--suite`` battery as one :func:`convexity.stacked_rows` call (a
-    fixed tensor-power tuple is evaluated once).  Tensor-power chunks are sized
-    as rows of n^k x n^k matrices, 32 x 32 at least: at most 14 rows, whose
-    (T, points, n^k) resolvent temporary, 1 MB a row, stays under 16 MB."""
-    window = SpectrumWindow(0.1, 5.0)
-    if args.suite == "parallel-sum":
-        # a fixed tuple is factored once per chunk, against a stack of directions
-        fixed = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
-        n = fixed[0].shape[0] if fixed else args.n
+def _fixed_tuple(args, k: int) -> list | None:
+    """The ``--tuple`` file, if any: it must hold the k and n the report echoes."""
+    mats = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
+    if mats and (len(mats) != k or any(m.shape[0] != args.n for m in mats)):
+        raise ValidationError(f"{args.tuple} holds {len(mats)} matrices of sizes "
+                              f"{[m.shape[0] for m in mats]}, not k={k} of size --n {args.n}")
+    return mats
 
-        def certificate(rngs):
-            mats = fixed or [random_in_window_rows(n, window, rngs) for _ in range(args.k)]
-            _, top, residual = jc.parallel_sum_certificate(
-                mats, jc.random_directions(len(mats), n, rngs))
-            return top, np.broadcast_to(residual, top.shape)  # one residual for a fixed tuple
 
-        eigs, projs = cx.stacked_rows(spec, args.trials, n, certificate)
-        return mio.bound_record("parallel_sum_hessian_nsd", {
-            "max_eigenvalue": (eigs, "<=", 1e-8)}, tolerance=1e-8,
-            worst_projection_residual=float(np.max(projs)))
-    if args.suite == "tensor-power":
-        p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
-        fixed = mio.load(args.tuple, mio.tuple_from_list) if args.tuple else None
+def _parallel_sum(args, spec: RandomSpec) -> dict:
+    # a fixed tuple is factored once per chunk, against a stack of directions
+    fixed = _fixed_tuple(args, args.k)
 
-        def draw(rngs):
-            return [random_in_window_rows(args.n, window, rngs) for _ in p]
+    def certificate(rngs):
+        mats = fixed or [random_in_window_rows(args.n, _WINDOW, rngs) for _ in range(args.k)]
+        _, top, residual = jc.parallel_sum_certificate(
+            mats, jc.random_directions(len(mats), args.n, rngs))
+        return top, np.broadcast_to(residual, top.shape)  # one residual for a fixed tuple
 
-        # a fixed tuple gives the same error in every trial: evaluate it once
-        errors = jc.tensor_power_errors(fixed, p, [args.nodes])[0] if fixed else cx.stacked_rows(
-            spec, args.trials, max(32, args.n ** len(p)),
-            lambda rngs: jc.tensor_power_errors(draw(rngs), p, [args.nodes]))[0]
-        curve = ({"error_curve_16_to_128": jc.tensor_power_errors(
-            fixed or [m[0] for m in draw(spec.rngs([0]))], p, jc.ERROR_CURVE_NODES)}
-            if args.error_curve else {})
-        return mio.bound_record("tensor_power_vs_direct", {
-            "worst_relative_error": (errors, "<=", quad.tolerance)},
-            tolerance=quad.tolerance, nodes=args.nodes, **curve)
-    if args.suite == "lieb":
-        gaps, _ = cx.stacked_rows(spec, args.trials, args.n,
-                                  lambda rngs: jc.lieb_midpoint_gap(args.n, window, rngs))
-        return mio.bound_record("lieb_midpoint_concavity", {
-            "worst_scaled_gap": (gaps, ">=", -1e-8)}, tolerance=1e-8)
-    if not args.rep:  # kubo-ando, the last of the parser's choices
-        raise ValidationError("kubo-ando suite needs --rep FILE")
+    eigs, projs = cx.stacked_rows(spec, args.trials, args.n, certificate)
+    return mio.bound_record("parallel_sum_hessian_nsd", {
+        "max_eigenvalue": (eigs, "<=", 1e-8)}, tolerance=1e-8,
+        worst_projection_residual=float(np.max(projs)))
+
+
+def _tensor_power(args, spec: RandomSpec) -> dict:
+    """Chunks are sized as rows of n^k x n^k matrices, 32 x 32 at least: at most
+    14 rows of a (points, n^k) resolvent temporary, 1 MB a row, under 16 MB."""
+    p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
+    fixed = _fixed_tuple(args, len(p))
+
+    def draw(rngs):
+        return [random_in_window_rows(args.n, _WINDOW, rngs) for _ in p]
+
+    # a fixed tuple gives the same error in every trial: evaluate it once
+    errors = jc.tensor_power_errors(fixed, p, [args.nodes])[0] if fixed else cx.stacked_rows(
+        spec, args.trials, max(32, args.n ** len(p)),
+        lambda rngs: jc.tensor_power_errors(draw(rngs), p, [args.nodes]))[0]
+    curve = ({"error_curve_16_to_128": jc.tensor_power_errors(
+        fixed or [m[0] for m in draw(spec.rngs([0]))], p, jc.ERROR_CURVE_NODES)}
+        if args.error_curve else {})
+    return mio.bound_record("tensor_power_vs_direct", {
+        "worst_relative_error": (errors, "<=", quad.tolerance)},
+        tolerance=quad.tolerance, nodes=args.nodes, **curve)
+
+
+def _lieb(args, spec: RandomSpec) -> dict:
+    gaps, _ = cx.stacked_rows(spec, args.trials, args.n,
+                              lambda rngs: jc.lieb_midpoint_gap(args.n, _WINDOW, rngs))
+    return mio.bound_record("lieb_midpoint_concavity", {
+        "worst_scaled_gap": (gaps, ">=", -1e-8)}, tolerance=1e-8)
+
+
+def _kubo_ando(args, spec: RandomSpec) -> dict:
     rep = mio.load(args.rep, mio.kubo_ando_from_dict)
 
     def midpoint_gaps(rngs):
-        a0, a1, b0, b1 = (random_in_window_rows(args.n, window, rngs) for _ in range(4))
+        a0, a1, b0, b1 = (random_in_window_rows(args.n, _WINDOW, rngs) for _ in range(4))
         mid = jc.kubo_ando_eval(rep, 0.5 * (a0 + a1), 0.5 * (b0 + b1))
         avg = 0.5 * (jc.kubo_ando_eval(rep, a0, b0) + jc.kubo_ando_eval(rep, a1, b1))
         return (np.linalg.eigvalsh(mid - avg),)
@@ -233,8 +244,8 @@ def _concavity_check(args, spec: RandomSpec) -> dict:
         "worst_gap_eigenvalue": (gaps, ">=", -1e-8)}, tolerance=1e-8)
 
 
-def cmd_check_concavity(args, spec: RandomSpec) -> list[dict]:
-    return acceptance.run_parts(spec, [partial(_concavity_check, args)])
+def cmd_check_concavity(part, args, spec: RandomSpec) -> list[dict]:
+    return acceptance.run_parts(spec, [partial(part, args)])
 
 
 def cmd_run_suite(args, spec: RandomSpec) -> list[dict]:
@@ -252,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
-        p = sub.add_parser(name, help=summary)
+    def command(name, func, summary, parent=sub):
+        p = parent.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $MATCONVEX_SEED or 0)")
@@ -274,8 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--random", help="random ensemble dims, e.g. 2x3x2")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--check", default="all",
-                   choices=("all", "subadditivity", "decomposition", "ssa",
-                            "lieb-ruskai"))
+                   choices=("all", "subadditivity", "decomposition", "ssa", "lieb-ruskai"))
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = command("certify-representation", cmd_certify_representation,
@@ -284,17 +294,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
 
-    p = command("check-concavity", cmd_check_concavity, "joint-concavity batteries")
-    p.add_argument("--suite", required=True,
-                   choices=("parallel-sum", "tensor-power", "lieb", "kubo-ando"))
+    batteries = sub.add_parser("check-concavity", help="joint-concavity batteries"
+                               ).add_subparsers(dest="suite", required=True)
+
+    def battery(name, part, summary):  # each battery declares only what it reads
+        p = command(name, partial(cmd_check_concavity, part), summary, batteries)
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--trials", type=int, default=100)
+        return p
+
+    p = battery("parallel-sum", _parallel_sum, "parallel-sum Hessian certificate")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--tuple", default=None, help="fixed tuple file (JSON list), k of n x n")
+    p = battery("tensor-power", _tensor_power, "tensor-power quadrature vs direct")
     p.add_argument("--p", default="0.5,0.5", help="power vector, e.g. 0.3,0.7")
     p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--tuple", default=None, help="matrix tuple file (JSON list)")
-    p.add_argument("--rep", default=None, help="operator-mean file for kubo-ando")
+    p.add_argument("--tuple", default=None, help="fixed tuple file (JSON list), n x n")
     p.add_argument("--error-curve", action="store_true")
+    battery("lieb", _lieb, "Lieb functional midpoint concavity")
+    battery("kubo-ando", _kubo_ando, "operator-mean midpoint concavity").add_argument(
+        "--rep", required=True, help="operator-mean file (JSON)")
 
     p = command("run-suite", cmd_run_suite, "full acceptance battery")
     p.add_argument("--only", default=None, help="substring filter on check names")

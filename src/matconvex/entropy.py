@@ -370,17 +370,6 @@ def mutual_information_decomposition(rho12: DensityOperator) -> EntropyReport:
     )
 
 
-def uhlmann_tilde(rho123: DensityOperator) -> DensityOperator:
-    """rho_12 x 1/d_3: the Haar average decoupling the third factor."""
-    if len(rho123.dims) != 3:
-        raise ValidationError(f"expected three factors, got dims {rho123.dims}")
-    return _decoupled(rho123.marginal([0, 1]), rho123.dims[2])
-
-
-def _decoupled(rho12: DensityOperator, d3: int) -> DensityOperator:
-    return DensityOperator(tensor(rho12.matrix, np.eye(d3) / d3), (*rho12.dims, d3))
-
-
 def _ssa_core(rho123: DensityOperator) -> tuple:
     """(SSA slack, {S123, S23, S12, S2}, rho_12): one state per marginal."""
     if len(rho123.dims) != 3:
@@ -407,7 +396,8 @@ def ssa_report(rho123: DensityOperator) -> EntropyReport:
     slack ``SSA_CHAIN_TOL - |mismatch|`` goes negative when it fails.  The
     decoupled state rho_12 x 1/d_3 is built from the rho_12 of the slack."""
     slack, values, rho12 = _ssa_core(rho123)
-    tilde = _decoupled(rho12, rho123.dims[2])
+    d3 = rho123.dims[2]
+    tilde = DensityOperator(tensor(rho12.matrix, np.eye(d3) / d3), (*rho12.dims, d3))
     s_tilde = von_neumann_entropy(tilde)
     s_tilde_23 = von_neumann_entropy(tilde.marginal([1, 2]))
     chain = (s_tilde - s_tilde_23) - (values["S12"] - values["S2"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .convexity import ScalarFunction, Verdict, second_derivative_test
 from .errors import ConditioningError
-from .linalg import SpectrumWindow, _float_or_rows, apply_function, check_hermitian, frobenius
+from .linalg import SpectrumWindow, _float_or_rows, check_hermitian, frobenius
 from .rand import RandomSpec
 
 #: Resolvents are refused closer to the spectrum than this.
@@ -149,18 +149,9 @@ def pick_scalar_function(rep: PickRepresentation) -> ScalarFunction:
     )
 
 
-def pick_eval_matrix(
-    rep: PickRepresentation, a: np.ndarray, via: str = "spectral"
-) -> np.ndarray:
-    """Matrix value, either by spectral calculus or atomwise resolvent sums.
-
-    The two routes are algebraically identical (elementary decomposition of
-    each atom integrand) and serve as mutual oracles in the test suite.
-    """
-    if via == "spectral":
-        return apply_function(a, pick_scalar_function(rep))
-    if via != "atoms":
-        raise ValueError(f"unknown evaluation route {via!r}")
+def pick_eval_matrix(rep: PickRepresentation, a: np.ndarray) -> np.ndarray:
+    """Matrix value by atomwise resolvent sums: by the elementary decomposition of
+    each atom, the spectral route ``apply_function(a, pick_scalar_function(rep))``."""
     check_hermitian(a)
     eye = np.eye(a.shape[-1])
     eigs = np.linalg.eigvalsh(a)

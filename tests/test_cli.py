@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from matconvex import entropy as ent
 from matconvex import io as mio
 from matconvex import jointconcavity as jc
 from matconvex import suite
-from matconvex.cli import main
+from matconvex.cli import _attach_window, _build_parser, main
 from matconvex.errors import MatConvexError
 from matconvex.entropy import bell_state, DensityOperator
 from matconvex.io import (
@@ -213,9 +214,9 @@ def test_check_entropy_zero_trials_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("check-concavity --suite parallel-sum --k 0", "--k must be at least 1, got 0"),
-    ("check-concavity --suite parallel-sum --n 0", "--n must be at least 1, got 0"),
-    ("check-concavity --suite lieb --n -2", "--n must be at least 1, got -2"),
+    ("check-concavity parallel-sum --k 0", "--k must be at least 1, got 0"),
+    ("check-concavity parallel-sum --n 0", "--n must be at least 1, got 0"),
+    ("check-concavity lieb --n -2", "--n must be at least 1, got -2"),
     ("certify-representation --rep missing.json --n 0", "--n must be at least 1, got 0"),
     ("certify-function --f x2 --window 0,1 --trials -1", "need at least one trial, got -1"),
     # more trials than a stream block would draw from the next part's block
@@ -268,6 +269,13 @@ def test_check_entropy_non_finite_tolerance_is_a_usage_error(tol, capsys):
     assert err.startswith("error: ") and "not a finite" in err and err.count("\n") == 1
 
 
+def test_check_entropy_negative_tolerance_is_a_usage_error(capsys):
+    # a bound below zero would fail states that satisfy every inequality
+    code = main(["check-entropy", "--random", "2x2", "--trials", "3", "--tol", "-1"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --tol must be at least 0, got -1.0\n")
+
+
 def test_check_entropy_product_state_ssa(tmp_path):
     factor = DensityOperator(np.diag([0.6, 0.4]), (2,))
     path = tmp_path / "product.json"
@@ -302,8 +310,8 @@ _GOOD_REP = pick_to_dict(PickRepresentation(0.5, 0.1, 0.3, 1.0, SpectrumWindow(0
     (["certify-representation", "--rep"], {**_GOOD_REP, "atoms": 5}),
     (["certify-representation", "--rep"], {**_GOOD_REP, "atoms": [{"u": None, "w": 0.4}]}),
     (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": 10 ** 400}),
-    (["check-concavity", "--suite", "tensor-power", "--tuple"], [{"dim": 2, "entries": 5}]),
-    (["check-concavity", "--suite", "kubo-ando", "--rep"], {"a": None, "b": 0.2, "atoms": []}),
+    (["check-concavity", "tensor-power", "--tuple"], [{"dim": 2, "entries": 5}]),
+    (["check-concavity", "kubo-ando", "--rep"], {"a": None, "b": 0.2, "atoms": []}),
     # readers coerce nothing: a size is a JSON integer, any other number a JSON number
     (["check-entropy", "--state"], {**_GOOD_STATE, "dims": [2.5, 2]}),
     (["check-entropy", "--state"], {**_GOOD_STATE, "dim": 4.9}),
@@ -311,7 +319,7 @@ _GOOD_REP = pick_to_dict(PickRepresentation(0.5, 0.1, 0.3, 1.0, SpectrumWindow(0
     (["certify-representation", "--rep"], {**_GOOD_REP, "alpha": "0.5"}),
     (["certify-representation", "--rep"], {**_GOOD_REP, "gamma": True}),
     (["certify-representation", "--rep"], {**_GOOD_REP, "window": {"a": "0.1", "b": 5.0}}),
-    (["check-concavity", "--suite", "kubo-ando", "--rep"], {"a": 0.3, "b": "0.2", "atoms": []}),
+    (["check-concavity", "kubo-ando", "--rep"], {"a": 0.3, "b": "0.2", "atoms": []}),
 ])
 def test_malformed_input_files_are_usage_errors(argv, doc, tmp_path, capsys):
     # a field of the wrong JSON type is the file's fault, not an internal error
@@ -347,7 +355,7 @@ def test_certify_representation_invalid_field(tmp_path, capsys):
 
 
 def test_check_concavity_parallel_sum(capsys):
-    code = main(["check-concavity", "--suite", "parallel-sum", "--k", "3",
+    code = main(["check-concavity", "parallel-sum", "--k", "3",
                  "--n", "4", "--trials", "50", "--seed", "3"])
     assert code == 0
 
@@ -356,20 +364,20 @@ def test_check_concavity_parallel_sum(capsys):
 #: reports; the stacked batteries reproduce them bit for bit
 PINNED_BATTERIES = {
     # the smallest raw gap, row 75 of test_lieb_battery_rows_keep_their_values
-    "--suite lieb --seed 3": (0.003338729242875838, {
+    "lieb --seed 3": (0.003338729242875838, {
         "tolerance": 1e-08, "worst_scaled_gap": 0.003338719242875838}),
-    "--suite parallel-sum --seed 3": (4.62795560042875e-06, {
+    "parallel-sum --seed 3": (4.62795560042875e-06, {
         "max_eigenvalue": -4.61795560042875e-06,
         "tolerance": 1e-08, "worst_projection_residual": 1.6501411259699236e-15}),
-    "--suite parallel-sum --k 3 --n 4 --trials 50 --seed 3": (0.005202294047136945, {
+    "parallel-sum --k 3 --n 4 --trials 50 --seed 3": (0.005202294047136945, {
         "max_eigenvalue": -0.005202284047136945,
         "tolerance": 1e-08, "worst_projection_residual": 1.343295795267648e-15}),
     # 300 trials of 2 x 2 rows run in three chunks
-    "--suite parallel-sum --k 2 --n 2 --trials 300 --seed 7": (2.2812693746097615e-05, {
+    "parallel-sum --k 2 --n 2 --trials 300 --seed 7": (2.2812693746097615e-05, {
         "max_eigenvalue": -2.2802693746097613e-05,
         "tolerance": 1e-08, "worst_projection_residual": 8.817253038237926e-16}),
     # the tolerance is the bound applied to the worst relative error
-    "--suite tensor-power --p 0.3,0.7 --nodes 16 --trials 3 --seed 3": (8.73811979922018e-06, {
+    "tensor-power --p 0.3,0.7 --nodes 16 --trials 3 --seed 3": (8.73811979922018e-06, {
         "nodes": 16, "tolerance": 1e-05, "worst_relative_error": 1.261880200779822e-06}),
 }
 
@@ -386,12 +394,27 @@ def test_parallel_sum_battery_on_a_fixed_tuple_keeps_its_values(tmp_path, capsys
     path = tmp_path / "tuple.json"
     save_json(str(path), tuple_to_list([np.array([[1.0, 0.2], [0.2, 2.0]]),
                                         np.diag([0.5, 3.0]), np.eye(2)]))
-    assert main(["check-concavity", "--suite", "parallel-sum", "--tuple", str(path),
+    assert main(["check-concavity", "parallel-sum", "--tuple", str(path), "--k", "3", "--n", "2",
                  "--trials", "40", "--seed", "3", "--format", "json"]) == 0
     (record,) = json.loads(capsys.readouterr().out)["checks"]
     assert (record["margin"], record["detail"]) == (0.013326776737976121, {
         "max_eigenvalue": -0.013326766737976121,
         "tolerance": 1e-08, "worst_projection_residual": 1.7460489445185184e-16})
+
+
+@pytest.mark.parametrize("argv, k, n", [
+    # the tuple sets k and n, so the sizes the report echoes must be the tuple's
+    ("parallel-sum --k 5 --n 7", 5, 7), ("parallel-sum --k 3 --n 2", 3, 2),
+    ("tensor-power --n 3", 2, 3),  # tensor-power's k is the length of --p
+])
+def test_a_tuple_that_disagrees_with_the_echoed_sizes_is_a_usage_error(argv, k, n, tmp_path,
+                                                                      capsys):
+    path = tmp_path / "tuple.json"
+    save_json(str(path), tuple_to_list([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]))
+    battery, *sizes = argv.split()
+    assert main(["check-concavity", battery, "--tuple", str(path), *sizes, "--trials", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} holds 2 matrices of sizes [2, 2], "
+                                       f"not k={k} of size --n {n}\n")
 
 
 def test_lieb_battery_rows_keep_their_values():
@@ -404,7 +427,7 @@ def test_lieb_battery_rows_keep_their_values():
 
 
 def test_check_concavity_tensor_power(capsys):
-    code = main(["check-concavity", "--suite", "tensor-power",
+    code = main(["check-concavity", "tensor-power",
                  "--p", "0.5,0.5", "--nodes", "64", "--trials", "10",
                  "--seed", "3", "--error-curve", "--format", "json"])
     assert code == 0
@@ -414,14 +437,34 @@ def test_check_concavity_tensor_power(capsys):
 
 
 def test_check_concavity_config_replays(capsys):
-    code = main(["check-concavity", "--suite", "tensor-power", "--p", "0.3,0.7",
+    code = main(["check-concavity", "tensor-power", "--p", "0.3,0.7",
                  "--nodes", "32", "--trials", "3", "--seed", "3",
                  "--error-curve", "--format", "json"])
     assert code == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config == {"suite": "tensor-power", "k": 2, "n": 3, "trials": 3,
+    # only the options the tensor-power battery reads
+    assert config == {"suite": "tensor-power", "n": 3, "trials": 3,
                       "seed": 3, "p": "0.3,0.7", "nodes": 32, "tuple": None,
-                      "rep": None, "error_curve": True}
+                      "error_curve": True}
+
+
+def test_a_battery_refuses_the_options_of_another(capsys):
+    assert main(["check-concavity", "lieb", "--p", "0.3,0.7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --p 0.3,0.7" in err
+
+
+def test_every_readme_command_line_parses():
+    # parsing only: nothing runs, so the files a line names need not exist
+    readme = (SRC.parent / "README.md").read_text().split("## Command line\n", 1)[1]
+    block = readme.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert {line[1] for line in lines} == {"certify-function", "check-entropy",
+                                           "certify-representation", "check-concavity",
+                                           "run-suite"}
+    for line in lines:
+        assert line[0] == "matconvex"
+        _build_parser().parse_args(_attach_window(line[1:]))
 
 
 def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys):
@@ -434,7 +477,7 @@ def test_check_concavity_reads_a_fixed_tuple_once(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(jc, "tensor_power_errors",
                         lambda *a: integrals.append(a) or real_errors(*a))
     for name in ("parallel-sum", "tensor-power"):
-        assert main(["check-concavity", "--suite", name, "--tuple", str(path),
+        assert main(["check-concavity", name, "--tuple", str(path), "--n", "2",
                      "--trials", "5", "--seed", "3"]) == 0
     assert len(reads) == 2
     # no randomness in a fixed tuple: every trial would repeat one integral
@@ -455,7 +498,7 @@ def test_check_concavity_nan_trial_fails(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(jc, "lieb_functional", nan_once)
-    code = main(["check-concavity", "--suite", "lieb", "--trials", "5",
+    code = main(["check-concavity", "lieb", "--trials", "5",
                  "--seed", "3"])
     assert len(calls[0]) == 5
     assert code == 1
@@ -488,14 +531,14 @@ def test_check_concavity_kubo_ando(tmp_path, capsys):
     save_json(str(path), kubo_ando_to_dict(
         KuboAndoRepresentation(0.3, 0.2, atoms=((1.0, 0.5),))
     ))
-    code = main(["check-concavity", "--suite", "kubo-ando", "--rep", str(path),
+    code = main(["check-concavity", "kubo-ando", "--rep", str(path),
                  "--trials", "20", "--seed", "3", "--format", "json"])
     assert code == 0
     (record,) = json.loads(capsys.readouterr().out)["checks"]
     # the smallest gap eigenvalue over the 20 trials, not a floor at 0
     assert record["detail"]["worst_gap_eigenvalue"] == 0.00029194569559292234
     assert record["margin"] == 0.00029194569559292234 + 1e-8
-    code = main(["check-concavity", "--suite", "kubo-ando", "--trials", "5"])
+    code = main(["check-concavity", "kubo-ando", "--trials", "5"])
     assert code == 2  # needs --rep
 
 
@@ -504,8 +547,8 @@ def test_check_concavity_zero_trials_is_a_usage_error(tmp_path, capsys, suite_na
     # zero trials certify nothing: no pass with margin Infinity, one error line
     path = tmp_path / "mean.json"
     save_json(str(path), kubo_ando_to_dict(KuboAndoRepresentation(0.3, 0.2)))
-    code = main(["check-concavity", "--suite", suite_name, "--rep", str(path),
-                 "--trials", "0", "--format", "json"])
+    rep = ["--rep", str(path)] if suite_name == "kubo-ando" else []
+    code = main(["check-concavity", suite_name, *rep, "--trials", "0", "--format", "json"])
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -54,6 +54,7 @@ from matconvex.resolvent import (
     ResolventPoint,
     certify_representation,
     pick_eval_matrix,
+    pick_scalar_function,
     resolvent_second_derivative,
 )
 
@@ -636,8 +637,8 @@ GATED = {
     "jensen_gap": lambda m: jensen_gap(builtin("x2"), [0.5, 0.5], [m, np.eye(2)]),
     "kernel_identity_residual": lambda m: kernel_identity_residual(
         builtin("x2"), m, np.eye(2), 0.5),
-    "pick_spectral": lambda m: pick_eval_matrix(_PICK, m, via="spectral"),
-    "pick_atoms": lambda m: pick_eval_matrix(_PICK, m, via="atoms"),
+    "pick_spectral": lambda m: apply_function(m, pick_scalar_function(_PICK)),
+    "pick_atoms": lambda m: pick_eval_matrix(_PICK, m),
     "resolvent_second_derivative": lambda m: resolvent_second_derivative(
         m, np.eye(2), ResolventPoint(7.0, WINDOW)),
 }

@@ -25,7 +25,6 @@ from matconvex.entropy import (
     ssa_report,
     ssa_slack,
     subadditivity_report,
-    uhlmann_tilde,
     von_neumann_entropy,
 )
 from matconvex.errors import DimensionMismatchError, HermiticityError, ValidationError
@@ -350,19 +349,16 @@ def test_mutual_information_decomposition_examples():
 
 
 def test_uhlmann_tilde_ghz():
-    tilde = uhlmann_tilde(ghz_state())
-    expect = np.kron(np.diag([0.5, 0.0, 0.0, 0.5]), np.eye(2) / 2.0)
-    np.testing.assert_allclose(tilde.matrix, expect, atol=1e-12)
-    assert np.trace(tilde.matrix).real == pytest.approx(1.0)
+    # the decoupled GHZ state is diag(1/2, 0, 0, 1/2) x I/2, of entropy 2 log 2
+    assert ssa_report(ghz_state()).values["S_tilde123"] == pytest.approx(2.0 * LOG2, abs=1e-12)
     with pytest.raises(ValidationError):
-        uhlmann_tilde(bell_state())
+        ssa_report(bell_state())
 
 
 def test_uhlmann_entropy_relations():
     rho = random_state((2, 2, 3), SPEC.stream(950))
-    tilde = uhlmann_tilde(rho)
     s12 = von_neumann_entropy(rho.marginal([0, 1]))
-    assert von_neumann_entropy(tilde) == pytest.approx(s12 + math.log(3.0), abs=1e-9)
+    assert ssa_report(rho).values["S_tilde123"] == pytest.approx(s12 + math.log(3.0), abs=1e-9)
 
 
 def test_ssa_report_ghz_and_product():
@@ -546,7 +542,7 @@ def test_failed_uhlmann_cross_check_fails_the_report(monkeypatch):
     import matconvex.entropy as ent
 
     ghz = ghz_state()
-    tilde = uhlmann_tilde(ghz).matrix
+    tilde = np.kron(ghz.marginal([0, 1]).matrix, np.eye(2) / 2.0)
     real = ent.von_neumann_entropy
 
     def wrong_on_tilde(rho):

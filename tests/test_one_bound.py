@@ -64,5 +64,6 @@ def test_every_bounded_suite_check_calls_bound_record_once():
 
 def test_every_cli_battery_takes_its_margin_from_bound_record():
     bounded = call_sites((SRC / "cli.py").read_text(), "bound_record")
-    # check-entropy, the routes of certify-representation, check-concavity's four
-    assert bounded == {"battery": 1, "routes": 1, "_concavity_check": 4}
+    # check-entropy, the routes of certify-representation, check-concavity's four parts
+    assert bounded == {"battery": 1, "routes": 1, "_parallel_sum": 1, "_tensor_power": 1,
+                       "_lieb": 1, "_kubo_ando": 1}

@@ -33,17 +33,20 @@ def test_run_trials_is_the_engine_and_the_reduction():
 
 
 def test_each_concavity_battery_is_one_engine_call():
-    check = _function(SRC / "cli.py", "_concavity_check")
-    # parallel-sum, tensor-power, lieb and kubo-ando
-    assert call_sites(ast.unparse(check), "stacked_rows") == {"_concavity_check": 4}
-    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(check))
-    # a comprehension over generators binds one (or a chunk of them) per step,
-    # or walks a list of them as it comes
-    over_generators = [
-        ast.unparse(gen) for node in ast.walk(check)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
-        for gen in node.generators
-        if {"rng", "rngs"} & {n.id for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
-        or ast.unparse(gen.iter) == "rngs"
-        or isinstance(gen.iter, ast.Call) and ast.unparse(gen.iter.func).endswith("rngs")]
-    assert over_generators == []
+    # parallel-sum, tensor-power, lieb and kubo-ando, one part each
+    parts = ["_parallel_sum", "_tensor_power", "_lieb", "_kubo_ando"]
+    assert call_sites((SRC / "cli.py").read_text(), "stacked_rows") == dict.fromkeys(parts, 1)
+    for name in parts:
+        check = _function(SRC / "cli.py", name)
+        assert call_sites(ast.unparse(check), "stacked_rows") == {name: 1}
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(check))
+        # a comprehension over generators binds one (or a chunk of them) per step,
+        # or walks a list of them as it comes
+        over_generators = [
+            ast.unparse(gen) for node in ast.walk(check)
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+            for gen in node.generators
+            if {"rng", "rngs"} & {n.id for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+            or ast.unparse(gen.iter) == "rngs"
+            or isinstance(gen.iter, ast.Call) and ast.unparse(gen.iter.func).endswith("rngs")]
+        assert over_generators == [], name

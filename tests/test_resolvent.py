@@ -131,28 +131,26 @@ def test_scalar_eval_at_pole_free_point():
 def test_matrix_routes_agree():
     for t in range(10):
         a = random_in_window_rows(4, WINDOW, [RandomSpec(14, t).rng()])[0]
-        via_spectral = pick_eval_matrix(REP, a, via="spectral")
-        via_atoms = pick_eval_matrix(REP, a, via="atoms")
+        via_spectral = apply_function(a, pick_scalar_function(REP))
+        via_atoms = pick_eval_matrix(REP, a)
         np.testing.assert_allclose(via_spectral, via_atoms, atol=1e-10)
-    with pytest.raises(ValueError, match="route"):
-        pick_eval_matrix(REP, np.eye(2) + 0.0j, via="magic")
 
 
 def test_matrix_routes_agree_on_a_stack():
     # five rows of 3 x 3: the identity must take the matrix size, not the row count
     a = random_in_window_rows(3, WINDOW, RandomSpec(15).rngs(range(5)))
-    via_atoms = pick_eval_matrix(REP, a, via="atoms")
+    via_atoms = pick_eval_matrix(REP, a)
     assert via_atoms.shape == (5, 3, 3)
-    np.testing.assert_allclose(pick_eval_matrix(REP, a, via="spectral"), via_atoms,
+    np.testing.assert_allclose(apply_function(a, pick_scalar_function(REP)), via_atoms,
                                atol=1e-10)
     for t in range(5):
-        np.testing.assert_allclose(via_atoms[t], pick_eval_matrix(REP, a[t], via="atoms"),
+        np.testing.assert_allclose(via_atoms[t], pick_eval_matrix(REP, a[t]),
                                    rtol=0, atol=1e-13)
 
 
 def test_matrix_route_commuting_case_matches_scalar():
     a = np.diag([0.5, 2.0, 4.0]) + 0.0j
-    out = pick_eval_matrix(REP, a, via="atoms")
+    out = pick_eval_matrix(REP, a)
     expect = np.diag([pick_eval_scalar(REP, x) for x in (0.5, 2.0, 4.0)])
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
