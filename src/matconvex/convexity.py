@@ -16,8 +16,10 @@ row; a violating trial's witness is rebuilt from its stream.  A sampled
 matrix travels with its spectral factors (lambda, U) from the sampler, and f
 and the Daleckii-Krein derivative are evaluated from them: the only
 eigensolves left are of the mixtures A_lambda and the Jensen barycenter, which
-no sampler made.  Witnesses store the factors next to each matrix, and
-:func:`replay_witness` replays from them.
+no sampler made.  A witness holds only what was sampled (matrices, weights,
+direction), never their factors: :func:`replay_witness` evaluates it through
+the matrix path to rounding, and ``RandomSpec(seed, stream_id)`` redraws it
+bit for bit.
 A randomized run can refute but never prove; `certified` means "no violation
 found at the stated resolution".
 """
@@ -32,7 +34,6 @@ import numpy as np
 
 from .errors import DomainViolationError
 from .linalg import (
-    HERMITICITY_TOL,
     ScalarFunction,
     SpectrumWindow,
     apply_function,
@@ -143,33 +144,6 @@ def run_trials(
     return _aggregate(margins, witness)
 
 
-def _with_factors(key: str, m, w, u) -> dict:
-    """Witness entry ``key`` and its spectral factors, ``key_eigenvalues`` and
-    ``key_eigenvectors``, from which :func:`replay_witness` recomputes f."""
-    return {key: m, f"{key}_eigenvalues": w, f"{key}_eigenvectors": u}
-
-
-def _stored_factors(witness: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The factors stored next to ``witness[key]``; ValueError naming the key
-    unless they are there and rebuild it to within
-    ``HERMITICITY_TOL * (1 + max|entry|)``."""
-    for k in (f"{key}_eigenvalues", f"{key}_eigenvectors"):
-        if k not in witness:
-            raise ValueError(f"witness has no {k!r}: regenerate it from its stream id")
-    m = np.asarray(witness[key], dtype=complex)
-    w = np.asarray(witness[f"{key}_eigenvalues"], dtype=float)
-    u = np.asarray(witness[f"{key}_eigenvectors"], dtype=complex)
-    if w.shape != m.shape[:-1] or u.shape != m.shape:
-        raise ValueError(f"witness factors of {key!r} have shapes {w.shape} and "
-                         f"{u.shape}, not those of {key!r} {m.shape}")
-    error = np.max(np.abs(from_spectrum(w, u) - m))
-    bound = HERMITICITY_TOL * (1.0 + np.max(np.abs(m)))
-    if not error <= bound:  # NaN fails too
-        raise ValueError(f"witness factors of {key!r} rebuild it to {error:.3e}, "
-                         f"beyond {bound:.3e}")
-    return w, u
-
-
 def check_mixing_weight(lam):
     """A weight in (0, 1), or a ``(T,)`` array of them; NaN fails."""
     arr = np.asarray(lam, dtype=float)
@@ -211,8 +185,7 @@ def definition_test(
         lam = uniform_rows(0.05, 0.95, rngs)
         margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam, (e0, e1)))[:, 0]
         return margins, lambda t: {"kind": "definition", "lam": float(lam[t]),
-                                   **_with_factors("A0", a0[t], e0[0][t], e0[1][t]),
-                                   **_with_factors("A1", a1[t], e1[0][t], e1[1][t])}
+                                   "A0": a0[t], "A1": a1[t]}
 
     return run_trials(trial, trials, spec, n)
 
@@ -253,8 +226,7 @@ def jensen_test(
         mats = from_spectrum(w, u)
         margins = np.linalg.eigvalsh(jensen_gap(f, weights, mats, (w, u)))[:, 0]
         return margins, lambda t: {"kind": "jensen", "weights": weights[t],
-                                   **_with_factors("matrices", list(mats[t]),
-                                                   list(w[t]), list(u[t]))}
+                                   "matrices": list(mats[t])}
 
     return run_trials(trial, trials, spec, n)
 
@@ -343,7 +315,7 @@ def second_derivative_test(
         q = random_direction_rows(n, rngs)
         margins = np.linalg.eigvalsh(spectral_second_derivative(f, w, u, q))[:, 0]
         return margins, lambda t: {"kind": "second_derivative", "Q": q[t],
-                                   **_with_factors("M", from_spectrum(w[t], u[t]), w[t], u[t])}
+                                   "M": from_spectrum(w[t], u[t])}
 
     return run_trials(trial, trials, spec, n)
 
@@ -455,19 +427,15 @@ def secant_test(f: ScalarFunction, y: float, window: SpectrumWindow, max_sites: 
 
 
 def replay_witness(f: ScalarFunction, witness: dict) -> float:
-    """Recompute the margin of a stored witness from its data alone."""
+    """Recompute the margin of a stored witness from its data alone, through
+    the matrix path, which checks every matrix; other keys are ignored."""
     kind = witness["kind"]
     if kind == "definition":
-        factors = (_stored_factors(witness, "A0"), _stored_factors(witness, "A1"))
-        gap = convexity_gap(f, witness["A0"], witness["A1"], witness["lam"], factors)
-        return min_eigenvalue(gap)
+        return min_eigenvalue(convexity_gap(f, witness["A0"], witness["A1"], witness["lam"]))
     if kind == "jensen":
-        factors = _stored_factors(witness, "matrices")
-        return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"], factors))
+        return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"]))
     if kind == "second_derivative":
-        w, u = _stored_factors(witness, "M")
-        check_hermitian(np.asarray(witness["Q"]))
-        return min_eigenvalue(spectral_second_derivative(f, w, u, witness["Q"]))
+        return min_eigenvalue(line_second_derivative(f, witness["M"], witness["Q"]))
     if kind == "loewner":
         return min_eigenvalue(loewner_matrix(f, witness["sites"]))
     if kind == "secant":

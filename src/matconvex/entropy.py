@@ -41,7 +41,8 @@ import numpy as np
 
 from .convexity import check_mixing_weight
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import _dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian, tensor
+from .linalg import (_dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian,
+                     raise_rows, tensor)
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities, uniform_range
 
@@ -79,14 +80,11 @@ class DensityOperator:
         mat = hermitian(mat)
         w = np.linalg.eigvalsh(mat)
         # the trace test reads the eigenvalues too
-        tr, lo = w.sum(axis=-1).reshape(-1), w[..., 0].reshape(-1)
-        bad = (abs(tr - 1.0) > TRACE_TOL) | (lo < -PSD_TOL)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValidationError((f"row {k}: " if mat.ndim == 3 else "") + (
-                f"trace {tr[k]} deviates from 1 beyond {TRACE_TOL}"
-                if abs(tr[k] - 1.0) > TRACE_TOL
-                else f"matrix has negative eigenvalue {lo[k]:.3e}"))
+        tr, lo = w.sum(axis=-1), w[..., 0]
+        off = abs(tr - 1.0) > TRACE_TOL
+        raise_rows(off | (lo < -PSD_TOL), ValidationError, lambda k: (
+            f"trace {tr.flat[k]} deviates from 1 beyond {TRACE_TOL}" if off.flat[k]
+            else f"matrix has negative eigenvalue {lo.flat[k]:.3e}"))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectrum", w)
@@ -243,13 +241,6 @@ def pinch_monte_carlo(
 # Relative entropy and the concavity machinery behind strong subadditivity.
 
 
-def _check_rows(bad: np.ndarray, message: str) -> None:
-    """ValidationError naming the first flagged row (of a stack) if any is."""
-    if np.any(bad):
-        row = f"row {int(np.argmax(bad.ravel()))}: " if bad.ndim else ""
-        raise ValidationError(row + message)
-
-
 def relative_entropy(a: np.ndarray, b: np.ndarray):
     """S(A|B) = -Tr[A (log A - log B)]; nonpositive for unit-trace arguments.
 
@@ -265,8 +256,8 @@ def _relative_entropy(a: np.ndarray, fa, fb):
     A row where B has a kernel takes -inf if A leaks into it, and otherwise
     restricts log B to the support of B."""
     (wa, _), (wb, ub) = fa, fb
-    _check_rows(np.minimum(wa[..., 0], wb[..., 0]) < -PSD_TOL,
-                "relative entropy needs positive semidefinite inputs")
+    raise_rows(np.minimum(wa[..., 0], wb[..., 0]) < -PSD_TOL, ValidationError,
+               "relative entropy needs positive semidefinite inputs")
     support = wb > SUPPORT_TOL
     log_b = from_spectrum(np.where(support, np.log(np.where(support, wb, 1.0)), 0.0), ub)
     out = np.array(-(_sum_w_log_w(wa) - _trace(a @ log_b).real))
@@ -285,8 +276,8 @@ def epsilon_limit_residual(a: np.ndarray, b: np.ndarray, eps: float):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     fa, fb = factor(a), factor(b)
     (wa, ua), (wb, ub) = fa, fb
-    _check_rows(np.minimum(wa[..., 0], wb[..., 0]) <= 0.0,
-                "epsilon limit needs strictly positive matrices")
+    raise_rows(np.minimum(wa[..., 0], wb[..., 0]) <= 0.0, ValidationError,
+               "epsilon limit needs strictly positive matrices")
     a_pow, b_pow = from_spectrum(wa ** (1.0 - eps), ua), from_spectrum(wb**eps, ub)
     quotient = (_trace(a_pow @ b_pow) - _trace(a)).real / eps
     return _float_or_rows(np.abs(quotient - _relative_entropy(a, fa, fb)))

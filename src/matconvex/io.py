@@ -186,8 +186,8 @@ _CHECK_OPTIONAL = {"witness", "detail"}
 
 def serialize_witness(witness: dict | None) -> dict | None:
     """Inline witness payload: a numpy matrix becomes a matrix document, a 1-D
-    array (spectrum, weights) a list of floats, and a list of arrays a list
-    of those."""
+    array (weights, sites) a list of floats, and a list of matrices (a Jensen
+    witness's atoms) a list of matrix documents."""
     if witness is None:
         return None
     return {key: _jsonable(val) for key, val in witness.items()}

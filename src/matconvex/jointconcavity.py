@@ -51,6 +51,7 @@ from .linalg import (
     from_spectrum,
     kron_from_spectrum,
     op_norm,
+    raise_rows,
     tensor,
 )
 from .quadrature import QuadratureConfig, orthant_rule
@@ -82,12 +83,9 @@ def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
             raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
                                          f"expected {shape}")
         w, u = factor(a)
-        low = ~(w[..., 0] >= POSITIVITY_FLOOR)
-        if low.any():
-            row = int(np.argmax(low.ravel()))
-            raise ConditioningError(
-                f"tuple entry {j}{f' row {row}' if low.ndim else ''} has min eigenvalue "
-                f"{w[..., 0].ravel()[row]:.3e} below floor {POSITIVITY_FLOOR:.0e}")
+        raise_rows(~(w[..., 0] >= POSITIVITY_FLOOR), ConditioningError, lambda k: (
+            f"tuple entry {j} has min eigenvalue {w[..., 0].flat[k]:.3e} "
+            f"below floor {POSITIVITY_FLOOR:.0e}"))
         factors.append((w, u))
     return factors
 

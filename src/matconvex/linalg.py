@@ -122,6 +122,17 @@ def _raise_first(bad: np.ndarray, w: np.ndarray, source: str, what: str) -> None
                                    eigenvalue=lam, source=source)
 
 
+def raise_rows(bad, error: type[Exception], message) -> None:
+    """Raise ``error`` for the first flagged row, if any: ``bad`` is one flag
+    (a matrix) or a ``(T,)`` array (a stack), ``message`` a string or
+    ``message(k)`` for row k, prefixed ``row k: `` for a stack."""
+    bad = np.asarray(bad)
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        raise error((f"row {k}: " if bad.ndim else "")
+                    + (message(k) if callable(message) else message))
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, row by row over a leading stack axis."""
     return m.conj().swapaxes(-1, -2)
@@ -154,12 +165,10 @@ def check_hermitian(h: np.ndarray) -> None:
     scale = 1.0 + np.max(np.abs(rows), axis=(1, 2))  # NaN or inf iff an entry is
     asym = np.max(asym, axis=(1, 2))
     bad = ~np.isfinite(scale) | (asym > HERMITICITY_TOL * scale)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise HermiticityError((f"row {k}: " if h.ndim == 3 else "") + (
-            "matrix has non-finite entries" if not np.isfinite(scale[k]) else
-            f"matrix asymmetry {asym[k]:.3e} exceeds tolerance "
-            f"{HERMITICITY_TOL * scale[k]:.3e}"))
+    raise_rows(bad.reshape(h.shape[:-2]), HermiticityError, lambda k: (
+        "matrix has non-finite entries" if not np.isfinite(scale[k]) else
+        f"matrix asymmetry {asym[k]:.3e} exceeds tolerance "
+        f"{HERMITICITY_TOL * scale[k]:.3e}"))
 
 
 def hermitian(entries) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .convexity import ScalarFunction, Verdict, second_derivative_test
 from .errors import ConditioningError
-from .linalg import SpectrumWindow, _float_or_rows, check_hermitian, frobenius
+from .linalg import SpectrumWindow, _float_or_rows, check_hermitian, frobenius, raise_rows
 from .rand import RandomSpec
 
 #: Resolvents are refused closer to the spectrum than this.
@@ -56,13 +56,8 @@ def _resolvent_core(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
     eigs = np.linalg.eigvalsh(a)
     p.window.check_spectrum(eigs, source="A")
     gap = np.min(np.abs(p.u - eigs), axis=-1)
-    near = gap < NEAR_SINGULAR_TOL
-    if near.any():
-        row = int(np.argmax(near.ravel()))
-        raise ConditioningError(
-            f"u={p.u} within {gap.ravel()[row]:.3e} of an eigenvalue of A"
-            f"{f' row {row}' if near.ndim else ''}; resolvent ill-conditioned"
-        )
+    raise_rows(gap < NEAR_SINGULAR_TOL, ConditioningError, lambda k: (
+        f"u={p.u} within {gap.flat[k]:.3e} of an eigenvalue of A; resolvent ill-conditioned"))
     return np.linalg.inv(p.u * np.eye(a.shape[-1]) - a)
 
 
@@ -75,7 +70,8 @@ def resolvent_second_derivative(
     a: np.ndarray, q: np.ndarray, p: ResolventPoint
 ) -> np.ndarray:
     """Exact d^2/dt^2 f_u(A + tQ)|_0 = sgn(u) * 2 R Q R Q R; always PSD.
-    Stacks of A and Q give one derivative per row."""
+    Stacks of A and Q give one derivative per row; both are checked Hermitian."""
+    check_hermitian(np.asarray(q))
     r = _resolvent_core(a, p)
     return p.sign * 2.0 * (r @ q @ r @ q @ r)
 
@@ -175,8 +171,12 @@ def pick_second_derivative(
     """Exact d^2/dt^2 of the represented function along M + tQ.
 
     Assembled from the quadratic term (2 gamma Q^2) and the atomwise
-    resolvent second derivatives; PSD by construction.
+    resolvent second derivatives; PSD by construction.  M and Q are checked
+    Hermitian, M by the resolvents when there are atoms.
     """
+    check_hermitian(np.asarray(q))
+    if not rep.atoms:
+        check_hermitian(np.asarray(m))
     total = 2.0 * rep.gamma * (q @ q)
     for point, w in rep.points():
         u = point.u

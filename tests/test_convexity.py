@@ -37,6 +37,7 @@ from matconvex.linalg import (
     _probe_points,
     apply_function,
     entrywise,
+    factor,
     from_spectrum,
     min_eigenvalue,
     spectral_function,
@@ -87,12 +88,8 @@ def test_witness_stream_id_is_absolute():
 
 
 def test_factored_witnesses_regenerate_from_their_stream_id():
-    # matrices and factors alike are the draws of the witness's own stream
+    # the one exact replay: a witness's matrices are the draws of its own stream
     v = second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC)
-    rng = RandomSpec(SPEC.seed, v.witness["stream_id"]).rng()
-    (w,), (u,) = random_in_window_factors(2, NARROW, [rng])
-    np.testing.assert_array_equal(v.witness["M_eigenvalues"], w)
-    np.testing.assert_array_equal(v.witness["M_eigenvectors"], u)
     np.testing.assert_array_equal(
         v.witness["M"],
         random_in_window_rows(2, NARROW, [RandomSpec(SPEC.seed, v.witness["stream_id"]).rng()])[0])
@@ -101,8 +98,6 @@ def test_factored_witnesses_regenerate_from_their_stream_id():
     np.testing.assert_array_equal(v.witness["weights"], random_simplex(3, rng))
     for k in range(3):
         w, u = random_in_window_factors(2, NARROW, [rng])
-        np.testing.assert_array_equal(v.witness["matrices_eigenvalues"][k], w[0])
-        np.testing.assert_array_equal(v.witness["matrices_eigenvectors"][k], u[0])
         np.testing.assert_array_equal(v.witness["matrices"][k], from_spectrum(w, u)[0])
 
 
@@ -347,26 +342,6 @@ def test_an_out_of_window_factor_row_raises():
                       (good, (w, u)))
 
 
-@pytest.mark.parametrize("key", ["A0_eigenvalues", "A1_eigenvectors"])
-def test_replay_refuses_factors_that_do_not_rebuild_the_matrix(key):
-    v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
-    witness = {**v.witness, key: v.witness[key] * (1.0 + 1e-9)}
-    with pytest.raises(ValueError, match=f"witness factors of '{key[:2]}'"):
-        replay_witness(builtin("x4"), witness)
-    # a witness stored without its factors is regenerated from its stream id
-    witness = {k: val for k, val in v.witness.items() if k != key}
-    with pytest.raises(ValueError, match=f"witness has no '{key}'"):
-        replay_witness(builtin("x4"), witness)
-    m = {"jensen": "matrices", "second_derivative": "M"}
-    for kind, test in (("jensen", lambda: jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)),
-                       ("second_derivative",
-                        lambda: second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC))):
-        witness = dict(test().witness)
-        witness[f"{m[kind]}_eigenvalues"] = np.asarray(witness[f"{m[kind]}_eigenvalues"]) + 1e-9
-        with pytest.raises(ValueError, match=f"witness factors of '{m[kind]}'"):
-            replay_witness(builtin("x4"), witness)
-
-
 def test_kernel_is_nonnegative_with_kink():
     assert kernel_K(0.3, -0.1) == 0.0
     assert kernel_K(0.3, 1.1) == 0.0
@@ -437,7 +412,9 @@ def test_witness_replay_reproduces_margin(name):
 def test_jensen_replay_equals_its_trial():
     v = jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)
     assert v.status == "violated"
-    assert replay_witness(builtin("x4"), v.witness) == v.witness["margin"]
+    assert replay_witness(builtin("x4"), v.witness) == pytest.approx(
+        v.witness["margin"], abs=1e-14
+    )
 
 
 def test_witness_replay_loewner():
@@ -657,6 +634,55 @@ def test_replay_refuses_a_non_hermitian_direction(matrix):
     replay_witness(builtin("x4"), witness)
     with pytest.raises(HermiticityError):
         replay_witness(builtin("x4"), {**witness, "Q": NOT_HERMITIAN[matrix]})
+
+
+#: A violated run of each witness kind, and the sampled data its witness holds.
+VIOLATED = {
+    "definition": (lambda: definition_test(builtin("x4"), NARROW, 2, 1000, SPEC),
+                   {"A0", "A1", "lam"}),
+    "jensen": (lambda: jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC),
+               {"matrices", "weights"}),
+    "second_derivative": (lambda: second_derivative_test(builtin("x4"), NARROW, 2, 500, SPEC),
+                          {"M", "Q"}),
+    "loewner": (lambda: monotonicity_test(builtin("x3"), WINDOW, 4, 100, SPEC), {"sites"}),
+    "secant": (lambda: secant_test(builtin("x4"), 1.05, NARROW, 2, 200, RandomSpec(1)),
+               {"sites", "y"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VIOLATED))
+def test_a_witness_holds_only_what_was_sampled(kind):
+    run, sampled = VIOLATED[kind]
+    v = run()
+    assert v.status == "violated" and v.witness["kind"] == kind
+    assert v.witness.keys() == {"kind", "stream_id", "margin", *sampled}
+
+
+@pytest.mark.parametrize("kind", ["definition", "jensen", "second_derivative"])
+def test_a_witness_that_stored_its_factors_replays_as_one_that_did_not(kind):
+    # an older format stored each sampled matrix's (w, U) next to it, under
+    # KEY_eigenvalues and KEY_eigenvectors; replay reads the matrices alone
+    run, sampled = VIOLATED[kind]
+    witness = run().witness
+    stored = dict(witness)
+    for key in sampled & {"A0", "A1", "M", "matrices"}:
+        stored[f"{key}_eigenvalues"], stored[f"{key}_eigenvectors"] = factor(
+            np.asarray(witness[key]))
+    replayed = replay_witness(builtin("x4"), witness)
+    assert replay_witness(builtin("x4"), stored) == replayed
+    assert replayed == pytest.approx(witness["margin"], abs=1e-12)
+
+
+@pytest.mark.parametrize("matrix", sorted(NOT_HERMITIAN))
+@pytest.mark.parametrize("kind, key", [("definition", "A0"), ("definition", "A1"),
+                                       ("jensen", "matrices"), ("second_derivative", "M")])
+def test_replay_refuses_a_non_hermitian_matrix(kind, key, matrix):
+    witness = VIOLATED[kind][0]().witness
+    bad = NOT_HERMITIAN[matrix]
+    replay_witness(builtin("x4"), witness)
+    with pytest.raises(HermiticityError):
+        replay_witness(builtin("x4"), {
+            **witness, key: [bad, *witness[key][1:]] if key == "matrices" else bad})
 
 
 def test_zero_trials_is_an_error():

@@ -198,12 +198,12 @@ def test_serialize_witness_handles_arrays():
     assert serialize_witness(None) is None
 
 
-def test_serialize_witness_handles_a_list_of_spectra():
+def test_serialize_witness_handles_a_list_of_matrices():
     v = jensen_test(builtin("x4"), SpectrumWindow(0.1, 2.0), 2, 3, 500, RandomSpec(2024))
     assert v.status == "violated"
     out = json.loads(json.dumps(serialize_witness(v.witness)))
-    assert out["matrices_eigenvalues"] == [list(w) for w in v.witness["matrices_eigenvalues"]]
-    assert [m["dim"] for m in out["matrices_eigenvectors"]] == [2, 2, 2]
+    assert out["matrices"] == [matrix_to_dict(m) for m in v.witness["matrices"]]
+    assert out["weights"] == [float(w) for w in v.witness["weights"]]
 
 
 def test_load_json_error_reporting(tmp_path):

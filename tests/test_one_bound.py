@@ -22,15 +22,20 @@ DIRECT = {
 
 def call_sites(source: str, name: str) -> dict[str, int]:
     """Function (``<module>`` at top level) -> number of calls to ``name``,
-    as a plain name (``name(...)``) or an attribute (``mio.name(...)``)."""
+    as a plain name (``name(...)``) or an attribute (``mio.name(...)``).  A
+    dotted ``name`` such as ``mio.load`` counts only that attribute of that
+    module alias, so ``json.load(...)`` is no ``mio.load`` call."""
     sites: dict[str, int] = {}
+    alias, _, attr = name.rpartition(".")
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
                 if (isinstance(func, ast.Name) and func.id == name
-                        or isinstance(func, ast.Attribute) and func.attr == name):
+                        or isinstance(func, ast.Attribute) and func.attr == attr
+                        and (not alias or isinstance(func.value, ast.Name)
+                             and func.value.id == alias)):
                     sites[owner] = sites.get(owner, 0) + 1
             visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
@@ -47,6 +52,8 @@ def test_the_detector_finds_every_call():
               "        return mio.check_record('b', 1.0, {})\n"
               "    return check_record('c', 1.0, {}), check_record\n")
     assert call_sites(source, "check_record") == {"<module>": 1, "inner": 1, "f": 1}
+    assert call_sites(source, "mio.check_record") == {"inner": 1}
+    assert call_sites(source, "json.check_record") == {}
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT))

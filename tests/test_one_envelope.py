@@ -34,7 +34,7 @@ def test_no_function_builds_a_seed_config():
 
 def test_every_input_file_is_read_through_load():
     assert call_sites(CLI, "load_json") == {}
-    assert set(call_sites(CLI, "load")) == {
+    assert set(call_sites(CLI, "mio.load")) == {
         "cmd_check_entropy", "cmd_certify_representation", "_fixed_tuple", "_kubo_ando"}
     # both tuple batteries read their --tuple through the one sized reader
     assert call_sites(CLI, "_fixed_tuple") == {"_parallel_sum": 1, "_tensor_power": 1}

@@ -1,12 +1,14 @@
 """Resolvent calculus: exact derivatives, the two evaluation routes of a
 representation, and input validation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import fd_step, second_difference
 from matconvex.convexity import ScalarFunction, line_second_derivative
-from matconvex.errors import ConditioningError, DomainViolationError
+from matconvex.errors import ConditioningError, DomainViolationError, HermiticityError
 from matconvex.linalg import SpectrumWindow, _probe_points, apply_function
 from matconvex.rand import (
     RandomSpec,
@@ -53,8 +55,11 @@ def test_resolvent_value_matches_scalar_calculus():
 
 def test_resolvent_near_singular_refused():
     a = np.diag([1.0, 5.0 - 1e-13]) + 0.0j
-    with pytest.raises(ConditioningError):
+    with pytest.raises(ConditioningError, match="^u=5.0 within"):
         resolvent_value(a, ResolventPoint(5.0, WINDOW))
+    stack = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), a])
+    with pytest.raises(ConditioningError, match="^row 2: u=5.0 within .* of an eigenvalue of A;"):
+        resolvent_value(stack, ResolventPoint(5.0, WINDOW))
 
 
 def test_resolvent_spectrum_check():
@@ -206,3 +211,28 @@ def test_pure_quadratic_representation_is_x2_like():
     q = np.array([[0.0, 1.0], [1.0, 0.0]])
     d2 = pick_second_derivative(rep, np.eye(2), q)
     np.testing.assert_allclose(d2, 3.0 * np.eye(2), atol=1e-14)
+
+
+#: A nilpotent direction (whose lower triangle reads as 0) and a non-finite one.
+BAD_DIRECTIONS = {"nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  "nan": np.array([[1.0, math.nan], [math.nan, 2.0]])}
+
+
+@pytest.mark.parametrize("q", sorted(BAD_DIRECTIONS))
+def test_the_resolvent_route_refuses_a_bad_direction(q):
+    # as line_second_derivative does, and not with a zero or NaN derivative
+    a, point = np.diag([1.0, 2.0]), ResolventPoint(7.0, WINDOW)
+    for derivative in (lambda: resolvent_second_derivative(a, BAD_DIRECTIONS[q], point),
+                       lambda: pick_second_derivative(REP, a, BAD_DIRECTIONS[q]),
+                       lambda: line_second_derivative(pick_scalar_function(REP), a,
+                                                      BAD_DIRECTIONS[q])):
+        with pytest.raises(HermiticityError):
+            derivative()
+
+
+@pytest.mark.parametrize("m", sorted(BAD_DIRECTIONS))
+def test_an_atomless_representation_checks_its_point(m):
+    # no resolvent checks M, so the representation must
+    rep = PickRepresentation(0.0, 0.0, 1.5, 1.0, WINDOW)
+    with pytest.raises(HermiticityError):
+        pick_second_derivative(rep, BAD_DIRECTIONS[m], np.eye(2))

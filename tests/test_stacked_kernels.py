@@ -1,6 +1,9 @@
 """Stacked kernels: row t of a stacked call equals the 2-D call on row t bit
 for bit, and the gates name the first bad row."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,10 @@ from matconvex import entropy as ent
 from matconvex import jointconcavity as jc
 from matconvex import resolvent as rv
 from matconvex.errors import ConditioningError, HermiticityError, ValidationError
-from matconvex.linalg import SpectrumWindow
+from matconvex.linalg import SpectrumWindow, raise_rows
 from matconvex.rand import RandomSpec, random_densities, random_in_window_rows
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "matconvex"
 WINDOW = SpectrumWindow(0.1, 5.0)
 ROWS = 6
 MEAN = jc.KuboAndoRepresentation(0.3, 0.2, atoms=((1.0, 0.5), (4.0, 0.25)))
@@ -120,13 +124,35 @@ def _with_bad_row(stack, row, defect):
     return bad
 
 
+def test_raise_rows_names_the_first_flagged_row_of_a_stack():
+    raise_rows(np.zeros(3, bool), ValueError, "never raised")
+    raise_rows(np.False_, ValueError, "never raised")
+    with pytest.raises(ValueError, match="^row 1: bad 1$"):
+        raise_rows(np.array([False, True, True]), ValueError, lambda k: f"bad {k}")
+    with pytest.raises(ValidationError, match="^bad$"):  # one matrix: no row to name
+        raise_rows(np.True_, ValidationError, "bad")
+
+
+def test_only_linalg_builds_a_row_message():
+    # every other module names a bad row through linalg.raise_rows
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                for text, value in zip(node.values, node.values[1:]):
+                    assert not (isinstance(text, ast.Constant) and text.value.endswith("row ")
+                                and isinstance(value, ast.FormattedValue)), \
+                        f"{path.name}:{node.lineno} builds a row message"
+
+
 def test_the_tuple_gate_names_the_first_bad_row():
     a, b = _stacks(2, 3, 13)
     asymmetric = _with_bad_row(b, 4, lambda m: m + np.triu(np.ones((3, 3)), 1))
     with pytest.raises(HermiticityError, match="row 4"):
         jc.parallel_sum([a, asymmetric])
     singular = _with_bad_row(a, 2, lambda m: m - np.linalg.eigvalsh(m)[0] * np.eye(3))
-    with pytest.raises(ConditioningError, match="tuple entry 1 row 2"):
+    with pytest.raises(ConditioningError, match="row 2: tuple entry 1 has"):
         jc.parallel_sum_certificate([b, singular], _directions(2, 3, 14))
 
 
