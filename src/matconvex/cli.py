@@ -204,7 +204,10 @@ def _parallel_sum(args, spec: RandomSpec) -> dict:
 
 def _tensor_power(args, spec: RandomSpec) -> dict:
     """Chunks are sized as rows of n^k x n^k matrices, 32 x 32 at least: at most
-    14 rows of a (points, n^k) resolvent temporary, 1 MB a row, under 16 MB."""
+    14 rows of a (points, n^k) resolvent temporary, 1 MB a row, under 16 MB.
+    They stay on one thread: the quadrature is elementwise work that holds
+    the GIL, and up to n^k = 64 two threads took up to 35 % more wall time
+    at k = 2, and saved at most 7 % for 25 % more CPU at k = 3."""
     p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
     fixed = _fixed_tuple(args, len(p))
 
@@ -214,7 +217,7 @@ def _tensor_power(args, spec: RandomSpec) -> dict:
     # a fixed tuple gives the same error in every trial: evaluate it once
     errors = jc.tensor_power_errors(fixed, p, [args.nodes])[0] if fixed else cx.stacked_rows(
         spec, args.trials, max(32, args.n ** len(p)),
-        lambda rngs: jc.tensor_power_errors(draw(rngs), p, [args.nodes]))[0]
+        lambda rngs: jc.tensor_power_errors(draw(rngs), p, [args.nodes]), threads=False)[0]
     curve = ({"error_curve_16_to_128": jc.tensor_power_errors(
         fixed or [m[0] for m in draw(spec.rngs([0]))], p, jc.ERROR_CURVE_NODES)}
         if args.error_curve else {})

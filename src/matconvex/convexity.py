@@ -12,14 +12,16 @@ NaN margin never certifies.  Every randomized test is a stacked trial run by
 :func:`run_trials` on :func:`stacked_rows`, the one battery engine: trial t
 draws from its own stream ``spec.stream(t)`` as a lone trial would, but a
 chunk of trials is one ``(T, n, n)`` stack, so one eigensolve serves every
-row; a violating trial's witness is rebuilt from its stream.  A sampled
-matrix travels with its spectral factors (lambda, U) from the sampler, and f
-and the Daleckii-Krein derivative are evaluated from them: the only
-eigensolves left are of the mixtures A_lambda and the Jensen barycenter, which
-no sampler made.  A witness holds only what was sampled (matrices, weights,
-direction), never their factors: :func:`replay_witness` evaluates it through
-the matrix path to rounding, and ``RandomSpec(seed, stream_id)`` redraws it
-bit for bit.
+row; a violating trial's witness is rebuilt from its stream.  Chunks share
+nothing, so at n >= 32 with BLAS pinned they run on as many threads as the
+free CPUs allow, and their outputs come back in stream order, bit for bit as
+one thread gives them.  A sampled matrix travels with its spectral factors
+(lambda, U) from the sampler, and f and the Daleckii-Krein derivative are
+evaluated from them: the only eigensolves left are of the mixtures A_lambda
+and the Jensen barycenter, which no sampler made.  A witness holds only what
+was sampled (matrices, weights, direction), never their factors:
+:func:`replay_witness` evaluates it through the matrix path to rounding, and
+``RandomSpec(seed, stream_id)`` redraws it bit for bit.
 A randomized run can refute but never prove; `certified` means "no violation
 found at the stated resolution".
 """
@@ -28,6 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from contextvars import copy_context
+from threading import Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,9 +73,32 @@ _CONFLUENT = np.finfo(float).eps ** (1.0 / 3.0)
 _ROUNDING = 4.0 * np.finfo(float).eps
 #: Matrix entries per chunk of stacked trials, where each trial's generator
 #: (about 2 kB, alive for the whole chunk) counts as 128 entries: one trial at
-#: n = 128, 124 at n = 2, so a chunk never holds more than one large-n trial.
+#: n = 128, 124 at n = 2, so a chunk never holds more than one large-n trial
+#: (one per thread when chunks run on threads).
 _TRIAL_CHUNK = 1 << 14
 _GENERATOR_ENTRIES = 128
+#: Chunks of n x n rows run on threads from this n on, where LAPACK, which
+#: releases the GIL, does most of their work.  On a 2-CPU host with BLAS
+#: pinned, two threads changed definition_test's wall / CPU time by +26 % /
+#: +72 % at n = 4, -21 % / +24 % at n = 8, -26 % / +6 % at n = 16 (Jensen:
+#: +19 % CPU), -33 % / +7 % at n = 32 and -37 % / +4 % at n = 128.
+_THREADED_N = 32
+
+
+def _blas_threads(environ=os.environ) -> int | None:
+    """The BLAS thread count, read as OpenBLAS reads it when it loads:
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; a value that is not a
+    positive integer counts as unset, and None (neither set) means BLAS
+    threads already use every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return None
+
+
+#: read once, on import, as BLAS reads it once, when numpy loads
+_BLAS_THREADS = _blas_threads()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,33 +137,87 @@ def _chunk_rows(n: int) -> int:
     return max(1, _TRIAL_CHUNK // (n * n + _GENERATOR_ENTRIES))
 
 
-def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable):
+def _workers(n: int, chunks: int) -> int:
+    """Threads for ``chunks`` chunks of n x n rows, the calling one included:
+    one below ``_THREADED_N`` or when BLAS is not pinned (its own threads then
+    fill the CPUs), else the CPUs of the affinity mask over the BLAS threads,
+    at most one per chunk."""
+    if n < _THREADED_N or _BLAS_THREADS is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(chunks, (cpus or 1) // _BLAS_THREADS))
+
+
+def _map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on the calling thread and
+    ``workers - 1`` helper threads, each taking the next item off one counter
+    and running in a copy of the caller's context (numpy's ``errstate`` lives
+    there).  Raises what that loop would: the error of the first failing
+    item, once the items before it are done; no later item starts after it
+    fails."""
+    results, errors, lock = [None] * len(items), {}, Lock()
+    state = {"next": 0, "stop": len(items)}
+
+    def work():
+        while True:
+            with lock:
+                i = state["next"]
+                if i >= state["stop"]:
+                    return
+                state["next"] = i + 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as err:  # noqa: BLE001 - raised below, in order
+                with lock:
+                    errors[i] = err
+                    state["stop"] = min(state["stop"], i)
+                return
+
+    helpers = [Thread(target=copy_context().run, args=(work,)) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads: bool = True):
     """The one battery engine: ``body(rngs)`` on each chunk of
     :func:`_chunk_rows` (n) streams of ``spec.stream(0 .. trials-1)`` (hashed
     in one batch) returns a sequence of per-row outputs; each comes back
     concatenated in stream order, in a tuple.  Row t of a chunk draws from
     ``rngs[t]``; stacked kernels give a row bit for bit as its lone call, so
-    the output does not depend on the chunking."""
+    the output does not depend on the chunking.  A chunk's generators are
+    built from its own rows of the batch and it shares nothing with another,
+    so chunks run on :func:`_workers` threads unless ``threads`` is False,
+    as a body that holds the GIL (Python draws, small kernels) asks: outputs,
+    and the error raised (the first failing chunk's), are those of one
+    thread."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rows, words = _chunk_rows(n), spec.seed_words(range(trials))
-    outs = [body(generators(words[start:start + rows])) for start in range(0, trials, rows)]
+    starts = range(0, trials, rows)
+    outs = _map_in_order(lambda start: body(generators(words[start:start + rows])),
+                         starts, _workers(n, len(starts)) if threads else 1)
     return tuple(map(np.concatenate, zip(*outs)))
 
 
 def run_trials(
     trial: Callable[[list[np.random.Generator]], tuple[np.ndarray, Callable[[int], dict]]],
-    trials: int, spec: RandomSpec, n: int,
+    trials: int, spec: RandomSpec, n: int, threads: bool = True,
 ) -> Verdict:
     """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
 
-    :func:`stacked_rows`, then :func:`_aggregate`, the only route to a
-    :class:`Verdict`.  ``trial(rngs)`` returns the ``(T,)`` margins of its
-    stack and ``witness(t)``, the data that replays row t, under ``kind``.
-    Only margins are kept: the first violating trial's witness comes from
-    ``trial`` rerun on that one stream, stamped with its ``stream_id`` and
-    margin."""
-    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1])
+    :func:`stacked_rows` (``threads`` passed on), then :func:`_aggregate`,
+    the only route to a :class:`Verdict`.  ``trial(rngs)`` returns the
+    ``(T,)`` margins of its stack and ``witness(t)``, the data that replays
+    row t, under ``kind``.  Only margins are kept: the first violating
+    trial's witness comes from ``trial`` rerun on that one stream, stamped
+    with its ``stream_id`` and margin."""
+    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads)
 
     def witness(t: int) -> dict:
         return {**trial(spec.rngs([t]))[1](0),
@@ -373,7 +455,9 @@ def monotonicity_test(
 ) -> Verdict:
     """Matrix monotonicity via positivity of random Loewner matrices.  A trial
     whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
-    the others run as one Loewner stack and one ``eigvalsh`` per site count."""
+    the others run as one Loewner stack and one ``eigvalsh`` per site count.
+    The site draws hold the GIL, so the chunks stay on one thread: on two
+    they took 25 to 73 % more wall time at 32 to 256 sites."""
     inner = window.shrunk()
     low, span = uniform_range(inner.a, inner.b)
     min_sep = 1e-3 * (window.b - window.a)
@@ -396,7 +480,7 @@ def monotonicity_test(
                 margins[rows] = np.linalg.eigvalsh(loewner)[:, 0]
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
-    return run_trials(trial, trials, spec, max_sites)
+    return run_trials(trial, trials, spec, max_sites, threads=False)
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:
@@ -428,7 +512,12 @@ def secant_test(f: ScalarFunction, y: float, window: SpectrumWindow, max_sites: 
 
 def replay_witness(f: ScalarFunction, witness: dict) -> float:
     """Recompute the margin of a stored witness from its data alone, through
-    the matrix path, which checks every matrix; other keys are ignored."""
+    the matrix path, which checks every matrix; other keys are ignored.  The
+    witness may be in memory or as a report holds it, its matrices as matrix
+    documents, which :func:`io.witness_from_dict` reads back."""
+    from .io import witness_from_dict  # io imports this module
+
+    witness = witness_from_dict(witness)
     kind = witness["kind"]
     if kind == "definition":
         return min_eigenvalue(convexity_gap(f, witness["A0"], witness["A1"], witness["lam"]))

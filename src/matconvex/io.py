@@ -193,6 +193,22 @@ def serialize_witness(witness: dict | None) -> dict | None:
     return {key: _jsonable(val) for key, val in witness.items()}
 
 
+def witness_from_dict(witness: dict) -> dict:
+    """A witness as :func:`serialize_witness` wrote it, with each matrix
+    document (a lone one, or a Jensen witness's list of them) read back by
+    :func:`matrix_from_dict`, bit for bit; every other value, an in-memory
+    matrix included, is kept as it is."""
+    return {key: _matrices(val) for key, val in witness.items()}
+
+
+def _matrices(val):
+    if isinstance(val, dict):
+        return matrix_from_dict(val)[0]
+    if isinstance(val, list) and val and all(isinstance(v, dict) for v in val):
+        return [matrix_from_dict(v)[0] for v in val]
+    return val
+
+
 def _jsonable(val):
     if isinstance(val, np.ndarray):
         return matrix_to_dict(val) if val.ndim == 2 else [float(x) for x in val]

@@ -139,6 +139,19 @@ def test_certify_function_witnesses_carry_only_what_was_sampled(tmp_path, capsys
         assert witness.keys() == {"kind", "stream_id", "margin", *sampled}
 
 
+def test_every_report_witness_replays_to_its_margin(capsys):
+    # the matrices of a report's witness are matrix documents
+    code = main(["certify-function", "--f", "x4", "--window", "0.1,2", "--n", "2",
+                 "--mode", "all", "--seed", "1", "--format", "json"])
+    assert code == 1
+    witnesses = {c["name"]: c["witness"] for c in json.loads(capsys.readouterr().out)["checks"]
+                 if "witness" in c}
+    assert witnesses.keys() >= {"definition", "second_derivative"}
+    for name, witness in witnesses.items():
+        assert cx.replay_witness(cx.builtin("x4"), witness) == pytest.approx(
+            witness["margin"], abs=1e-12), name
+
+
 def test_certify_function_without_closed_forms_is_a_usage_error(monkeypatch, capsys):
     x4 = cx.builtin("x4")
     monkeypatch.setitem(cx.BUILTINS, "x4", cx.ScalarFunction("x4", x4.fn, x4.domain))

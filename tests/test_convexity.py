@@ -1,5 +1,6 @@
 """Detector batteries against functions with known ground truth."""
 
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from matconvex.convexity import (
     spectral_second_derivative,
 )
 from matconvex.errors import DomainViolationError, HermiticityError
+from matconvex.io import serialize_witness, witness_from_dict
 from matconvex.linalg import (
     SpectrumWindow,
     _probe_points,
@@ -670,6 +672,19 @@ def test_a_witness_that_stored_its_factors_replays_as_one_that_did_not(kind):
             np.asarray(witness[key]))
     replayed = replay_witness(builtin("x4"), witness)
     assert replay_witness(builtin("x4"), stored) == replayed
+    assert replayed == pytest.approx(witness["margin"], abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(VIOLATED))
+def test_a_witness_as_a_report_holds_it_replays_bit_for_bit(kind):
+    witness = VIOLATED[kind][0]().witness
+    saved = json.loads(json.dumps(serialize_witness(witness)))
+    decoded = witness_from_dict(saved)
+    for key, value in witness.items():
+        assert np.array_equal(decoded[key], value), key
+    f = builtin("x3" if kind == "loewner" else "x4")
+    replayed = replay_witness(f, witness)
+    assert replay_witness(f, saved) == replayed
     assert replayed == pytest.approx(witness["margin"], abs=1e-12)
 
 

@@ -203,6 +203,25 @@ def test_batched_checks_repeat_across_processes_and_blas_threads():
     assert one == two
 
 
+def test_certify_function_reports_match_on_threads_and_on_one():
+    # n = 32: with one BLAS thread the engine may run its chunks on threads;
+    # with two it stays serial
+    code = ("import contextlib, io, json\n"
+            "from matconvex.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    main(['certify-function', '--f', 'x4', '--window', '0.1,2', '--n', '32',\n"
+            "          '--mode', 'all', '--trials', '40', '--seed', '1', '--format', 'json'])\n"
+            "report = json.loads(out.getvalue())\n"
+            "for check in report['checks']:\n"
+            "    check['timing'] = None\n"
+            "print(json.dumps(report, sort_keys=True))\n")
+    threaded, serial = _in_child(code, "1"), _in_child(code, "2")
+    statuses = [c["status"] for c in json.loads(threaded)["checks"]]
+    assert statuses == ["violated"] * 5
+    assert threaded == serial
+
+
 def test_run_suite_needs_only_numpy():
     # scipy is a test oracle, not a runtime dependency: with its import
     # blocked, run-suite still exits 0 and every check passes

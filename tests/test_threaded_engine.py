@@ -1,0 +1,263 @@
+"""The battery engine on threads: chunks of n >= 32 rows may run on helper
+threads, and every verdict, margin, witness and battery output is bit for
+bit what one thread gives; below that size, with BLAS unpinned or on one
+CPU, no thread starts."""
+
+import json
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from matconvex import convexity as cx
+from matconvex.cli import main
+from matconvex.io import kubo_ando_to_dict, save_json
+from matconvex.jointconcavity import KuboAndoRepresentation
+from matconvex.linalg import SpectrumWindow
+from matconvex.rand import RandomSpec
+from matconvex.resolvent import PickRepresentation, certify_representation
+from matconvex.suite import run_suite
+
+WINDOW = SpectrumWindow(0.1, 5.0)
+NARROW = SpectrumWindow(0.1, 2.0)
+SPEC = RandomSpec(2024)
+N = 32
+ROWS = cx._chunk_rows(N)
+TRIALS = 3 * ROWS - 2  # three chunks, the last one short
+
+#: The five run_trials batteries at n = 32; the definition and secant tests
+#: are violated.
+BATTERIES = {
+    "definition": lambda: cx.definition_test(cx.builtin("x4"), NARROW, N, TRIALS, SPEC),
+    "jensen": lambda: cx.jensen_test(cx.builtin("inv"), WINDOW, N, 3, TRIALS, SPEC),
+    "second_derivative": lambda: cx.second_derivative_test(
+        cx.builtin("neglog"), WINDOW, N, TRIALS, SPEC),
+    "monotonicity": lambda: cx.monotonicity_test(cx.builtin("sqrt"), WINDOW, N, TRIALS, SPEC),
+    "secant": lambda: cx.secant_test(cx.builtin("x3"), 1.0, NARROW, N, TRIALS, SPEC),
+    "certify_representation": lambda: certify_representation(
+        PickRepresentation(0.5, -0.2, 0.3, 1.0, WINDOW, atoms=((-1.0, 0.4), (7.0, 0.25))),
+        N, TRIALS, SPEC),
+}
+
+
+#: batteries whose chunks hold the GIL, and so stay on one thread
+ONE_THREAD = {"monotonicity", "secant", "tensor-power"}
+
+
+class NoThreads(threading.Thread):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the engine started a thread")
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads the engine starts, counted."""
+    count = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            count.append(self)
+            super().start()
+
+    monkeypatch.setattr(cx, "Thread", Counted)
+    return count
+
+
+def _run(monkeypatch, workers, run):
+    """``run()`` with the engine's worker count forced, and the margins that
+    its verdict reduced (None for a run that makes no verdict)."""
+    seen, aggregate = {}, cx._aggregate
+
+    def spy(margins, witness):
+        seen["margins"] = np.asarray(margins)
+        return aggregate(margins, witness)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cx, "_workers", lambda n, chunks: workers)
+        patch.setattr(cx, "_aggregate", spy)
+        return run(), seen.get("margins")
+
+
+def _same_witness(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(BATTERIES))
+def test_every_battery_is_bit_identical_on_two_threads(monkeypatch, started, name):
+    one, margins_one = _run(monkeypatch, 1, BATTERIES[name])
+    assert not started
+    two, margins_two = _run(monkeypatch, 2, BATTERIES[name])
+    assert len(started) == (name not in ONE_THREAD)
+    assert (two.status, two.trials) == (one.status, one.trials) == (
+        "violated" if name in ("definition", "secant") else "certified", TRIALS)
+    assert np.array_equal(margins_two, margins_one, equal_nan=True)
+    assert two.worst_margin == one.worst_margin
+    _same_witness(two.witness, one.witness)
+
+
+def _battery_args(name, tmp_path):
+    if name == "tensor-power":  # rows of 9 x 9 products, chunked as 32 x 32
+        return ["--n", "3"]
+    if name == "kubo-ando":
+        path = tmp_path / "mean.json"
+        save_json(str(path), kubo_ando_to_dict(KuboAndoRepresentation(0.3, 0.2)))
+        return ["--n", str(N), "--rep", str(path)]
+    return ["--n", str(N)]
+
+
+@pytest.mark.parametrize("name", ["parallel-sum", "tensor-power", "lieb", "kubo-ando"])
+def test_every_concavity_battery_is_bit_identical_on_two_threads(
+        monkeypatch, started, tmp_path, capsys, name):
+    outputs, engine = [], cx.stacked_rows
+
+    def spy(*args, **kwargs):
+        outputs.append(engine(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(cx, "stacked_rows", spy)
+    argv = ["check-concavity", name, "--trials", str(TRIALS), "--seed", "3", "--format", "json",
+            *_battery_args(name, tmp_path)]
+    reports = []
+    for workers in (1, 2):
+        code, _ = _run(monkeypatch, workers, lambda: main(argv))
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append([{**check, "timing": None} for check in report["checks"]])
+    assert len(started) == (name not in ONE_THREAD) and reports[0] == reports[1]
+    (serial, threaded) = outputs
+    assert len(serial) == len(threaded)
+    for a, b in zip(serial, threaded):
+        assert len(a) == TRIALS and np.array_equal(a, b)
+
+
+@pytest.fixture
+def two_cpus_blas_pinned(monkeypatch):
+    """A host where the engine would thread: two CPUs, one BLAS thread."""
+    monkeypatch.setattr(cx, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cx, "Thread", NoThreads)
+
+
+def test_the_guard_sees_a_thread(two_cpus_blas_pinned):
+    assert cx._workers(N, 3) == 2
+    with pytest.raises(AssertionError, match="started a thread"):
+        BATTERIES["definition"]()
+
+
+def test_below_the_threshold_the_engine_stays_serial(two_cpus_blas_pinned):
+    assert cx._workers(N - 1, 100) == 1
+    cx.definition_test(cx.builtin("x2"), WINDOW, N - 1, 3 * cx._chunk_rows(N - 1), SPEC)
+    records = run_suite(1)
+    assert [r["status"] for r in records] == ["pass"] * len(records)
+
+
+def test_with_blas_unpinned_the_engine_stays_serial(two_cpus_blas_pinned, monkeypatch):
+    monkeypatch.setattr(cx, "_BLAS_THREADS", None)
+    assert cx._workers(N, 3) == 1
+    BATTERIES["definition"]()
+
+
+def test_on_one_cpu_the_engine_stays_serial(two_cpus_blas_pinned, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cx._workers(N, 3) == 1
+    BATTERIES["definition"]()
+
+
+def test_blas_threads_fill_the_cpus(two_cpus_blas_pinned, monkeypatch):
+    monkeypatch.setattr(cx, "_BLAS_THREADS", 2)
+    assert cx._workers(N, 3) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert cx._workers(N, 3) == 3  # at most one thread per chunk
+    assert cx._workers(N, 10) == 4
+
+
+@pytest.mark.parametrize("environ, count", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": ""}, None),
+])
+def test_the_blas_thread_count_is_read_as_openblas_reads_it(environ, count):
+    assert cx._blas_threads(environ) == count
+
+
+CHUNKS = 5
+#: chunk k of SPEC's streams, told apart by the first draw of its first stream
+FIRST = [SPEC.stream(k * ROWS).rng().random() for k in range(CHUNKS)]
+
+
+def test_outputs_come_back_in_stream_order(monkeypatch, started):
+    # chunk 0 finishes last
+    def body(rngs):
+        k = FIRST.index(rngs[0].random())
+        time.sleep(0.05 if k == 0 else 0.0)
+        return np.full(len(rngs), k), np.arange(len(rngs))
+
+    monkeypatch.setattr(cx, "_workers", lambda n, count: 2)
+    chunk, row = cx.stacked_rows(SPEC, CHUNKS * ROWS - 1, N, body)
+    assert len(started) == 1
+    assert np.array_equal(chunk, np.arange(CHUNKS * ROWS - 1) // ROWS)
+    assert np.array_equal(row, np.arange(CHUNKS * ROWS - 1) % ROWS)
+
+
+def test_every_item_runs_once_on_more_threads_than_cpus():
+    # a switch every microsecond: a lost update of the shared counter would
+    # run an item twice or skip one
+    calls, interval, before = [], sys.getswitchinterval(), threading.active_count()
+
+    def fn(item):
+        calls.append(item)
+        return sum(range(item % 50)) + item
+
+    sys.setswitchinterval(1e-6)
+    try:
+        out = cx._map_in_order(fn, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [fn(item) for item in range(3000)]
+    assert sorted(calls[:3000]) == list(range(3000))
+    assert threading.active_count() == before  # every helper joined
+
+
+def test_helper_threads_keep_the_callers_error_state(monkeypatch, started):
+    def body(rngs):
+        return (np.full(len(rngs), np.geterr()["invalid"]),)
+
+    monkeypatch.setattr(cx, "_workers", lambda n, count: 2)
+    with np.errstate(invalid="raise"):
+        (states,) = cx.stacked_rows(SPEC, CHUNKS * ROWS, N, body)
+    assert len(started) == 1 and set(states) == {"raise"}
+
+
+@pytest.mark.parametrize("slow, after", [
+    (1, {0, 1, 2, 3}),  # chunk 1 fails after chunk 3 has failed on the other thread
+    (0, {0, 1}),        # chunk 1 fails while chunk 0 runs: chunk 2 never starts
+])
+def test_the_first_failing_chunk_in_stream_order_raises(monkeypatch, started, slow, after):
+    ran = []
+
+    def body(rngs):
+        k = FIRST.index(rngs[0].random())
+        ran.append(k)
+        time.sleep(0.05 if k == slow else 0.0)
+        if k in (1, 3):
+            raise ValueError(f"chunk {k}")
+        return (np.zeros(len(rngs)),)
+
+    for workers in (1, 2):
+        ran.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cx, "_workers", lambda n, count: workers)
+            with pytest.raises(ValueError, match="^chunk 1$"):
+                cx.stacked_rows(SPEC, CHUNKS * ROWS, N, body)
+        assert {0, 1} <= set(ran) <= after
+    assert len(started) == 1
