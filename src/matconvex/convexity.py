@@ -12,13 +12,17 @@ NaN margin never certifies.  Every randomized test is a stacked trial run by
 :func:`run_trials` on :func:`stacked_rows`, the one battery engine: trial t
 draws from its own stream ``spec.stream(t)`` as a lone trial would, but a
 chunk of trials is one ``(T, n, n)`` stack, so one eigensolve serves every
-row; a violating trial's witness is rebuilt from its stream.  Chunks share
-nothing, so at n >= 32 with BLAS pinned they run on as many threads as the
-free CPUs allow, and their outputs come back in stream order, bit for bit as
-one thread gives them.  A sampled matrix travels with its spectral factors
-(lambda, U) from the sampler, and f and the Daleckii-Krein derivative are
-evaluated from them: the only eigensolves left are of the mixtures A_lambda
-and the Jensen barycenter, which no sampler made.  A witness holds only what
+row; a violating trial's witness is rebuilt from its stream.  A trial hands
+back its gap or second-derivative stack, and the engine takes the least
+eigenvalues, the margins, once per group of consecutive chunks, so each
+eigensolve is a stack large enough for numpy to release the GIL.  Chunks
+share nothing, so at n >= 32 with BLAS pinned their groups run on as many
+threads as the free CPUs allow, and their outputs come back in stream
+order, bit for bit as one thread gives them.  A sampled matrix travels with
+its spectral factors (lambda, U) from the sampler, and f and the
+Daleckii-Krein derivative are evaluated from them: the only eigensolves left
+are of the mixtures A_lambda and the Jensen barycenter, which no sampler
+made.  A witness holds only what
 was sampled (matrices, weights, direction), never their factors:
 :func:`replay_witness` evaluates it through the matrix path to rounding, and
 ``RandomSpec(seed, stream_id)`` redraws it bit for bit.
@@ -83,6 +87,15 @@ _GENERATOR_ENTRIES = 128
 #: +72 % at n = 4, -21 % / +24 % at n = 8, -26 % / +6 % at n = 16 (Jensen:
 #: +19 % CPU), -33 % / +7 % at n = 32 and -37 % / +4 % at n = 128.
 _THREADED_N = 32
+#: numpy 2.4's eigvalsh keeps the GIL on a stack of rows x n <= 500 entries
+#: of output: run beside a pure-Python loop, it held it at (3, 128, 128),
+#: (7, 64, 64), (31, 16, 16) and (250, 2, 2) and released it at (4, 128, 128),
+#: (8, 64, 64), (32, 16, 16) and (251, 2, 2).  On a 2-CPU host with one
+#: BLAS thread, one-row eigvalsh calls at n = 128 took 0.97 ms each on one
+#: thread and 1.02 ms on two, where eigh went 1.88 -> 0.97 ms and a
+#: (4, 128, 128) eigvalsh 0.97 -> 0.52 ms a row; so margins are taken over
+#: groups of more than this many entries.
+_EIGVALSH_GIL = 500
 
 
 def _blas_threads(environ=os.environ) -> int | None:
@@ -184,25 +197,59 @@ def _map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
     return results
 
 
-def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads: bool = True):
+def _groups(trials: int, rows: int, n: int, workers: int) -> list[range]:
+    """The chunk starts ``range(0, trials, rows)`` cut into consecutive
+    groups, as many as a multiple of ``workers``, so the groups split evenly
+    over them.  When the full chunks allow ``workers`` groups of more than
+    ``_EIGVALSH_GIL / n`` rows, every group holds that many rows of full
+    chunks; otherwise there are ``workers`` groups (at most one per chunk).
+    Group sizes differ by at most one chunk, the larger groups last, so the
+    short last chunk never leaves its group below that size."""
+    starts = range(0, trials, rows)
+    need = -(-(_EIGVALSH_GIL // n + 1) // rows)  # full chunks in a group
+    count = min(len(starts), max(workers, trials // rows // need // workers * workers))
+    size, extra = divmod(len(starts), count)
+    cuts = [i * size + max(0, i - count + extra) for i in range(count + 1)]
+    return [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads: bool = True,
+                 finish: Callable[[np.ndarray], np.ndarray] = np.asarray):
     """The one battery engine: ``body(rngs)`` on each chunk of
     :func:`_chunk_rows` (n) streams of ``spec.stream(0 .. trials-1)`` (hashed
     in one batch) returns a sequence of per-row outputs; each comes back
     concatenated in stream order, in a tuple.  Row t of a chunk draws from
     ``rngs[t]``; stacked kernels give a row bit for bit as its lone call, so
     the output does not depend on the chunking.  A chunk's generators are
-    built from its own rows of the batch and it shares nothing with another,
-    so chunks run on :func:`_workers` threads unless ``threads`` is False,
-    as a body that holds the GIL (Python draws, small kernels) asks: outputs,
-    and the error raised (the first failing chunk's), are those of one
-    thread."""
+    built from its own rows of the batch and it shares nothing with another.
+
+    A worker takes a group of consecutive chunks (:func:`_groups`), runs
+    their bodies one after another, so a body's memory does not grow, and
+    passes each output, concatenated over the group, through the row-wise
+    ``finish``: :func:`run_trials` takes its margin eigensolves there, once
+    per group, as stacks of more than ``_EIGVALSH_GIL / n`` rows, which
+    numpy solves without the GIL.  Groups run on :func:`_workers` threads
+    unless ``threads`` is False, as a body that holds the GIL (Python draws,
+    small kernels) asks: outputs, and the error raised (the first failing
+    chunk's), are those of one thread."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rows, words = _chunk_rows(n), spec.seed_words(range(trials))
-    starts = range(0, trials, rows)
-    outs = _map_in_order(lambda start: body(generators(words[start:start + rows])),
-                         starts, _workers(n, len(starts)) if threads else 1)
+    workers = _workers(n, -(-trials // rows)) if threads else 1
+
+    def join(outs):  # one group's chunk outputs
+        return tuple(finish(np.concatenate(column)) for column in zip(*outs))
+
+    outs = _map_in_order(
+        lambda group: join([body(generators(words[start:start + rows])) for start in group]),
+        _groups(trials, rows, n, workers), workers)
     return tuple(map(np.concatenate, zip(*outs)))
+
+
+def _least_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """A trial's margins: its ``(T,)`` output as it is, or the least
+    eigenvalue of each row of its ``(T, n, n)`` stack."""
+    return stack if stack.ndim == 1 else np.linalg.eigvalsh(stack)[:, 0]
 
 
 def run_trials(
@@ -212,12 +259,16 @@ def run_trials(
     """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
 
     :func:`stacked_rows` (``threads`` passed on), then :func:`_aggregate`,
-    the only route to a :class:`Verdict`.  ``trial(rngs)`` returns the
-    ``(T,)`` margins of its stack and ``witness(t)``, the data that replays
-    row t, under ``kind``.  Only margins are kept: the first violating
-    trial's witness comes from ``trial`` rerun on that one stream, stamped
-    with its ``stream_id`` and margin."""
-    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads)
+    the only route to a :class:`Verdict`.  ``trial(rngs)`` returns either
+    the ``(T,)`` margins of its stack or the ``(T, n, n)`` stack whose least
+    eigenvalues are its margins, and ``witness(t)``, the data that replays
+    row t, under ``kind``.  The engine takes those least eigenvalues itself,
+    once per group of chunks, so each eigensolve is large enough to leave
+    the GIL to the other workers.  Only margins are kept: the first
+    violating trial's witness comes from ``trial`` rerun on that one stream,
+    stamped with its ``stream_id`` and margin."""
+    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads,
+                              _least_eigenvalues)
 
     def witness(t: int) -> dict:
         return {**trial(spec.rngs([t]))[1](0),
@@ -265,9 +316,8 @@ def definition_test(
         e1 = random_in_window_factors(n, window, rngs)
         a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
         lam = uniform_rows(0.05, 0.95, rngs)
-        margins = np.linalg.eigvalsh(convexity_gap(f, a0, a1, lam, (e0, e1)))[:, 0]
-        return margins, lambda t: {"kind": "definition", "lam": float(lam[t]),
-                                   "A0": a0[t], "A1": a1[t]}
+        return convexity_gap(f, a0, a1, lam, (e0, e1)), lambda t: {
+            "kind": "definition", "lam": float(lam[t]), "A0": a0[t], "A1": a1[t]}
 
     return run_trials(trial, trials, spec, n)
 
@@ -306,9 +356,8 @@ def jensen_test(
         w, u = (np.stack(x, 1) for x in zip(*[random_in_window_factors(n, window, rngs)
                                               for _ in range(atoms)]))
         mats = from_spectrum(w, u)
-        margins = np.linalg.eigvalsh(jensen_gap(f, weights, mats, (w, u)))[:, 0]
-        return margins, lambda t: {"kind": "jensen", "weights": weights[t],
-                                   "matrices": list(mats[t])}
+        return jensen_gap(f, weights, mats, (w, u)), lambda t: {
+            "kind": "jensen", "weights": weights[t], "matrices": list(mats[t])}
 
     return run_trials(trial, trials, spec, n)
 
@@ -395,9 +444,8 @@ def second_derivative_test(
     def trial(rngs):
         w, u = random_in_window_factors(n, window, rngs)
         q = random_direction_rows(n, rngs)
-        margins = np.linalg.eigvalsh(spectral_second_derivative(f, w, u, q))[:, 0]
-        return margins, lambda t: {"kind": "second_derivative", "Q": q[t],
-                                   "M": from_spectrum(w[t], u[t])}
+        return spectral_second_derivative(f, w, u, q), lambda t: {
+            "kind": "second_derivative", "Q": q[t], "M": from_spectrum(w[t], u[t])}
 
     return run_trials(trial, trials, spec, n)
 

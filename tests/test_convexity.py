@@ -563,19 +563,18 @@ def test_chunk_boundaries_keep_every_row(monkeypatch, extra):
     trials = 1 if extra is None else rows + extra
     f = builtin("x4")
     expected, status, _ = _loop(_definition_trial(f, NARROW, n), trials, SPEC)
-    real, chunks = np.linalg.eigvalsh, []
-
-    def counted(h):
-        chunks.append(len(h))
-        return real(h)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    calls = _count_kernels(monkeypatch)
     v, margins = _engine(monkeypatch, lambda: definition_test(f, NARROW, n, trials, SPEC))
     np.testing.assert_allclose(margins, expected, rtol=0, atol=1e-12)
     assert (v.trials, v.status) == (trials, status)
-    # a violated verdict rebuilds its witness from one lone row
-    assert chunks == ([min(trials, rows)] + ([1] if extra == 1 else [])
-                      + ([1] if status == "violated" else []))
+    # A_lambda is diagonalized once per chunk, and once more for the lone row
+    # that rebuilds a violated verdict's witness
+    assert [shape[0] for name, shape in calls if name == "eigh"] == (
+        [min(trials, rows)] + ([1] if extra == 1 else []) + ([1] if status == "violated" else []))
+    # the margins: one eigvalsh per group, and a one-row last chunk joins the
+    # group before it (at n = 16 a chunk already holds more than 500 / n rows)
+    assert rows > 500 // n and cx._groups(trials, rows, n, 1) == [range(0, trials, rows)]
+    assert [shape[0] for name, shape in calls if name == "eigvalsh"] == [trials]
 
 
 def test_a_domain_escape_in_one_row_raises():
@@ -745,22 +744,20 @@ def test_witness_of_a_later_chunk_regenerates_from_its_stream_id():
     assert v.witness["x"] == RandomSpec(11, v.witness["stream_id"]).rng().uniform()
 
 
-def test_definition_makes_one_eigensolve_per_kernel_per_chunk(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh", "qr"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _real=real, _name=name, **k: calls.append(_name)
-                            or _real(*a, **k))
+def test_definition_makes_one_eigh_per_chunk_and_one_eigvalsh_per_group(monkeypatch):
+    calls = _count_kernels(monkeypatch)
     v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     chunks = -(-1000 // cx._chunk_rows(2))
     assert v.status == "violated" and v.trials == 1000
-    # A_lambda: one eigh (A0 and A1 come with their factors); the gap: one
-    # eigvalsh; A0, A1: one QR each; once per chunk, and once more for the
-    # lone row that rebuilds the witness
+    # A_lambda: one eigh (A0 and A1 come with their factors); A0, A1: one QR
+    # each; once per chunk, and once more for the lone row that rebuilds the
+    # witness.  The gap: one eigvalsh per group of chunks (4 and 5 chunks of
+    # 124 rows, the last one short), none for the witness
     assert chunks == 9
     runs = chunks + 1
-    assert sorted(calls) == sorted(["eigh"] * runs + ["eigvalsh"] * runs + ["qr"] * 2 * runs)
+    assert sorted(name for name, _ in calls) == sorted(
+        ["eigh"] * runs + ["eigvalsh"] * 2 + ["qr"] * 2 * runs)
+    assert [shape for name, shape in calls if name == "eigvalsh"] == [(496, 2, 2), (504, 2, 2)]
 
 
 def _count_kernels(monkeypatch):
@@ -774,15 +771,18 @@ def _count_kernels(monkeypatch):
     return calls
 
 
-def test_second_derivative_makes_one_eigensolve_per_chunk(monkeypatch):
+def test_second_derivative_makes_one_margin_eigensolve_per_group(monkeypatch):
     calls = _count_kernels(monkeypatch)
     v = second_derivative_test(builtin("neglog"), NARROW, 2, 500, SPEC)
     chunks = -(-500 // cx._chunk_rows(2))
     assert v.status == "certified" and chunks == 5
-    # the derivative: no eigh (M comes with its factors) and one eigvalsh of
-    # D^2; sampling: one QR for M and one eigvalsh normalizing Q
+    # the derivative: no eigh (M comes with its factors); sampling: one QR
+    # for M and one eigvalsh normalizing Q, per chunk; D^2: one eigvalsh per
+    # group, here one group of every chunk (4 full ones make 1 group of 3)
     assert sorted(name for name, _ in calls) == sorted(
-        ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
+        ["eigvalsh"] * (chunks + 1) + ["qr"] * chunks)
+    assert [shape for name, shape in calls if name == "eigvalsh"] == [
+        (124, 2, 2)] * 4 + [(4, 2, 2), (500, 2, 2)]
 
 
 def test_jensen_makes_one_eigh_per_chunk(monkeypatch):
@@ -790,13 +790,15 @@ def test_jensen_makes_one_eigh_per_chunk(monkeypatch):
     v = jensen_test(builtin("x4"), NARROW, 2, 3, 500, SPEC)
     chunks = -(-500 // cx._chunk_rows(2))
     assert v.status == "violated" and chunks == 5
-    # the barycenter: one eigh (the atoms come with their factors); the gap:
-    # one eigvalsh; the 3 atoms: one QR each; once per chunk, and once more
-    # for the lone row that rebuilds the witness
+    # the barycenter: one eigh (the atoms come with their factors); the 3
+    # atoms: one QR each; once per chunk, and once more for the lone row that
+    # rebuilds the witness.  The gap: one eigvalsh for the one group, after
+    # every chunk, and none for the witness
     runs = chunks + 1
     assert sorted(name for name, _ in calls) == sorted(
-        ["eigh"] * runs + ["eigvalsh"] * runs + ["qr"] * 3 * runs)
-    assert all(shape[0] == 1 for _, shape in calls[-5:])
+        ["eigh"] * runs + ["eigvalsh"] + ["qr"] * 3 * runs)
+    assert calls[-5] == ("eigvalsh", (500, 2, 2))
+    assert all(shape[0] == 1 for _, shape in calls[-4:])
 
 
 def test_certify_representation_makes_no_eigh(monkeypatch):
@@ -806,9 +808,11 @@ def test_certify_representation_makes_no_eigh(monkeypatch):
     v = certify_representation(rep, 3, 200, SPEC)
     chunks = -(-200 // cx._chunk_rows(3))
     assert v.status == "certified" and chunks == 2
-    # as second_derivative_test: no eigh; eigvalsh of D^2 and of Q; one QR
+    # as second_derivative_test: no eigh; eigvalsh of Q and one QR per
+    # chunk; eigvalsh of D^2 once for the one group
     assert sorted(name for name, _ in calls) == sorted(
-        ["eigvalsh"] * 2 * chunks + ["qr"] * chunks)
+        ["eigvalsh"] * (chunks + 1) + ["qr"] * chunks)
+    assert [shape for name, shape in calls if name == "eigvalsh"][-1] == (200, 3, 3)
 
 
 def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):

@@ -222,6 +222,27 @@ def test_certify_function_reports_match_on_threads_and_on_one():
     assert threaded == serial
 
 
+def test_certify_function_reports_match_on_threads_and_on_one_at_n_128():
+    # one-row chunks in two groups of 4 and 5 rows, on threads, and serial on
+    # one CPU; both with one BLAS thread, as at n = 128 two BLAS threads
+    # round eigh, qr and inv otherwise
+    code = ("import contextlib, io, json\n"
+            "from matconvex.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    main(['certify-function', '--f', 'x4', '--window', '0.1,2', '--n', '128',\n"
+            "          '--mode', 'all', '--trials', '9', '--seed', '1', '--format', 'json'])\n"
+            "report = json.loads(out.getvalue())\n"
+            "for check in report['checks']:\n"
+            "    check['timing'] = None\n"
+            "print(json.dumps(report, sort_keys=True))\n")
+    one_cpu = "import os\nos.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+    threaded, serial = _in_child(code, "1"), _in_child(one_cpu + code, "1")
+    statuses = [c["status"] for c in json.loads(threaded)["checks"]]
+    assert statuses == ["violated"] * 5
+    assert threaded == serial
+
+
 def test_run_suite_needs_only_numpy():
     # scipy is a test oracle, not a runtime dependency: with its import
     # blocked, run-suite still exits 0 and every check passes

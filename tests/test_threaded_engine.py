@@ -190,7 +190,7 @@ def test_the_blas_thread_count_is_read_as_openblas_reads_it(environ, count):
     assert cx._blas_threads(environ) == count
 
 
-CHUNKS = 5
+CHUNKS = 8  # at n = 32, two chunks to a group: 4 groups of 28 rows in 112 trials
 #: chunk k of SPEC's streams, told apart by the first draw of its first stream
 FIRST = [SPEC.stream(k * ROWS).rng().random() for k in range(CHUNKS)]
 
@@ -239,8 +239,9 @@ def test_helper_threads_keep_the_callers_error_state(monkeypatch, started):
 
 
 @pytest.mark.parametrize("slow, after", [
+    # chunks 0 and 1 make group 0, chunks 2 and 3 group 1
     (1, {0, 1, 2, 3}),  # chunk 1 fails after chunk 3 has failed on the other thread
-    (0, {0, 1}),        # chunk 1 fails while chunk 0 runs: chunk 2 never starts
+    (0, {0, 1, 2, 3}),  # group 1 fails while chunk 0 runs: group 2 never starts
 ])
 def test_the_first_failing_chunk_in_stream_order_raises(monkeypatch, started, slow, after):
     ran = []
@@ -261,3 +262,126 @@ def test_the_first_failing_chunk_in_stream_order_raises(monkeypatch, started, sl
                 cx.stacked_rows(SPEC, CHUNKS * ROWS, N, body)
         assert {0, 1} <= set(ran) <= after
     assert len(started) == 1
+
+
+# Groups: a worker runs a group of consecutive chunks and takes the margins
+# of the whole group in one eigvalsh, which numpy solves without the GIL only
+# on stacks of more than 500 / n rows.
+
+def _margin_stacks(monkeypatch, workers, run):
+    """``run()`` with ``workers`` forced, and the rows of each margin stack
+    the engine solved."""
+    stacks, least = [], cx._least_eigenvalues
+
+    def spy(stack):
+        stacks.append(len(stack))
+        return least(stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cx, "_least_eigenvalues", spy)
+        return _run(monkeypatch, workers, run), stacks
+
+
+@pytest.mark.parametrize("n, trials", [(32, 56), (32, 100), (64, 18), (64, 40), (128, 8),
+                                       (128, 20)])
+def test_each_threaded_margin_stack_has_more_than_500_over_n_rows(monkeypatch, n, trials):
+    (v, margins), stacks = _margin_stacks(
+        monkeypatch, 2, lambda: cx.definition_test(cx.builtin("x2"), WINDOW, n, trials, SPEC))
+    assert v.status == "certified" and len(margins) == trials
+    rows = cx._chunk_rows(n)
+    groups = cx._groups(trials, rows, n, 2)
+    assert trials >= 2 * -(-(500 // n + 1) // rows) * rows  # enough trials for 2 such groups
+    # each stack is one group, and the groups split evenly over 2 workers
+    assert sorted(stacks) == sorted(min(g.stop, trials) - g.start for g in groups)
+    assert len(stacks) % 2 == 0 and sum(stacks) == trials
+    assert min(stacks) > 500 / n
+    assert max(map(len, groups)) - min(map(len, groups)) <= 1
+
+
+@pytest.mark.parametrize("trials, n, workers, sizes", [
+    (20, 128, 2, [5, 5, 5, 5]),  # not 3 : 2 groups of 4 rows
+    (9, 128, 2, [4, 5]),
+    (7, 128, 2, [3, 4]),         # too few trials: one group a worker
+    (1, 128, 2, [1]),            # at most one group a chunk
+    (24, 128, 3, [4] * 6),
+    (57, 32, 2, [28, 29]),       # the short last chunk joins a larger group
+    (1000, 2, 1, [496, 504]),
+])
+def test_groups_hold_consecutive_chunks(trials, n, workers, sizes):
+    rows = cx._chunk_rows(n)
+    groups = cx._groups(trials, rows, n, workers)
+    assert [start for group in groups for start in group] == list(range(0, trials, rows))
+    assert [min(g.stop, trials) - g.start for g in groups] == sizes
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_a_body_never_sees_more_than_a_chunk(monkeypatch, n):
+    seen = []
+
+    def trial(rngs):
+        seen.append(len(rngs))
+        rows = np.array([np.diag(rng.uniform(1.0, 2.0, n)) for rng in rngs])
+        return rows, lambda t: {"kind": "test"}
+
+    trials = 3 * cx._chunk_rows(n) * (500 // n + 1) + 1
+    (v, margins), stacks = _margin_stacks(
+        monkeypatch, 2, lambda: cx.run_trials(trial, trials, SPEC, n))
+    assert v.status == "certified" and np.all(margins >= 1.0)
+    assert max(seen) == cx._chunk_rows(n) and sum(seen) == trials
+    assert len(stacks) < len(seen)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 7, 21])
+@pytest.mark.parametrize("name", ["definition", "second_derivative"])
+def test_one_worker_and_two_agree_at_any_trial_count(monkeypatch, name, trials):
+    run = {"definition": lambda: cx.definition_test(cx.builtin("x4"), NARROW, 128, trials, SPEC),
+           "second_derivative": lambda: cx.second_derivative_test(
+               cx.builtin("x3"), NARROW, 128, trials, SPEC)}[name]
+    (one, margins_one), stacks_one = _margin_stacks(monkeypatch, 1, run)
+    (two, margins_two), stacks_two = _margin_stacks(monkeypatch, 2, run)
+    assert one.status == "violated" and len(margins_one) == trials
+    assert np.array_equal(margins_one, margins_two)
+    assert (two.status, two.trials, two.worst_margin) == (one.status, one.trials, one.worst_margin)
+    _same_witness(two.witness, one.witness)
+    assert sum(stacks_one) == sum(stacks_two) == trials
+
+
+def _failing_body(ran, slow, failing):
+    """A body of one-row chunks (n = 128) that records its stream index,
+    sleeps on ``slow`` and raises on ``failing``."""
+    first = [SPEC.stream(t).rng().random() for t in range(16)]
+
+    def body(rngs):
+        t = first.index(rngs[0].random())
+        ran.append(t)
+        time.sleep(0.05 if t == slow else 0.0)
+        if t in failing:
+            raise ValueError(f"chunk {t}")
+        return (np.zeros(len(rngs)),)
+
+    return body
+
+
+def test_the_first_failing_chunk_wins_inside_a_group(monkeypatch, started):
+    # groups [0-3] and [4-7]: chunk 5 fails first, on the other thread, then
+    # chunk 2, inside group 0, after the slow chunk 1
+    assert cx._chunk_rows(128) == 1
+    for workers in (1, 2):
+        ran = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cx, "_workers", lambda n, count: workers)
+            with pytest.raises(ValueError, match="^chunk 2$"):
+                cx.stacked_rows(SPEC, 8, 128, _failing_body(ran, 1, {2, 5}))
+        assert {0, 1, 2} <= set(ran) <= ({0, 1, 2} if workers == 1 else {0, 1, 2, 4, 5})
+    assert len(started) == 1
+
+
+def test_no_later_group_starts_after_a_failure(monkeypatch, started):
+    # groups [0-3], [4-7], [8-11], [12-15]: chunk 4 fails while chunk 0 runs,
+    # so neither the rest of group 1 nor groups 2 and 3 start
+    monkeypatch.setattr(cx, "_workers", lambda n, count: 2)
+    assert [len(g) for g in cx._groups(16, 1, 128, 2)] == [4] * 4
+    ran = []
+    with pytest.raises(ValueError, match="^chunk 4$"):
+        cx.stacked_rows(SPEC, 16, 128, _failing_body(ran, 0, {4}))
+    assert sorted(ran) == [0, 1, 2, 3, 4] and len(started) == 1
