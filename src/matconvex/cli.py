@@ -110,6 +110,8 @@ def cmd_certify_function(args, spec: RandomSpec) -> list[dict]:
     f = cx.builtin(args.f)
     window = SpectrumWindow(*args.window)
     n, sites, trials = args.n, max(args.n, 2), args.trials
+    if sites > cx.MAX_SITES:  # every mode runs a monotonicity battery at n sites
+        raise ValueError(f"--n {n} exceeds the {cx.MAX_SITES} Loewner sites a trial can space")
     convex = args.mode in ("all", "convex")
     mid = 0.5 * (window.a + window.b)
     detectors = {  # name -> (wanted, verdict of a spec)

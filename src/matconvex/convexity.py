@@ -18,7 +18,11 @@ eigenvalues, the margins, once per group of consecutive chunks, so each
 eigensolve is a stack large enough for numpy to release the GIL.  Chunks
 share nothing, so at n >= 32 with BLAS pinned their groups run on as many
 threads as the free CPUs allow, and their outputs come back in stream
-order, bit for bit as one thread gives them.  A sampled matrix travels with
+order, bit for bit as one thread gives them.  Across BLAS thread counts a
+report repeats bit for bit up to n = 64; above that, OpenBLAS's eigh, qr and
+inv round differently on one thread and on two, so a report keeps its
+statuses and witness stream ids, and its margins agree to rounding
+(1e-10 (1 + |margin|)).  A sampled matrix travels with
 its spectral factors (lambda, U) from the sampler, and f and the
 Daleckii-Krein derivative are evaluated from them: the only eigensolves left
 are of the mixtures A_lambda and the Jensen barycenter, which no sampler
@@ -68,6 +72,9 @@ from .rand import (
 #: Certification / violation thresholds on eigenvalue margins.
 TOL_CERT = 1e-8
 TOL_VIOL = 1e-6
+#: Most Loewner sites a monotonicity trial takes: k sites 1e-3 (b - a) apart in
+#: the shrunk window leave (0.9 - (k - 1) 1e-3) (b - a) free, > 0 up to k = 900.
+MAX_SITES = 900
 
 #: Points closer than this times (1 + max(|x_i|, |x_j|)) take confluent divided
 #: differences: eps^(1/3) balances their O(h^2) error against eps/h roundoff.
@@ -501,31 +508,30 @@ def monotonicity_test(
     trials: int,
     spec: RandomSpec,
 ) -> Verdict:
-    """Matrix monotonicity via positivity of random Loewner matrices.  A trial
-    whose 100 site draws all crowd closer than ``min_sep`` has a NaN margin;
-    the others run as one Loewner stack and one ``eigvalsh`` per site count.
+    """Matrix monotonicity via positivity of random Loewner matrices at k <=
+    ``max_sites`` <= ``MAX_SITES`` uniform sites ``min_sep`` apart, drawn by
+    construction: the i-th of k sorted uniforms on a window shrunk by (k - 1)
+    ``min_sep``, shifted by i ``min_sep``.  The trials run as one Loewner
+    stack and one ``eigvalsh`` per site count.
     The site draws hold the GIL, so the chunks stay on one thread: on two
     they took 25 to 73 % more wall time at 32 to 256 sites."""
+    if max_sites > MAX_SITES:
+        raise ValueError(f"{max_sites} Loewner sites exceed the {MAX_SITES} a window spaces")
     inner = window.shrunk()
     low, span = uniform_range(inner.a, inner.b)
     min_sep = 1e-3 * (window.b - window.a)
 
     def draw(rng):
         k = int(rng.integers(2, max_sites + 1))
-        for _ in range(100):
-            xs = np.sort(low + span * rng.random(k))
-            if np.all(np.diff(xs) >= min_sep):
-                return xs, True
-        return xs, False
+        free = span - (k - 1) * min_sep
+        return low + np.sort(free * rng.random(k)) + min_sep * np.arange(k)
 
     def trial(rngs):
-        sites, spaced = zip(*map(draw, rngs))
-        margins = np.full(len(sites), math.nan)
+        sites = [draw(rng) for rng in rngs]
+        margins = np.empty(len(sites))
         for k in set(map(len, sites)):
-            rows = [t for t, xs in enumerate(sites) if spaced[t] and len(xs) == k]
-            if rows:
-                loewner = loewner_matrix(f, [sites[t] for t in rows])
-                margins[rows] = np.linalg.eigvalsh(loewner)[:, 0]
+            rows = [t for t, xs in enumerate(sites) if len(xs) == k]
+            margins[rows] = np.linalg.eigvalsh(loewner_matrix(f, [sites[t] for t in rows]))[:, 0]
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
     return run_trials(trial, trials, spec, max_sites, threads=False)

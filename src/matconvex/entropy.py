@@ -20,12 +20,14 @@ A :class:`DensityOperator` may hold a ``(T, N, N)`` stack on one factorization;
 every state function then runs on all rows at once and reports hold ``(T,)``
 arrays.  Each DensityOperator, marginals and pinched states too, is checked row
 by row when built: finite and Hermitian (never repaired), then trace and PSD
-from one ``eigvalsh``, kept as ``spectrum`` for its entropy.  A bad row is named.
-So each state is built, and diagonalized, once: a report reuses the marginals
-it builds, :func:`conditional_entropy` reads rho itself when its kept set is
-every factor, and only :func:`ssa_report` builds decoupled states, rho_12 x
-1/d_3 from the rho_12 its slack already holds; :func:`ssa_slack` is that slack
-alone, for the batteries that read nothing else.
+from one ``eigvalsh``, kept as ``spectrum`` for its entropy; a pinched state
+B diag(d) B*, B = b_1 x b_2, d = diag(B* rho B), keeps sort(d) instead, which its
+slacks compare with rho's and the marginals' own spectra.  A bad row is named.
+So each state is built, and diagonalized, at most once: a report reuses the
+marginals it builds, :func:`conditional_entropy` reads rho itself when its kept
+set is every factor, and only :func:`ssa_report` builds (and diagonalizes, lest
+its cross-check be an identity) decoupled states, rho_12 x 1/d_3 from the rho_12
+of its slack; :func:`ssa_slack` is that slack alone, for batteries reading no more.
 The relative-entropy kernels take ``(T, n, n)`` stacks of matrices the same way.
 The Monte Carlo averages have no per-sample witness, so each owns one stream:
 all samples come from ``spec.rng()``.
@@ -42,7 +44,7 @@ import numpy as np
 from .convexity import check_mixing_weight
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (_dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian,
-                     raise_rows, tensor)
+                     kron_from_spectrum, raise_rows, tensor)
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities, uniform_range
 
@@ -60,7 +62,7 @@ SSA_CHAIN_TOL = 1e-8
 class DensityOperator:
     """Positive unit-trace matrix, or a ``(T, N, N)`` stack of them, with a
     declared tensor factorization.  ``spectrum`` holds each row's ascending
-    eigenvalues from the eigensolve that checked it (see module docstring)."""
+    eigenvalues, which checked it (see module docstring)."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -78,8 +80,8 @@ class DensityOperator:
                 f"matrix shape {mat.shape} does not match factorization {dims}"
             )
         mat = hermitian(mat)
-        w = np.linalg.eigvalsh(mat)
-        # the trace test reads the eigenvalues too
+        w = self.__dict__.get("spectrum")  # set only by _with_spectrum
+        w = np.linalg.eigvalsh(mat) if w is None else w
         tr, lo = w.sum(axis=-1), w[..., 0]
         off = abs(tr - 1.0) > TRACE_TOL
         raise_rows(off | (lo < -PSD_TOL), ValidationError, lambda k: (
@@ -88,6 +90,14 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectrum", w)
+
+    @classmethod
+    def _with_spectrum(cls, matrix, dims, w) -> "DensityOperator":
+        """The state of ``matrix``, checked on its known eigenvalues ``w``."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "spectrum", np.sort(w, axis=-1))
+        state.__init__(matrix, dims)
+        return state
 
     @property
     def dim(self) -> int:
@@ -201,12 +211,11 @@ def pinching_basis(marginal: np.ndarray) -> np.ndarray:
     return basis.reshape(marginal.shape)
 
 
-def pinch_product_basis(rho12: DensityOperator) -> np.ndarray:
-    return _product_basis(rho12.marginal([0]), rho12.marginal([1]))
-
-
-def _product_basis(rho1: DensityOperator, rho2: DensityOperator) -> np.ndarray:
-    return tensor(pinching_basis(rho1.matrix), pinching_basis(rho2.matrix))
+def pinch_bases(rho12: DensityOperator, marginals: Sequence[DensityOperator] = ()) -> tuple:
+    """The pinching bases (b_1, b_2) of the two marginals, read from
+    ``marginals`` when given; the product basis is b_1 x b_2."""
+    rho1, rho2 = marginals or (rho12.marginal([0]), rho12.marginal([1]))
+    return pinching_basis(rho1.matrix), pinching_basis(rho2.matrix)
 
 
 def pinch(rho12: DensityOperator) -> DensityOperator:
@@ -214,12 +223,13 @@ def pinch(rho12: DensityOperator) -> DensityOperator:
 
     Preserves both marginals and never lowers the entropy.
     """
-    return _pinch_in(rho12, pinch_product_basis(rho12))
+    return _pinch_in(rho12, pinch_bases(rho12))
 
 
-def _pinch_in(rho12: DensityOperator, basis: np.ndarray) -> DensityOperator:
-    diag = np.diagonal(_dagger(basis) @ rho12.matrix @ basis, axis1=-2, axis2=-1).real
-    return DensityOperator(from_spectrum(diag, basis), rho12.dims)
+def _pinch_in(rho12: DensityOperator, bases: tuple) -> DensityOperator:
+    basis = tensor(*bases)  # B diag(d) B*, d = diag(B* rho B), has spectrum d
+    diag = np.sum(basis.conj() * (rho12.matrix @ basis), axis=-2).real
+    return DensityOperator._with_spectrum(kron_from_spectrum(diag, bases), rho12.dims, diag)
 
 
 def pinch_monte_carlo(
@@ -229,7 +239,7 @@ def pinch_monte_carlo(
     diagonal in the pinching basis.  Sample s reads the s-th row of phases p
     drawn from ``spec.rng()``; with the p as rows of P, the mean of
     diag(p)* M diag(p) is M o (P* P) / samples."""
-    basis = pinch_product_basis(rho12)
+    basis = tensor(*pinch_bases(rho12))
     in_basis = _dagger(basis) @ rho12.matrix @ basis
     low, span = uniform_range(0.0, 2.0 * np.pi)
     phases = np.exp(1j * (low + span * spec.rng().random((samples, rho12.dim))))
@@ -330,7 +340,7 @@ def subadditivity_chain(rho12: DensityOperator) -> tuple:
     built once and serves the pinching basis, its entropy and the caller."""
     _two_factors(rho12)
     rho1, rho2 = rho12.marginal([0]), rho12.marginal([1])
-    pinched = _pinch_in(rho12, _product_basis(rho1, rho2))
+    pinched = _pinch_in(rho12, pinch_bases(rho12, (rho1, rho2)))
     s12 = von_neumann_entropy(rho12)
     s_pinched = von_neumann_entropy(pinched)
     s1, s2 = von_neumann_entropy(rho1), von_neumann_entropy(rho2)

@@ -172,6 +172,27 @@ def test_certify_function_sqrt_monotone(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("f, mode, code, detector", [
+    ("sqrt", "all", 1, "loewner_monotonicity"),  # sqrt is monotone, not convex
+    ("inv", "convex", 0, "secant_monotonicity"),
+])
+def test_monotonicity_at_n_64_reaches_a_verdict(f, mode, code, detector, capsys):
+    # drawn by rejection, 38 % of the trials at 64 sites would find no
+    # spaced sites, leave a NaN margin and the record inconclusive
+    assert main(["certify-function", "--f", f, "--window", "0.1,5", "--n", "64",
+                 "--mode", mode, "--seed", "1", "--format", "json"]) == code
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[detector]["status"] == "certified"
+    assert all(np.isfinite(c["margin"]) for c in checks.values())
+
+
+def test_more_sites_than_a_window_spaces_is_a_usage_error(capsys):
+    code = main(["certify-function", "--f", "sqrt", "--window", "0.1,5", "--n", "901",
+                 "--mode", "monotone"])
+    assert code == 2
+    assert "901 exceeds the 900 Loewner sites" in capsys.readouterr().err
+
+
 def test_certify_function_unknown_name_usage_error(capsys):
     code = main(["certify-function", "--f", "nope", "--window", "0,1"])
     assert code == 2

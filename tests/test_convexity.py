@@ -432,12 +432,12 @@ def test_unknown_builtin():
         builtin("cosh")
 
 
-def test_monotonicity_with_unspaceable_sites_is_inconclusive():
-    # up to 3000 sites cannot keep the 1e-3 * width spacing: those trials
-    # have NaN margins, and a NaN never certifies
-    v = monotonicity_test(builtin("sqrt"), WINDOW, 3000, 5, SPEC)
-    assert v.status == "inconclusive"
-    assert math.isnan(v.worst_margin)
+@pytest.mark.parametrize("max_sites", [cx.MAX_SITES + 1, 3000])
+def test_monotonicity_refuses_more_sites_than_a_window_spaces(max_sites):
+    # more than 900 sites cannot keep the 1e-3 * width spacing in the shrunk
+    # window: a usage error, never a trial without sites
+    with pytest.raises(ValueError, match=f"{max_sites} Loewner sites"):
+        monotonicity_test(builtin("sqrt"), WINDOW, max_sites, 5, SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +496,12 @@ def _monotonicity_trial(f, window, max_sites):
     inner, min_sep = window.shrunk(), 1e-3 * (window.b - window.a)
 
     def trial(rng):
+        # k sorted uniform sites min_sep apart: the i-th order statistic on the
+        # window less (k - 1) min_sep, shifted by i min_sep
         k = int(rng.integers(2, max_sites + 1))
-        for _ in range(100):
-            xs = np.sort(rng.uniform(inner.a, inner.b, size=k))
-            if np.all(np.diff(xs) >= min_sep):
-                break
-        else:
-            return math.nan
+        free = (inner.b - inner.a) - (k - 1) * min_sep
+        xs = inner.a + np.sort(rng.uniform(0.0, free, size=k)) + min_sep * np.arange(k)
+        assert np.all(np.diff(xs) >= min_sep * (1 - 1e-12)) and xs[-1] <= inner.b
         loewner = [[f.deriv(x) if i == j else (f.fn(x) - f.fn(y)) / (x - y)
                     for j, y in enumerate(xs)] for i, x in enumerate(xs)]
         return min_eigenvalue(np.array(loewner))
@@ -553,6 +552,23 @@ def test_stacked_engine_matches_the_per_trial_loop(monkeypatch, case):
     assert (v.witness or {}).get("stream_id") == stream_id
     if v.witness is not None:
         assert v.witness["margin"] == margins[stream_id - spec.stream_id]
+
+
+@pytest.mark.parametrize("max_sites, trials", [(64, 40), (128, 40), (cx.MAX_SITES, 3)])
+def test_monotonicity_trials_are_never_nan_up_to_the_site_bound(monkeypatch, max_sites, trials):
+    # drawn by rejection, 38 % of trials at 64 sites and every trial at 128
+    # would find no spaced sites; sqrt is operator monotone, so all certify
+    sites, real = [], cx.loewner_matrix
+    monkeypatch.setattr(cx, "loewner_matrix", lambda f, xs: sites.extend(xs) or real(f, xs))
+    v, margins = _engine(monkeypatch, lambda: monotonicity_test(
+        builtin("sqrt"), WINDOW, max_sites, trials, RandomSpec(2024, 7100)))
+    assert margins.shape == (trials,) and np.all(np.isfinite(margins))
+    assert v.status == "certified"
+    inner, min_sep = WINDOW.shrunk(), 1e-3 * (WINDOW.b - WINDOW.a)
+    assert len(sites) == trials
+    for xs in sites:
+        assert 2 <= len(xs) <= max_sites and inner.a <= xs[0] and xs[-1] <= inner.b
+        assert np.min(np.diff(xs)) >= min_sep * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])

@@ -8,7 +8,9 @@ import pytest
 
 from helpers import classically_correlated_pair, ghz_state, product_state
 from matconvex.entropy import (
+    PSD_TOL,
     SSA_CHAIN_TOL,
+    TRACE_TOL,
     DensityOperator,
     bell_state,
     conditional_entropy,
@@ -145,10 +147,10 @@ def test_pinch_monte_carlo_converges():
     d_large = np.linalg.norm(pinch_monte_carlo(rho, 10_000, SPEC.stream(201)).matrix - exact)
     assert d_large < d_small
     # a single phase conjugation already preserves the pinching-basis diagonal
-    from matconvex.entropy import pinch_product_basis
+    from matconvex.entropy import pinch_bases
 
     one = pinch_monte_carlo(rho, 1, SPEC.stream(202))
-    basis = pinch_product_basis(rho)
+    basis = np.kron(*pinch_bases(rho))
     np.testing.assert_allclose(
         np.diagonal(basis.conj().T @ one.matrix @ basis),
         np.diagonal(basis.conj().T @ rho.matrix @ basis),
@@ -559,7 +561,7 @@ def test_failed_uhlmann_cross_check_fails_the_report(monkeypatch):
 
 def test_monte_carlo_averages_match_their_sample_loops():
     # each average owns one stream: every sample comes from spec.rng()
-    from matconvex.entropy import pinch_product_basis
+    from matconvex.entropy import pinch_bases
 
     rho = random_state((2, 3), SPEC.stream(2100))
     spec = SPEC.stream(2200)
@@ -574,7 +576,7 @@ def test_monte_carlo_averages_match_their_sample_loops():
     assert haar_average_residual(rho, 300, spec) == pytest.approx(
         np.linalg.norm(acc / 300 - target), abs=1e-14)
 
-    basis = pinch_product_basis(rho)
+    basis = np.kron(*pinch_bases(rho))
     in_basis = basis.conj().T @ rho.matrix @ basis
     acc = np.zeros((6, 6), dtype=complex)
     rng = spec.rng()
@@ -583,3 +585,60 @@ def test_monte_carlo_averages_match_their_sample_loops():
         acc += (p.conj()[:, None] * in_basis) * p[None, :]
     np.testing.assert_allclose(pinch_monte_carlo(rho, 300, spec).matrix,
                                basis @ (acc / 300) @ basis.conj().T, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# A pinched state B diag(d) B* keeps d as its spectrum instead of
+# diagonalizing itself again.
+
+
+def _degenerate_product():
+    return product_state(DensityOperator(np.eye(2) / 2.0, (2,)),
+                         DensityOperator(np.diag([0.5, 0.25, 0.25]), (3,)))
+
+
+PINCH_CASES = {
+    "stack_2x3": lambda: random_states((2, 3), SPEC.stream(2600), 50),
+    "state_8x16": lambda: random_state((8, 16), SPEC.stream(2700)),
+    "bell": bell_state,
+    "degenerate_product": _degenerate_product,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINCH_CASES))
+def test_pinched_spectrum_is_the_eigensolve_of_its_matrix(case):
+    pinched = pinch(PINCH_CASES[case]())
+    np.testing.assert_allclose(
+        pinched.spectrum, np.linalg.eigvalsh(pinched.matrix), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dims, count", [((8, 16), None), ((2, 3), 5), ((3, 4), 4)])
+def test_pinching_reports_never_diagonalize_the_whole_system(monkeypatch, dims, count):
+    rho = (random_state(dims, SPEC.stream(2800)) if count is None
+           else random_states(dims, SPEC.stream(2800), count))
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, real=real, **kw: shapes.append(
+                                np.shape(a)) or real(a, *args, **kw))
+    subadditivity_report(rho)
+    pinch(rho)
+    mutual_information_decomposition(rho)
+    assert shapes and max(s[-1] for s in shapes) == max(dims), shapes
+
+
+def test_the_spectrum_path_still_checks_trace_and_positivity():
+    rho = random_states((2, 3), SPEC.stream(2900), 3)
+    w = rho.spectrum.copy()
+    w[1, -1] += 10 * TRACE_TOL
+    with pytest.raises(ValidationError, match=r"^row 1: trace .* deviates from 1"):
+        DensityOperator._with_spectrum(rho.matrix, rho.dims, w)
+    w = rho.spectrum.copy()
+    w[2, [0, -1]] += np.array([-1.0, 1.0]) * (w[2, 0] + 10 * PSD_TOL)  # trace kept
+    with pytest.raises(ValidationError, match=r"^row 2: matrix has negative eigenvalue"):
+        DensityOperator._with_spectrum(rho.matrix, rho.dims, w)
+    with pytest.raises(HermiticityError):
+        DensityOperator._with_spectrum(rho.matrix + 1e-6j * np.eye(6), rho.dims, rho.spectrum)
+    state = DensityOperator._with_spectrum(rho.matrix, rho.dims, rho.spectrum[:, ::-1])
+    assert np.array_equal(state.spectrum, rho.spectrum)  # kept ascending

@@ -5,6 +5,7 @@ CPU, no thread starts."""
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -385,3 +386,31 @@ def test_no_later_group_starts_after_a_failure(monkeypatch, started):
     with pytest.raises(ValueError, match="^chunk 4$"):
         cx.stacked_rows(SPEC, 16, 128, _failing_body(ran, 0, {4}))
     assert sorted(ran) == [0, 1, 2, 3, 4] and len(started) == 1
+
+
+def _certify_in_child(blas_threads: str) -> list[dict]:
+    """The checks of one n = 128 ``certify-function`` report, run in a fresh
+    interpreter with BLAS pinned to ``blas_threads``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "matconvex", "certify-function", "--f", "x4", "--window",
+         "0.1,2", "--n", "128", "--mode", "convex", "--trials", "4", "--seed", "1",
+         "--format", "json"], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stderr  # x4 is not operator convex
+    return json.loads(done.stdout)["checks"]
+
+
+def test_reports_at_n_128_agree_across_blas_threads_up_to_rounding():
+    # above n = 64 OpenBLAS's eigh, qr and inv round differently on one and
+    # two threads, so the contract there is the verdicts, not the bits
+    one, two = _certify_in_child("1"), _certify_in_child("2")
+    assert [c["name"] for c in one] == [c["name"] for c in two] == [
+        "definition", "jensen", "second_derivative", "secant_monotonicity"]
+    for a, b in zip(one, two):
+        assert a["status"] == b["status"], a["name"]
+        assert (a.get("witness") or {}).get("stream_id") == \
+            (b.get("witness") or {}).get("stream_id"), a["name"]
+        assert abs(a["margin"] - b["margin"]) <= 1e-10 * (1 + abs(a["margin"])), a["name"]
+    assert any(a.get("witness") for a in one)
