@@ -220,8 +220,7 @@ def _groups(trials: int, rows: int, n: int, workers: int) -> list[range]:
     return [starts[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads: bool = True,
-                 finish: Callable[[np.ndarray], np.ndarray] = np.asarray):
+def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads: bool = True):
     """The one battery engine: ``body(rngs)`` on each chunk of
     :func:`_chunk_rows` (n) streams of ``spec.stream(0 .. trials-1)`` (hashed
     in one batch) returns a sequence of per-row outputs; each comes back
@@ -232,10 +231,10 @@ def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads:
 
     A worker takes a group of consecutive chunks (:func:`_groups`), runs
     their bodies one after another, so a body's memory does not grow, and
-    passes each output, concatenated over the group, through the row-wise
-    ``finish``: :func:`run_trials` takes its margin eigensolves there, once
-    per group, as stacks of more than ``_EIGVALSH_GIL / n`` rows, which
-    numpy solves without the GIL.  Groups run on :func:`_workers` threads
+    reduces each output, concatenated over the group, by
+    :func:`_least_eigenvalues`: the margin eigensolves of a stack run once
+    per group, on more than ``_EIGVALSH_GIL / n`` rows, which numpy solves
+    without the GIL.  Groups run on :func:`_workers` threads
     unless ``threads`` is False, as a body that holds the GIL (Python draws,
     small kernels) asks: outputs, and the error raised (the first failing
     chunk's), are those of one thread."""
@@ -245,7 +244,7 @@ def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads:
     workers = _workers(n, -(-trials // rows)) if threads else 1
 
     def join(outs):  # one group's chunk outputs
-        return tuple(finish(np.concatenate(column)) for column in zip(*outs))
+        return tuple(_least_eigenvalues(np.concatenate(column)) for column in zip(*outs))
 
     outs = _map_in_order(
         lambda group: join([body(generators(words[start:start + rows])) for start in group]),
@@ -254,8 +253,8 @@ def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads:
 
 
 def _least_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """A trial's margins: its ``(T,)`` output as it is, or the least
-    eigenvalue of each row of its ``(T, n, n)`` stack."""
+    """A body's output, joined over a group: a ``(T,)`` column as it is, or
+    the least eigenvalue of each row of a ``(T, n, n)`` stack (its margins)."""
     return stack if stack.ndim == 1 else np.linalg.eigvalsh(stack)[:, 0]
 
 
@@ -274,8 +273,7 @@ def run_trials(
     the GIL to the other workers.  Only margins are kept: the first
     violating trial's witness comes from ``trial`` rerun on that one stream,
     stamped with its ``stream_id`` and margin."""
-    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads,
-                              _least_eigenvalues)
+    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads)
 
     def witness(t: int) -> dict:
         return {**trial(spec.rngs([t]))[1](0),
@@ -513,8 +511,9 @@ def monotonicity_test(
     construction: the i-th of k sorted uniforms on a window shrunk by (k - 1)
     ``min_sep``, shifted by i ``min_sep``.  The trials run as one Loewner
     stack and one ``eigvalsh`` per site count.
-    The site draws hold the GIL, so the chunks stay on one thread: on two
-    they took 25 to 73 % more wall time at 32 to 256 sites."""
+    The site draws hold the GIL, so the chunks stay on one thread: with BLAS
+    pinned on 2 CPUs (``sqrt``, 200 trials), two threads took 30 and 34 %
+    more wall time at 32 and 64 sites, 4 % more at 128, 17 % less at 256."""
     if max_sites > MAX_SITES:
         raise ValueError(f"{max_sites} Loewner sites exceed the {MAX_SITES} a window spaces")
     inner = window.shrunk()

@@ -46,6 +46,7 @@ from .linalg import (
     _dagger,
     _float_or_rows,
     _trace,
+    check_finite,
     factor,
     frobenius,
     from_spectrum,
@@ -364,7 +365,9 @@ class KuboAndoRepresentation:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        check_finite(a=self.a, b=self.b)
         for t, nu in self.atoms:
+            check_finite(t=t, nu=nu)
             if t <= 0.0:
                 raise ValueError(f"atom location must be positive, got t={t}")
             if nu <= 0.0:

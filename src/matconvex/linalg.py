@@ -133,6 +133,13 @@ def raise_rows(bad, error: type[Exception], message) -> None:
                     + (message(k) if callable(message) else message))
 
 
+def check_finite(**fields) -> None:
+    """Raise ValueError naming the first of ``fields`` that is not finite."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, row by row over a leading stack axis."""
     return m.conj().swapaxes(-1, -2)

@@ -7,6 +7,8 @@ R = (u I - A)^(-1), manifestly positive semidefinite on both branches.  A
 Pick-style representation (affine + quadratic + positive combination of signed
 resolvents) therefore certifies convexity with exact derivatives, no finite
 differences involved; :func:`pick_second_derivative` is their resolvent-sum oracle.
+Every route reads R from one gate, :func:`_resolvents`, which checks and
+diagonalizes A once per call and inverts one pole at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .convexity import ScalarFunction, Verdict, second_derivative_test
 from .errors import ConditioningError
-from .linalg import SpectrumWindow, _float_or_rows, check_hermitian, frobenius, raise_rows
+from .linalg import (SpectrumWindow, _float_or_rows, check_finite, check_hermitian, frobenius,
+                     raise_rows)
 from .rand import RandomSpec
 
 #: Resolvents are refused closer to the spectrum than this.
@@ -32,6 +35,7 @@ class ResolventPoint:
     window: SpectrumWindow
 
     def __post_init__(self):
+        check_finite(u=self.u)
         if self.window.contains(self.u):
             raise ValueError(
                 f"resolvent point u={self.u} must lie outside "
@@ -48,22 +52,30 @@ class ResolventPoint:
         return self.sign / (self.u - z)
 
 
-def _resolvent_core(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
-    """R = (u I - A)^(-1), row by row over a stack, after Hermiticity, spectrum
-    and conditioning checks that name the first bad row.  R comes from ``inv``,
-    so this route stays independent of the spectral route it checks."""
+def _resolvents(a: np.ndarray, window: SpectrumWindow, poles):
+    """R = (u I - A)^(-1) for each pole u in turn, row by row over a stack, each
+    after a conditioning check, once A is checked Hermitian with its spectrum in
+    ``window`` (eagerly, at the call); each check names the first bad row.  R
+    comes from ``inv``, so this route stays independent of the spectral one."""
     check_hermitian(np.asarray(a))
     eigs = np.linalg.eigvalsh(a)
-    p.window.check_spectrum(eigs, source="A")
-    gap = np.min(np.abs(p.u - eigs), axis=-1)
-    raise_rows(gap < NEAR_SINGULAR_TOL, ConditioningError, lambda k: (
-        f"u={p.u} within {gap.flat[k]:.3e} of an eigenvalue of A; resolvent ill-conditioned"))
-    return np.linalg.inv(p.u * np.eye(a.shape[-1]) - a)
+    window.check_spectrum(eigs, source="A")
+
+    def each():
+        for u in poles:
+            gap = np.min(np.abs(u - eigs), axis=-1)
+            raise_rows(~(gap >= NEAR_SINGULAR_TOL), ConditioningError, lambda k: (
+                f"u={u} within {gap.flat[k]:.3e} of an eigenvalue of A; "
+                "resolvent ill-conditioned"))
+            yield np.linalg.inv(u * np.eye(a.shape[-1]) - a)
+
+    return each()
 
 
 def resolvent_value(a: np.ndarray, p: ResolventPoint) -> np.ndarray:
     """f_u(A) = sgn(u) (u I - A)^(-1)."""
-    return p.sign * _resolvent_core(a, p)
+    (r,) = _resolvents(a, p.window, [p.u])
+    return p.sign * r
 
 
 def resolvent_second_derivative(
@@ -72,7 +84,7 @@ def resolvent_second_derivative(
     """Exact d^2/dt^2 f_u(A + tQ)|_0 = sgn(u) * 2 R Q R Q R; always PSD.
     Stacks of A and Q give one derivative per row; both are checked Hermitian."""
     check_hermitian(np.asarray(q))
-    r = _resolvent_core(a, p)
+    (r,) = _resolvents(a, p.window, [p.u])
     return p.sign * 2.0 * (r @ q @ r @ q @ r)
 
 
@@ -101,18 +113,17 @@ class PickRepresentation:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        check_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma, c=self.c)
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if not self.window.contains(self.c):
             raise ValueError(f"center c={self.c} must lie inside the window")
         for u, w in self.atoms:
+            check_finite(u=u, w=w)
             if self.window.contains(u):
                 raise ValueError(f"atom location u={u} lies inside the window")
             if w <= 0.0:
                 raise ValueError(f"atom weight must be positive, got {w}")
-
-    def points(self) -> list[tuple[ResolventPoint, float]]:
-        return [(ResolventPoint(u, self.window), w) for u, w in self.atoms]
 
 
 def pick_eval_scalar(rep: PickRepresentation, z):
@@ -148,20 +159,13 @@ def pick_scalar_function(rep: PickRepresentation) -> ScalarFunction:
 def pick_eval_matrix(rep: PickRepresentation, a: np.ndarray) -> np.ndarray:
     """Matrix value by atomwise resolvent sums: by the elementary decomposition of
     each atom, the spectral route ``apply_function(a, pick_scalar_function(rep))``."""
-    check_hermitian(a)
+    resolvents = _resolvents(a, rep.window, [u for u, _ in rep.atoms])
     eye = np.eye(a.shape[-1])
-    eigs = np.linalg.eigvalsh(a)
-    rep.window.check_spectrum(eigs, source="A")
     total = rep.alpha * eye + rep.beta * a + rep.gamma * (a @ a)
-    for point, w in rep.points():
-        u = point.u
-        # sgn(u) f_u(A) = (u I - A)^(-1) regardless of branch
+    for (u, w), r in zip(rep.atoms, resolvents):
+        # (u I - A)^(-1) = sgn(u) f_u(A) on either branch
         coeff = (1.0 + u * u) * (u - rep.c)
-        total += w * (
-            coeff * point.sign * resolvent_value(a, point)
-            - u * a
-            + (u * rep.c - (1.0 + u * u)) * eye
-        )
+        total += w * (coeff * r - u * a + (u * rep.c - (1.0 + u * u)) * eye)
     return total
 
 
@@ -170,18 +174,15 @@ def pick_second_derivative(
 ) -> np.ndarray:
     """Exact d^2/dt^2 of the represented function along M + tQ.
 
-    Assembled from the quadratic term (2 gamma Q^2) and the atomwise
-    resolvent second derivatives; PSD by construction.  M and Q are checked
-    Hermitian, M by the resolvents when there are atoms.
+    2 gamma Q^2 plus w (1 + u^2)(u - c) 2 R Q R Q R per atom, PSD by
+    construction since u - c has the sign of u's branch.  Q is checked
+    Hermitian, M with its spectrum by the resolvent gate.
     """
     check_hermitian(np.asarray(q))
-    if not rep.atoms:
-        check_hermitian(np.asarray(m))
+    resolvents = _resolvents(m, rep.window, [u for u, _ in rep.atoms])
     total = 2.0 * rep.gamma * (q @ q)
-    for point, w in rep.points():
-        u = point.u
-        coeff = w * (1.0 + u * u) * abs(u - rep.c)
-        total = total + coeff * resolvent_second_derivative(m, q, point)
+    for (u, w), r in zip(rep.atoms, resolvents):
+        total = total + w * (1.0 + u * u) * (u - rep.c) * (2.0 * (r @ q @ r @ q @ r))
     return total
 
 

@@ -1,10 +1,12 @@
 """Exit codes, report determinism, and file handling of the command line."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +360,25 @@ def test_malformed_input_files_are_usage_errors(argv, doc, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["certify-representation", "--rep"],
+     {**_GOOD_REP, "atoms": [{"u": math.nan, "w": 0.4}]}, "u"),
+    (["check-concavity", "kubo-ando", "--rep"],
+     {"a": 0.3, "b": 0.2, "atoms": [{"t": math.nan, "nu": 1.0}]}, "t"),
+])
+def test_a_nan_literal_in_a_representation_file_is_a_usage_error(argv, doc, field, tmp_path,
+                                                                  capsys):
+    # Python's json reads NaN; the reader refuses it before any matrix work
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, str(path), "--trials", "2"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert f"{field} must be finite, got nan" in capsys.readouterr().err
 
 
 def test_certify_representation(rep_file, capsys):

@@ -392,6 +392,14 @@ def test_kubo_ando_validation():
         KuboAndoRepresentation(0.0, 0.0, atoms=((1.0, 0.0),))
 
 
+@pytest.mark.parametrize("field", ["a", "b", "t", "nu"])
+def test_a_mean_refuses_a_non_finite_field(field):
+    # NaN passes every comparison check, and kubo_ando_eval would return NaN
+    fields = {"a": 0.5, "b": 0.5, "t": 1.0, "nu": 0.3, field: math.nan}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+        KuboAndoRepresentation(fields["a"], fields["b"], ((fields["t"], fields["nu"]),))
+
+
 def test_kubo_ando_matrix_vs_scalar_coherence():
     rep = KuboAndoRepresentation(0.2, 0.1, atoms=((0.5, 0.3), (2.0, 0.7)))
 

@@ -45,6 +45,13 @@ def test_point_inside_window_rejected():
         ResolventPoint(2.0, WINDOW)
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_pole_is_refused(u):
+    # a NaN pole lies in no window, and would give an all-NaN resolvent
+    with pytest.raises(ValueError, match="^u must be finite, got"):
+        ResolventPoint(u, WINDOW)
+
+
 def test_resolvent_value_matches_scalar_calculus():
     a = np.diag([1.0, 2.0]) + 0.0j
     p = ResolventPoint(-1.0, WINDOW)
@@ -120,6 +127,16 @@ def test_representation_validation():
         PickRepresentation(0.0, 0.0, 0.0, 1.0, WINDOW, atoms=((2.0, 1.0),))
     with pytest.raises(ValueError, match="weight"):
         PickRepresentation(0.0, 0.0, 0.0, 1.0, WINDOW, atoms=((-1.0, -0.1),))
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "c", "u", "w"])
+def test_a_representation_refuses_a_non_finite_field(field):
+    # NaN passes every comparison check, and both Pick routes would return NaN
+    fields = {"alpha": 0.5, "beta": 1.0, "gamma": 0.25, "c": 1.0, "u": -1.0, "w": 0.4,
+              field: math.nan}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+        PickRepresentation(fields["alpha"], fields["beta"], fields["gamma"], fields["c"],
+                           WINDOW, ((fields["u"], fields["w"]),))
 
 
 def test_scalar_eval_at_pole_free_point():
@@ -232,7 +249,7 @@ def test_the_resolvent_route_refuses_a_bad_direction(q):
 
 @pytest.mark.parametrize("m", sorted(BAD_DIRECTIONS))
 def test_an_atomless_representation_checks_its_point(m):
-    # no resolvent checks M, so the representation must
+    # with no atoms to sum, the resolvent gate still checks M
     rep = PickRepresentation(0.0, 0.0, 1.5, 1.0, WINDOW)
     with pytest.raises(HermiticityError):
         pick_second_derivative(rep, BAD_DIRECTIONS[m], np.eye(2))
