@@ -51,6 +51,7 @@ from .linalg import (
     SpectrumWindow,
     apply_function,
     check_hermitian,
+    check_mixing_weight,
     entrywise,
     factor,
     from_spectrum,
@@ -280,14 +281,6 @@ def run_trials(
                 "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
 
     return _aggregate(margins, witness)
-
-
-def check_mixing_weight(lam):
-    """A weight in (0, 1), or a ``(T,)`` array of them; NaN fails."""
-    arr = np.asarray(lam, dtype=float)
-    if not np.all((0.0 < arr) & (arr < 1.0)):
-        raise ValueError(f"mixing weight must lie in (0, 1), got {lam}")
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def convexity_gap(

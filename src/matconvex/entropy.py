@@ -23,11 +23,13 @@ by row when built: finite and Hermitian (never repaired), then trace and PSD
 from one ``eigvalsh``, kept as ``spectrum`` for its entropy; a pinched state
 B diag(d) B*, B = b_1 x b_2, d = diag(B* rho B), keeps sort(d) instead, which its
 slacks compare with rho's and the marginals' own spectra.  A bad row is named.
-So each state is built, and diagonalized, at most once: a report reuses the
-marginals it builds, :func:`conditional_entropy` reads rho itself when its kept
-set is every factor, and only :func:`ssa_report` builds (and diagonalizes, lest
-its cross-check be an identity) decoupled states, rho_12 x 1/d_3 from the rho_12
-of its slack; :func:`ssa_slack` is that slack alone, for batteries reading no more.
+So each state is built once and takes at most one ``eigvalsh``; a marginal that
+is pinched is diagonalized once more, by the ``eigh`` of :func:`pinching_basis`
+for its eigenbasis.  A report reuses the marginals it builds,
+:func:`conditional_entropy` reads rho itself when its kept set is every factor,
+and only :func:`ssa_report` builds (and diagonalizes, lest its cross-check be an
+identity) decoupled states, rho_12 x 1/d_3 from the rho_12 of its slack;
+:func:`ssa_slack` is that slack alone, for batteries reading no more.
 The relative-entropy kernels take ``(T, n, n)`` stacks of matrices the same way.
 The Monte Carlo averages have no per-sample witness, so each owns one stream:
 all samples come from ``spec.rng()``.
@@ -41,10 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .convexity import check_mixing_weight
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import (_dagger, _float_or_rows, _trace, factor, from_spectrum, hermitian,
-                     kron_from_spectrum, raise_rows, tensor)
+from .linalg import (_dagger, _float_or_rows, _trace, check_mixing_weight, factor,
+                     from_spectrum, hermitian, kron_from_spectrum, raise_rows, tensor)
 from .linalg import min_eigenvalue  # noqa: F401 - unused; perfbench tracing wraps it
 from .rand import RandomSpec, haar_unitaries_from, random_densities, uniform_range
 

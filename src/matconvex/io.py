@@ -122,58 +122,46 @@ def window_from_dict(doc: dict) -> SpectrumWindow:
     return SpectrumWindow(a, b)
 
 
+def _atoms_from_list(docs, keys: tuple[str, str], what: str) -> tuple:
+    """The atoms of a representation file: JSON objects with exactly ``keys``."""
+    atoms = []
+    for atom in docs:
+        _require_keys(atom, set(keys), set(), what)
+        atoms.append(tuple(_num(atom[key]) for key in keys))
+    return tuple(atoms)
+
+
+def _built(build: Callable[[], Any], what: str):
+    """``build()``, a ValueError re-raised as a ValidationError prefixed ``what``."""
+    try:
+        return build()
+    except ValueError as err:
+        raise ValidationError(f"{what}: {err}") from err
+
+
 def pick_to_dict(rep: PickRepresentation) -> dict:
-    return {
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-        "gamma": rep.gamma,
-        "c": rep.c,
-        "window": window_to_dict(rep.window),
-        "atoms": [{"u": u, "w": w} for u, w in rep.atoms],
-    }
+    return {"alpha": rep.alpha, "beta": rep.beta, "gamma": rep.gamma, "c": rep.c,
+            "window": window_to_dict(rep.window),
+            "atoms": [dict(zip(("u", "w"), atom)) for atom in rep.atoms]}
 
 
 def pick_from_dict(doc: dict) -> PickRepresentation:
-    _require_keys(
-        doc, {"alpha", "beta", "gamma", "c", "window", "atoms"}, set(), "representation"
-    )
-    atoms = []
-    for atom in doc["atoms"]:
-        _require_keys(atom, {"u", "w"}, set(), "representation atom")
-        atoms.append((_num(atom["u"]), _num(atom["w"])))
-    try:
-        return PickRepresentation(
-            alpha=_num(doc["alpha"]),
-            beta=_num(doc["beta"]),
-            gamma=_num(doc["gamma"]),
-            c=_num(doc["c"]),
-            window=window_from_dict(doc["window"]),
-            atoms=tuple(atoms),
-        )
-    except ValueError as err:
-        raise ValidationError(f"representation: {err}") from err
+    _require_keys(doc, {"alpha", "beta", "gamma", "c", "window", "atoms"}, set(), "representation")
+    atoms = _atoms_from_list(doc["atoms"], ("u", "w"), "representation atom")
+    return _built(lambda: PickRepresentation(
+        *(_num(doc[key]) for key in ("alpha", "beta", "gamma", "c")),
+        window_from_dict(doc["window"]), atoms), "representation")
 
 
 def kubo_ando_to_dict(rep: KuboAndoRepresentation) -> dict:
-    return {
-        "a": rep.a,
-        "b": rep.b,
-        "atoms": [{"t": t, "nu": nu} for t, nu in rep.atoms],
-    }
+    return {"a": rep.a, "b": rep.b, "atoms": [dict(zip(("t", "nu"), atom)) for atom in rep.atoms]}
 
 
 def kubo_ando_from_dict(doc: dict) -> KuboAndoRepresentation:
     _require_keys(doc, {"a", "b", "atoms"}, set(), "mean representation")
-    atoms = []
-    for atom in doc["atoms"]:
-        _require_keys(atom, {"t", "nu"}, set(), "mean atom")
-        atoms.append((_num(atom["t"]), _num(atom["nu"])))
-    try:
-        return KuboAndoRepresentation(
-            a=_num(doc["a"]), b=_num(doc["b"]), atoms=tuple(atoms)
-        )
-    except ValueError as err:
-        raise ValidationError(f"mean representation: {err}") from err
+    atoms = _atoms_from_list(doc["atoms"], ("t", "nu"), "mean atom")
+    return _built(lambda: KuboAndoRepresentation(_num(doc["a"]), _num(doc["b"]), atoms),
+                  "mean representation")
 
 
 # ---------------------------------------------------------------------------

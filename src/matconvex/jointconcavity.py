@@ -47,6 +47,7 @@ from .linalg import (
     _float_or_rows,
     _trace,
     check_finite,
+    check_hermitian,
     factor,
     frobenius,
     from_spectrum,
@@ -102,7 +103,10 @@ def _power(factors: tuple[np.ndarray, np.ndarray], p) -> np.ndarray:
 
 def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Scale a direction tuple (or each row of a tuple of stacks) so the
-    largest operator norm equals one."""
+    largest operator norm equals one; each direction must be Hermitian, since
+    the norm reads one triangle."""
+    for q in dirs:
+        check_hermitian(np.asarray(q))
     scale = np.max([op_norm(q) for q in dirs], axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)[..., None, None]
     return [q / scale for q in dirs]
@@ -138,6 +142,8 @@ def _hessian(projection, dirs: Sequence[np.ndarray]) -> np.ndarray:
     invs, roots, r_inv, t = projection
     if len(dirs) != len(invs):
         raise DimensionMismatchError("direction tuple length must match matrix tuple")
+    for q in dirs:  # checked, never repaired: the symmetrization below is for rounding only
+        check_hermitian(np.asarray(q))
     y = np.concatenate([s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)],
                        axis=-2)
     h = -2.0 * (_dagger(y) @ (y - t @ y))

@@ -140,6 +140,14 @@ def check_finite(**fields) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_mixing_weight(lam):
+    """A weight in (0, 1), or a ``(T,)`` array of them; NaN fails."""
+    arr = np.asarray(lam, dtype=float)
+    if not np.all((0.0 < arr) & (arr < 1.0)):
+        raise ValueError(f"mixing weight must lie in (0, 1), got {lam}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, row by row over a leading stack axis."""
     return m.conj().swapaxes(-1, -2)

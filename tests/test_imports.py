@@ -47,3 +47,11 @@ def test_the_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_entropy_imports_no_convexity():
+    # the state layer sits below the batteries: its validators come from linalg
+    tree = ast.parse((SRC / "entropy.py").read_text())
+    local = {node.module for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"errors", "linalg", "rand"}

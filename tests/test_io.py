@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,153 @@ def test_kubo_ando_roundtrip():
     bad["atoms"][0]["t"] = -1.0
     with pytest.raises(ValidationError):
         kubo_ando_from_dict(bad)
+
+
+# ---------------------------------------------------------------------------
+# The representation codec: one atoms reader, one atoms writer and one
+# construction guard serve Pick representations and Kubo-Ando means.
+
+#: the representations and means that the other test modules build, and 16 atoms
+PICKS = [
+    PickRepresentation(0.5, -0.2, 0.3, 1.0, SpectrumWindow(0.1, 5.0), ((-1.0, 0.4), (7.0, 0.2))),
+    PickRepresentation(0.5, 0.1, 0.3, 1.0, SpectrumWindow(0.1, 5.0), ((-1.0, 0.4), (7.0, 0.2))),
+    PickRepresentation(0.5, -0.2, 0.3, 1.0, SpectrumWindow(0.1, 5.0), ((-1.0, 0.4), (7.0, 0.25))),
+    PickRepresentation(0.5, 1.0, 0.25, 1.0, SpectrumWindow(0.1, 2.0), ((-1.0, 0.5), (7.0, 2.0))),
+    PickRepresentation(0.0, 0.0, 0.0, 1.0, SpectrumWindow(0.1, 5.0)),
+    PickRepresentation(0.0, 0.0, 1.5, 1.0, SpectrumWindow(0.1, 5.0)),
+    PickRepresentation(0.0, 1.0, 0.0, 1.0, SpectrumWindow(0.0, math.inf)),
+    PickRepresentation(0.5, -0.2, 0.3, 1.0, SpectrumWindow(0.1, 5.0), tuple(
+        (-1.0 - 0.1 * j if j % 2 else 6.0 + 0.1 * j, 0.1 + 0.01 * j) for j in range(16))),
+]
+MEANS = [
+    KuboAndoRepresentation(0.3, 0.2, ((1.0, 0.5),)),
+    KuboAndoRepresentation(0.3, 0.2),
+    KuboAndoRepresentation(0.2, 0.1, ((0.5, 0.3), (2.0, 0.7))),
+    KuboAndoRepresentation(0.1, 0.2, ((1.0, 0.5),)),
+    KuboAndoRepresentation(0.3, 0.2, ((1.0, 0.5), (4.0, 0.25))),
+    KuboAndoRepresentation(0.5, 0.5),
+    KuboAndoRepresentation(0.0, 0.0, ((1.0, 1.0),)),
+]
+
+
+@pytest.mark.parametrize("rep", PICKS)
+def test_a_representation_survives_the_round_trip_through_a_file(rep):
+    assert pick_from_dict(pick_to_dict(rep)) == rep
+    assert pick_from_dict(json.loads(json.dumps(pick_to_dict(rep)))) == rep
+
+
+@pytest.mark.parametrize("mean", MEANS)
+def test_a_mean_survives_the_round_trip_through_a_file(mean):
+    assert kubo_ando_from_dict(kubo_ando_to_dict(mean)) == mean
+    assert kubo_ando_from_dict(json.loads(json.dumps(kubo_ando_to_dict(mean)))) == mean
+
+
+def test_the_writers_emit_each_field_in_schema_order():
+    assert json.dumps(pick_to_dict(PICKS[0])) == (
+        '{"alpha": 0.5, "beta": -0.2, "gamma": 0.3, "c": 1.0, "window": {"a": 0.1, "b": 5.0}, '
+        '"atoms": [{"u": -1.0, "w": 0.4}, {"u": 7.0, "w": 0.2}]}')
+    assert json.dumps(pick_to_dict(PICKS[6])["window"]) == '{"a": 0.0, "b": null}'
+    assert json.dumps(kubo_ando_to_dict(MEANS[2])) == (
+        '{"a": 0.2, "b": 0.1, "atoms": [{"t": 0.5, "nu": 0.3}, {"t": 2.0, "nu": 0.7}]}')
+
+
+def _edited(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``, or
+    removed when ``value`` is ``_DROP``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    if value is _DROP:
+        del owner[last]
+    else:
+        owner[last] = value
+    return doc
+
+
+_DROP = object()
+
+#: (path, value, error type, full message) of one bad field in a PICKS[0] file
+PICK_ERRORS = [
+    (("extra",), 1, ValidationError, "representation: unknown fields ['extra']"),
+    (("c",), _DROP, ValidationError, "representation: missing fields ['c']"),
+    (("window",), {"a": 5.0, "b": 0.1}, ValidationError,
+     "representation: window requires a < b, got (5.0, 0.1)"),
+    (("window", "b"), _DROP, ValidationError, "representation: window: missing fields ['b']"),
+    (("window",), 3, ValidationError, "representation: window: expected a JSON object, got int"),
+    (("window", "b"), "5", TypeError, "expected a JSON number, got '5'"),
+    (("gamma",), -1.0, ValidationError, "representation: gamma must be nonnegative, got -1.0"),
+    (("c",), 9.0, ValidationError, "representation: center c=9.0 must lie inside the window"),
+    (("atoms", 0, "w"), 0.0, ValidationError,
+     "representation: atom weight must be positive, got 0.0"),
+    (("atoms", 0, "u"), 2.0, ValidationError,
+     "representation: atom location u=2.0 lies inside the window"),
+    (("alpha",), math.nan, ValidationError, "representation: alpha must be finite, got nan"),
+    (("atoms", 1, "u"), math.nan, ValidationError, "representation: u must be finite, got nan"),
+    (("alpha",), "0.5", TypeError, "expected a JSON number, got '0.5'"),
+    (("gamma",), True, TypeError, "expected a JSON number, got True"),
+    (("atoms", 0, "u"), "1", TypeError, "expected a JSON number, got '1'"),
+    (("atoms", 0, "q"), 1, ValidationError, "representation atom: unknown fields ['q']"),
+    (("atoms", 1, "w"), _DROP, ValidationError, "representation atom: missing fields ['w']"),
+    (("atoms",), {"u": 1.0, "w": 1.0}, ValidationError,
+     "representation atom: expected a JSON object, got str"),
+    (("atoms",), [3], ValidationError, "representation atom: expected a JSON object, got int"),
+    (("atoms",), 5, TypeError, "'int' object is not iterable"),
+]
+
+#: the same for a MEANS[0] file
+MEAN_ERRORS = [
+    (("extra",), 1, ValidationError, "mean representation: unknown fields ['extra']"),
+    (("b",), _DROP, ValidationError, "mean representation: missing fields ['b']"),
+    (("atoms", 0, "t"), 0.0, ValidationError,
+     "mean representation: atom location must be positive, got t=0.0"),
+    (("atoms", 0, "nu"), 0.0, ValidationError,
+     "mean representation: atom weight must be positive, got nu=0.0"),
+    (("a",), math.nan, ValidationError, "mean representation: a must be finite, got nan"),
+    (("atoms", 0, "nu"), math.inf, ValidationError,
+     "mean representation: nu must be finite, got inf"),
+    (("b",), "x", TypeError, "expected a JSON number, got 'x'"),
+    (("atoms", 0, "t"), "1", TypeError, "expected a JSON number, got '1'"),
+    (("atoms", 0, "q"), 1, ValidationError, "mean atom: unknown fields ['q']"),
+    (("atoms", 0, "t"), _DROP, ValidationError, "mean atom: missing fields ['t']"),
+    (("atoms",), {"t": 1.0, "nu": 1.0}, ValidationError,
+     "mean atom: expected a JSON object, got str"),
+    (("atoms",), 5, TypeError, "'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("path, value, error, message", PICK_ERRORS,
+                         ids=[m for *_, m in PICK_ERRORS])
+def test_a_bad_representation_field_gives_its_full_message(path, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        pick_from_dict(_edited(pick_to_dict(PICKS[0]), path, value))
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("path, value, error, message", MEAN_ERRORS,
+                         ids=[m for *_, m in MEAN_ERRORS])
+def test_a_bad_mean_field_gives_its_full_message(path, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        kubo_ando_from_dict(_edited(kubo_ando_to_dict(MEANS[0]), path, value))
+    assert type(caught.value) is error
+
+
+def test_the_readers_refuse_a_document_that_is_not_an_object():
+    with pytest.raises(ValidationError, match=r"^representation: expected a JSON object, got int$"):
+        pick_from_dict(3)
+    with pytest.raises(ValidationError,
+                       match=r"^mean representation: expected a JSON object, got list$"):
+        kubo_ando_from_dict([])
+
+
+def test_the_atoms_are_read_before_the_scalar_fields():
+    doc = _edited(_edited(pick_to_dict(PICKS[0]), ("alpha",), "0.5"), ("atoms", 1, "q"), 1)
+    with pytest.raises(ValidationError, match=r"^representation atom: unknown fields \['q'\]$"):
+        pick_from_dict(doc)
+    doc = _edited(_edited(kubo_ando_to_dict(MEANS[0]), ("a",), math.nan), ("atoms", 0, "t"), "1")
+    with pytest.raises(TypeError, match="^expected a JSON number, got '1'$"):
+        kubo_ando_from_dict(doc)
 
 
 def test_report_schema_strict():

@@ -106,6 +106,28 @@ def test_hessian_direction_count_mismatch():
         parallel_sum_hessian(mats, [np.eye(3)])
 
 
+#: route -> call on the tuple diag(1, 2), diag(3, 1.5) with directions ``dirs``
+DIRECTION_ROUTES = {
+    "parallel_sum_hessian": lambda dirs: parallel_sum_hessian(
+        [np.diag([1.0, 2.0]), np.diag([3.0, 1.5])], dirs),
+    "parallel_sum_certificate": lambda dirs: parallel_sum_certificate(
+        [np.diag([1.0, 2.0]), np.diag([3.0, 1.5])], dirs),
+    "normalize_directions": normalize_directions,
+}
+
+
+@pytest.mark.parametrize("route", sorted(DIRECTION_ROUTES))
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0, 1.0], [0.0, 0.0]], r"^matrix asymmetry 1\.000e\+00 exceeds tolerance 2\.000e-12$"),
+    ([[math.nan, 0.0], [0.0, 1.0]], "^matrix has non-finite entries$"),
+], ids=["upper-triangular", "nan"])
+def test_a_non_hermitian_direction_is_refused_not_symmetrized(route, bad, message):
+    # the Hessian symmetrizes its result and the norm reads one triangle, so
+    # without the check either would quietly use another direction
+    with pytest.raises(HermiticityError, match=message):
+        DIRECTION_ROUTES[route]([np.array(bad), np.zeros((2, 2))])
+
+
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 4)])
 def test_block_projection_residuals(k, n):
     # the certificate's residual is max(||T - T*||, ||T^2 - T||)
