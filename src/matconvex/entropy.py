@@ -165,6 +165,8 @@ def haar_average_residual(
     """Frobenius distance of the Monte Carlo Haar average of (1 x U)* rho (1 x U)
     from rho_1 x 1/d_2; decays like 1/sqrt(samples).  Every U is drawn from
     ``spec.rng()``; one stacked QR and one contraction serve all samples."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     d1, d2 = _two_factors(rho12)
     target = tensor(rho12.marginal([0]).matrix, np.eye(d2) / d2)
     u = haar_unitaries_from(d2, samples, spec.rng())
@@ -240,6 +242,8 @@ def pinch_monte_carlo(
     diagonal in the pinching basis.  Sample s reads the s-th row of phases p
     drawn from ``spec.rng()``; with the p as rows of P, the mean of
     diag(p)* M diag(p) is M o (P* P) / samples."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     basis = tensor(*pinch_bases(rho12))
     in_basis = _dagger(basis) @ rho12.matrix @ basis
     low, span = uniform_range(0.0, 2.0 * np.pi)

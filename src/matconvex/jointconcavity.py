@@ -363,8 +363,8 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
 
 @dataclasses.dataclass(frozen=True)
 class KuboAndoRepresentation:
-    """Discrete Loewner representation of an operator mean: a A + b B plus
-    positive weights on harmonic-mean kernels at locations t_j > 0."""
+    """Discrete Loewner representation of an operator mean: a A + b B, a, b >= 0,
+    plus positive weights on harmonic-mean kernels at locations t_j > 0."""
 
     a: float
     b: float
@@ -372,6 +372,9 @@ class KuboAndoRepresentation:
 
     def __post_init__(self):
         check_finite(a=self.a, b=self.b)
+        for name, value in (("a", self.a), ("b", self.b)):
+            if value < 0.0:  # a negative linear part is not monotone
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         for t, nu in self.atoms:
             check_finite(t=t, nu=nu)
             if t <= 0.0:

@@ -11,7 +11,7 @@ its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
 absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
 A batch of generators is made by :meth:`RandomSpec.rngs`, which seeds its
-streams with one vectorized pass of numpy's ``SeedSequence`` entropy hash
+streams by numpy's own ``SeedSequence`` loops run on the batch's columns
 (O'Neill's ``seed_seq``, fixed as a stable stream by NEP 19); a lone one, by
 :meth:`RandomSpec.rng` through numpy's ``SeedSequence`` itself, which costs
 less for one row than a batch's fixed numpy calls.  Either way stream
@@ -121,51 +121,39 @@ def _uint32_words(base: int, offsets: np.ndarray) -> np.ndarray:
     return words
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The running hash constant before and after each of ``count`` steps."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
 def _seed_sequence_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a
     zero-padded ``(T, L)`` uint32 entropy array, row t holding ``lengths[t]``
-    words, in uint32 arithmetic (wrapping as C does).
+    words: numpy's ``mix_entropy`` and ``generate_state`` loops, each step on
+    one column of the batch, in uint32 arithmetic (wrapping as C does).
 
-    Each hashmix step k xors the value with constant k, multiplies it by
-    constant k + 1 and xor-shifts it; the steps run in numpy's order, a pool
-    word's updates against every other word at once.  Padding inside the
-    pool is what numpy pads with; a word beyond it is mixed in only where
-    the row reaches it, and comes after every other step.
+    A hashmix step xors the value with the running hash constant, advances
+    the constant, multiplies by it and xor-shifts.  Padding inside the pool
+    is what numpy pads with; a word beyond it is mixed in only where the row
+    reaches it, and those steps come after every other one.
     """
-    width = entropy.shape[1]
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, width - _POOL))
-    step = 0
+    const = _INIT_A
 
-    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
-        nonlocal step
-        out = (values ^ a[step:step + count]) * a[step + 1:step + count + 1]
-        step += count
-        return out ^ (out >> 16)
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal const
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = _MIX_L * x - _MIX_R * y
         return out ^ (out >> 16)
 
-    pool = np.zeros((len(entropy), _POOL), dtype=np.uint32)
-    pool[:, :width] = entropy[:, :_POOL]
-    pool = hashmix(pool, _POOL)
+    pool = [hashmix(column) for column in np.pad(entropy, ((0, 0), (0, _POOL))).T[:_POOL]]
     for src in range(_POOL):  # late words reach early ones
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], _POOL - 1))
-    for src in range(_POOL, width):  # entropy beyond the pool
-        mixed = mix(pool, hashmix(entropy[:, src, None], _POOL))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
-    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-    words = (np.concatenate([pool, pool], axis=1) ^ b[:-1]) * b[1:]
-    words ^= words >> 16
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):  # entropy beyond the pool
+        for dst in range(_POOL):
+            pool[dst] = np.where(lengths > src, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    const = _INIT_B
+    words = np.stack([hashmix(pool[i % _POOL], _MULT_B) for i in range(2 * _POOL)], axis=1)
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 

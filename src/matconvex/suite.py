@@ -16,9 +16,9 @@ decreasing.
 Trials run as stacks.  Each trial still draws from its own stream in the
 order a lone trial would; the trials of a check that draw their shape (the
 (k, n) of a parallel sum, the n of a Lieb or joint-concavity trial, the pole
-or size of a resolvent or tensor-power trial) are grouped by shape, each
-group runs through the kernels as one stack, and the results go back into
-stream order before the reductions.
+or size of a resolvent or tensor-power trial) are grouped by shape by
+:func:`convexity.shape_groups`, each group runs through the kernels as one
+stack, and the results go back into stream order before the reductions.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ def check_mutual_information(spec: RandomSpec) -> dict:
         "bell_error": (bell_errs, "<=", 1e-9)})
 
 
-def _shape_groups(shapes: list) -> list[tuple]:
-    """(shape, row indices in stream order) for each distinct shape."""
-    return [(shape, np.array([t for t, x in enumerate(shapes) if x == shape]))
-            for shape in sorted(set(shapes))]
-
-
 def _parallel_sum_second_derivative(mats: list, dirs: list) -> np.ndarray:
     """d^2/dt^2 of R = X^(-1), X = sum_j (A_j + t Q_j)^(-1), by resolvent
     calculus: 2 R X' R X' R - R X'' R with X' = -sum_j A_j^(-1) Q_j A_j^(-1)
@@ -112,8 +106,7 @@ def check_parallel_sum(spec: RandomSpec) -> dict:
     rngs = spec.rngs(range(200))
     shapes = [(int(rng.integers(2, 4)), int(rng.integers(2, 6))) for rng in rngs]
     eigs, projs, rels = np.empty(200), np.empty(200), np.empty(200)
-    for (k, n), rows in _shape_groups(shapes):
-        group = [rngs[t] for t in rows]
+    for (k, n), rows, group in cx.shape_groups(rngs, shapes):
         mats = [random_in_window_rows(n, _WINDOW_WIDE, group) for _ in range(k)]
         dirs = jc.random_directions(k, n, group)
         hess, eigs[rows], projs[rows] = jc.parallel_sum_certificate(mats, dirs)
@@ -129,12 +122,11 @@ def check_tensor_power(spec: RandomSpec) -> dict:
     """Quadrature route for A^p x B^(1-p) agrees with the spectral route and
     the error decreases with the node count."""
     errors = np.empty((2, 20))
+    sizes = [2 + t % 2 for t in range(20)]  # n = 2 on even trials, 3 on odd ones
     for i, p in enumerate([(0.5, 0.5), (0.3, 0.7)]):
-        trial_rngs = spec.rngs(range(100 * i, 100 * i + 20))
-        for n in (2, 3):  # n = 2 on even trials, 3 on odd ones
-            rngs = trial_rngs[n - 2::2]
+        for n, rows, rngs in cx.shape_groups(spec.rngs(range(100 * i, 100 * i + 20)), sizes):
             mats = [random_in_window_rows(n, _WINDOW_WIDE, rngs) for _ in range(2)]
-            errors[i, n - 2::2] = jc.tensor_power_errors(mats, p, [64])[0]
+            errors[i, rows] = jc.tensor_power_errors(mats, p, [64])[0]
     rngs = [spec.stream(999).rng()]
     mats = [random_in_window_rows(3, _WINDOW_WIDE, rngs)[0] for _ in range(2)]
     curve = jc.tensor_power_errors(mats, (0.3, 0.7), jc.ERROR_CURVE_NODES)
@@ -163,8 +155,7 @@ def check_lieb_wyd(spec: RandomSpec) -> dict:
     rngs, density_rngs = spec.rngs(range(200)), spec.rngs(range(100000, 100200))
     sizes = [int(rng.integers(2, 5)) for rng in rngs]
     gaps, wyds = np.empty(200), np.empty(200)
-    for n, rows in _shape_groups(sizes):
-        group = [rngs[t] for t in rows]
+    for n, rows, group in cx.shape_groups(rngs, sizes):
         gaps[rows], p = jc.lieb_midpoint_gap(n, _WINDOW_WIDE, group)
         rho = random_densities(n, [density_rngs[t] for t in rows])
         _, u = factor(rho)
@@ -185,8 +176,7 @@ def check_relative_entropy(spec: RandomSpec) -> dict:
     rngs = spec.rngs(range(1000, 1200))
     sizes = [int(rng.integers(2, 5)) for rng in rngs]
     joint_gaps = np.empty(200)
-    for n, rows in _shape_groups(sizes):
-        group = [rngs[t] for t in rows]
+    for n, rows, group in cx.shape_groups(rngs, sizes):
         a0, a1, b0, b1 = (random_in_window_rows(n, _WINDOW_NARROW, group) for _ in range(4))
         joint_gaps[rows] = ent.relative_entropy(0.5 * (a0 + a1), 0.5 * (b0 + b1)) - 0.5 * (
             ent.relative_entropy(a0, b0) + ent.relative_entropy(a1, b1))
@@ -240,9 +230,8 @@ def check_resolvent_exactness(spec: RandomSpec) -> dict:
     algebraic atom decomposition."""
     rngs = spec.rngs(range(100))
     identity_residuals, deviations = np.empty(100), np.empty(100)
-    for parity, pole in enumerate((-1.0, 7.0)):  # the pole of trial t: 7 when t is odd
-        rows = np.arange(parity, 100, 2)
-        group = [rngs[t] for t in rows]
+    # the pole of trial t: -1 when t is even, 7 when it is odd
+    for pole, rows, group in cx.shape_groups(rngs, [(-1.0, 7.0)[t % 2] for t in range(100)]):
         a = random_in_window_rows(3, _WINDOW_WIDE, group)
         q = random_direction_rows(3, group)
         point = rv.ResolventPoint(pole, _WINDOW_WIDE)

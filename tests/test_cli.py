@@ -592,6 +592,18 @@ def test_check_concavity_kubo_ando(tmp_path, capsys):
     assert code == 2  # needs --rep
 
 
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_check_concavity_kubo_ando_refuses_a_negative_linear_part(tmp_path, capsys, field):
+    path = tmp_path / "mean.json"
+    doc = {"a": 0.2, "b": 0.2, "atoms": [{"t": 1.0, "nu": 0.5}], field: -0.1}
+    path.write_text(json.dumps(doc))
+    code = main(["check-concavity", "kubo-ando", "--rep", str(path), "--seed", "1"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: mean representation: {field} must be nonnegative, got -0.1\n"
+
+
 @pytest.mark.parametrize("suite_name", ["parallel-sum", "tensor-power", "lieb", "kubo-ando"])
 def test_check_concavity_zero_trials_is_a_usage_error(tmp_path, capsys, suite_name):
     # zero trials certify nothing: no pass with margin Infinity, one error line

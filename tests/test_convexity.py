@@ -440,6 +440,38 @@ def test_monotonicity_refuses_more_sites_than_a_window_spaces(max_sites):
         monotonicity_test(builtin("sqrt"), WINDOW, max_sites, 5, SPEC)
 
 
+@pytest.mark.parametrize("max_sites", [1, 0, -4])
+def test_monotonicity_refuses_fewer_than_two_sites(max_sites):
+    # one site has no Loewner matrix to test; numpy's integers(2, 2) raised
+    message = f"^a Loewner trial needs at least 2 sites, got {max_sites}$"
+    with pytest.raises(ValueError, match=message):
+        monotonicity_test(builtin("sqrt"), WINDOW, max_sites, 5, SPEC)
+    with pytest.raises(ValueError, match=message):
+        secant_test(builtin("x2"), 1.0, WINDOW, max_sites, 5, SPEC)
+
+
+@pytest.mark.parametrize("shapes", [
+    [3, 2, 3, 3, 2, 4],
+    [(2, 3), (3, 2), (2, 3), (2, 2)],
+    [7.0, -1.0] * 5,
+    [5],
+    [],
+])
+def test_shape_groups_split_the_trials_by_shape(shapes):
+    rngs = SPEC.rngs(range(len(shapes)))
+    groups = list(cx.shape_groups(rngs, iter(shapes)))  # any iterable of shapes
+    assert [shape for shape, _, _ in groups] == sorted(set(shapes))
+    seen = []
+    for shape, rows, gens in groups:
+        assert rows.dtype.kind == "i"
+        assert list(rows) == sorted(rows)
+        assert all(shapes[t] == shape for t in rows)
+        assert len(gens) == len(rows)
+        assert all(g is rngs[t] for g, t in zip(gens, rows))
+        seen.extend(rows)
+    assert sorted(seen) == list(range(len(shapes)))
+
+
 # ---------------------------------------------------------------------------
 # The stacked engine against a per-trial reference loop.  The loop lives only
 # here: trial t draws from spec.stream(t) and evaluates one unstacked trial.

@@ -158,6 +158,16 @@ def test_pinch_monte_carlo_converges():
     )
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_averages_refuse_fewer_than_one_sample(samples):
+    # zero samples divided 0 by 0: a NaN residual, or a non-finite pinched state
+    message = f"^need at least one sample, got {samples}$"
+    with pytest.raises(ValueError, match=message):
+        haar_average_residual(bell_state(), samples, SPEC.stream(303))
+    with pytest.raises(ValueError, match=message):
+        pinch_monte_carlo(random_state((2, 2), SPEC.stream(304)), samples, SPEC.stream(305))
+
+
 def test_haar_average_fixed_point_and_decay():
     rho1 = DensityOperator(np.diag([0.7, 0.3]), (2,))
     fixed = DensityOperator(np.kron(rho1.matrix, np.eye(2) / 2.0), (2, 2))

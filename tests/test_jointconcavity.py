@@ -422,6 +422,16 @@ def test_a_mean_refuses_a_non_finite_field(field):
         KuboAndoRepresentation(fields["a"], fields["b"], ((fields["t"], fields["nu"]),))
 
 
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_a_mean_refuses_a_negative_linear_part(field):
+    # a A + b B with a < 0 or b < 0 is jointly concave but not monotone, so
+    # it is no Kubo-Ando mean
+    fields = {"a": 0.2, "b": 0.2, field: -0.1}
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got -0.1$"):
+        KuboAndoRepresentation(fields["a"], fields["b"], ((1.0, 0.5),))
+    KuboAndoRepresentation(0.0, 0.0, ((1.0, 0.5),))  # a = b = 0 is still a mean
+
+
 def test_kubo_ando_matrix_vs_scalar_coherence():
     rep = KuboAndoRepresentation(0.2, 0.1, atoms=((0.5, 0.3), (2.0, 0.7)))
 

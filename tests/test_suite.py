@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from matconvex import convexity as cx
 from matconvex import jointconcavity as jc
 from matconvex import resolvent as rv
 from matconvex.io import matrix_from_dict
@@ -158,6 +159,34 @@ def test_stacked_checks_factor_per_shape_group(monkeypatch, check):
     # one trial at a time made 100 to 2000 calls of a kernel (lieb_wyd: 1600
     # eigh); a stack makes a handful per shape group
     assert calls and max(calls.values()) <= 16 * SHAPE_GROUPS[check], dict(calls)
+
+
+@pytest.mark.parametrize("check", sorted(SHAPE_GROUPS))
+def test_shape_drawing_checks_group_through_one_helper(monkeypatch, check):
+    calls = []
+
+    def counted(rngs, shapes, _real=cx.shape_groups):
+        calls.append(len(rngs))
+        return _real(rngs, shapes)
+
+    monkeypatch.setattr(cx, "shape_groups", counted)
+    (record,) = run_suite(1, only=check)
+    assert record["status"] == "pass"
+    assert calls
+
+
+def test_monotonicity_test_groups_through_one_helper(monkeypatch):
+    calls = []
+
+    def counted(rngs, shapes, _real=cx.shape_groups):
+        calls.append(len(rngs))
+        return _real(rngs, shapes)
+
+    monkeypatch.setattr(cx, "shape_groups", counted)
+    verdict = cx.monotonicity_test(cx.builtin("sqrt"), SpectrumWindow(0.1, 5.0), 4, 200,
+                                   RandomSpec(1))
+    assert verdict.status == "certified"
+    assert sum(calls) == 200  # every chunk's trials, once
 
 
 #: The checks that run the stacked entropy kernels, the stacked Haar QR, the
