@@ -7,8 +7,8 @@ resolves the seed, checks the counts and emits the report, whose ``config`` is t
 parsed arguments (seed resolved, window as [a, b]), so a run can be replayed exactly.
 Check k of a report is part k of one ``suite.run_parts`` call, so it draws from stream
 block k whichever checks run.  Exit codes: 0 all checks pass, 1 at least one violation
-or failed check, 2 usage or parse error (a malformed input file included), 3 internal
-error (any other exception, reported as one ``error:`` line).
+or failed check, 2 usage or parse error (a malformed input file or an unwritable ``--out``
+included), 3 internal error (any other exception, reported as one ``error:`` line).
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ Without degenerate eigenvalues the rule reduces to phase-fixing each
 eigenvector by its first entry of modulus above 1e-8.
 
 A :class:`DensityOperator` may hold a ``(T, N, N)`` stack on one factorization;
-every state function then runs on all rows at once and reports hold ``(T,)``
+every state function but :func:`haar_average_residual`, which refuses a stack
+with ``ValidationError``, then runs on all rows at once and reports hold ``(T,)``
 arrays.  Each DensityOperator, marginals and pinched states too, is checked row
 by row when built: finite and Hermitian (never repaired), then trace and PSD
 from one ``eigvalsh``, kept as ``spectrum`` for its entropy; a pinched state
@@ -168,6 +169,8 @@ def haar_average_residual(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     d1, d2 = _two_factors(rho12)
+    if rho12.matrix.ndim == 3:
+        raise ValidationError(f"expected one state, got a stack of {len(rho12.matrix)}")
     target = tensor(rho12.marginal([0]).matrix, np.eye(d2) / d2)
     u = haar_unitaries_from(d2, samples, spec.rng())
     # rho indexed (i, c, j, e); U_s acts on the second factor's c and e
@@ -217,6 +220,7 @@ def pinching_basis(marginal: np.ndarray) -> np.ndarray:
 def pinch_bases(rho12: DensityOperator, marginals: Sequence[DensityOperator] = ()) -> tuple:
     """The pinching bases (b_1, b_2) of the two marginals, read from
     ``marginals`` when given; the product basis is b_1 x b_2."""
+    _two_factors(rho12)
     rho1, rho2 = marginals or (rho12.marginal([0]), rho12.marginal([1]))
     return pinching_basis(rho1.matrix), pinching_basis(rho2.matrix)
 

@@ -290,9 +290,12 @@ def load_json(path: str) -> Any:
 
 
 def save_json(path: str, doc: Any):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as err:
+        raise ValidationError(f"{path}: {err.strerror}") from err
 
 
 def load(path: str, reader: Callable[[Any], Any]) -> Any:

@@ -346,12 +346,13 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
 
     The conventionally normalized skew information is the negation of this
     value.  Eigenvalues of rho below 1e-12 are lifted to 1e-12 with trace
-    renormalization before the fractional powers are taken; rho must be finite
-    and Hermitian (never repaired).  Stacks of rho and K take a ``(T,)`` array
+    renormalization before the fractional powers are taken; rho and K must be
+    finite and Hermitian (never repaired).  Stacks of rho and K take a ``(T,)`` array
     (or a scalar) p and give a ``(T,)`` array.
     """
     if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
+    check_hermitian(np.asarray(k))
     w, u = factor(rho)
     w = np.clip(w.real, 1e-12, None)
     lifted = (w / w.sum(axis=-1, keepdims=True), u)

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     DomainViolationError,
     HermiticityError,
+    UnboundedWindowError,
 )
 
 #: Maximum allowed asymmetry at construction.
@@ -57,9 +58,10 @@ class SpectrumWindow:
                      f"outside window ({self.a}, {self.b})")
 
     def shrunk(self) -> "SpectrumWindow":
-        """Compact sub-window with a margin of ``0.05 * (b - a)`` per side."""
+        """Compact sub-window, ``0.05 * (b - a)`` in from each side; refuses an unbounded one."""
         if not self.is_bounded:
-            raise ValueError("cannot shrink an unbounded window")
+            raise UnboundedWindowError(f"needs a bounded window, got ({self.a}, {self.b}); "
+                                       "pass a compact sub-window")
         delta = 0.05 * (self.b - self.a)
         return SpectrumWindow(self.a + delta, self.b - delta)
 

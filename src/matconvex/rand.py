@@ -51,7 +51,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnboundedWindowError
 from .linalg import SpectrumWindow, from_spectrum, op_norm
 
 #: Stream ids per block; a battery that splits its work into parts hands
@@ -250,10 +249,6 @@ def random_in_window_factors(
     lambda ``(T, n)`` uniform on the 5%-shrunk window and U ``(T, n, n)`` Haar,
     row t from the t-th generator.  Each draws its spectrum, then its
     unitary; one QR for the stack."""
-    if not window.is_bounded:
-        raise UnboundedWindowError(
-            "random_in_window needs a bounded window; pass a compact sub-window"
-        )
     inner = window.shrunk()
     return uniform_rows(inner.a, inner.b, rngs, n), haar_unitaries(n, rngs)
 

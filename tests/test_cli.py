@@ -307,6 +307,13 @@ def test_check_entropy_negative_tolerance_is_a_usage_error(capsys):
     assert capsys.readouterr() == ("", "error: --tol must be at least 0, got -1.0\n")
 
 
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    # every check has run by then; the report cannot be written, which is no crash
+    out = tmp_path / "missing" / "r.json"
+    assert main(["check-entropy", "--random", "2x2", "--trials", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
+
+
 def test_check_entropy_product_state_ssa(tmp_path):
     factor = DensityOperator(np.diag([0.6, 0.4]), (2,))
     path = tmp_path / "product.json"

@@ -168,6 +168,20 @@ def test_monte_carlo_averages_refuse_fewer_than_one_sample(samples):
         pinch_monte_carlo(random_state((2, 2), SPEC.stream(304)), samples, SPEC.stream(305))
 
 
+@pytest.mark.parametrize("route", [pinch, lambda rho: pinch_monte_carlo(rho, 10, SPEC.stream(306))],
+                         ids=["pinch", "pinch_monte_carlo"])
+def test_pinching_refuses_a_state_that_is_not_bipartite(route):
+    # the bases of the first two factors span 4 of a three-factor state's 8 dimensions
+    with pytest.raises(ValidationError, match="^expected a two-factor state, got dims"):
+        route(random_state((2, 2, 2), SPEC.stream(307)))
+
+
+def test_haar_average_refuses_a_stack():
+    stack = random_states((2, 2), SPEC.stream(308), 3)
+    with pytest.raises(ValidationError, match="^expected one state, got a stack of 3$"):
+        haar_average_residual(stack, 10, SPEC.stream(309))
+
+
 def test_haar_average_fixed_point_and_decay():
     rho1 = DensityOperator(np.diag([0.7, 0.3]), (2,))
     fixed = DensityOperator(np.kron(rho1.matrix, np.eye(2) / 2.0), (2, 2))

@@ -496,6 +496,7 @@ GATED = {
     "epsilon_limit_residual_a": lambda bad, good: epsilon_limit_residual(bad, good, 1e-5),
     "epsilon_limit_residual_b": lambda bad, good: epsilon_limit_residual(good, bad, 1e-5),
     "wyd_skew_information": lambda bad, good: wyd_skew_information(bad, good, 0.4),
+    "wyd_skew_information_k": lambda bad, good: wyd_skew_information(good, bad, 0.4),
 }
 
 
