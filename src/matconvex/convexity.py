@@ -1,9 +1,9 @@
 """Matrix-convexity and matrix-monotonicity tests.
 
-Covers the definitional midpoint gap, Jensen sampling over finitely supported
-measures, the exact (Daleckii-Krein) second-derivative criterion, the kernel
-identity linking the two, Loewner divided-difference matrices, and the secant
-transform that turns a convexity question into a monotonicity one.
+Covers the Jensen gap of finitely supported measures, whose two-atom case is
+the definitional midpoint gap, the exact (Daleckii-Krein) second-derivative
+criterion, the kernel identity linking the two, Loewner divided-difference
+matrices, and the secant transform that turns convexity into monotonicity.
 
 Randomized tests return a :class:`Verdict` with two-threshold semantics: a
 run certifies only if every margin clears ``-TOL_CERT``, reports a violation
@@ -24,8 +24,8 @@ inv round differently on one thread and on two, so a report keeps its
 statuses and witness stream ids, and its margins agree to rounding
 (1e-10 (1 + |margin|)).  A sampled matrix travels with
 its spectral factors (lambda, U) from the sampler, and f and the
-Daleckii-Krein derivative are evaluated from them: the only eigensolves left
-are of the mixtures A_lambda and the Jensen barycenter, which no sampler
+Daleckii-Krein derivative are evaluated from them: the only eigensolve left
+is of the barycenter (the mixture A_lambda of a midpoint), which no sampler
 made.  A witness holds only what
 was sampled (matrices, weights, direction), never their factors:
 :func:`replay_witness` evaluates it through the matrix path to rounding, and
@@ -292,24 +292,6 @@ def run_trials(
     return _aggregate(margins, witness)
 
 
-def convexity_gap(
-    f: ScalarFunction, a0: np.ndarray, a1: np.ndarray, lam: float, factors=None,
-) -> np.ndarray:
-    """(1-lam) f(A0) + lam f(A1) - f(A_lam); PSD iff the midpoint test passes
-    here.  Stacks of A0 and A1 take a ``(T,)`` array of weights.
-
-    ``factors`` holds the spectral factors ``(w, U)`` of A0 and of A1 when
-    the caller has them, as the sampler does, so only A_lam is diagonalized;
-    otherwise :func:`linalg.factor` checks and diagonalizes A0 and A1.
-    """
-    lam = np.asarray(check_mixing_weight(lam))[..., None, None]
-    (w0, u0), (w1, u1) = factors or (factor(a0), factor(a1))
-    f0 = spectral_function(w0, u0, f, source="A0")
-    f1 = spectral_function(w1, u1, f, source="A1")
-    fm = apply_function((1.0 - lam) * a0 + lam * a1, f, source="A_lambda")
-    return (1.0 - lam) * f0 + lam * f1 - fm
-
-
 def definition_test(
     f: ScalarFunction,
     window: SpectrumWindow,
@@ -317,32 +299,36 @@ def definition_test(
     trials: int,
     spec: RandomSpec,
 ) -> Verdict:
-    """Randomized midpoint test of matrix convexity on n x n matrices."""
+    """Randomized midpoint test of matrix convexity on n x n matrices: the
+    two-atom :func:`jensen_gap` at weights (1 - lam, lam)."""
     def trial(rngs):
         e0 = random_in_window_factors(n, window, rngs)
         e1 = random_in_window_factors(n, window, rngs)
         a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
         lam = uniform_rows(0.05, 0.95, rngs)
-        return convexity_gap(f, a0, a1, lam, (e0, e1)), lambda t: {
+        return jensen_gap(f, np.stack([1.0 - lam, lam], -1), (a0, a1), (e0, e1)), lambda t: {
             "kind": "definition", "lam": float(lam[t]), "A0": a0[t], "A1": a1[t]}
 
     return run_trials(trial, trials, spec, n)
 
 
-def jensen_gap(f: ScalarFunction, weights, mats, factors=None) -> np.ndarray:
+def jensen_gap(f: ScalarFunction, weights, mats: Sequence, factors=None) -> np.ndarray:
     """sum_i w_i f(M_i) - f(sum_i w_i M_i); PSD at every measure iff f is
-    matrix convex on the window.  ``weights`` (..., atoms) and ``mats``
-    (..., atoms, n, n) may carry a leading stack axis.  ``factors`` holds the
-    spectral factors ``(w, U)`` of ``mats``, shaped (..., atoms, n) and
-    (..., atoms, n, n), when the caller has them, so only the barycenter is
-    diagonalized; otherwise :func:`linalg.factor` checks and diagonalizes them."""
-    weights, mats = np.asarray(weights), np.asarray(mats)
-    w, u = factors or factor(mats)
-    lhs = sum(weights[..., i, None, None]
-              * spectral_function(w[..., i, :], u[..., i, :, :], f, source=f"M_{i}")
-              for i in range(weights.shape[-1]))
-    mean = sum(weights[..., i, None, None] * mats[..., i, :, :]
-               for i in range(weights.shape[-1]))
+    matrix convex on the window, and the definition's midpoint gap at
+    weights (1 - lam, lam).  Each atom of ``mats`` is a matrix or a
+    ``(T, n, n)`` stack; ``weights`` (..., atoms) must be finite, nonnegative,
+    one per atom and sum to 1 within 1e-12, else ValueError.  ``factors``
+    holds the atoms' spectral factors ``(w, U)`` when the caller has them, so
+    only the barycenter is diagonalized; otherwise :func:`linalg.factor`
+    checks and diagonalizes each atom.  Escapes name ``M_i`` or ``barycenter``."""
+    weights = np.asarray(weights, dtype=float)
+    if (weights.shape[-1:] != (len(mats),) or not np.all(weights >= 0.0)
+            or not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)):
+        raise ValueError(f"Jensen weights must be {len(mats)} per measure, finite, "
+                         f"nonnegative and sum to 1 within 1e-12, got {weights}")
+    lhs = sum(weights[..., i, None, None] * spectral_function(w, u, f, source=f"M_{i}")
+              for i, (w, u) in enumerate(factors or [factor(m) for m in mats]))
+    mean = sum(weights[..., i, None, None] * m for i, m in enumerate(mats))
     return lhs - apply_function(mean, f, source="barycenter")
 
 
@@ -360,11 +346,10 @@ def jensen_test(
 
     def trial(rngs):
         weights = np.array([random_simplex(atoms, rng) for rng in rngs])
-        w, u = (np.stack(x, 1) for x in zip(*[random_in_window_factors(n, window, rngs)
-                                              for _ in range(atoms)]))
-        mats = from_spectrum(w, u)
-        return jensen_gap(f, weights, mats, (w, u)), lambda t: {
-            "kind": "jensen", "weights": weights[t], "matrices": list(mats[t])}
+        draws = [random_in_window_factors(n, window, rngs) for _ in range(atoms)]
+        mats = [from_spectrum(*e) for e in draws]
+        return jensen_gap(f, weights, mats, draws), lambda t: {
+            "kind": "jensen", "weights": weights[t], "matrices": [m[t] for m in mats]}
 
     return run_trials(trial, trials, spec, n)
 
@@ -480,7 +465,7 @@ def kernel_identity_residual(
     second derivative along Q = A1 - A0, at every node in one stack.
     """
     lam = check_mixing_weight(lam)
-    gap = convexity_gap(f, a0, a1, lam)
+    gap = jensen_gap(f, [1.0 - lam, lam], (a0, a1))
     q = a1 - a0
     nodes, weights = gauss_legendre_01(32)
     width = np.array([[lam], [1.0 - lam]])  # the pieces [0, lam] and [lam, 1]
@@ -576,7 +561,8 @@ def replay_witness(f: ScalarFunction, witness: dict) -> float:
     witness = witness_from_dict(witness)
     kind = witness["kind"]
     if kind == "definition":
-        return min_eigenvalue(convexity_gap(f, witness["A0"], witness["A1"], witness["lam"]))
+        lam = check_mixing_weight(witness["lam"])
+        return min_eigenvalue(jensen_gap(f, [1.0 - lam, lam], (witness["A0"], witness["A1"])))
     if kind == "jensen":
         return min_eigenvalue(jensen_gap(f, witness["weights"], witness["matrices"]))
     if kind == "second_derivative":

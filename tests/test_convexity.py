@@ -16,7 +16,6 @@ from matconvex.convexity import (
     ScalarFunction,
     _aggregate,
     builtin,
-    convexity_gap,
     definition_test,
     jensen_gap,
     jensen_test,
@@ -170,8 +169,8 @@ def test_loewner_rejects_unsorted_sites():
 
 def test_convexity_gap_scalar_case():
     # scalars reduce to ordinary convexity: gap of x^2 at (1, 3), lam 1/2 is 1
-    gap = convexity_gap(
-        builtin("x2"), np.array([[1.0]]), np.array([[3.0]]), 0.5
+    gap = jensen_gap(
+        builtin("x2"), [0.5, 0.5], [np.array([[1.0]]), np.array([[3.0]])]
     )
     assert gap[0, 0] == pytest.approx(1.0)
 
@@ -339,9 +338,9 @@ def test_an_out_of_window_factor_row_raises():
     assert err.value.source == "A0" and err.value.eigenvalue == -0.5
     with pytest.raises(DomainViolationError, match="eigenvalue -0.5 of M row 3 outside"):
         spectral_second_derivative(f, w, u, u)
-    with pytest.raises(DomainViolationError, match="of A1 row 3 outside"):
-        convexity_gap(f, from_spectrum(*good), from_spectrum(w, u), np.full(5, 0.5),
-                      (good, (w, u)))
+    with pytest.raises(DomainViolationError, match="of M_1 row 3 outside"):
+        jensen_gap(f, np.full((5, 2), 0.5), [from_spectrum(*good), from_spectrum(w, u)],
+                   [good, (w, u)])
 
 
 def test_kernel_is_nonnegative_with_kink():
@@ -504,7 +503,7 @@ def _definition_trial(f, window, n):
         a0 = random_in_window_rows(n, window, [rng])[0]
         a1 = random_in_window_rows(n, window, [rng])[0]
         lam = float(rng.uniform(0.05, 0.95))
-        return min_eigenvalue(convexity_gap(f, a0, a1, lam))
+        return min_eigenvalue(jensen_gap(f, [1.0 - lam, lam], [a0, a1]))
     return trial
 
 
@@ -629,9 +628,9 @@ def test_a_domain_escape_in_one_row_raises():
     rng = SPEC.rng()
     a0 = np.stack([random_in_window_rows(2, WINDOW, [rng])[0] for _ in range(5)])
     a0[3] -= 6.0 * np.eye(2)  # row 3 leaves (0, inf)
-    with pytest.raises(DomainViolationError, match="of A0 row 3 outside") as err:
-        convexity_gap(builtin("inv"), a0, a0[::-1], np.full(5, 0.5))
-    assert err.value.source == "A0" and err.value.eigenvalue < 0.0
+    with pytest.raises(DomainViolationError, match="of M_0 row 3 outside") as err:
+        jensen_gap(builtin("inv"), np.full((5, 2), 0.5), [a0, a0[::-1]])
+    assert err.value.source == "M_0" and err.value.eigenvalue < 0.0
     with pytest.raises(DomainViolationError):
         definition_test(builtin("inv"), SpectrumWindow(-1.0, 5.0), 2, 50, SPEC)
 
@@ -659,7 +658,9 @@ GATED = {
     "apply_function": lambda m: apply_function(m, builtin("x2")),
     "line_second_derivative_M": lambda m: line_second_derivative(builtin("x2"), m, np.eye(2)),
     "line_second_derivative_Q": lambda m: line_second_derivative(builtin("x2"), np.eye(2), m),
-    "convexity_gap": lambda m: convexity_gap(builtin("x2"), m, np.eye(2), 0.5),
+    # the definition's midpoint gap, as a stored witness replays it
+    "convexity_gap": lambda m: replay_witness(
+        builtin("x2"), {"kind": "definition", "lam": 0.5, "A0": m, "A1": np.eye(2)}),
     "jensen_gap": lambda m: jensen_gap(builtin("x2"), [0.5, 0.5], [m, np.eye(2)]),
     "kernel_identity_residual": lambda m: kernel_identity_residual(
         builtin("x2"), m, np.eye(2), 0.5),
@@ -745,6 +746,38 @@ def test_replay_refuses_a_non_hermitian_matrix(kind, key, matrix):
     with pytest.raises(HermiticityError):
         replay_witness(builtin("x4"), {
             **witness, key: [bad, *witness[key][1:]] if key == "matrices" else bad})
+
+
+#: A Jensen witness for x2, which is operator convex: its gap is PSD at
+#: every probability measure, so only tampered weights could show a violation.
+X2_JENSEN = {"kind": "jensen", "weights": [0.25, 0.75],
+             "matrices": [np.diag([0.5, 1.0]), np.diag([2.0, 3.0])]}
+
+
+@pytest.mark.parametrize("weights", [[2.0, -1.0], [math.nan, 0.5], [math.inf, 0.0],
+                                     [0.5, 0.6], [0.2, 0.3, 0.5], [1.0], 1.0],
+                         ids=["negative", "nan", "inf", "sum", "three", "one", "scalar"])
+def test_replay_refuses_weights_that_are_no_probability_measure(weights):
+    # [2, -1] replayed to a margin of -8 when the weights went unchecked
+    assert replay_witness(builtin("x2"), X2_JENSEN) >= 0.0
+    with pytest.raises(ValueError, match="Jensen weights"):
+        replay_witness(builtin("x2"), {**X2_JENSEN, "weights": weights})
+
+
+def test_the_weight_rule_holds_row_by_row():
+    mats = [np.stack([np.eye(2)] * 3), np.stack([2.0 * np.eye(2)] * 3)]
+    rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+    assert jensen_gap(builtin("x2"), rows, mats).shape == (3, 2, 2)
+    rows[1] = [1.0, 1e-11]  # one row sums to 1 + 1e-11
+    with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+        jensen_gap(builtin("x2"), rows, mats)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, math.nan])
+def test_replay_refuses_a_definition_weight_outside_the_open_interval(lam):
+    witness = {"kind": "definition", "lam": lam, "A0": np.eye(2), "A1": 2.0 * np.eye(2)}
+    with pytest.raises(ValueError, match="mixing weight"):
+        replay_witness(builtin("x2"), witness)
 
 
 def test_zero_trials_is_an_error():

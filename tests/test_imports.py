@@ -1,7 +1,10 @@
 """Every module-level import in ``src/matconvex`` is used, or marked
-``# noqa: F401`` on its line."""
+``# noqa: F401`` on its line, and ``import matconvex`` stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,18 @@ def test_the_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_loads_no_sampler_or_front_end():
+    # the fresh-interpreter import time is a benchmark metric: numpy.random
+    # loads on the first draw, and io, cli and suite on their first use
+    probe = ("import sys, matconvex; print(sorted(m for m in sys.modules if m in "
+             "{'numpy.random', 'matconvex.io', 'matconvex.cli', 'matconvex.suite'}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_entropy_imports_no_convexity():
