@@ -7,6 +7,7 @@ from .convexity import (
     Verdict,
     builtin,
     definition_test,
+    definition_tests,
     jensen_test,
     monotonicity_test,
     second_derivative_test,
@@ -47,6 +48,7 @@ __all__ = [
     "builtin",
     "certify_representation",
     "definition_test",
+    "definition_tests",
     "hermitian",
     "jensen_test",
     "monotonicity_test",

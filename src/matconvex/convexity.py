@@ -13,9 +13,11 @@ NaN margin never certifies.  Every randomized test is a stacked trial run by
 draws from its own stream ``spec.stream(t)`` as a lone trial would, but a
 chunk of trials is one ``(T, n, n)`` stack, so one eigensolve serves every
 row; a violating trial's witness is rebuilt from its stream.  A trial hands
-back its gap or second-derivative stack, and the engine takes the least
-eigenvalues, the margins, once per group of consecutive chunks, so each
-eigensolve is a stack large enough for numpy to release the GIL.  Chunks
+back one or more gap or second-derivative stacks (the definition test, one
+per function it was given, all from one draw), and the engine takes the
+least eigenvalues of each, its margins, once per group of consecutive
+chunks, so each eigensolve is a stack large enough for numpy to release the
+GIL; each stack's margins reduce to their own :class:`Verdict`.  Chunks
 share nothing, so at n >= 32 with BLAS pinned their groups run on as many
 threads as the free CPUs allow, and their outputs come back in stream
 order, bit for bit as one thread gives them.  Across BLAS thread counts a
@@ -45,11 +47,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainViolationError
+from .errors import DimensionMismatchError, DomainViolationError
 from .linalg import (
     ScalarFunction,
     SpectrumWindow,
-    apply_function,
     check_hermitian,
     check_mixing_weight,
     entrywise,
@@ -269,27 +270,57 @@ def _least_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
 
 def run_trials(
-    trial: Callable[[list[np.random.Generator]], tuple[np.ndarray, Callable[[int], dict]]],
+    trial: Callable[[list[np.random.Generator]], tuple],
     trials: int, spec: RandomSpec, n: int, threads: bool = True,
-) -> Verdict:
-    """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce.
+) -> tuple[Verdict, ...]:
+    """Run ``trial`` on streams ``spec.stream(0 .. trials-1)`` and reduce:
+    one :class:`Verdict` per output of the trial.
 
-    :func:`stacked_rows` (``threads`` passed on), then :func:`_aggregate`,
-    the only route to a :class:`Verdict`.  ``trial(rngs)`` returns either
-    the ``(T,)`` margins of its stack or the ``(T, n, n)`` stack whose least
-    eigenvalues are its margins, and ``witness(t)``, the data that replays
-    row t, under ``kind``.  The engine takes those least eigenvalues itself,
-    once per group of chunks, so each eigensolve is large enough to leave
-    the GIL to the other workers.  Only margins are kept: the first
-    violating trial's witness comes from ``trial`` rerun on that one stream,
-    stamped with its ``stream_id`` and margin."""
-    (margins,) = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:1], threads)
+    :func:`stacked_rows` (``threads`` passed on), then :func:`_aggregate`
+    on each output, the only route to a :class:`Verdict`.  ``trial(rngs)``
+    returns one or more outputs, each either the ``(T,)`` margins of its
+    stack or the ``(T, n, n)`` stack whose least eigenvalues are its
+    margins, and last ``witness(t)``, the data that replays row t, under
+    ``kind``.  The engine takes those least eigenvalues itself, once per
+    group of chunks, so each eigensolve is large enough to leave the GIL to
+    the other workers.  Only margins are kept: the first violating trial's
+    witness of an output comes from ``trial`` rerun on that one stream,
+    stamped with its ``stream_id`` and that output's margin."""
+    columns = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:-1], threads)
 
-    def witness(t: int) -> dict:
-        return {**trial(spec.rngs([t]))[1](0),
-                "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
+    def witness(margins: np.ndarray) -> Callable[[int], dict]:
+        return lambda t: {**trial(spec.rngs([t]))[-1](0),
+                          "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
 
-    return _aggregate(margins, witness)
+    return tuple(_aggregate(margins, witness(margins)) for margins in columns)
+
+
+def definition_tests(
+    fs: Sequence[ScalarFunction],
+    window: SpectrumWindow,
+    n: int,
+    trials: int,
+    spec: RandomSpec,
+) -> tuple[Verdict, ...]:
+    """Randomized midpoint tests of matrix convexity on n x n matrices, one
+    verdict per f of ``fs``: the two-atom :func:`jensen_gap` at weights
+    (1 - lam, lam).  A trial draws A0, A1 and lam once and diagonalizes
+    A_lam once for every f, so each verdict is bit for bit the one
+    :func:`definition_test` gives its f alone; a domain escape of any f
+    raises."""
+    fs = tuple(fs)
+    if not fs:
+        raise ValueError("definition_tests needs at least one function")
+
+    def trial(rngs):
+        e0 = random_in_window_factors(n, window, rngs)
+        e1 = random_in_window_factors(n, window, rngs)
+        a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
+        lam = uniform_rows(0.05, 0.95, rngs)
+        return *jensen_gap(fs, np.stack([1.0 - lam, lam], -1), (a0, a1), (e0, e1)), lambda t: {
+            "kind": "definition", "lam": float(lam[t]), "A0": a0[t], "A1": a1[t]}
+
+    return run_trials(trial, trials, spec, n)
 
 
 def definition_test(
@@ -299,37 +330,43 @@ def definition_test(
     trials: int,
     spec: RandomSpec,
 ) -> Verdict:
-    """Randomized midpoint test of matrix convexity on n x n matrices: the
-    two-atom :func:`jensen_gap` at weights (1 - lam, lam)."""
-    def trial(rngs):
-        e0 = random_in_window_factors(n, window, rngs)
-        e1 = random_in_window_factors(n, window, rngs)
-        a0, a1 = from_spectrum(*e0), from_spectrum(*e1)
-        lam = uniform_rows(0.05, 0.95, rngs)
-        return jensen_gap(f, np.stack([1.0 - lam, lam], -1), (a0, a1), (e0, e1)), lambda t: {
-            "kind": "definition", "lam": float(lam[t]), "A0": a0[t], "A1": a1[t]}
-
-    return run_trials(trial, trials, spec, n)
+    """Randomized midpoint test of matrix convexity on n x n matrices:
+    :func:`definition_tests` of f alone."""
+    (verdict,) = definition_tests((f,), window, n, trials, spec)
+    return verdict
 
 
-def jensen_gap(f: ScalarFunction, weights, mats: Sequence, factors=None) -> np.ndarray:
+def jensen_gap(f, weights, mats: Sequence, factors=None):
     """sum_i w_i f(M_i) - f(sum_i w_i M_i); PSD at every measure iff f is
     matrix convex on the window, and the definition's midpoint gap at
-    weights (1 - lam, lam).  Each atom of ``mats`` is a matrix or a
-    ``(T, n, n)`` stack; ``weights`` (..., atoms) must be finite, nonnegative,
-    one per atom and sum to 1 within 1e-12, else ValueError.  ``factors``
-    holds the atoms' spectral factors ``(w, U)`` when the caller has them, so
-    only the barycenter is diagonalized; otherwise :func:`linalg.factor`
-    checks and diagonalizes each atom.  Escapes name ``M_i`` or ``barycenter``."""
+    weights (1 - lam, lam).  ``f`` is a :class:`ScalarFunction`, or a
+    sequence of them for a tuple of gaps, one per function, that diagonalize
+    the barycenter once.  Each atom of ``mats`` is a matrix or a
+    ``(T, n, n)`` stack, all of one shape, else DimensionMismatchError
+    naming the first ``M_i`` that differs from ``M_0``; ``weights``
+    (..., atoms) must be finite, nonnegative, one per atom and sum to 1
+    within 1e-12, else ValueError.  ``factors`` holds the atoms' spectral
+    factors ``(w, U)`` when the caller has them, so only the barycenter is
+    diagonalized; otherwise :func:`linalg.factor` checks and diagonalizes
+    each atom.  Every function is checked on the atoms before any on the
+    barycenter.  Escapes name ``M_i`` or ``barycenter``."""
     weights = np.asarray(weights, dtype=float)
     if (weights.shape[-1:] != (len(mats),) or not np.all(weights >= 0.0)
             or not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)):
         raise ValueError(f"Jensen weights must be {len(mats)} per measure, finite, "
                          f"nonnegative and sum to 1 within 1e-12, got {weights}")
-    lhs = sum(weights[..., i, None, None] * spectral_function(w, u, f, source=f"M_{i}")
-              for i, (w, u) in enumerate(factors or [factor(m) for m in mats]))
-    mean = sum(weights[..., i, None, None] * m for i, m in enumerate(mats))
-    return lhs - apply_function(mean, f, source="barycenter")
+    for i, m in enumerate(mats):
+        if np.shape(m) != np.shape(mats[0]):
+            raise DimensionMismatchError(
+                f"M_{i} has shape {np.shape(m)}, M_0 has shape {np.shape(mats[0])}")
+    fs = (f,) if isinstance(f, ScalarFunction) else tuple(f)
+    atoms = factors or [factor(m) for m in mats]
+    lhs = [sum(weights[..., i, None, None] * spectral_function(w, u, g, source=f"M_{i}")
+               for i, (w, u) in enumerate(atoms)) for g in fs]
+    mean = factor(sum(weights[..., i, None, None] * m for i, m in enumerate(mats)))
+    gaps = tuple(side - spectral_function(*mean, g, source="barycenter")
+                 for side, g in zip(lhs, fs))
+    return gaps[0] if isinstance(f, ScalarFunction) else gaps
 
 
 def jensen_test(
@@ -351,7 +388,8 @@ def jensen_test(
         return jensen_gap(f, weights, mats, draws), lambda t: {
             "kind": "jensen", "weights": weights[t], "matrices": [m[t] for m in mats]}
 
-    return run_trials(trial, trials, spec, n)
+    (verdict,) = run_trials(trial, trials, spec, n)
+    return verdict
 
 
 def _divided_differences(f: ScalarFunction, x: np.ndarray, second: bool = True,
@@ -439,7 +477,8 @@ def second_derivative_test(
         return spectral_second_derivative(f, w, u, q), lambda t: {
             "kind": "second_derivative", "Q": q[t], "M": from_spectrum(w[t], u[t])}
 
-    return run_trials(trial, trials, spec, n)
+    (verdict,) = run_trials(trial, trials, spec, n)
+    return verdict
 
 
 def kernel_K(lam: float, t: float) -> float:
@@ -521,7 +560,8 @@ def monotonicity_test(
             margins[rows] = np.linalg.eigvalsh(loewner_matrix(f, [sites[t] for t in rows]))[:, 0]
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
-    return run_trials(trial, trials, spec, max_sites, threads=False)
+    (verdict,) = run_trials(trial, trials, spec, max_sites, threads=False)
+    return verdict
 
 
 def secant_transform(f: ScalarFunction, y: float) -> ScalarFunction:

@@ -28,8 +28,8 @@ kernels are stack-aware: tuple entries may be ``(T, n, n)`` stacks of one
 shape, gated row by row (one ``eigh`` per entry for the whole stack), with
 ``(T,)`` exponents where a row has its own; row t of a stacked call equals
 the 2-D call on row t bit for bit, and the 2-D call is the unstacked case of
-the same code.  Frobenius norms are taken per row for that reason
-(:func:`linalg.frobenius`).
+the same code.  Frobenius norms are each row's ``np.linalg.norm`` bit for
+bit for that reason (:func:`linalg.frobenius`).
 """
 
 from __future__ import annotations

@@ -265,12 +265,17 @@ def apply_function(h, f: ScalarFunction, source: str = "matrix") -> np.ndarray:
 
 
 def frobenius(x: np.ndarray):
-    """Frobenius norm of a matrix; a ``(T,)`` array for a stack.  Each row is
-    one 2-D ``np.linalg.norm`` call: the stacked reduction sums in another
-    order and can differ in the last bit."""
+    """Frobenius norm of a matrix; a ``(T,)`` array for a stack, each row bit
+    for bit its own ``np.linalg.norm``.  That norm is the square root of the
+    flattened row's dot product with itself, over the real and imaginary
+    parts; here one ``(T, 1, K) @ (T, K, 1)`` product per part forms every
+    row's, on C-contiguous rows (numpy's reduction over a stack sums in
+    another order and can differ in the last bit)."""
     if x.ndim == 2:
         return float(np.linalg.norm(x))
-    return np.array([np.linalg.norm(row) for row in x])
+    rows = np.ascontiguousarray(x).reshape(len(x), 1, math.prod(x.shape[1:]))
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum(part @ part.swapaxes(1, 2) for part in parts))[:, 0, 0]
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

@@ -11,8 +11,9 @@ its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
 absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
 A batch of generators is made by :meth:`RandomSpec.rngs`, which seeds its
-streams by numpy's own ``SeedSequence`` loops run on the batch's columns
-(O'Neill's ``seed_seq``, fixed as a stable stream by NEP 19); a lone one, by
+streams by numpy's own ``SeedSequence`` loops run on the batch's ``(4, T)``
+pool, each phase of independent steps as one op (O'Neill's ``seed_seq``,
+fixed as a stable stream by NEP 19); a lone one, by
 :meth:`RandomSpec.rng` through numpy's ``SeedSequence`` itself, which costs
 less for one row than a batch's fixed numpy calls.  Either way stream
 ``stream(o)`` gets ``Generator(PCG64(SeedSequence((seed, stream_id + o))))``
@@ -120,40 +121,71 @@ def _uint32_words(base: int, offsets: np.ndarray) -> np.ndarray:
     return words
 
 
+def _hash_chain(init: int, mult: int, count: int) -> list[int]:
+    """numpy's running hash constant from ``init``: ``count`` values, each
+    the last times ``mult`` (mod 2^32).  Step k of a hashmix loop xors with
+    value k and multiplies by value k + 1."""
+    chain = [init]
+    while len(chain) < count:
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+def _hash_table(extra: int) -> np.ndarray:
+    """The constants of numpy's hashmix steps for entropy of ``extra`` words
+    beyond the pool, as ``[xor, multiplier][phase, pool row, 0]`` uint32.
+
+    Phases, in numpy's order: the first hash of each pool word; for each pool
+    word, its 3 hashes into the other words (its own row takes any step, its
+    mix being discarded); for each word beyond the pool, its 4 hashes into
+    the pool words; last, the 8 output hashes as two phases of 4."""
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra + 2)
+    steps = [*range(_POOL)]
+    steps += [_POOL + 3 * src + dst - (dst > src) for src in range(_POOL) for dst in range(_POOL)]
+    steps += range(_POOL * _POOL, _POOL * (_POOL + extra))
+    out = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    return np.array([chain[k] for k in steps] + out[:-1] + [chain[k + 1] for k in steps] + out[1:],
+                    dtype=np.uint32).reshape(2, -1, _POOL, 1)
+
+
 def _seed_sequence_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a
     zero-padded ``(T, L)`` uint32 entropy array, row t holding ``lengths[t]``
-    words: numpy's ``mix_entropy`` and ``generate_state`` loops, each step on
-    one column of the batch, in uint32 arithmetic (wrapping as C does).
+    words: numpy's ``mix_entropy`` and ``generate_state`` loops in uint32
+    arithmetic (wrapping as C does), on the pool as ``(4, T)`` rows.
 
     A hashmix step xors the value with the running hash constant, advances
-    the constant, multiplies by it and xor-shifts.  Padding inside the pool
-    is what numpy pads with; a word beyond it is mixed in only where the row
-    reaches it, and those steps come after every other one.
+    the constant, multiplies by it and xor-shifts.  The steps of one phase
+    of :func:`_hash_table` read none of one another's output, so each phase
+    is one op over the pool rows it feeds.  Padding inside the pool is what
+    numpy pads with; a word beyond it is mixed in only where the row reaches
+    it, and those steps come after every other one.
     """
-    const = _INIT_A
+    xor, mult = _hash_table(max(0, entropy.shape[1] - _POOL))
 
-    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
-        nonlocal const
-        value, const = value ^ const, const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
+    def hashmix(value: np.ndarray, phase) -> np.ndarray:
+        out = value ^ xor[phase]
+        out *= mult[phase]
+        out ^= out >> 16
+        return out
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ (out >> 16)
+        out = _MIX_L * x
+        out -= _MIX_R * y
+        out ^= out >> 16
+        return out
 
-    pool = [hashmix(column) for column in np.pad(entropy, ((0, 0), (0, _POOL))).T[:_POOL]]
+    pool = np.zeros((_POOL, len(entropy)), dtype=np.uint32)
+    pool[:min(_POOL, entropy.shape[1])] = entropy[:, :_POOL].T
+    pool = hashmix(pool, 0)
     for src in range(_POOL):  # late words reach early ones
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        mixed = mix(pool, hashmix(pool[src], 1 + src))
+        mixed[src] = pool[src]
+        pool = mixed
     for src in range(_POOL, entropy.shape[1]):  # entropy beyond the pool
-        for dst in range(_POOL):
-            pool[dst] = np.where(lengths > src, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
-    const = _INIT_B
-    words = np.stack([hashmix(pool[i % _POOL], _MULT_B) for i in range(2 * _POOL)], axis=1)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+        pool = np.where(lengths > src, mix(pool, hashmix(entropy[:, src], 1 + src)), pool)
+    words = hashmix(pool, slice(-2, None)).reshape(2 * _POOL, len(entropy))
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 class _SeedWords:

@@ -192,16 +192,18 @@ def check_relative_entropy(spec: RandomSpec) -> dict:
 
 
 def check_convexity_detectors(spec: RandomSpec) -> dict:
-    """Positive and negative controls for the randomized detectors."""
+    """Positive and negative controls for the randomized detectors; each
+    pair of definition tests shares its draws (:func:`convexity.definition_tests`)."""
     detail: dict = {}
     ok = True
     witness = None
-    for name in ("x2", "inv"):
-        v = cx.definition_test(cx.builtin(name), _WINDOW_WIDE, 4, 200, spec)
+    convex, nonconvex = ("x2", "inv"), ("x3", "x4")
+    for name, v in zip(convex, cx.definition_tests(
+            map(cx.builtin, convex), _WINDOW_WIDE, 4, 200, spec)):
         detail[f"{name}_definition"] = v.status
         ok = ok and v.status == "certified"
-    for name in ("x3", "x4"):
-        v = cx.definition_test(cx.builtin(name), _WINDOW_NARROW, 2, 1000, spec)
+    for name, v in zip(nonconvex, cx.definition_tests(
+            map(cx.builtin, nonconvex), _WINDOW_NARROW, 2, 1000, spec)):
         detail[f"{name}_definition"] = v.status
         if v.status != "violated":
             ok = False

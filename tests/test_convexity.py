@@ -17,6 +17,7 @@ from matconvex.convexity import (
     _aggregate,
     builtin,
     definition_test,
+    definition_tests,
     jensen_gap,
     jensen_test,
     kernel_K,
@@ -31,7 +32,7 @@ from matconvex.convexity import (
     second_derivative_test,
     spectral_second_derivative,
 )
-from matconvex.errors import DomainViolationError, HermiticityError
+from matconvex.errors import DimensionMismatchError, DomainViolationError, HermiticityError
 from matconvex.io import serialize_witness, witness_from_dict
 from matconvex.linalg import (
     SpectrumWindow,
@@ -44,6 +45,7 @@ from matconvex.linalg import (
     spectral_function,
 )
 from matconvex.rand import (
+    STREAM_BLOCK,
     RandomSpec,
     haar_unitaries,
     random_direction_rows,
@@ -113,6 +115,37 @@ def test_definition_refutes_nonconvex(name):
     v = definition_test(builtin(name), NARROW, 2, 1000, SPEC)
     assert v.status == "violated", (name, v.worst_margin)
     assert v.witness is not None
+
+
+#: Definition tests that share their draws, with each function's status: the
+#: suite's two pairs at its sizes, and a pair whose functions part ways.
+SHARED = {
+    "suite_convex": ({"x2": "certified", "inv": "certified"}, WINDOW, 4, 200),
+    "suite_nonconvex": ({"x3": "violated", "x4": "violated"}, NARROW, 2, 1000),
+    "certified_and_violated": ({"x2": "certified", "x4": "violated"}, NARROW, 2, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED))
+def test_shared_definition_verdicts_equal_their_lone_runs(case):
+    statuses, window, n, trials = SHARED[case]
+    spec = RandomSpec(1, 9 * STREAM_BLOCK)  # the convexity_detectors block at seed 1
+    shared = definition_tests(map(builtin, statuses), window, n, trials, spec)
+    assert [v.status for v in shared] == list(statuses.values())
+    for name, v in zip(statuses, shared):
+        lone = definition_test(builtin(name), window, n, trials, spec)
+        assert (v.status, v.trials, v.worst_margin) == (lone.status, lone.trials,
+                                                         lone.worst_margin)
+        assert (v.witness is None) == (lone.witness is None)
+        if lone.witness is not None:
+            assert v.witness.keys() == lone.witness.keys()
+            for key, value in lone.witness.items():
+                assert np.array_equal(v.witness[key], value), key
+
+
+def test_definition_tests_need_a_function():
+    with pytest.raises(ValueError, match="at least one function"):
+        definition_tests([], WINDOW, 2, 10, SPEC)
 
 
 @pytest.mark.parametrize("name", ["x2", "inv", "neglog"])
@@ -773,6 +806,16 @@ def test_the_weight_rule_holds_row_by_row():
         jensen_gap(builtin("x2"), rows, mats)
 
 
+@pytest.mark.parametrize("witness", [
+    {"kind": "definition", "lam": 0.5, "A0": np.eye(2), "A1": 2.0 * np.eye(3)},
+    {"kind": "jensen", "weights": [0.5, 0.5], "matrices": [np.eye(2), 2.0 * np.eye(3)]},
+], ids=["definition", "jensen"])
+def test_replay_refuses_atoms_of_different_shapes(witness):
+    # numpy's bare broadcast ValueError came out of the barycenter sum
+    with pytest.raises(DimensionMismatchError, match=r"M_1 has shape \(3, 3\), M_0 has shape"):
+        replay_witness(builtin("x2"), witness)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, math.nan])
 def test_replay_refuses_a_definition_weight_outside_the_open_interval(lam):
     witness = {"kind": "definition", "lam": lam, "A0": np.eye(2), "A1": 2.0 * np.eye(2)}
@@ -791,7 +834,7 @@ def test_a_nan_row_never_certifies():
         margins[1::len(rngs)] = math.nan
         return margins, lambda t: {"kind": "test", "row": t}
 
-    v = run_trials(trial, 4, SPEC, 2)
+    (v,) = run_trials(trial, 4, SPEC, 2)
     assert v.status == "inconclusive" and math.isnan(v.worst_margin)
 
     # each row's margin is a function of its own stream, as a stacked kernel's
@@ -803,7 +846,7 @@ def test_a_nan_row_never_certifies():
         xs = [rng.uniform() for rng in rngs]
         return np.array([margin_of[x] for x in xs]), lambda t: {"kind": "test", "x": xs[t]}
 
-    v = run_trials(violated_after_nan, 4, spec, 2)
+    (v,) = run_trials(violated_after_nan, 4, spec, 2)
     assert v.status == "violated" and math.isnan(v.worst_margin)
     assert v.witness == {"kind": "test", "x": spec.stream(2).rng().uniform(),
                          "stream_id": 42, "margin": -1.0}
@@ -819,7 +862,7 @@ def test_witness_of_a_later_chunk_regenerates_from_its_stream_id():
         xs = np.array([rng.uniform() for rng in rngs])
         return np.where(xs > 0.9, -1.0, 0.0), lambda t: {"kind": "test", "x": xs[t]}
 
-    v = run_trials(trial, 30, spec, 64)
+    (v,) = run_trials(trial, 30, spec, 64)
     assert v.status == "violated"
     assert v.witness["stream_id"] == spec.stream(first).stream_id
     assert v.witness["x"] == RandomSpec(11, v.witness["stream_id"]).rng().uniform()
@@ -827,18 +870,22 @@ def test_witness_of_a_later_chunk_regenerates_from_its_stream_id():
 
 def test_definition_makes_one_eigh_per_chunk_and_one_eigvalsh_per_group(monkeypatch):
     calls = _count_kernels(monkeypatch)
-    v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     chunks = -(-1000 // cx._chunk_rows(2))
-    assert v.status == "violated" and v.trials == 1000
-    # A_lambda: one eigh (A0 and A1 come with their factors); A0, A1: one QR
-    # each; once per chunk, and once more for the lone row that rebuilds the
-    # witness.  The gap: one eigvalsh per group of chunks (4 and 5 chunks of
-    # 124 rows, the last one short), none for the witness
     assert chunks == 9
-    runs = chunks + 1
-    assert sorted(name for name, _ in calls) == sorted(
-        ["eigh"] * runs + ["eigvalsh"] * 2 + ["qr"] * 2 * runs)
-    assert [shape for name, shape in calls if name == "eigvalsh"] == [(496, 2, 2), (504, 2, 2)]
+    for names in (("x4",), ("x3", "x4")):  # one function, and two on shared draws
+        calls.clear()
+        verdicts = definition_tests(map(builtin, names), NARROW, 2, 1000, SPEC)
+        assert [(v.status, v.trials) for v in verdicts] == [("violated", 1000)] * len(names)
+        # A_lambda: one eigh for every function (A0 and A1 come with their
+        # factors); A0, A1: one QR each; once per chunk, and once more for the
+        # lone row that rebuilds each witness.  The gap of each function: one
+        # eigvalsh per group of chunks (4 and 5 chunks of 124 rows, the last
+        # one short), none for the witnesses
+        runs = chunks + len(names)
+        assert sorted(name for name, _ in calls) == sorted(
+            ["eigh"] * runs + ["eigvalsh"] * 2 * len(names) + ["qr"] * 2 * runs)
+        assert [shape for name, shape in calls if name == "eigvalsh"] == [
+            (496, 2, 2)] * len(names) + [(504, 2, 2)] * len(names)
 
 
 def _count_kernels(monkeypatch):
@@ -940,7 +987,7 @@ def test_one_row_chunks_share_one_hash(monkeypatch):
         return np.zeros(len(rngs)), lambda t: {"kind": "test"}
 
     assert cx._chunk_rows(128) == 1
-    v = run_trials(trial, 5, spec, 128)
+    (v,) = run_trials(trial, 5, spec, 128)
     assert v.status == "certified" and batches == [5]
     monkeypatch.undo()
     assert drawn == [[spec.stream(t).rng().uniform()] for t in range(5)]

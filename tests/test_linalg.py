@@ -9,6 +9,7 @@ from matconvex.linalg import (
     ScalarFunction,
     SpectrumWindow,
     apply_function,
+    frobenius,
     from_spectrum,
     hermitian,
     kron_from_spectrum,
@@ -119,6 +120,19 @@ def test_kron_from_spectrum_stacked_rows_equal_their_calls(dims):
     stacked = kron_from_spectrum(w, us)
     for t in range(4):
         np.testing.assert_array_equal(stacked[t], kron_from_spectrum(w[t], [u[t] for u in us]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+def test_stacked_frobenius_rows_equal_their_norms(n, dtype):
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-150, 1e150):
+        x = scale * rng.normal(size=(9, n, n))
+        if dtype is complex:
+            x = x + 1j * scale * rng.normal(size=(9, n, n))
+        np.testing.assert_array_equal(frobenius(x), [np.linalg.norm(row) for row in x])
+        assert frobenius(x[4]) == np.linalg.norm(x[4])
+    assert frobenius(np.zeros((0, n, n), dtype=dtype)).shape == (0,)
 
 
 @settings(max_examples=30, deadline=None)

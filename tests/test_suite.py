@@ -54,6 +54,31 @@ def test_suite_records_match_numpy_seed_sequence_streams(monkeypatch):
     assert shipped == reference
 
 
+def test_convexity_detectors_draw_each_definition_pair_once(monkeypatch):
+    from matconvex import rand
+
+    counts = Counter()
+    real_generators = rand.generators
+
+    def generators(words):
+        counts["generators"] += len(words)
+        return real_generators(words)
+
+    for name in ("qr", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _real=real, _name=name, **k: (
+            counts.update({_name: 1 if np.ndim(a) == 2 else len(a)}) or _real(a, *r, **k)))
+    monkeypatch.setattr(cx, "generators", generators)  # the engine's chunks
+    monkeypatch.setattr(rand, "generators", generators)  # RandomSpec.rngs: the witnesses
+    (record,) = run_suite(1, only="convexity_detectors")
+    assert record["status"] == "pass"
+    # generators: (x2, inv) share 200 draws and (x3, x4) 1000, the witnesses
+    # of x3 and x4 take one each and the sqrt Loewner battery 200; QR rows:
+    # A0 and A1 of each draw; eigh rows: each draw's barycenter, and the 2 x 3
+    # of the two replays; eigvalsh rows: every function's own margins
+    assert counts == {"generators": 1402, "qr": 2404, "eigh": 1208, "eigvalsh": 2603}
+
+
 def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
     from matconvex import entropy as ent
 

@@ -326,7 +326,7 @@ def test_a_body_never_sees_more_than_a_chunk(monkeypatch, n):
 
     trials = 3 * cx._chunk_rows(n) * (500 // n + 1) + 1
     (v, margins), stacks = _margin_stacks(
-        monkeypatch, 2, lambda: cx.run_trials(trial, trials, SPEC, n))
+        monkeypatch, 2, lambda: cx.run_trials(trial, trials, SPEC, n)[0])
     assert v.status == "certified" and np.all(margins >= 1.0)
     assert max(seen) == cx._chunk_rows(n) and sum(seen) == trials
     assert len(stacks) < len(seen)
