@@ -39,6 +39,7 @@ found at the stated resolution".
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from contextvars import copy_context
@@ -284,13 +285,15 @@ def run_trials(
     ``kind``.  The engine takes those least eigenvalues itself, once per
     group of chunks, so each eigensolve is large enough to leave the GIL to
     the other workers.  Only margins are kept: the first violating trial's
-    witness of an output comes from ``trial`` rerun on that one stream,
-    stamped with its ``stream_id`` and that output's margin."""
+    witness of an output comes from ``trial`` rerun on that one stream
+    (``spec.stream(t).rng()``, once per stream for all outputs), stamped
+    with its ``stream_id`` and that output's margin."""
     columns = stacked_rows(spec, trials, n, lambda rngs: trial(rngs)[:-1], threads)
+    rerun = functools.cache(lambda t: trial([spec.stream(t).rng()])[-1](0))
 
     def witness(margins: np.ndarray) -> Callable[[int], dict]:
-        return lambda t: {**trial(spec.rngs([t]))[-1](0),
-                          "stream_id": spec.stream(t).stream_id, "margin": float(margins[t])}
+        return lambda t: {**rerun(t), "stream_id": spec.stream(t).stream_id,
+                          "margin": float(margins[t])}
 
     return tuple(_aggregate(margins, witness(margins)) for margins in columns)
 

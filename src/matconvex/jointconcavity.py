@@ -17,11 +17,12 @@ diagonal and no matrix is inverted, and V diag(d) V* is assembled one tensor
 factor at a time, so V is never formed.  The two routes share only the
 per-factor eigendecompositions (one per entry for both routes and every node
 count of :func:`tensor_power_errors`); the orthant quadrature, its
-normalization and the factor-by-factor assembly belong to the integral route
-alone, so they still cross-check each other.  The tests keep a dense per-node
-inversion of the resolvents as an oracle that uses no eigendecomposition.  On
-top of these sit the Lieb trace functional, the skew-information form, and
-operator means with their discrete Loewner-representation evaluator.
+normalization (the rule's cached :func:`c_constant` value) and the
+factor-by-factor assembly belong to the integral route alone, so they still
+cross-check each other.  The tests keep a dense per-node inversion of the
+resolvents as an oracle that uses no eigendecomposition.  On top of these sit
+the Lieb trace functional, the skew-information form, and operator means with
+their discrete Loewner-representation evaluator.
 
 The parallel-sum, tensor-power, Lieb, skew-information and operator-mean
 kernels are stack-aware: tuple entries may be ``(T, n, n)`` stacks of one
@@ -56,7 +57,7 @@ from .linalg import (
     raise_rows,
     tensor,
 )
-from .quadrature import QuadratureConfig, orthant_rule
+from .quadrature import QuadratureConfig, resolvent_rule
 from .rand import _stacked_draws, random_hermitian_rows, random_in_window_rows, uniform_rows
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
@@ -230,8 +231,8 @@ def tensor_power_integral(
     Approximates A_1^(p_1) x ... x A_k^(p_k) for strictly positive p_j summing
     to one, k in {2, 3}, by quadrature of
     (A~_1^(-1) + u_2 A~_2^(-1) + ... + u_k A~_k^(-1))^(-1) against the measure
-    prod u_j^(p_j) du_j / u_j, normalized by the constant evaluated on the
-    same grid (so commuting tuples are reproduced to roundoff).
+    prod u_j^(p_j) du_j / u_j, normalized by ``c_constant(p, quad)``, which the
+    rule keeps with its rows (1, u) (so commuting tuples are reproduced to roundoff).
 
     The embedded inverses A~_j^(-1) commute and are diagonal in the joint
     eigenbasis V = V_1 x ... x V_k (A_j = V_j diag(lambda_j) V_j*), so each
@@ -257,16 +258,13 @@ def _tensor_power_integral(factors, ps: list[float], quad: QuadratureConfig) -> 
                         (*stack, *(n,) * k)).reshape(*stack, n**k)
         for j, (w, _) in enumerate(factors)
     ], axis=-2)
-    points, weights = orthant_rule(ps[1:], quad.nodes_per_axis)
-    coeffs = np.column_stack([np.ones(len(weights)), points])
-
+    coeffs, weights, norm = resolvent_rule(ps[1:], quad.nodes_per_axis)
     diag = np.zeros((*stack, n**k))
     chunk = max(1, _RESOLVENT_CHUNK // n**k)
     for start in range(0, len(weights), chunk):
         resolvents = coeffs[start:start + chunk] @ g
         np.reciprocal(resolvents, out=resolvents)
         diag += weights[start:start + chunk] @ resolvents
-    norm = np.sum(weights / (1.0 + points.sum(axis=1)))
     return kron_from_spectrum(diag / norm, [u for _, u in factors])
 
 
@@ -294,14 +292,14 @@ def c_constant(
     A (k-1)-dimensional integral of 1/(1 + u_2 + ... + u_k) against
     prod u_j^(p_j) du_j / u_j; equals the product of Gamma(p_j) when the p_j
     sum to one (the acceptance suite checks c_2 = pi and c_3 = Gamma(1/3)^3).
+    It is the orthant rule's cached normalization, tensor_power_integral's divisor.
     """
     ps = check_power_vector(p)
     if len(ps) < 2:
         raise ValueError("the constant is defined for k >= 2")
     if any(x <= 0.0 for x in ps):
         raise ValueError("integral diverges when some p_j = 0; drop that axis")
-    points, weights = orthant_rule(ps[1:], quad.nodes_per_axis)
-    return float(np.sum(weights / (1.0 + points.sum(axis=1))))
+    return resolvent_rule(ps[1:], quad.nodes_per_axis)[2]
 
 
 # ---------------------------------------------------------------------------

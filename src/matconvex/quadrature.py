@@ -7,13 +7,16 @@ power substitution that absorbs the endpoint singularity of the measure
 decay of g supplies the integrable exponent 1 - p).  Plain Gauss-Legendre is
 then accurate on both halves.  A single rational map u = s/(1-s) was tried
 first and converges too slowly near the endpoints for the tolerances used
-here, which is why the rule below carries the extra substitutions.
+here, which is why the rule below carries the extra substitutions.  An orthant
+rule is built once per (powers, nodes) with the coefficient rows and the
+normalization (``c_constant``) that the tensor-power integral reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from typing import ClassVar
 
 import numpy as np
@@ -27,8 +30,13 @@ class QuadratureConfig:
     tolerance: ClassVar[float] = 1e-5
 
     def __post_init__(self):
-        if self.nodes_per_axis < 8:
-            raise ValueError("nodes_per_axis must be >= 8")
+        try:  # an integer of any kind, numpy's too; 16.5, NaN and inf are refused
+            nodes = operator.index(self.nodes_per_axis)
+        except TypeError:
+            nodes = 0
+        if nodes < 8:
+            raise ValueError(f"nodes_per_axis must be an integer >= 8, got {self.nodes_per_axis!r}")
+        object.__setattr__(self, "nodes_per_axis", nodes)
 
 
 @functools.lru_cache(maxsize=16)
@@ -91,31 +99,42 @@ def orthant_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
     (u_minor = t * u_major), because the joint decay puts an integrable but
     quadrature-hostile ridge along u_1 ~ u_2 that a per-axis product rule
     resolves only at first order.  Each rule is built once per (ps, nodes)
-    and shared, so the arrays come back read-only.
+    and shared, so the arrays (points: :func:`resolvent_rule`'s rows without
+    their first column) come back read-only.
     """
-    return _orthant_rule(tuple(ps), nodes)
+    return _orthant_rule(tuple(ps), nodes)[:2]
+
+
+def resolvent_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The orthant rule's (m, d+1) coefficient rows (1, u_i), weights w_i and
+    normalization sum_i w_i / (1 + sum_j u_ij), built once with it and shared."""
+    _, weights, rows, norm = _orthant_rule(tuple(ps), nodes)
+    return rows, weights, norm
 
 
 @functools.lru_cache(maxsize=16)
-def _orthant_rule(ps: tuple[float, ...], nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _orthant_rule(ps: tuple[float, ...], nodes: int):
     d = len(ps)
     if d == 1:
-        u, w = halfline_power_rule(ps[0], nodes)
-        return _read_only(u[:, None], w)
-    if d != 2:
+        u, weights = halfline_power_rule(ps[0], nodes)
+        points = u[:, None]
+    elif d == 2:
+        p1, p2 = ps
+        points, weights = [], []
+        for major, minor in ((0, 1), (1, 0)):
+            p_major, p_minor = (p1, p2) if major == 0 else (p2, p1)
+            u, wu = halfline_power_rule(p_major + p_minor, nodes)
+            t, wt = unit_power_rule(p_minor, nodes)
+            uu, tt = np.meshgrid(u, t, indexing="ij")
+            ww = np.outer(wu, wt)
+            pts = np.empty((uu.size, 2))
+            pts[:, major] = uu.ravel()
+            pts[:, minor] = (uu * tt).ravel()
+            points.append(pts)
+            weights.append(ww.ravel())
+        points, weights = np.concatenate(points), np.concatenate(weights)
+    else:
         raise ValueError(f"orthant_rule supports 1 or 2 axes, got {d}")
-    p1, p2 = ps
-    points, weights = [], []
-    for major, minor in ((0, 1), (1, 0)):
-        p_major, p_minor = (p1, p2) if major == 0 else (p2, p1)
-        u, wu = halfline_power_rule(p_major + p_minor, nodes)
-        t, wt = unit_power_rule(p_minor, nodes)
-        uu, tt = np.meshgrid(u, t, indexing="ij")
-        ww = np.outer(wu, wt)
-        pts = np.empty((uu.size, 2))
-        pts[:, major] = uu.ravel()
-        pts[:, minor] = (uu * tt).ravel()
-        points.append(pts)
-        weights.append(ww.ravel())
-    return _read_only(np.concatenate(points), np.concatenate(weights))
-
+    norm = float(np.sum(weights / (1.0 + points.sum(axis=1))))
+    rows, weights = _read_only(np.column_stack([np.ones(len(weights)), points]), weights)
+    return rows[:, 1:], weights, rows, norm

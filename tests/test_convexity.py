@@ -954,32 +954,50 @@ def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):
 
 
 def _count_hashes(monkeypatch):
-    """Count seed-word hashes; building a numpy SeedSequence fails the test."""
-    real, batches = RandomSpec.seed_words, []
+    """Count seed-word hashes, one length per batch, and record the entropy of
+    every numpy SeedSequence built (the lone streams of RandomSpec.rng)."""
+    real, real_lone, batches, lone = RandomSpec.seed_words, np.random.SeedSequence, [], []
 
     def counted(self, offsets):
         words = real(self, offsets)
         batches.append(len(words))
         return words
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a SeedSequence was built")
+    def recorded(entropy, *args, **kwargs):
+        lone.append(entropy)
+        return real_lone(entropy, *args, **kwargs)
 
     monkeypatch.setattr(RandomSpec, "seed_words", counted)
-    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-    return batches
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    return batches, lone
 
 
 def test_definition_hashes_its_streams_once(monkeypatch):
-    batches = _count_hashes(monkeypatch)
+    batches, lone = _count_hashes(monkeypatch)
     v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     assert v.status == "violated" and v.trials == 1000
-    # one batch for all 9 chunks, and the witness's stream alone
-    assert batches == [1000, 1]
+    # one batch for all 9 chunks; the witness's stream is rebuilt alone by RandomSpec.rng
+    assert batches == [1000]
+    assert lone == [(SPEC.seed, v.witness["stream_id"])]
+
+
+def test_witnesses_on_one_stream_rerun_it_once():
+    spec, calls = RandomSpec(5, 70), []
+
+    def trial(rngs):
+        calls.append(len(rngs))
+        x = np.array([rng.uniform() for rng in rngs])
+        return -x, -2.0 * x, lambda t: {"kind": "test", "x": float(x[t])}
+
+    first, second = run_trials(trial, 5, spec, 2)
+    assert calls == [5, 1]  # the chunk, then one rerun of stream 70 for both witnesses
+    x0 = spec.stream(0).rng().uniform()
+    assert first.witness == {"kind": "test", "x": x0, "stream_id": 70, "margin": -x0}
+    assert second.witness == {"kind": "test", "x": x0, "stream_id": 70, "margin": -2.0 * x0}
 
 
 def test_one_row_chunks_share_one_hash(monkeypatch):
-    batches = _count_hashes(monkeypatch)
+    batches, lone = _count_hashes(monkeypatch)
     spec, drawn = RandomSpec(4, 60), []
 
     def trial(rngs):
@@ -988,6 +1006,6 @@ def test_one_row_chunks_share_one_hash(monkeypatch):
 
     assert cx._chunk_rows(128) == 1
     (v,) = run_trials(trial, 5, spec, 128)
-    assert v.status == "certified" and batches == [5]
+    assert v.status == "certified" and batches == [5] and lone == []
     monkeypatch.undo()
     assert drawn == [[spec.stream(t).rng().uniform()] for t in range(5)]

@@ -64,6 +64,18 @@ def test_importing_the_package_loads_no_sampler_or_front_end():
     assert out.strip() == "[]"
 
 
+def test_importing_the_package_builds_no_quadrature_rule():
+    # rules are built on first use, so import time (the setup metric) never pays for one
+    probe = ("import matconvex; from matconvex.quadrature import _orthant_rule, "
+             "gauss_legendre_01 as g; print(_orthant_rule.cache_info().currsize, "
+             "g.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
+
+
 def test_entropy_imports_no_convexity():
     # the state layer sits below the batteries: its validators come from linalg
     tree = ast.parse((SRC / "entropy.py").read_text())

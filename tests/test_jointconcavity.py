@@ -343,6 +343,51 @@ def test_c_constant_against_gamma_oracle():
         assert c_constant(p) == pytest.approx(oracle, rel=1e-6)
 
 
+def _per_call_rule(ps, nodes):
+    """The coefficient rows (1, u), weights and normalization of the orthant
+    rule rebuilt in every call, as the integral formed them before the rule
+    kept them."""
+    points, weights = orthant_rule(ps, nodes)
+    coeffs = np.column_stack([np.ones(len(weights)), points])
+    return coeffs, weights, np.sum(weights / (1.0 + points.sum(axis=1)))
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 128])
+@pytest.mark.parametrize("k,rows", [(2, None), (2, 3), (3, None), (3, 3)])
+def test_tensor_power_integral_equals_its_per_call_design(monkeypatch, k, rows, nodes):
+    # k = 3, n = 3 takes 1, 2 and 7 resolvent chunks of 4,854 points at 16, 64, 128 nodes
+    p = (0.3, 0.7) if k == 2 else (0.2, 0.5, 0.3)
+    mats = (_tuple(k, 3, 30 + k) if rows is None else
+            [random_in_window_rows(3, WINDOW, RandomSpec(30 + k, j).rngs(range(rows)))
+             for j in range(k)])
+    quad = QuadratureConfig(nodes)
+    cached = tensor_power_integral(mats, p, quad)
+    monkeypatch.setattr(jc, "resolvent_rule", _per_call_rule)
+    assert np.array_equal(cached, tensor_power_integral(mats, p, quad))
+    assert c_constant(p, quad) == _per_call_rule(list(p[1:]), nodes)[2]
+
+
+def test_each_resolvent_rule_is_built_once(capsys):
+    from matconvex import convexity as cx
+    from matconvex.cli import main
+    from matconvex.quadrature import _orthant_rule
+
+    p, quad = (0.2, 0.5, 0.3), QuadratureConfig(64)
+    mats = _tuple(3, 3, 33)
+    _orthant_rule.cache_clear()
+    first = tensor_power_integral(mats, p, quad)
+    assert np.array_equal(tensor_power_integral(mats, p, quad), first)
+    c_constant(p, quad)
+    assert _orthant_rule.cache_info()[:2] == (2, 1)  # (hits, misses)
+    _orthant_rule.cache_clear()
+    chunks = -(-30 // cx._chunk_rows(32))
+    assert chunks > 1
+    assert main(["check-concavity", "tensor-power", "--p", "0.2,0.5,0.3", "--n", "3",
+                 "--trials", "30", "--seed", "1", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert _orthant_rule.cache_info()[:2] == (chunks - 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Lieb functional, skew information, means.
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_axis=4)
     assert QuadratureConfig().nodes_per_axis == 64
+
+
+@pytest.mark.parametrize("nodes", [16.5, 16.0, math.nan, math.inf, "16", None, 7, np.int64(4)])
+def test_config_refuses_node_counts_that_are_not_integers_from_8(nodes):
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 8, got {nodes!r}")):
+        QuadratureConfig(nodes)
+
+
+@pytest.mark.parametrize("nodes", [8, np.int32(16), np.int64(64), np.uint8(128)])
+def test_config_takes_any_integer_from_8(nodes):
+    quad = QuadratureConfig(nodes)
+    assert quad.nodes_per_axis == nodes and type(quad.nodes_per_axis) is int
 
 
 def test_gauss_legendre_01_integrates_polynomials():

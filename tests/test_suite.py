@@ -72,11 +72,12 @@ def test_convexity_detectors_draw_each_definition_pair_once(monkeypatch):
     monkeypatch.setattr(rand, "generators", generators)  # RandomSpec.rngs: the witnesses
     (record,) = run_suite(1, only="convexity_detectors")
     assert record["status"] == "pass"
-    # generators: (x2, inv) share 200 draws and (x3, x4) 1000, the witnesses
-    # of x3 and x4 take one each and the sqrt Loewner battery 200; QR rows:
+    # generators: (x2, inv) share 200 draws and (x3, x4) 1000, and the sqrt
+    # Loewner battery 200; the witnesses of x3 and x4 share one stream, rerun
+    # once from its own generator (RandomSpec.rng, not a batch); QR rows:
     # A0 and A1 of each draw; eigh rows: each draw's barycenter, and the 2 x 3
-    # of the two replays; eigvalsh rows: every function's own margins
-    assert counts == {"generators": 1402, "qr": 2404, "eigh": 1208, "eigvalsh": 2603}
+    # of the replay; eigvalsh rows: every function's own margins
+    assert counts == {"generators": 1400, "qr": 2402, "eigh": 1207, "eigvalsh": 2603}
 
 
 def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
