@@ -31,7 +31,7 @@ from . import suite as acceptance
 from .errors import MatConvexError, ValidationError
 from .linalg import SpectrumWindow, apply_function, frobenius
 from .quadrature import QuadratureConfig
-from .rand import STREAM_BLOCK, RandomSpec, random_in_window_rows
+from .rand import STREAM_BLOCK, RandomSpec, random_directions, random_in_window_rows
 from .resolvent import certify_representation, pick_eval_matrix, pick_scalar_function
 
 _PASSING = {"pass", "certified"}
@@ -195,7 +195,7 @@ def _parallel_sum(args, spec: RandomSpec) -> dict:
     def certificate(rngs):
         mats = fixed or [random_in_window_rows(args.n, _WINDOW, rngs) for _ in range(args.k)]
         _, top, residual = jc.parallel_sum_certificate(
-            mats, jc.random_directions(len(mats), args.n, rngs))
+            mats, random_directions(len(mats), args.n, rngs))
         return top, np.broadcast_to(residual, top.shape)  # one residual for a fixed tuple
 
     eigs, projs = cx.stacked_rows(spec, args.trials, args.n, certificate)

@@ -65,7 +65,7 @@ from .quadrature import gauss_legendre_01
 from .rand import (
     RandomSpec,
     generators,
-    random_direction_rows,
+    random_directions,
     random_in_window_factors,
     random_simplex,
     uniform_range,
@@ -252,6 +252,8 @@ def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads:
     chunk's), are those of one thread."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if n < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got n={n}")
     rows, words = _chunk_rows(n), spec.seed_words(range(trials))
     workers = _workers(n, -(-trials // rows)) if threads else 1
 
@@ -476,7 +478,7 @@ def second_derivative_test(
     """Local convexity criterion: d^2/dt^2 f(M + tQ)|_0 >= 0 along random lines."""
     def trial(rngs):
         w, u = random_in_window_factors(n, window, rngs)
-        q = random_direction_rows(n, rngs)
+        (q,) = random_directions(1, n, rngs)
         return spectral_second_derivative(f, w, u, q), lambda t: {
             "kind": "second_derivative", "Q": q[t], "M": from_spectrum(w[t], u[t])}
 

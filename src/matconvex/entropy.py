@@ -60,6 +60,15 @@ TRACE_TOL = 1e-10
 SSA_CHAIN_TOL = 1e-8
 
 
+def _check_density(w: np.ndarray) -> None:
+    """Trace 1 and no negative eigenvalue, for ascending spectra or their stack."""
+    tr, lo = w.sum(axis=-1), w[..., 0]
+    off = abs(tr - 1.0) > TRACE_TOL
+    raise_rows(off | (lo < -PSD_TOL), ValidationError, lambda k: (
+        f"trace {tr.flat[k]} deviates from 1 beyond {TRACE_TOL}" if off.flat[k]
+        else f"matrix has negative eigenvalue {lo.flat[k]:.3e}"))
+
+
 @dataclasses.dataclass(frozen=True)
 class DensityOperator:
     """Positive unit-trace matrix, or a ``(T, N, N)`` stack of them, with a
@@ -84,11 +93,7 @@ class DensityOperator:
         mat = hermitian(mat)
         w = self.__dict__.get("spectrum")  # set only by _with_spectrum
         w = np.linalg.eigvalsh(mat) if w is None else w
-        tr, lo = w.sum(axis=-1), w[..., 0]
-        off = abs(tr - 1.0) > TRACE_TOL
-        raise_rows(off | (lo < -PSD_TOL), ValidationError, lambda k: (
-            f"trace {tr.flat[k]} deviates from 1 beyond {TRACE_TOL}" if off.flat[k]
-            else f"matrix has negative eigenvalue {lo.flat[k]:.3e}"))
+        _check_density(w)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectrum", w)

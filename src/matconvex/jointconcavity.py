@@ -7,22 +7,23 @@ factorization.  Parallel sums come with an exact Hessian certificate: along
 A_j + t Q_j the second derivative is -2 Y*(I - T) Y, with T the block
 projection A_j^(-1/2) R^(-1) A_m^(-1/2), R = sum_j A_j^(-1), and Y the stacked
 A_j^(-1/2) Q_j A_j^(-1) R^(-1), so negative semidefiniteness is structural;
-one T gives the Hessian and both projection residuals.  Tensor products of
-fractional powers are handled twice, by direct spectral calculus and by an
-integral of parallel-sum-type resolvents over the positive orthant.  The
-embedded inverses I x ... x A_j^(-1) x ... x I act on different tensor
-factors, so they commute and share the eigenbasis V = V_1 x ... x V_k; the
-integral is evaluated there, where every resolvent on the quadrature grid is
-diagonal and no matrix is inverted, and V diag(d) V* is assembled one tensor
-factor at a time, so V is never formed.  The two routes share only the
+one T gives the Hessian and both projection residuals; directions
+(:func:`rand.random_directions` draws them) are checked, never repaired.
+Tensor powers, under one power rule, are handled twice, by direct spectral
+calculus and by an integral of parallel-sum-type resolvents over the positive
+orthant.  The embedded inverses I x ... x A_j^(-1) x ... x I act on different
+tensor factors, so they commute and share the eigenbasis V = V_1 x ... x V_k;
+the integral is evaluated there, where every resolvent on the quadrature grid
+is diagonal and no matrix is inverted, and V diag(d) V* is assembled one
+tensor factor at a time, so V is never formed.  The two routes share only the
 per-factor eigendecompositions (one per entry for both routes and every node
 count of :func:`tensor_power_errors`); the orthant quadrature, its
-normalization (the rule's cached :func:`c_constant` value) and the
-factor-by-factor assembly belong to the integral route alone, so they still
-cross-check each other.  The tests keep a dense per-node inversion of the
-resolvents as an oracle that uses no eigendecomposition.  On top of these sit
-the Lieb trace functional, the skew-information form, and operator means with
-their discrete Loewner-representation evaluator.
+normalization (:func:`c_constant`) and the factor-by-factor assembly belong
+to the integral route alone, so they still cross-check each other.  The tests
+keep a dense per-node inversion of the resolvents as an oracle that uses no
+eigendecomposition.  On top of these sit the Lieb trace functional, the
+skew-information form, and operator means with their discrete
+Loewner-representation evaluator.
 
 The parallel-sum, tensor-power, Lieb, skew-information and operator-mean
 kernels are stack-aware: tuple entries may be ``(T, n, n)`` stacks of one
@@ -41,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .entropy import _check_density
 from .errors import ConditioningError, DimensionMismatchError, UnsupportedArityError
 from .linalg import (
     SpectrumWindow,
@@ -53,12 +55,11 @@ from .linalg import (
     frobenius,
     from_spectrum,
     kron_from_spectrum,
-    op_norm,
     raise_rows,
     tensor,
 )
-from .quadrature import QuadratureConfig, resolvent_rule
-from .rand import _stacked_draws, random_hermitian_rows, random_in_window_rows, uniform_rows
+from .quadrature import QuadratureConfig, orthant_rule
+from .rand import _stacked_draws, random_in_window_rows, uniform_rows
 
 #: Entries of a concavity-domain tuple must clear this eigenvalue floor.
 POSITIVITY_FLOOR = 1e-8
@@ -100,25 +101,6 @@ def _power(factors: tuple[np.ndarray, np.ndarray], p) -> np.ndarray:
     if np.ndim(p):  # a scalar p stays one: w**p keeps numpy's sqrt and reciprocal paths
         p = np.asarray(p)[:, None]
     return from_spectrum(w**p, u)
-
-
-def normalize_directions(dirs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Scale a direction tuple (or each row of a tuple of stacks) so the
-    largest operator norm equals one; each direction must be Hermitian, since
-    the norm reads one triangle."""
-    for q in dirs:
-        check_hermitian(np.asarray(q))
-    scale = np.max([op_norm(q) for q in dirs], axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)[..., None, None]
-    return [q / scale for q in dirs]
-
-
-def random_directions(
-    k: int, n: int, rngs: Sequence[np.random.Generator]
-) -> list[np.ndarray]:
-    """k ``(T, n, n)`` stacks of Hermitian directions, row t drawn in turn from
-    the t-th of T generators, each row scaled jointly by normalize_directions."""
-    return normalize_directions([random_hermitian_rows(n, rngs) for _ in range(k)])
 
 
 def parallel_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -182,35 +164,28 @@ def parallel_sum_certificate(
 # Tensor products of fractional powers.
 
 
-def check_power_vector(p: Sequence[float]) -> list[float]:
+def _check_powers(p, k: int | None = None, integral: bool = False) -> list[float]:
+    """The power vector: finite p_j >= 0, sum <= 1, one per entry of a k-tuple;
+    the integral route and its c_constant need p_j > 0, sum 1 and k in {2, 3}."""
     ps = [float(x) for x in p]
     if not all(math.isfinite(x) and x >= 0.0 for x in ps):
         raise ValueError(f"powers must be finite and nonnegative, got {ps}")
     if sum(ps) > 1.0 + 1e-12:
         raise ValueError(f"powers must sum to at most 1, got {ps}")
-    return ps
-
-
-def _check_powers(mats, p, integral: bool = False) -> list[float]:
-    """The power vector of a tuple, one p_j per entry; the integral route also
-    needs every p_j > 0 with sum exactly 1, and k in {2, 3}."""
-    ps = check_power_vector(p)
-    if len(ps) != len(mats):
+    if k is not None and len(ps) != k:
         raise DimensionMismatchError("power vector length must match tuple length")
     if integral and (any(x <= 0.0 for x in ps) or abs(sum(ps) - 1.0) > 1e-12):
         raise ValueError("integral route needs all p_j > 0 with sum exactly 1")
     if integral and len(ps) not in (2, 3):
-        raise UnsupportedArityError(
-            f"integral route supports k in {{2, 3}}, got k={len(ps)}; "
-            "use tensor_power_direct for other arities"
-        )
+        raise UnsupportedArityError(f"integral route supports k in {{2, 3}}, got k={len(ps)}; "
+                                    "use tensor_power_direct for other arities")
     return ps
 
 
 def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.ndarray:
     """Kronecker product of spectral fractional powers A_j^(p_j) (A^0 = I),
     row by row over stacks."""
-    ps = _check_powers(mats, p)
+    ps = _check_powers(p, len(mats))
     return _tensor_power_direct(_factor(mats), ps)
 
 
@@ -245,7 +220,7 @@ def tensor_power_integral(
     ``_RESOLVENT_CHUNK / n^k`` points runs every row of a ``(T, n, n)`` stack
     (up to T MB), so a row equals its 2-D call bit for bit.
     """
-    ps = _check_powers(mats, p, integral=True)
+    ps = _check_powers(p, len(mats), integral=True)
     return _tensor_power_integral(_factor(mats), ps, quad)
 
 
@@ -258,7 +233,7 @@ def _tensor_power_integral(factors, ps: list[float], quad: QuadratureConfig) -> 
                         (*stack, *(n,) * k)).reshape(*stack, n**k)
         for j, (w, _) in enumerate(factors)
     ], axis=-2)
-    coeffs, weights, norm = resolvent_rule(ps[1:], quad.nodes_per_axis)
+    coeffs, weights, norm = orthant_rule(ps[1:], quad.nodes_per_axis)
     diag = np.zeros((*stack, n**k))
     chunk = max(1, _RESOLVENT_CHUNK // n**k)
     for start in range(0, len(weights), chunk):
@@ -276,7 +251,7 @@ def tensor_power_errors(
     (pass ERROR_CURVE_NODES for the error curve); each entry a ``(T,)``
     array for a tuple of stacks.  Both routes and every node count share one
     factorization per tuple entry."""
-    ps = _check_powers(mats, p, integral=True)
+    ps = _check_powers(p, len(mats), integral=True)
     factors = _factor(mats)
     direct = _tensor_power_direct(factors, ps)
     scale = frobenius(direct)
@@ -284,22 +259,16 @@ def tensor_power_errors(
             for m in nodes]
 
 
-def c_constant(
-    p: Sequence[float], quad: QuadratureConfig = QuadratureConfig()
-) -> float:
+def c_constant(p: Sequence[float], quad: QuadratureConfig = QuadratureConfig()) -> float:
     """The normalizing constant of the tensor-power integral representation.
 
     A (k-1)-dimensional integral of 1/(1 + u_2 + ... + u_k) against
-    prod u_j^(p_j) du_j / u_j; equals the product of Gamma(p_j) when the p_j
-    sum to one (the acceptance suite checks c_2 = pi and c_3 = Gamma(1/3)^3).
-    It is the orthant rule's cached normalization, tensor_power_integral's divisor.
+    prod u_j^(p_j) du_j / u_j, under the integral's power rule: the product
+    of Gamma(p_j) (the suite checks c_2 = pi and c_3 = Gamma(1/3)^3), read
+    from the orthant rule's cached normalization, the integral's divisor.
     """
-    ps = check_power_vector(p)
-    if len(ps) < 2:
-        raise ValueError("the constant is defined for k >= 2")
-    if any(x <= 0.0 for x in ps):
-        raise ValueError("integral diverges when some p_j = 0; drop that axis")
-    return resolvent_rule(ps[1:], quad.nodes_per_axis)[2]
+    ps = _check_powers(p, integral=True)
+    return orthant_rule(ps[1:], quad.nodes_per_axis)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +312,17 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     """Tr[K rho^p K rho^(1-p)] - Tr[K rho K]; zero iff [rho, K] = 0, else < 0.
 
     The conventionally normalized skew information is the negation of this
-    value.  Eigenvalues of rho below 1e-12 are lifted to 1e-12 with trace
-    renormalization before the fractional powers are taken; rho and K must be
-    finite and Hermitian (never repaired).  Stacks of rho and K take a ``(T,)`` array
-    (or a scalar) p and give a ``(T,)`` array.
+    value.  rho and K must be finite and Hermitian, rho a density by the rule
+    of :class:`entropy.DensityOperator` (never repaired), whose eigenvalues
+    below 1e-12 (roundoff) are lifted to 1e-12 with trace renormalization.
+    Stacks of rho and K take a ``(T,)`` (or scalar) p and give a ``(T,)`` array.
     """
     if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
     check_hermitian(np.asarray(k))
     w, u = factor(rho)
-    w = np.clip(w.real, 1e-12, None)
+    _check_density(w)
+    w = np.clip(w, 1e-12, None)
     lifted = (w / w.sum(axis=-1, keepdims=True), u)
     rho_p, rho_q, rho_r = (_power(lifted, x) for x in (p, 1.0 - p, 1.0))
     cross = _trace(k @ rho_p @ k @ rho_q).real

@@ -8,8 +8,9 @@ decay of g supplies the integrable exponent 1 - p).  Plain Gauss-Legendre is
 then accurate on both halves.  A single rational map u = s/(1-s) was tried
 first and converges too slowly near the endpoints for the tolerances used
 here, which is why the rule below carries the extra substitutions.  An orthant
-rule is built once per (powers, nodes) with the coefficient rows and the
-normalization (``c_constant``) that the tensor-power integral reads.
+rule is built once per (powers, nodes) as the coefficient rows (1, u), the
+weights and the normalization (``c_constant``) that the tensor-power integral
+reads.
 """
 
 from __future__ import annotations
@@ -90,26 +91,19 @@ def unit_power_rule(p: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return v ** (1.0 / p), gw / p
 
 
-def orthant_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def orthant_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Joint rule for  int_(0,inf)^d g(u) prod_j u_j^(p_j - 1) du_j  with g
     smooth and decaying like 1/(u_1 + ... + u_d); d in {1, 2}.
 
-    Points come back as an (m, d) array with matching weights.  The 2-d case
-    splits the orthant along its diagonal and rescales the smaller variable
-    (u_minor = t * u_major), because the joint decay puts an integrable but
-    quadrature-hostile ridge along u_1 ~ u_2 that a per-axis product rule
-    resolves only at first order.  Each rule is built once per (ps, nodes)
-    and shared, so the arrays (points: :func:`resolvent_rule`'s rows without
-    their first column) come back read-only.
+    Returns the (m, d+1) coefficient rows (1, u_i), whose columns 1.. are the
+    points, the weights w_i and the normalization sum_i w_i / (1 + sum_j u_ij).
+    The 2-d case splits the orthant along its diagonal and rescales the
+    smaller variable (u_minor = t * u_major), because the joint decay puts an
+    integrable but quadrature-hostile ridge along u_1 ~ u_2 that a per-axis
+    product rule resolves only at first order.  Each rule is built once per
+    (ps, nodes) and shared, so the arrays come back read-only.
     """
-    return _orthant_rule(tuple(ps), nodes)[:2]
-
-
-def resolvent_rule(ps: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The orthant rule's (m, d+1) coefficient rows (1, u_i), weights w_i and
-    normalization sum_i w_i / (1 + sum_j u_ij), built once with it and shared."""
-    _, weights, rows, norm = _orthant_rule(tuple(ps), nodes)
-    return rows, weights, norm
+    return _orthant_rule(tuple(ps), nodes)
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,22 +113,18 @@ def _orthant_rule(ps: tuple[float, ...], nodes: int):
         u, weights = halfline_power_rule(ps[0], nodes)
         points = u[:, None]
     elif d == 2:
-        p1, p2 = ps
         points, weights = [], []
         for major, minor in ((0, 1), (1, 0)):
-            p_major, p_minor = (p1, p2) if major == 0 else (p2, p1)
-            u, wu = halfline_power_rule(p_major + p_minor, nodes)
-            t, wt = unit_power_rule(p_minor, nodes)
+            u, wu = halfline_power_rule(ps[major] + ps[minor], nodes)
+            t, wt = unit_power_rule(ps[minor], nodes)
             uu, tt = np.meshgrid(u, t, indexing="ij")
-            ww = np.outer(wu, wt)
             pts = np.empty((uu.size, 2))
             pts[:, major] = uu.ravel()
             pts[:, minor] = (uu * tt).ravel()
             points.append(pts)
-            weights.append(ww.ravel())
+            weights.append(np.outer(wu, wt).ravel())
         points, weights = np.concatenate(points), np.concatenate(weights)
     else:
         raise ValueError(f"orthant_rule supports 1 or 2 axes, got {d}")
     norm = float(np.sum(weights / (1.0 + points.sum(axis=1))))
-    rows, weights = _read_only(np.column_stack([np.ones(len(weights)), points]), weights)
-    return rows[:, 1:], weights, rows, norm
+    return *_read_only(np.column_stack([np.ones(len(weights)), points]), weights), norm

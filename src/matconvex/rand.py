@@ -1,5 +1,5 @@
 """Seedable random ensembles: GUE-like Hermitian matrices, spectra confined to
-a window, Haar unitaries, unit directions, and random density operators.
+a window, Haar unitaries, direction tuples, and random density operators.
 
 Reproducibility contract: every draw is a pure function of a
 :class:`RandomSpec`, and streams split by ``stream_id`` never share generator
@@ -19,18 +19,18 @@ less for one row than a batch's fixed numpy calls.  Either way stream
 ``stream(o)`` gets ``Generator(PCG64(SeedSequence((seed, stream_id + o))))``
 bit for bit, so every stored witness and report replays unchanged.
 
-Samplers (``haar_unitaries``, ``random_densities``, ``*_rows``) take a
-sequence of generators and draw row t from the t-th, straight into one stack
-buffer, then run one QR or product for the stack; a lone draw is the stack of
-one, ``random_in_window_rows(n, window, [spec.rng()])[0]``.  A windowed sample
-is made from its spectral factors, and ``random_in_window_factors`` returns
-them, so the matrix can travel with (lambda, U) and never be diagonalized
-again; ``random_in_window_rows`` is their product.  One generator can
-feed several draws in a fixed order, and generators are independent, so a
-trial stack that draws A, then Q makes one pass over its generators per input.
-A Monte Carlo average has no per-sample witness and owns one stream
-(``haar_unitaries_from``); ``random_simplex`` draws one weight vector from one
-generator.
+Samplers (``haar_unitaries``, ``random_densities``, ``random_directions``,
+``*_rows``) take a sequence of generators and draw row t from the t-th, into
+one stack buffer, then run one QR or product for the stack; a lone draw is the
+stack of one, ``random_in_window_rows(n, window, [spec.rng()])[0]``.  A
+windowed sample is made from its spectral factors, and
+``random_in_window_factors`` returns them, so the matrix can travel with
+(lambda, U) and never be diagonalized again; ``random_in_window_rows`` is
+their product.  One generator can feed several draws in a fixed order, and
+generators are independent, so a trial stack that draws A, then Q makes one
+pass over its generators per input.  A Monte Carlo average has no per-sample
+witness and owns one stream (``haar_unitaries_from``); ``random_simplex``
+draws one weight vector from one generator.
 
 Draw contract: a sampler makes one generator call per distribution per row.
 A complex Gaussian row G + iH is one ``standard_normal`` call that fills G,
@@ -293,11 +293,13 @@ def random_in_window_rows(
     return from_spectrum(*random_in_window_factors(n, window, rngs))
 
 
-def random_direction_rows(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Random Hermitian matrices normalized to unit operator norm, row t from
-    the t-th generator."""
-    q = random_hermitian_rows(n, rngs)
-    return q / op_norm(q)[:, None, None]
+def random_directions(k: int, n: int, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    """k ``(T, n, n)`` stacks of GUE-like directions, row t of each drawn in
+    turn from the t-th generator and each row's tuple scaled to largest
+    operator norm one; Hermitian by construction, so never checked."""
+    dirs = [random_hermitian_rows(n, rngs) for _ in range(k)]
+    scale = np.max([op_norm(q) for q in dirs], axis=0)[:, None, None]
+    return [q / scale for q in dirs]
 
 
 def random_densities(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:

@@ -40,7 +40,7 @@ from .rand import (
     STREAM_BLOCK,
     RandomSpec,
     random_densities,
-    random_direction_rows,
+    random_directions,
     random_hermitian_rows,
     random_in_window_rows,
     uniform_range,
@@ -108,7 +108,7 @@ def check_parallel_sum(spec: RandomSpec) -> dict:
     eigs, projs, rels = np.empty(200), np.empty(200), np.empty(200)
     for (k, n), rows, group in cx.shape_groups(rngs, shapes):
         mats = [random_in_window_rows(n, _WINDOW_WIDE, group) for _ in range(k)]
-        dirs = jc.random_directions(k, n, group)
+        dirs = random_directions(k, n, group)
         hess, eigs[rows], projs[rows] = jc.parallel_sum_certificate(mats, dirs)
         oracle = _parallel_sum_second_derivative(mats, dirs)
         rels[rows] = frobenius(hess - oracle) / np.maximum(frobenius(oracle), 1e-30)
@@ -235,7 +235,7 @@ def check_resolvent_exactness(spec: RandomSpec) -> dict:
     # the pole of trial t: -1 when t is even, 7 when it is odd
     for pole, rows, group in cx.shape_groups(rngs, [(-1.0, 7.0)[t % 2] for t in range(100)]):
         a = random_in_window_rows(3, _WINDOW_WIDE, group)
-        q = random_direction_rows(3, group)
+        (q,) = random_directions(1, 3, group)
         point = rv.ResolventPoint(pole, _WINDOW_WIDE)
         exact = rv.resolvent_second_derivative(a, q, point)
         f = cx.ScalarFunction("signed_resolvent", point.scalar, _WINDOW_WIDE,
@@ -298,7 +298,7 @@ def check_determinism(spec: RandomSpec) -> dict:
         slacks = ent.subadditivity_report(ent.random_states((2, 3), spec, 20)).min_slack()
         rngs = spec.rngs(range(100, 120))
         a = random_in_window_rows(3, _WINDOW_WIDE, rngs)
-        q = random_direction_rows(3, rngs)
+        (q,) = random_directions(1, 3, rngs)
         eigs = np.linalg.eigvalsh(jc.parallel_sum_hessian([a, a], [q, q])).max(axis=-1)
         return [float(x) for pair in zip(slacks, eigs) for x in pair]
 

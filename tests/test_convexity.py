@@ -48,7 +48,7 @@ from matconvex.rand import (
     STREAM_BLOCK,
     RandomSpec,
     haar_unitaries,
-    random_direction_rows,
+    random_directions,
     random_in_window_factors,
     random_in_window_rows,
     random_simplex,
@@ -228,7 +228,7 @@ def test_exact_and_fd_second_derivative_agree():
     for t in range(50):
         rng = RandomSpec(5, t).rng()
         m = random_in_window_rows(4, NARROW, [rng])[0]
-        q = random_direction_rows(4, [rng])[0]
+        q = random_directions(1, 4, [rng])[0][0]
         for name, closed in CLOSED_FORMS.items():
             exact = line_second_derivative(builtin(name), m, q)
             worst[name] = max(worst[name], _relative_error(exact, closed(m, q)))
@@ -242,7 +242,7 @@ def test_daleckii_krein_on_a_clustered_spectrum():
     rng = RandomSpec(5).rng()
     u = haar_unitaries(5, [rng])[0]
     m = (u * np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-5, 2.0])) @ u.conj().T
-    q = random_direction_rows(5, [rng])[0]
+    q = random_directions(1, 5, [rng])[0][0]
     exact = line_second_derivative(builtin("x4"), m, q)
     assert _relative_error(exact, CLOSED_FORMS["x4"](m, q)) <= 1e-10
     stacked = line_second_derivative(builtin("x4"), np.stack([m, m + 0.5 * np.eye(5)]), q)
@@ -253,7 +253,7 @@ def test_daleckii_krein_on_a_clustered_spectrum():
         rng = RandomSpec(6, t).rng()
         u = haar_unitaries(5, [rng])[0]
         m = (u * np.array([0.5, 1.0, 1.0 + 2e-5, 3.0, 1.0 + 4.6e-5])) @ u.conj().T
-        q = random_direction_rows(5, [rng])[0]
+        q = random_directions(1, 5, [rng])[0][0]
         for name in ("x4", "inv"):
             exact = line_second_derivative(builtin(name), m, q)
             assert _relative_error(exact, CLOSED_FORMS[name](m, q)) <= 1e-9, (name, t)
@@ -263,7 +263,7 @@ def test_daleckii_krein_on_a_clustered_spectrum():
         rng = RandomSpec(8, t).rng()
         u = haar_unitaries(4, [rng])[0]
         m = (u * np.array([0.2, 0.2 + 1e-5, 1.1, 1.9])) @ u.conj().T
-        q = random_direction_rows(4, [rng])[0]
+        q = random_directions(1, 4, [rng])[0][0]
         exact = line_second_derivative(builtin("inv"), m, q)
         assert _relative_error(exact, CLOSED_FORMS["inv"](m, q)) <= 1e-10, t
 
@@ -281,7 +281,7 @@ def test_a_pair_just_beyond_the_confluent_band_stays_exact(ratio):
                     [1.0, 1.0 + h, 1.0 + 2.3 * h, 1.9]):
             u = haar_unitaries(len(lam), [rng])[0]
             m = (u * np.array(lam)) @ u.conj().T
-            q = random_direction_rows(len(lam), [rng])[0]
+            q = random_directions(1, len(lam), [rng])[0][0]
             assert abs(min_eigenvalue(line_second_derivative(builtin("affine"), m, q))) <= 1e-10
             x2 = line_second_derivative(builtin("x2"), m, q)
             assert _relative_error(x2, CLOSED_FORMS["x2"](m, q)) <= 1e-10
@@ -335,7 +335,7 @@ def test_the_factor_path_agrees_with_the_matrix_path(name, rows):
     # a 2-D pair of factors, or a (6, 4, 4) stack; the matrix path re-diagonalizes
     f = builtin(name)
     w, u = random_in_window_factors(4, NARROW, RandomSpec(31).rngs(range(rows or 1)))
-    q = random_direction_rows(4, RandomSpec(32).rngs(range(rows or 1)))
+    (q,) = random_directions(1, 4, RandomSpec(32).rngs(range(rows or 1)))
     # the two paths' spectra differ in the last bits, which the second divided
     # differences of Daleckii-Krein amplify by 1 / gap^2: the derivative runs
     # on spectra spaced 0.4 apart (clustered spectra have their own tests)
@@ -551,7 +551,7 @@ def _jensen_trial(f, window, n, atoms):
 def _second_derivative_trial(f, window, n):
     def trial(rng):
         m = random_in_window_rows(n, window, [rng])[0]
-        q = random_direction_rows(n, [rng])[0]
+        q = random_directions(1, n, [rng])[0][0]
         return min_eigenvalue(line_second_derivative(f, m, q))
     return trial
 
@@ -826,6 +826,13 @@ def test_replay_refuses_a_definition_weight_outside_the_open_interval(lam):
 def test_zero_trials_is_an_error():
     with pytest.raises(ValueError, match="at least one trial"):
         definition_test(builtin("x2"), WINDOW, 2, 0, SPEC)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_size_below_one_is_refused_before_any_draw(n):
+    # n = 0 once reached the chunk grouping and raised a bare ZeroDivisionError
+    with pytest.raises(DimensionMismatchError, match=f"dimension must be >= 1, got n={n}"):
+        definition_test(builtin("x2"), SpectrumWindow(0.1, 2.0), n, 3, RandomSpec(1))
 
 
 def test_a_nan_row_never_certifies():

@@ -1,6 +1,7 @@
 """Parallel sums, tensor powers by two routes, trace functionals, means."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from matconvex.errors import (
     DimensionMismatchError,
     HermiticityError,
     UnsupportedArityError,
+    ValidationError,
 )
 from matconvex.jointconcavity import (
     ERROR_CURVE_NODES,
@@ -26,7 +28,6 @@ from matconvex.jointconcavity import (
     c_constant,
     kubo_ando_eval,
     lieb_functional,
-    normalize_directions,
     parallel_sum,
     parallel_sum_certificate,
     parallel_sum_hessian,
@@ -54,6 +55,14 @@ def _tuple(k, n, seed):
 
 def _hermitian(n, seed, stream_id):
     return random_hermitian_rows(n, [RandomSpec(seed, stream_id).rng()])[0]
+
+
+def _directions(n, seed, stream_ids):
+    """One Hermitian direction per stream, the tuple scaled so that its
+    largest operator norm is one."""
+    dirs = [_hermitian(n, seed, s) for s in stream_ids]
+    scale = max(linalg.op_norm(q) for q in dirs)
+    return [q / scale for q in dirs]
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +100,7 @@ def test_hessian_scalar_oracle():
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 5), (3, 3)])
 def test_hessian_negative_semidefinite_and_matches_fd(k, n):
     mats = _tuple(k, n, 100 * k + n)
-    dirs = normalize_directions(
-        [_hermitian(n, 7, 50 + j) for j in range(k)]
-    )
+    dirs = _directions(n, 7, range(50, 50 + k))
     hess = parallel_sum_hessian(mats, dirs)
     assert np.linalg.eigvalsh(hess).max() <= 1e-10
     fd = second_difference(parallel_sum, mats, dirs, 1e-4)
@@ -112,7 +119,6 @@ DIRECTION_ROUTES = {
         [np.diag([1.0, 2.0]), np.diag([3.0, 1.5])], dirs),
     "parallel_sum_certificate": lambda dirs: parallel_sum_certificate(
         [np.diag([1.0, 2.0]), np.diag([3.0, 1.5])], dirs),
-    "normalize_directions": normalize_directions,
 }
 
 
@@ -122,8 +128,8 @@ DIRECTION_ROUTES = {
     ([[math.nan, 0.0], [0.0, 1.0]], "^matrix has non-finite entries$"),
 ], ids=["upper-triangular", "nan"])
 def test_a_non_hermitian_direction_is_refused_not_symmetrized(route, bad, message):
-    # the Hessian symmetrizes its result and the norm reads one triangle, so
-    # without the check either would quietly use another direction
+    # the Hessian symmetrizes its result, so without the check it would
+    # quietly use another direction
     with pytest.raises(HermiticityError, match=message):
         DIRECTION_ROUTES[route]([np.array(bad), np.zeros((2, 2))])
 
@@ -154,9 +160,7 @@ def _hessian_block_sum(mats, dirs):
 @pytest.mark.parametrize("k,n,seed", [(2, 2, 1), (2, 5, 2), (3, 3, 3), (3, 4, 4)])
 def test_hessian_matches_the_block_sum_oracle(k, n, seed):
     mats = _tuple(k, n, 200 + seed)
-    dirs = normalize_directions(
-        [_hermitian(n, 8, 10 * seed + j) for j in range(k)]
-    )
+    dirs = _directions(n, 8, range(10 * seed, 10 * seed + k))
     hess, oracle = parallel_sum_hessian(mats, dirs), _hessian_block_sum(mats, dirs)
     assert np.linalg.norm(hess - oracle) <= 1e-12 * np.linalg.norm(oracle)
     # the projection's blocks are A_j^(-1/2) R^(-1) A_m^(-1/2)
@@ -169,9 +173,7 @@ def test_hessian_matches_the_block_sum_oracle(k, n, seed):
 @pytest.mark.parametrize("k", [2, 3])
 def test_certificate_factors_each_entry_once(monkeypatch, k):
     mats = _tuple(k, 3, 40 + k)
-    dirs = normalize_directions(
-        [_hermitian(3, 9, j) for j in range(k)]
-    )
+    dirs = _directions(3, 9, range(k))
     expected = parallel_sum_certificate(mats, dirs)
     calls = Counter()
     for name in ("eigh", "eigvalsh", "inv"):
@@ -241,7 +243,8 @@ def _dense_resolvent_integral(mats, p, quad):
         for m in range(len(mats)):
             big = np.kron(big, np.linalg.inv(a) if m == j else eyes[m])
         inv_tilde.append(big)
-    points, weights = orthant_rule(list(p[1:]), quad.nodes_per_axis)
+    rows, weights, _ = orthant_rule(list(p[1:]), quad.nodes_per_axis)
+    points = rows[:, 1:]
     total = np.zeros_like(inv_tilde[0])
     norm = 0.0
     for us, weight in zip(points, weights):
@@ -343,11 +346,36 @@ def test_c_constant_against_gamma_oracle():
         assert c_constant(p) == pytest.approx(oracle, rel=1e-6)
 
 
+#: power vectors the integral route refuses, with the error and its message
+REFUSED_POWERS = [
+    ((0.3, 0.3), ValueError, "sum exactly 1"),
+    ((0.7, 0.7), ValueError, "sum to at most 1"),
+    ((0.0, 1.0), ValueError, "all p_j > 0"),
+    ((-0.3, 1.3), ValueError, "finite and nonnegative"),
+    ((math.nan, 0.5), ValueError, "finite and nonnegative"),
+    ((1.0,), UnsupportedArityError, "k in {2, 3}, got k=1"),
+    ((0.25,) * 4, UnsupportedArityError, "k in {2, 3}, got k=4"),
+]
+
+
+@pytest.mark.parametrize("p, error, message", REFUSED_POWERS,
+                         ids=[str(p) for p, _, _ in REFUSED_POWERS])
+def test_c_constant_shares_the_integral_power_rule(p, error, message):
+    # c_constant((0.3, 0.3)) once returned c_constant((0.7, 0.3)): the rule
+    # reads p_1 only through the sum, which must then be exactly 1
+    with pytest.raises(error, match=re.escape(message)) as refused:
+        c_constant(p)
+    with pytest.raises(error) as integral:
+        tensor_power_integral(_tuple(len(p), 2, 9), p)
+    assert str(integral.value) == str(refused.value)
+
+
 def _per_call_rule(ps, nodes):
-    """The coefficient rows (1, u), weights and normalization of the orthant
-    rule rebuilt in every call, as the integral formed them before the rule
-    kept them."""
-    points, weights = orthant_rule(ps, nodes)
+    """The coefficient rows (1, u) and normalization of the orthant rule
+    rebuilt from its points in every call, as the integral formed them before
+    the rule kept them."""
+    rows, weights, _ = orthant_rule(ps, nodes)
+    points = rows[:, 1:]
     coeffs = np.column_stack([np.ones(len(weights)), points])
     return coeffs, weights, np.sum(weights / (1.0 + points.sum(axis=1)))
 
@@ -362,7 +390,7 @@ def test_tensor_power_integral_equals_its_per_call_design(monkeypatch, k, rows, 
              for j in range(k)])
     quad = QuadratureConfig(nodes)
     cached = tensor_power_integral(mats, p, quad)
-    monkeypatch.setattr(jc, "resolvent_rule", _per_call_rule)
+    monkeypatch.setattr(jc, "orthant_rule", _per_call_rule)
     assert np.array_equal(cached, tensor_power_integral(mats, p, quad))
     assert c_constant(p, quad) == _per_call_rule(list(p[1:]), nodes)[2]
 
@@ -450,6 +478,28 @@ def test_wyd_zero_iff_commuting_and_nonpositive():
     k_comm = (u * np.array([1.0, -2.0, 0.5])) @ u.conj().T
     rho = (u * w) @ u.conj().T
     assert abs(wyd_skew_information(rho, k_comm, 0.7)) < 1e-12
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01"),
+    (np.diag([2.0, 1.0]), "trace 3.0 deviates from 1"),
+    (np.diag([1.0 + 1e-9, 0.0]), "deviates from 1"),
+    (np.stack([np.diag([0.5, 0.5]), np.diag([0.75, 0.5])]), "row 1: trace 1.25"),
+], ids=["negative", "trace-3", "trace-off-by-1e-9", "stack"])
+def test_wyd_refuses_a_rho_that_is_not_a_density(rho, message):
+    # these were lifted and renormalized into a density (-0.99999837 and
+    # -0.0571910 for the first two); now the rho is refused, never repaired
+    k = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        wyd_skew_information(rho, k, 0.5)
+
+
+def test_wyd_lifts_only_roundoff_eigenvalues():
+    # an eigenvalue in [-1e-10, 1e-12) is rounding: lifted to 1e-12, as before
+    k = np.array([[0.0, 1.0], [1.0, 0.0]])
+    near = wyd_skew_information(np.diag([1.0 + 5e-11, -5e-11]), k, 0.5)
+    lifted = wyd_skew_information(np.diag([1.0, 1e-12]), k, 0.5)
+    assert near == pytest.approx(lifted, rel=1e-9) and near < 0.0
 
 
 def test_kubo_ando_validation():
@@ -540,8 +590,10 @@ GATED = {
     "relative_entropy_b": lambda bad, good: relative_entropy(good, bad),
     "epsilon_limit_residual_a": lambda bad, good: epsilon_limit_residual(bad, good, 1e-5),
     "epsilon_limit_residual_b": lambda bad, good: epsilon_limit_residual(good, bad, 1e-5),
-    "wyd_skew_information": lambda bad, good: wyd_skew_information(bad, good, 0.4),
-    "wyd_skew_information_k": lambda bad, good: wyd_skew_information(good, bad, 0.4),
+    "wyd_skew_information": lambda bad, good: wyd_skew_information(
+        bad / np.trace(good).real, good, 0.4),
+    "wyd_skew_information_k": lambda bad, good: wyd_skew_information(
+        good / np.trace(good).real, bad, 0.4),
 }
 
 

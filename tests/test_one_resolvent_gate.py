@@ -9,7 +9,7 @@ import pytest
 from matconvex import resolvent as rv
 from matconvex.errors import DomainViolationError
 from matconvex.linalg import SpectrumWindow
-from matconvex.rand import RandomSpec, random_direction_rows, random_in_window_rows
+from matconvex.rand import RandomSpec, random_directions, random_in_window_rows
 from matconvex.resolvent import (
     PickRepresentation,
     ResolventPoint,
@@ -34,7 +34,7 @@ def _rep(atoms: int) -> PickRepresentation:
 def _point(n: int = 4, rows: int = 3):
     spec = RandomSpec(41)
     return (random_in_window_rows(n, WINDOW, spec.rngs(range(rows))),
-            random_direction_rows(n, spec.stream(rows).rngs(range(rows))))
+            random_directions(1, n, spec.stream(rows).rngs(range(rows)))[0])
 
 
 def _atomwise_value(rep, a):

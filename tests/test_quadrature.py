@@ -73,16 +73,19 @@ def test_unit_rule_moments(p):
 
 
 def test_orthant_rule_1d_reduces_to_halfline():
-    pts, w = orthant_rule([0.5], 32)
-    assert pts.shape == (w.size, 1)
-    value = float((w / (1.0 + pts[:, 0])).sum())
+    rows, w, norm = orthant_rule([0.5], 32)
+    assert rows.shape == (w.size, 2)
+    np.testing.assert_array_equal(rows[:, 0], 1.0)
+    value = float((w / (1.0 + rows[:, 1])).sum())
     assert value == pytest.approx(math.pi, rel=1e-9)
+    assert norm == value
 
 
 def test_orthant_rule_2d_product_oracle():
     # separable integrand: int u1^(p1-1) e^(-u1) du1 * int u2^(p2-1) e^(-u2) du2
     p1, p2 = 0.4, 0.3
-    pts, w = orthant_rule([p1, p2], 48)
+    rows, w, _ = orthant_rule([p1, p2], 48)
+    pts = rows[:, 1:]
     value = float((w * np.exp(-pts.sum(axis=1))).sum())
     assert value == pytest.approx(gamma(p1) * gamma(p2), rel=1e-6)
 
@@ -91,11 +94,12 @@ def test_orthant_rule_2d_handles_diagonal_ridge():
     # 1/(1 + u1 + u2) decays only first-order along the diagonal; the Duffy
     # split is what makes this converge fast
     p1, p2 = 1.0 / 3.0, 1.0 / 3.0
-    pts, w = orthant_rule([p1, p2], 64)
-    value = float((w / (1.0 + pts.sum(axis=1))).sum())
+    rows, w, norm = orthant_rule([p1, p2], 64)
+    value = float((w / (1.0 + rows[:, 1:].sum(axis=1))).sum())
     # Dirichlet-type integral: Gamma(p1) Gamma(p2) Gamma(1 - p1 - p2)
     exact = gamma(p1) * gamma(p2) * gamma(1.0 - p1 - p2)
     assert value == pytest.approx(exact, rel=1e-8)
+    assert norm == value
 
 
 @pytest.mark.parametrize("ps", [[0.5], [0.3, 0.4]])
@@ -103,7 +107,7 @@ def test_orthant_rule_is_built_once_and_read_only(ps):
     first = orthant_rule(ps, 16)
     again = orthant_rule(list(ps), 16)
     assert all(a is b for a, b in zip(first, again))
-    for a in first:
+    for a in first[:2]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 

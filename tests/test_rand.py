@@ -10,7 +10,7 @@ from matconvex.rand import (
     haar_unitaries,
     haar_unitaries_from,
     random_densities,
-    random_direction_rows,
+    random_directions,
     random_hermitian_rows,
     random_in_window_factors,
     random_in_window_rows,
@@ -59,8 +59,15 @@ def test_random_in_window_rejects_unbounded():
 
 
 def test_random_direction_unit_norm():
-    (q,) = random_direction_rows(4, [RandomSpec(3).rng()])
+    ((q,),) = random_directions(1, 4, [RandomSpec(3).rng()])
     assert np.max(np.abs(np.linalg.eigvalsh(q))) == pytest.approx(1.0)
+
+
+def test_random_directions_scale_each_rows_tuple_by_its_largest_norm():
+    dirs = random_directions(3, 4, RandomSpec(3).rngs(range(5)))
+    norms = np.max(np.abs(np.linalg.eigvalsh(np.stack(dirs))), axis=-1)  # (k, T)
+    np.testing.assert_allclose(norms.max(axis=0), 1.0, rtol=1e-14)
+    assert np.all(norms < 1.0 + 1e-14)
 
 
 def test_random_density_valid():
@@ -108,12 +115,12 @@ def test_stacked_window_and_direction_rows_bit_identical_to_per_stream_draws(n):
     # one pass per input over the same generators keeps each one's draw order
     spec, window = RandomSpec(8, 90), SpectrumWindow(0.1, 5.0)
     rngs = [spec.stream(t).rng() for t in range(25)]
-    a, q = random_in_window_rows(n, window, rngs), random_direction_rows(n, rngs)
+    a, (q,) = random_in_window_rows(n, window, rngs), random_directions(1, n, rngs)
     assert a.shape == q.shape == (25, n, n)
     for t in range(25):
         rngs = [spec.stream(t).rng()]
         np.testing.assert_array_equal(a[t], random_in_window_rows(n, window, rngs)[0])
-        np.testing.assert_array_equal(q[t], random_direction_rows(n, rngs)[0])
+        np.testing.assert_array_equal(q[t], random_directions(1, n, rngs)[0][0])
         # the 2-D formulas a loop over streams would run: spectrum, then unitary
         rng = spec.stream(t).rng()
         inner = window.shrunk()

@@ -12,7 +12,7 @@ from matconvex.errors import ConditioningError, DomainViolationError, Hermiticit
 from matconvex.linalg import SpectrumWindow, _probe_points, apply_function
 from matconvex.rand import (
     RandomSpec,
-    random_direction_rows,
+    random_directions,
     random_in_window_rows,
 )
 from matconvex.resolvent import (
@@ -78,7 +78,7 @@ def test_resolvent_spectrum_check():
 def test_second_derivative_psd_both_branches(u):
     for t in range(20):
         a = random_in_window_rows(3, WINDOW, [RandomSpec(10, t).rng()])[0]
-        q = random_direction_rows(3, [RandomSpec(10, 1000 + t).rng()])[0]
+        q = random_directions(1, 3, [RandomSpec(10, 1000 + t).rng()])[0][0]
         d2 = resolvent_second_derivative(a, q, ResolventPoint(u, WINDOW))
         assert np.linalg.eigvalsh(d2).min() >= -1e-10
 
@@ -87,7 +87,7 @@ def test_second_derivative_psd_both_branches(u):
 def test_second_derivative_matches_fd(u):
     spec = RandomSpec(11)
     a = random_in_window_rows(3, WINDOW, [spec.rng()])[0]
-    q = random_direction_rows(3, [spec.stream(1).rng()])[0]
+    q = random_directions(1, 3, [spec.stream(1).rng()])[0][0]
     point = ResolventPoint(u, WINDOW)
     exact = resolvent_second_derivative(a, q, point)
     f = ScalarFunction("f_u", point.scalar, WINDOW)
@@ -99,7 +99,7 @@ def test_second_derivative_matches_fd(u):
 def test_resolvent_identity_exact():
     spec = RandomSpec(12)
     a = random_in_window_rows(4, WINDOW, [spec.rng()])[0] + 6.0 * np.eye(4)
-    delta = 0.01 * random_direction_rows(4, [spec.stream(1).rng()])[0]
+    delta = 0.01 * random_directions(1, 4, [spec.stream(1).rng()])[0][0]
     assert resolvent_identity_residual(a, delta) < 1e-12
 
 
@@ -180,7 +180,7 @@ def test_matrix_route_commuting_case_matches_scalar():
 def test_exact_second_derivative_psd_and_matches_fd():
     spec = RandomSpec(15)
     m = random_in_window_rows(3, WINDOW, [spec.rng()])[0]
-    q = random_direction_rows(3, [spec.stream(1).rng()])[0]
+    q = random_directions(1, 3, [spec.stream(1).rng()])[0][0]
     exact = pick_second_derivative(REP, m, q)
     assert np.linalg.eigvalsh(exact).min() >= -1e-10
     f = pick_scalar_function(REP)
@@ -205,7 +205,7 @@ def test_daleckii_krein_matches_the_resolvent_sum(n, lines, tol):
     for t in range(lines):
         rng = RandomSpec(17, t).rng()
         m = random_in_window_rows(n, WINDOW, [rng])[0]
-        q = random_direction_rows(n, [rng])[0]
+        q = random_directions(1, n, [rng])[0][0]
         exact = pick_second_derivative(REP, m, q)
         dk = line_second_derivative(f, m, q)
         assert np.linalg.norm(dk - exact) / np.linalg.norm(exact) <= tol

@@ -12,7 +12,7 @@ from matconvex import jointconcavity as jc
 from matconvex import resolvent as rv
 from matconvex.errors import ConditioningError, HermiticityError, ValidationError
 from matconvex.linalg import SpectrumWindow, raise_rows
-from matconvex.rand import RandomSpec, random_densities, random_in_window_rows
+from matconvex.rand import RandomSpec, random_densities, random_directions, random_in_window_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "matconvex"
 WINDOW = SpectrumWindow(0.1, 5.0)
@@ -26,7 +26,7 @@ def _stacks(count, n, seed, window=WINDOW):
 
 
 def _directions(k, n, seed):
-    return jc.random_directions(k, n, [RandomSpec(seed, 100 + t).rng() for t in range(ROWS)])
+    return random_directions(k, n, [RandomSpec(seed, 100 + t).rng() for t in range(ROWS)])
 
 
 def _kernel_cases():
@@ -103,7 +103,7 @@ def test_a_stack_row_equals_the_unstacked_call(name):
 def test_random_directions_rows_equal_single_draws():
     stacked = _directions(3, 4, 9)
     for t in range(ROWS):
-        single = jc.random_directions(3, 4, [RandomSpec(9, 100 + t).rng()])
+        single = random_directions(3, 4, [RandomSpec(9, 100 + t).rng()])
         for q, row in zip(single, stacked):
             np.testing.assert_array_equal(row[t], q[0])
 
