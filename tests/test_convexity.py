@@ -830,7 +830,7 @@ def test_zero_trials_is_an_error():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_a_size_below_one_is_refused_before_any_draw(n):
-    # n = 0 once reached the chunk grouping and raised a bare ZeroDivisionError
+    # refused before the chunk grouping divides by n
     with pytest.raises(DimensionMismatchError, match=f"dimension must be >= 1, got n={n}"):
         definition_test(builtin("x2"), SpectrumWindow(0.1, 2.0), n, 3, RandomSpec(1))
 

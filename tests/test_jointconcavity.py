@@ -361,8 +361,8 @@ REFUSED_POWERS = [
 @pytest.mark.parametrize("p, error, message", REFUSED_POWERS,
                          ids=[str(p) for p, _, _ in REFUSED_POWERS])
 def test_c_constant_shares_the_integral_power_rule(p, error, message):
-    # c_constant((0.3, 0.3)) once returned c_constant((0.7, 0.3)): the rule
-    # reads p_1 only through the sum, which must then be exactly 1
+    # the constant reads p_1 only through the sum, so (0.3, 0.3) would pass
+    # for (0.7, 0.3) unless the sum must be exactly 1
     with pytest.raises(error, match=re.escape(message)) as refused:
         c_constant(p)
     with pytest.raises(error) as integral:
@@ -487,8 +487,8 @@ def test_wyd_zero_iff_commuting_and_nonpositive():
     (np.stack([np.diag([0.5, 0.5]), np.diag([0.75, 0.5])]), "row 1: trace 1.25"),
 ], ids=["negative", "trace-3", "trace-off-by-1e-9", "stack"])
 def test_wyd_refuses_a_rho_that_is_not_a_density(rho, message):
-    # these were lifted and renormalized into a density (-0.99999837 and
-    # -0.0571910 for the first two); now the rho is refused, never repaired
+    # lifting the eigenvalues and renormalizing the trace would quietly
+    # evaluate another state
     k = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValidationError, match=re.escape(message)):
         wyd_skew_information(rho, k, 0.5)
