@@ -209,8 +209,9 @@ def _tensor_power(args, spec: RandomSpec) -> dict:
     14 rows of a (points, n^k) resolvent temporary, 1 MB a row, under 16 MB.
     They stay on one thread: the quadrature is elementwise work that holds
     the GIL, and up to n^k = 64 two threads took up to 35 % more wall time
-    at k = 2, and saved at most 7 % for 25 % more CPU at k = 3."""
-    p, quad = tuple(float(x) for x in args.p.split(",")), QuadratureConfig(args.nodes)
+    at k = 2, and saved at most 7 % for 25 % more CPU at k = 3.  --p is held
+    to the integral's rule here, before any stream is hashed."""
+    p, quad = jc._check_powers(args.p.split(","), integral=True), QuadratureConfig(args.nodes)
     fixed = _fixed_tuple(args, len(p))
 
     def draw(rngs):

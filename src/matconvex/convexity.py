@@ -441,7 +441,7 @@ def line_second_derivative(f: ScalarFunction, m: np.ndarray, q: np.ndarray) -> n
     """Exact d^2/dt^2 f(M + tQ)|_0, row by row over a stack: Q checked
     Hermitian, M checked and diagonalized by :func:`linalg.factor`, then
     :func:`spectral_second_derivative`."""
-    check_hermitian(np.asarray(q))
+    q = check_hermitian(q)
     return spectral_second_derivative(f, *factor(m), q)
 
 

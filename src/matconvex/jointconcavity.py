@@ -37,6 +37,7 @@ bit for that reason (:func:`linalg.frobenius`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -82,9 +83,8 @@ def _factor(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     shape = (*shape[:-2], shape[-1], shape[-1])
     factors = []
     for j, a in enumerate(mats):
-        a = np.asarray(a)
-        if a.shape != shape:
-            raise DimensionMismatchError(f"tuple entry {j} has shape {a.shape}, "
+        if np.shape(a) != shape:
+            raise DimensionMismatchError(f"tuple entry {j} has shape {np.shape(a)}, "
                                          f"expected {shape}")
         w, u = factor(a)
         raise_rows(~(w[..., 0] >= POSITIVITY_FLOOR), ConditioningError, lambda k: (
@@ -125,8 +125,7 @@ def _hessian(projection, dirs: Sequence[np.ndarray]) -> np.ndarray:
     invs, roots, r_inv, t = projection
     if len(dirs) != len(invs):
         raise DimensionMismatchError("direction tuple length must match matrix tuple")
-    for q in dirs:  # checked, never repaired: the symmetrization below is for rounding only
-        check_hermitian(np.asarray(q))
+    dirs = [check_hermitian(q) for q in dirs]  # never repaired: the last line only rounds
     y = np.concatenate([s @ q @ a_inv @ r_inv for s, q, a_inv in zip(roots, dirs, invs)],
                        axis=-2)
     h = -2.0 * (_dagger(y) @ (y - t @ y))
@@ -190,10 +189,7 @@ def tensor_power_direct(mats: Sequence[np.ndarray], p: Sequence[float]) -> np.nd
 
 
 def _tensor_power_direct(factors, ps: list[float]) -> np.ndarray:
-    out = np.eye(1)
-    for f, pj in zip(factors, ps):
-        out = tensor(out, _power(f, pj))
-    return out
+    return functools.reduce(tensor, [_power(f, pj) for f, pj in zip(factors, ps)])
 
 
 def tensor_power_integral(
@@ -319,7 +315,7 @@ def wyd_skew_information(rho: np.ndarray, k: np.ndarray, p):
     """
     if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"skew exponent must lie in (0, 1), got {p}")
-    check_hermitian(np.asarray(k))
+    k = check_hermitian(k)
     w, u = factor(rho)
     _check_density(w)
     w = np.clip(w, 1e-12, None)

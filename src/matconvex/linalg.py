@@ -3,8 +3,9 @@
 All matrices are finite-dimensional, complex, and self-adjoint; every function
 takes a ``(T, n, n)`` stack as well as one matrix, and an error on a stack
 names the row it came from.  A matrix function f(A) = U f(w) U* has three
-steps, each of which exists once: :func:`factor` (:func:`check_hermitian`,
-then the library's only ``eigh``), f at the spectrum (a :class:`ScalarFunction`
+steps, each of which exists once: :func:`factor` (:func:`check_hermitian`, the
+one gate, which takes any array and returns the array it checked, then the
+library's only ``eigh``), f at the spectrum (a :class:`ScalarFunction`
 of numpy forms, in one :func:`entrywise` call) and :func:`from_spectrum`.  A
 sampled matrix travels with its factors (w, U), from which
 :func:`spectral_function` evaluates f without diagonalizing it again;
@@ -165,20 +166,20 @@ def _float_or_rows(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def check_hermitian(h: np.ndarray) -> None:
-    """Raise unless ``h`` is a finite square matrix with asymmetry at most
-    ``HERMITICITY_TOL * (1 + max|entry|)``.  A ``(T, n, n)`` stack is checked
-    row by row and the first failing row is named.  Never modifies ``h``."""
+def check_hermitian(h) -> np.ndarray:
+    """``h`` as the array checked: a finite square matrix with asymmetry at most
+    ``HERMITICITY_TOL * (1 + max|entry|)``, else raise.  A ``(T, n, n)`` stack is
+    checked row by row and the first failing row is named; ``h`` is never modified."""
+    h = np.asarray(h)
     if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     if h.shape[-1] < 1:
         raise DimensionMismatchError("dimension must be >= 1")
     rows = h.reshape(-1, *h.shape[-2:])
-    t = rows.swapaxes(1, 2)  # |h - h*| entrywise, without a complex temporary
     with np.errstate(invalid="ignore"):  # inf - inf: any non-finite entry gives NaN or inf
-        asym = np.hypot(rows.real - t.real, rows.imag + t.imag)
+        asym = np.abs(rows - _dagger(rows), dtype=float)  # int64 abs(min) wraps negative
     if asym.max() <= HERMITICITY_TOL:  # finite, and within the bound since scale >= 1
-        return
+        return h
     scale = 1.0 + np.max(np.abs(rows), axis=(1, 2))  # NaN or inf iff an entry is
     asym = np.max(asym, axis=(1, 2))
     bad = ~np.isfinite(scale) | (asym > HERMITICITY_TOL * scale)
@@ -186,18 +187,14 @@ def check_hermitian(h: np.ndarray) -> None:
         "matrix has non-finite entries" if not np.isfinite(scale[k]) else
         f"matrix asymmetry {asym[k]:.3e} exceeds tolerance "
         f"{HERMITICITY_TOL * scale[k]:.3e}"))
+    return h
 
 
 def hermitian(entries) -> np.ndarray:
-    """Validate and exactly symmetrize a square complex matrix.
-
-    Non-finite entries or asymmetry beyond ``HERMITICITY_TOL * (1 + max|entry|)``
-    are construction errors (see :func:`check_hermitian`); the returned array
-    is (H + H*)/2 so later formula chains cannot drift.  A ``(T, n, n)``
-    stack is checked and symmetrized row by row.
-    """
-    h = np.asarray(entries, dtype=complex)
-    check_hermitian(h)
+    """``entries`` as a complex array through :func:`check_hermitian`, then
+    exactly symmetrized to (H + H*)/2 so later formula chains cannot drift; a
+    ``(T, n, n)`` stack is checked and symmetrized row by row."""
+    h = check_hermitian(np.asarray(entries, dtype=complex))
     out = h + _dagger(h)
     out *= 0.5
     return out
@@ -206,9 +203,7 @@ def hermitian(entries) -> np.ndarray:
 def factor(h) -> tuple[np.ndarray, np.ndarray]:
     """Spectral factors (w, U) of a Hermitian matrix or stack: ``np.linalg.eigh``,
     which reads one triangle, after :func:`check_hermitian` has read both."""
-    h = np.asarray(h)
-    check_hermitian(h)
-    return np.linalg.eigh(h)
+    return np.linalg.eigh(check_hermitian(h))
 
 
 def entrywise(g: Callable, x) -> np.ndarray:

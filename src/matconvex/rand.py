@@ -46,6 +46,7 @@ leaves each generator where ``uniform`` would; a lone generator maps its
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from typing import Iterable, Sequence
@@ -188,25 +189,29 @@ def _seed_sequence_state(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray
     return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-class _SeedWords:
-    """Hands PCG64 the seed words :meth:`RandomSpec.seed_words` computed; PCG64
-    asks for 4 uint64 words once, at construction."""
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence handing PCG64 the words of :meth:`RandomSpec.seed_words`
+    (4 uint64 words, asked for once).  Made on first use, so importing matconvex
+    loads no numpy.random, as a real ``ISeedSequence`` subclass: numpy's ABC
+    caches its ``isinstance`` answer, not that of a registered virtual one."""
 
-    __slots__ = ("words",)
+    class _SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _SeedWords
 
 
 def generators(words: np.ndarray) -> list[np.random.Generator]:
     """``Generator(PCG64)`` per row of a :meth:`RandomSpec.seed_words` array."""
-    # registered here, not at import, so that importing matconvex does not load
-    # numpy.random; registering again is a no-op
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+    seeds = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seeds(w))) for w in words]
 
 
 def _stacked_draws(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:

@@ -57,7 +57,7 @@ def _resolvents(a: np.ndarray, window: SpectrumWindow, poles):
     after a conditioning check, once A is checked Hermitian with its spectrum in
     ``window`` (eagerly, at the call); each check names the first bad row.  R
     comes from ``inv``, so this route stays independent of the spectral one."""
-    check_hermitian(np.asarray(a))
+    a = check_hermitian(a)
     eigs = np.linalg.eigvalsh(a)
     window.check_spectrum(eigs, source="A")
 
@@ -83,7 +83,7 @@ def resolvent_second_derivative(
 ) -> np.ndarray:
     """Exact d^2/dt^2 f_u(A + tQ)|_0 = sgn(u) * 2 R Q R Q R; always PSD.
     Stacks of A and Q give one derivative per row; both are checked Hermitian."""
-    check_hermitian(np.asarray(q))
+    q = check_hermitian(q)
     (r,) = _resolvents(a, p.window, [p.u])
     return p.sign * 2.0 * (r @ q @ r @ q @ r)
 
@@ -178,7 +178,7 @@ def pick_second_derivative(
     construction since u - c has the sign of u's branch.  Q is checked
     Hermitian, M with its spectrum by the resolvent gate.
     """
-    check_hermitian(np.asarray(q))
+    q = check_hermitian(q)
     resolvents = _resolvents(m, rep.window, [u for u, _ in rep.atoms])
     total = 2.0 * rep.gamma * (q @ q)
     for (u, w), r in zip(rep.atoms, resolvents):

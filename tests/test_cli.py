@@ -17,6 +17,7 @@ from matconvex import convexity as cx
 from matconvex import entropy as ent
 from matconvex import io as mio
 from matconvex import jointconcavity as jc
+from matconvex import rand
 from matconvex import suite
 from matconvex.cli import _attach_window, _build_parser, main
 from matconvex.errors import MatConvexError
@@ -509,6 +510,19 @@ def test_a_battery_refuses_the_options_of_another(capsys):
     assert main(["check-concavity", "lieb", "--p", "0.3,0.7"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments: --p 0.3,0.7" in err
+
+
+def test_tensor_power_refuses_a_bad_p_before_any_stream_is_hashed(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a stream was seeded")
+
+    monkeypatch.setattr(rand.RandomSpec, "seed_words", never)
+    monkeypatch.setattr(rand, "generators", never)
+    monkeypatch.setattr(cx, "generators", never)
+    assert main(["check-concavity", "tensor-power", "--p", "0.3,0.3",
+                 "--trials", "1000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: integral route needs all p_j > 0 with sum exactly 1\n")
 
 
 def test_every_readme_command_line_parses():

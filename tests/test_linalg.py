@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matconvex.errors import DomainViolationError, HermiticityError
+from matconvex.errors import DimensionMismatchError, DomainViolationError, HermiticityError
 from matconvex.linalg import (
     ScalarFunction,
     SpectrumWindow,
     apply_function,
+    check_hermitian,
     frobenius,
     from_spectrum,
     hermitian,
@@ -25,12 +26,59 @@ def test_hermitian_symmetrizes_roundoff():
     np.testing.assert_allclose(h, h.conj().T)
 
 
+def _stack_with_bad_row():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[1, 0, 1] = 1e-9j
+    return stack
+
+
+#: The gate's corpus: (name, input, error type and message, or None if it
+#: passes).  The tolerance is 1e-12 * (1 + max|entry|).
+GATE_CASES = [
+    ("scale 1, at the edge", np.array([[0.0, 1e-12], [0.0, 0.0]]), None),
+    ("scale 1, past the edge", np.array([[0.0, 1.5e-12], [0.0, 0.0]]), (
+        HermiticityError, "matrix asymmetry 1.500e-12 exceeds tolerance 1.000e-12")),
+    ("scale 1e3, inside", np.array([[999.0, 0.9e-9j], [0.0, 999.0]]), None),
+    ("scale 1e3, past the edge", np.array([[999.0, 1.1e-9j], [0.0, 999.0]]), (
+        HermiticityError, "matrix asymmetry 1.100e-09 exceeds tolerance 1.000e-09")),
+    ("nan", np.array([[1.0, math.nan], [math.nan, 1.0]]), (
+        HermiticityError, "matrix has non-finite entries")),
+    ("inf", np.array([[1.0, math.inf], [math.inf, 1.0]]), (
+        HermiticityError, "matrix has non-finite entries")),
+    ("-inf", np.array([[-math.inf, 0.0], [0.0, 1.0]]), (
+        HermiticityError, "matrix has non-finite entries")),
+    ("stack", _stack_with_bad_row(), (
+        HermiticityError, "row 1: matrix asymmetry 1.000e-09 exceeds tolerance 2.000e-12")),
+    ("real", np.array([[1.0, 2.0], [0.0, 1.0]]), (
+        HermiticityError, "matrix asymmetry 2.000e+00 exceeds tolerance 3.000e-12")),
+    ("int64 wrapping to its minimum", np.array([[0, np.iinfo(np.int64).max], [-1, 0]]), (
+        HermiticityError, "matrix asymmetry 9.223e+18 exceeds tolerance 9.223e+06")),
+    ("list", [[1.0, 2j], [-2j, 1.0]], None),
+    ("asymmetric list", [[1.0, 2j], [2j, 1.0]], (
+        HermiticityError, "matrix asymmetry 4.000e+00 exceeds tolerance 3.000e-12")),
+    ("not square", np.zeros((2, 3)), (
+        DimensionMismatchError, "expected a square matrix, got shape (2, 3)")),
+    ("empty", np.zeros((0, 0)), (DimensionMismatchError, "dimension must be >= 1")),
+]
+
+
 def test_hermitian_rejects_asymmetric():
-    with pytest.raises(HermiticityError):
-        hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(HermiticityError, match="non-finite"):
-            hermitian(np.array([[1.0, bad], [bad, 1.0]]))
+    # the gate and the constructor on it raise one type and message per case
+    for name, entries, expected in GATE_CASES:
+        for gate in (check_hermitian, hermitian):
+            if expected is None:
+                gate(entries)
+                continue
+            with pytest.raises(expected[0]) as info:
+                gate(entries)
+            assert str(info.value) == expected[1], (name, gate.__name__)
+
+
+def test_check_hermitian_returns_the_array_it_checked():
+    stack = np.stack([np.eye(3)] * 2)
+    assert check_hermitian(stack) is stack
+    rows = [[2.0, 1j], [-1j, 2.0]]
+    np.testing.assert_array_equal(check_hermitian(rows), np.asarray(rows))
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 2, 2)])

@@ -6,6 +6,7 @@ from matconvex.errors import UnboundedWindowError
 from matconvex.linalg import SpectrumWindow
 from matconvex.rand import (
     RandomSpec,
+    _seed_words_type,
     _stacked_draws,
     haar_unitaries,
     haar_unitaries_from,
@@ -183,6 +184,13 @@ def test_rng_is_the_batch_of_one():
     spec = RandomSpec(42, 7)
     assert spec.rng().bit_generator.state == spec.rngs([0])[0].bit_generator.state
     assert spec.rng().bit_generator.state == _numpy_generator(42, 7).bit_generator.state
+
+
+def test_seed_words_are_a_real_numpy_seed_sequence():
+    # not a registered virtual subclass: numpy's ABC caches the isinstance
+    # answer PCG64 asks for at every construction only for a real one
+    assert np.random.bit_generator.ISeedSequence in _seed_words_type().__mro__
+    assert _seed_words_type() is _seed_words_type()
 
 
 def test_empty_batch():
