@@ -269,7 +269,7 @@ def stacked_rows(spec: RandomSpec, trials: int, n: int, body: Callable, threads:
 def _least_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """A body's output, joined over a group: a ``(T,)`` column as it is, or
     the least eigenvalue of each row of a ``(T, n, n)`` stack (its margins)."""
-    return stack if stack.ndim == 1 else np.linalg.eigvalsh(stack)[:, 0]
+    return stack if stack.ndim == 1 else min_eigenvalue(stack)
 
 
 def run_trials(
@@ -562,7 +562,7 @@ def monotonicity_test(
         sites = [draw(rng) for rng in rngs]
         margins = np.empty(len(sites))
         for _, rows, _ in shape_groups(rngs, map(len, sites)):
-            margins[rows] = np.linalg.eigvalsh(loewner_matrix(f, [sites[t] for t in rows]))[:, 0]
+            margins[rows] = min_eigenvalue(loewner_matrix(f, [sites[t] for t in rows]))
         return margins, lambda t: {"kind": "loewner", "sites": sites[t]}
 
     (verdict,) = run_trials(trial, trials, spec, max_sites, threads=False)

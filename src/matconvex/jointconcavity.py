@@ -164,8 +164,8 @@ def parallel_sum_certificate(
 
 
 def _check_powers(p, k: int | None = None, integral: bool = False) -> list[float]:
-    """The power vector: finite p_j >= 0, sum <= 1, one per entry of a k-tuple;
-    the integral route and its c_constant need p_j > 0, sum 1 and k in {2, 3}."""
+    """The power vector: finite p_j >= 0, sum <= 1, one per entry of a k-tuple; the
+    integral route (and c_constant) needs p_j > 0, sum 1, p_2 + ... + p_k < 1, k in {2, 3}."""
     ps = [float(x) for x in p]
     if not all(math.isfinite(x) and x >= 0.0 for x in ps):
         raise ValueError(f"powers must be finite and nonnegative, got {ps}")
@@ -175,6 +175,8 @@ def _check_powers(p, k: int | None = None, integral: bool = False) -> list[float
         raise DimensionMismatchError("power vector length must match tuple length")
     if integral and (any(x <= 0.0 for x in ps) or abs(sum(ps) - 1.0) > 1e-12):
         raise ValueError("integral route needs all p_j > 0 with sum exactly 1")
+    if integral and sum(ps[1:]) >= 1.0:  # the orthant rule's exponent, in (0, 1)
+        raise ValueError(f"integral route needs p_2 + ... + p_k < 1, got {sum(ps[1:])}")
     if integral and len(ps) not in (2, 3):
         raise UnsupportedArityError(f"integral route supports k in {{2, 3}}, got k={len(ps)}; "
                                     "use tensor_power_direct for other arities")

@@ -1,15 +1,17 @@
 """Hermitian linear-algebra substrate and the library's one spectral calculus.
 
 All matrices are finite-dimensional, complex, and self-adjoint; every function
-takes a ``(T, n, n)`` stack as well as one matrix, and an error on a stack
-names the row it came from.  A matrix function f(A) = U f(w) U* has three
-steps, each of which exists once: :func:`factor` (:func:`check_hermitian`, the
-one gate, which takes any array and returns the array it checked, then the
-library's only ``eigh``), f at the spectrum (a :class:`ScalarFunction`
-of numpy forms, in one :func:`entrywise` call) and :func:`from_spectrum`.  A
-sampled matrix travels with its factors (w, U), from which
-:func:`spectral_function` evaluates f without diagonalizing it again;
-:func:`apply_function` is that core after :func:`factor`.
+takes a ``(T, n, n)`` stack as well as one matrix, the stack of one (the
+reductions :func:`min_eigenvalue`, :func:`op_norm` and :func:`frobenius` give
+it a float, a stack a ``(T,)`` array), and an error on a stack names its row.
+A matrix function f(A) = U f(w) U* has three steps, each of which exists
+once: :func:`factor` (:func:`check_hermitian`, the one gate, which takes any
+array and returns the array it checked, then the library's only ``eigh``), f
+at the spectrum (a :class:`ScalarFunction` of numpy forms, in one
+:func:`entrywise` call) and :func:`from_spectrum`.  A sampled matrix travels
+with its factors (w, U), from which :func:`spectral_function` evaluates f
+without diagonalizing it again; :func:`apply_function` is that core after
+:func:`factor`.
 :func:`kron_from_spectrum` is the last step on a basis U_1 x ... x U_k.
 """
 
@@ -208,9 +210,11 @@ def factor(h) -> tuple[np.ndarray, np.ndarray]:
 
 def entrywise(g: Callable, x) -> np.ndarray:
     """The numpy form ``g`` at every entry of the float array ``x``, in one
-    call; a scalar result (a constant form) is broadcast to the shape of x."""
+    call, without numpy's warnings (every caller refuses a non-finite value by
+    name); a scalar result (a constant form) is broadcast to the shape of x."""
     x = np.asarray(x, dtype=float)
-    return np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
 
 
 def from_spectrum(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -260,21 +264,19 @@ def apply_function(h, f: ScalarFunction, source: str = "matrix") -> np.ndarray:
 
 
 def frobenius(x: np.ndarray):
-    """Frobenius norm of a matrix; a ``(T,)`` array for a stack, each row bit
-    for bit its own ``np.linalg.norm``.  That norm is the square root of the
-    flattened row's dot product with itself, over the real and imaginary
-    parts; here one ``(T, 1, K) @ (T, K, 1)`` product per part forms every
-    row's, on C-contiguous rows (numpy's reduction over a stack sums in
-    another order and can differ in the last bit)."""
-    if x.ndim == 2:
-        return float(np.linalg.norm(x))
-    rows = np.ascontiguousarray(x).reshape(len(x), 1, math.prod(x.shape[1:]))
+    """Frobenius norm of a matrix as a float, or a ``(T,)`` array for a stack:
+    the square root of each row's dot product with itself, in C order, over
+    the real and imaginary parts, one ``(1, K) @ (K, 1)`` product per part, so
+    bit for bit ``np.linalg.norm`` of a C-contiguous row (numpy's reduction
+    over a stack sums in another order and can differ in the last bit)."""
+    rows = np.ascontiguousarray(x).reshape(*x.shape[:-2], 1, math.prod(x.shape[-2:]))
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum(part @ part.swapaxes(1, 2) for part in parts))[:, 0, 0]
+    return _float_or_rows(np.sqrt(sum(part @ part.swapaxes(-1, -2) for part in parts))[..., 0, 0])
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(h)[0])
+def min_eigenvalue(h: np.ndarray):
+    """Least eigenvalue of a Hermitian matrix; a ``(T,)`` array for a stack."""
+    return _float_or_rows(np.linalg.eigvalsh(h)[..., 0])
 
 
 def op_norm(h: np.ndarray):

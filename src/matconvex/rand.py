@@ -10,14 +10,13 @@ keeps every part, and every helper that part calls with a sub-stream, inside
 its own block of ``STREAM_BLOCK`` ids.  A reported ``stream_id`` is always the
 absolute id: ``RandomSpec(seed, stream_id).rng()`` regenerates that draw.
 
-A batch of generators is made by :meth:`RandomSpec.rngs`, which seeds its
+Every generator is made by :meth:`RandomSpec.rngs`, which seeds its
 streams by numpy's own ``SeedSequence`` loops run on the batch's ``(4, T)``
 pool, each phase of independent steps as one op (O'Neill's ``seed_seq``,
-fixed as a stable stream by NEP 19); a lone one, by
-:meth:`RandomSpec.rng` through numpy's ``SeedSequence`` itself, which costs
-less for one row than a batch's fixed numpy calls.  Either way stream
-``stream(o)`` gets ``Generator(PCG64(SeedSequence((seed, stream_id + o))))``
-bit for bit, so every stored witness and report replays unchanged.
+fixed as a stable stream by NEP 19); a lone one, :meth:`RandomSpec.rng`, is
+the batch of one.  Stream ``stream(o)`` gets
+``Generator(PCG64(SeedSequence((seed, stream_id + o))))`` bit for bit, so
+every stored witness and report replays unchanged.
 
 Samplers (``haar_unitaries``, ``random_densities``, ``random_directions``,
 ``*_rows``) take a sequence of generators and draw row t from the t-th, into
@@ -76,10 +75,8 @@ class RandomSpec:
     stream_id: int = 0
 
     def rng(self) -> np.random.Generator:
-        """The generator of this stream, ``rngs((0,))[0]``, built by numpy's
-        own ``SeedSequence``: one row costs less that way than a batch."""
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((operator.index(self.seed), operator.index(self.stream_id)))))
+        """The generator of this stream: the batch of one."""
+        return self.rngs((0,))[0]
 
     def rngs(self, offsets: Iterable[int]) -> list[np.random.Generator]:
         """The generators of streams ``stream(o)``, o in ``offsets``, in order."""

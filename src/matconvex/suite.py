@@ -34,7 +34,7 @@ from . import entropy as ent
 from . import jointconcavity as jc
 from . import resolvent as rv
 from .io import bound_record, check_record
-from .linalg import SpectrumWindow, factor, frobenius, from_spectrum
+from .linalg import SpectrumWindow, factor, frobenius, from_spectrum, min_eigenvalue
 from .quadrature import QuadratureConfig
 from .rand import (
     STREAM_BLOCK,
@@ -217,9 +217,7 @@ def check_convexity_detectors(spec: RandomSpec) -> dict:
     v = cx.monotonicity_test(cx.builtin("sqrt"), _WINDOW_WIDE, 4, 200, spec)
     detail["sqrt_monotone"] = v.status
     ok = ok and v.status == "certified"
-    x3_loewner = float(np.linalg.eigvalsh(
-        cx.loewner_matrix(cx.builtin("x3"), [0.1, 1.0])
-    ).min())
+    x3_loewner = min_eigenvalue(cx.loewner_matrix(cx.builtin("x3"), [0.1, 1.0]))
     detail["x3_loewner_site_witness_min_eig"] = x3_loewner
     ok = ok and x3_loewner < -cx.TOL_VIOL
     return check_record("convexity_detectors", 1.0 if ok else -1.0, detail, witness)

@@ -389,6 +389,19 @@ def test_a_nan_literal_in_a_representation_file_is_a_usage_error(argv, doc, fiel
     assert f"{field} must be finite, got nan" in capsys.readouterr().err
 
 
+def test_a_domain_refusal_prints_one_error_line_and_no_numpy_warning(capsys):
+    # x2 overflows at eigenvalues near 1e300: the refusal names the eigenvalue,
+    # and numpy's overflow warning is not printed before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify-function", "--f", "x2", "--window", "1e-300,1e300",
+                     "--n", "2", "--trials", "5"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: eigenvalue ") and err.count("\n") == 1
+    assert "gives a non-finite function value" in err
+
+
 def test_certify_representation(rep_file, capsys):
     code = main(["certify-representation", "--rep", rep_file,
                  "--n", "4", "--trials", "100", "--seed", "2", "--format", "json"])
@@ -519,10 +532,12 @@ def test_tensor_power_refuses_a_bad_p_before_any_stream_is_hashed(monkeypatch, c
     monkeypatch.setattr(rand.RandomSpec, "seed_words", never)
     monkeypatch.setattr(rand, "generators", never)
     monkeypatch.setattr(cx, "generators", never)
-    assert main(["check-concavity", "tensor-power", "--p", "0.3,0.3",
-                 "--trials", "1000000"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: integral route needs all p_j > 0 with sum exactly 1\n")
+    for p, message in [("0.3,0.3", "all p_j > 0 with sum exactly 1"),
+                       ("1e-300,1", "p_2 + ... + p_k < 1, got 1.0"),
+                       ("1e-13,1", "p_2 + ... + p_k < 1, got 1.0"),
+                       ("1e-300,0.5,0.5", "p_2 + ... + p_k < 1, got 1.0")]:
+        assert main(["check-concavity", "tensor-power", "--p", p, "--trials", "1000000"]) == 2
+        assert capsys.readouterr() == ("", f"error: integral route needs {message}\n")
 
 
 def test_every_readme_command_line_parses():

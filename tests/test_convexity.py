@@ -961,8 +961,8 @@ def test_kernel_identity_runs_its_nodes_as_one_stack(monkeypatch):
 
 
 def _count_hashes(monkeypatch):
-    """Count seed-word hashes, one length per batch, and record the entropy of
-    every numpy SeedSequence built (the lone streams of RandomSpec.rng)."""
+    """Count seed-word hashes, one length per batch, and every numpy
+    SeedSequence built (none: a lone stream is the batch of one)."""
     real, real_lone, batches, lone = RandomSpec.seed_words, np.random.SeedSequence, [], []
 
     def counted(self, offsets):
@@ -983,9 +983,10 @@ def test_definition_hashes_its_streams_once(monkeypatch):
     batches, lone = _count_hashes(monkeypatch)
     v = definition_test(builtin("x4"), NARROW, 2, 1000, SPEC)
     assert v.status == "violated" and v.trials == 1000
-    # one batch for all 9 chunks; the witness's stream is rebuilt alone by RandomSpec.rng
-    assert batches == [1000]
-    assert lone == [(SPEC.seed, v.witness["stream_id"])]
+    # one batch for all 9 chunks, then the witness's stream rebuilt by
+    # RandomSpec.rng, a batch of one
+    assert batches == [1000, 1]
+    assert lone == []
 
 
 def test_witnesses_on_one_stream_rerun_it_once():

@@ -30,7 +30,8 @@ from matconvex.entropy import (
     von_neumann_entropy,
 )
 from matconvex.errors import DimensionMismatchError, HermiticityError, ValidationError
-from matconvex.rand import RandomSpec
+from matconvex.linalg import tensor
+from matconvex.rand import RandomSpec, random_densities
 
 LOG2 = math.log(2.0)
 SPEC = RandomSpec(314)
@@ -666,3 +667,52 @@ def test_the_spectrum_path_still_checks_trace_and_positivity():
         DensityOperator._with_spectrum(rho.matrix + 1e-6j * np.eye(6), rho.dims, rho.spectrum)
     state = DensityOperator._with_spectrum(rho.matrix, rho.dims, rho.spectrum[:, ::-1])
     assert np.array_equal(state.spectrum, rho.spectrum)  # kept ascending
+
+
+# Equality cases (Hayden, Jozsa, Petz and Winter, Commun. Math. Phys. 246,
+# 2004): SSA holds with equality exactly at quantum Markov chains, and a
+# one-sided bound passes a slack that is wrong by any positive amount.  A
+# two-sided bound at these states fails an entropy term read off the wrong
+# marginal, which random states, far from equality, let through.
+
+def _densities(n: int, spec: RandomSpec) -> np.ndarray:
+    """A stack of 100 n x n densities from streams 0 .. 99 of ``spec``."""
+    return random_densities(n, spec.rngs(range(100)))
+
+
+def _markov_states(spec: RandomSpec) -> DensityOperator:
+    """rho_{1 B_L} x rho_{B_R 3} on (2, 4, 2): B = B_L x B_R, each a qubit."""
+    return DensityOperator(tensor(_densities(4, spec), _densities(4, spec.stream(100))),
+                           (2, 4, 2))
+
+
+def test_ssa_holds_with_equality_at_markov_states():
+    slack = ssa_slack(_markov_states(RandomSpec(70)))
+    assert slack.shape == (100,) and np.max(np.abs(slack)) <= 1e-12
+
+
+def test_subadditivity_and_mutual_information_vanish_at_product_states():
+    spec = RandomSpec(71)
+    rho = DensityOperator(tensor(_densities(2, spec), _densities(3, spec.stream(100))), (2, 3))
+    rep = mutual_information_decomposition(rho)
+    for value in (*subadditivity_report(rho).slacks.values(), rep.values["mutual_information"]):
+        assert value.shape == (100,) and np.max(np.abs(value)) <= 1e-12
+
+
+def test_relative_entropy_of_a_state_with_itself_is_zero():
+    rho = _densities(4, RandomSpec(72))
+    gap = relative_entropy(rho, rho)
+    assert gap.shape == (100,) and np.max(np.abs(gap)) <= 1e-12
+
+
+def test_ssa_slack_near_a_markov_state_is_second_order():
+    # (1 - eps) rho_Markov + eps sigma leaves equality at second order: the
+    # least slack stays >= 0 and falls about 100x per decade of eps
+    markov, spec = _markov_states(RandomSpec(73)), RandomSpec(74)
+    sigma = _densities(16, spec)
+    least = [np.min(ssa_slack(DensityOperator((1.0 - eps) * markov.matrix + eps * sigma,
+                                              (2, 4, 2))))
+             for eps in (1e-4, 1e-5, 1e-6)]
+    assert min(least) >= 0.0
+    for big, small in zip(least, least[1:]):
+        assert 80.0 <= big / small <= 120.0

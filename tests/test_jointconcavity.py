@@ -355,6 +355,11 @@ REFUSED_POWERS = [
     ((math.nan, 0.5), ValueError, "finite and nonnegative"),
     ((1.0,), UnsupportedArityError, "k in {2, 3}, got k=1"),
     ((0.25,) * 4, UnsupportedArityError, "k in {2, 3}, got k=4"),
+    # p_1 > 0 and the sum is 1 within 1e-12, but the orthant rule's exponent
+    # p_2 + ... + p_k rounds to 1
+    ((1e-300, 1.0), ValueError, "p_2 + ... + p_k < 1, got 1.0"),
+    ((1e-13, 1.0), ValueError, "p_2 + ... + p_k < 1, got 1.0"),
+    ((1e-300, 0.5, 0.5), ValueError, "p_2 + ... + p_k < 1, got 1.0"),
 ]
 
 

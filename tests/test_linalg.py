@@ -134,6 +134,11 @@ def test_apply_function_domain_violation_names_source():
 
 def test_loewner_order_helpers():
     assert min_eigenvalue(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
+    # a matrix is the stack of one: a float for it, a (T,) array for a stack
+    stack = np.array([np.diag([3.0, -2.0]), [[2.0, 1j], [-1j, 2.0]]])
+    assert type(min_eigenvalue(stack[0])) is float
+    np.testing.assert_array_equal(min_eigenvalue(stack), [min_eigenvalue(h) for h in stack])
+    np.testing.assert_allclose(min_eigenvalue(stack), [-2.0, 1.0], rtol=1e-15)
     assert op_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0)
 
 
@@ -179,7 +184,7 @@ def test_stacked_frobenius_rows_equal_their_norms(n, dtype):
         if dtype is complex:
             x = x + 1j * scale * rng.normal(size=(9, n, n))
         np.testing.assert_array_equal(frobenius(x), [np.linalg.norm(row) for row in x])
-        assert frobenius(x[4]) == np.linalg.norm(x[4])
+        assert frobenius(x[4]) == np.linalg.norm(x[4]) and type(frobenius(x[4])) is float
     assert frobenius(np.zeros((0, n, n), dtype=dtype)).shape == (0,)
 
 

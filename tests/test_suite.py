@@ -74,10 +74,10 @@ def test_convexity_detectors_draw_each_definition_pair_once(monkeypatch):
     assert record["status"] == "pass"
     # generators: (x2, inv) share 200 draws and (x3, x4) 1000, and the sqrt
     # Loewner battery 200; the witnesses of x3 and x4 share one stream, rerun
-    # once from its own generator (RandomSpec.rng, not a batch); QR rows:
+    # once from its own generator (RandomSpec.rng, a batch of one); QR rows:
     # A0 and A1 of each draw; eigh rows: each draw's barycenter, and the 2 x 3
     # of the replay; eigvalsh rows: every function's own margins
-    assert counts == {"generators": 1400, "qr": 2402, "eigh": 1207, "eigvalsh": 2603}
+    assert counts == {"generators": 1401, "qr": 2402, "eigh": 1207, "eigvalsh": 2603}
 
 
 def test_subadditivity_chain_builds_each_marginal_once(monkeypatch):
